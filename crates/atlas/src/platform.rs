@@ -170,8 +170,8 @@ impl Platform {
     /// of record chunks of (at most) `chunk_records` each, preserving the
     /// bin's timestamp order across the concatenation — the shape the
     /// streaming Atlas API delivers results in, and the unit the chunked
-    /// ingestion front-end consumes (`Analyzer::ingest` one chunk at a
-    /// time, or a whole slice of chunks at once). Chunking is pure
+    /// ingestion front-end consumes (a session's `ingest`, one chunk at
+    /// a time). Chunking is pure
     /// partitioning: concatenating the chunks yields exactly
     /// [`Platform::collect_bin`]'s output.
     pub fn collect_bin_chunked(

@@ -695,8 +695,6 @@ fn run_checkpoint_workload(
     let mut resumed = Analyzer::restore_with(&mid_snapshot, |c| {
         c.threads = knobs.threads;
         c.ingest_chunk_records = knobs.ingest_chunk_records;
-        c.pipeline_depth = knobs.pipeline_depth;
-        c.radix_min_keys = knobs.radix_min_keys;
     })
     .unwrap_or_else(|e| panic!("{name}: mid-stream snapshot failed to restore: {e:?}"));
     let mut tail = Vec::new();

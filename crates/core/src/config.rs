@@ -55,23 +55,6 @@ pub struct DetectorConfig {
     /// engine's randomness is derived per (seed, link, bin) and its output
     /// totally ordered — so this is purely a throughput knob.
     pub threads: usize,
-    /// Depth of the cross-bin pipelined executor
-    /// (`Analyzer::pipelined` / `StreamRouter::pipelined`): `1` runs
-    /// bins strictly serially, `2` overlaps bin *n+1*'s scatter chunks
-    /// with bin *n*'s shard jobs on one worker herd, `0` (the default)
-    /// picks the engine default (2). Values above 2 clamp to 2 — the
-    /// serial merge fences every bin, so deeper pipelines buy nothing.
-    /// Purely a throughput knob; output is byte-identical for any value.
-    pub pipeline_depth: usize,
-    /// Smallest per-shard element count at which the grouping paths use
-    /// the stable LSD radix sort instead of the comparison sort: `0`
-    /// (the default) picks the engine default
-    /// (`pinpoint_stats::RADIX_MIN_KEYS`), `1` forces radix for every
-    /// non-trivial shard, `usize::MAX` disables radix entirely. Because
-    /// the radix sort is stable and the gathered runs arrive in record
-    /// order, grouped output — and with it every report byte — is
-    /// identical for every value; purely a throughput knob.
-    pub radix_min_keys: usize,
     /// Run the record sanitizer in front of ingestion (default `true`).
     /// Disabling it feeds raw records — including structurally broken
     /// ones — straight to the detectors; useful only for measuring the
@@ -130,8 +113,6 @@ impl Default for DetectorConfig {
             seed: 0xF0_07,
             ingest_chunk_records: 0,
             threads: 0,
-            pipeline_depth: 0,
-            radix_min_keys: 0,
             sanitize: true,
             sanitize_max_rtt_ms: 10_000.0,
             sanitize_max_inversion_ms: 100.0,
@@ -165,12 +146,12 @@ impl DetectorConfig {
     }
 
     /// Serialize every field in declaration order — with one exception:
-    /// the four throughput knobs (`threads`, `ingest_chunk_records`,
-    /// `pipeline_depth`, `radix_min_keys`) are written as `0` ("auto").
-    /// They never affect output bytes, only scheduling, so normalizing
-    /// them is what makes snapshots byte-identical across the whole
-    /// thread × chunk × depth × radix matrix. Callers who want pinned
-    /// knobs after a restore set them on the restored config.
+    /// the two throughput knobs (`threads`, `ingest_chunk_records`) are
+    /// written as `0` ("auto"). They never affect output bytes, only
+    /// scheduling, so normalizing them is what makes snapshots
+    /// byte-identical across the whole thread × chunk × depth matrix.
+    /// Callers who want pinned knobs after a restore set them on the
+    /// restored config.
     pub(crate) fn snapshot_into(&self, w: &mut Writer) {
         w.u64(self.bin_secs);
         w.f64(self.wilson_z);
@@ -186,8 +167,6 @@ impl DetectorConfig {
         w.u64(self.seed);
         w.usize(0); // ingest_chunk_records: throughput knob, normalized
         w.usize(0); // threads: throughput knob, normalized
-        w.usize(0); // pipeline_depth: throughput knob, normalized
-        w.usize(0); // radix_min_keys: throughput knob, normalized
         w.bool(self.sanitize);
         w.f64(self.sanitize_max_rtt_ms);
         w.f64(self.sanitize_max_inversion_ms);
@@ -214,8 +193,6 @@ impl DetectorConfig {
             seed: r.u64()?,
             ingest_chunk_records: r.usize()?,
             threads: r.usize()?,
-            pipeline_depth: r.usize()?,
-            radix_min_keys: r.usize()?,
             sanitize: r.bool()?,
             sanitize_max_rtt_ms: r.f64()?,
             sanitize_max_inversion_ms: r.f64()?,
@@ -233,9 +210,8 @@ impl DetectorConfig {
     /// parameter fails loudly at construction instead of silently
     /// producing garbage (a `reference_expiry_bins` of 0 would evict
     /// every reference every bin; a NaN threshold never fires). The
-    /// throughput knobs (`threads`, `ingest_chunk_records`,
-    /// `pipeline_depth`) accept 0 — that is their documented "auto"
-    /// value. Called by `Analyzer::new`.
+    /// throughput knobs (`threads`, `ingest_chunk_records`) accept 0 —
+    /// that is their documented "auto" value. Called by `Analyzer::new`.
     pub fn validate(&self) -> Result<(), String> {
         fn finite_in(name: &str, v: f64, lo: f64, hi: f64) -> Result<(), String> {
             if !v.is_finite() || v < lo || v > hi {
@@ -354,8 +330,6 @@ mod tests {
         assert_eq!(c.warmup_bins, 3);
         assert_eq!(c.threads, 0, "default engine uses every core");
         assert_eq!(c.ingest_chunk_records, 0, "default chunk size is auto");
-        assert_eq!(c.pipeline_depth, 0, "default pipeline depth is auto");
-        assert_eq!(c.radix_min_keys, 0, "default radix threshold is auto");
         assert!(c.sanitize, "sanitizer on by default");
         assert_eq!(c.sanitize_max_hops, 64);
         assert_eq!(c.event_threshold, 4.0);
@@ -512,21 +486,8 @@ mod tests {
         let cfg = DetectorConfig {
             threads: 0,
             ingest_chunk_records: 0,
-            pipeline_depth: 0,
-            radix_min_keys: 0,
             ..Default::default()
         };
         cfg.validate().unwrap();
-        // And the radix extremes — always-radix and never-radix — are
-        // both legal: the knob only moves work between two sorts that
-        // produce identical output.
-        for radix_min_keys in [1, usize::MAX] {
-            DetectorConfig {
-                radix_min_keys,
-                ..Default::default()
-            }
-            .validate()
-            .unwrap();
-        }
     }
 }

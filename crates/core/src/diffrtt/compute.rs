@@ -462,13 +462,7 @@ impl ShardRows {
     /// touches the epoch tables (observed links are stamped by the
     /// caller's serial fence, [`SampleArena::stamp_bin`], from the entry
     /// list this lays out).
-    pub(crate) fn finalize(
-        &mut self,
-        idx: usize,
-        probe_asns: &[Asn],
-        chunks: &[DelayChunk],
-        radix_min_keys: usize,
-    ) {
+    pub(crate) fn finalize(&mut self, idx: usize, probe_asns: &[Asn], chunks: &[DelayChunk]) {
         self.pool.clear();
         self.spans.clear();
         self.entries.clear();
@@ -476,9 +470,9 @@ impl ShardRows {
         // appends runs in (chunk, start) order, so the stable radix sort
         // by key alone reproduces the comparison sort's explicit
         // (chunk, start) tiebreak — same pool layout, O(n · live_digits)
-        // instead of O(n log n). Below `radix_min_keys` runs, the
+        // instead of O(n log n). Below `RADIX_MIN_KEYS` runs, the
         // histogram pre-pass costs more than it saves.
-        if self.runs.len() >= radix_min_keys {
+        if self.runs.len() >= pinpoint_stats::RADIX_MIN_KEYS {
             pinpoint_stats::sort_by_u64_key(&mut self.runs, &mut self.sort_scratch, |r| r.key);
         } else {
             self.runs
@@ -949,12 +943,7 @@ impl SampleArena {
         let parts = self.parts_mut();
         for (i, shard) in parts.rows.iter_mut().enumerate() {
             shard.gather(i, parts.chunks);
-            shard.finalize(
-                i,
-                parts.probe_asns,
-                parts.chunks,
-                pinpoint_stats::RADIX_MIN_KEYS,
-            );
+            shard.finalize(i, parts.probe_asns, parts.chunks);
         }
         self.stamp_bin(bin);
     }
@@ -1197,8 +1186,11 @@ mod tests {
     #[test]
     fn arena_matches_reference_collection() {
         // Interleaved records across two links and three probes: the arena
-        // must regroup them identically to the nested-map path.
-        let recs = vec![
+        // must regroup them identically to the nested-map path. Those
+        // shards stay below `RADIX_MIN_KEYS` runs (comparison sort); the
+        // busy link appended below puts one run per probe into a single
+        // shard, pushing it over the threshold (radix sort).
+        let mut recs = vec![
             record(
                 2,
                 200,
@@ -1220,9 +1212,26 @@ mod tests {
                 vec![hop(1, "10.0.0.1", &[0.9]), hop(2, "10.0.1.1", &[6.0])],
             ),
         ];
+        let busy = pinpoint_stats::RADIX_MIN_KEYS as u32 + 6;
+        // Descending probe ids, so the packed run keys arrive unsorted.
+        recs.extend((0..busy).rev().map(|p| {
+            let rtt = 3.0 + f64::from(p % 7);
+            record(
+                100 + p,
+                400 + p % 5,
+                vec![hop(1, "10.0.7.1", &[1.0]), hop(2, "10.0.7.2", &[rtt])],
+            )
+        }));
         let reference = collect_link_samples(&recs);
         let mut arena = SampleArena::new();
         arena.build(&recs);
+        assert!(
+            arena
+                .rows
+                .iter()
+                .any(|shard| shard.runs.len() >= busy as usize),
+            "no shard crossed the radix threshold"
+        );
 
         assert_eq!(arena.link_count(), reference.len());
         assert_eq!(

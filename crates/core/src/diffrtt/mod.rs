@@ -519,7 +519,6 @@ fn run_delay_bundle(
 ) -> ShardOutput {
     let mut out = ShardOutput::default();
     let mut scratch = BundleScratch::default();
-    let radix_min_keys = engine::resolve_radix(cfg.radix_min_keys);
     for DelayShardTask {
         idx,
         rows,
@@ -528,7 +527,7 @@ fn run_delay_bundle(
     } in bundle
     {
         rows.gather(idx, chunks);
-        rows.finalize(idx, probe_asns, chunks, radix_min_keys);
+        rows.finalize(idx, probe_asns, chunks);
         characterize_shard(
             rows,
             links,

@@ -83,23 +83,6 @@ pub(crate) fn resolve_schedule(depth: usize, threads: usize) -> usize {
     }
 }
 
-/// Resolve the `radix_min_keys` knob (`0` = engine default) into the
-/// smallest per-shard element count at which the grouping paths switch
-/// from the comparison sort to the stable LSD radix sort. The default is
-/// [`pinpoint_stats::radix::RADIX_MIN_KEYS`] — below it the histogram
-/// pre-pass costs more than the comparison sort saves. `1` forces radix
-/// everywhere, `usize::MAX` disables it. Purely a throughput knob:
-/// radix is stable and the gathered input is in record order, so the
-/// grouped output is identical either way (`tests/engine_parity.rs`
-/// sweeps `PINPOINT_RADIX` through the CI matrix to prove it).
-pub(crate) fn resolve_radix(radix_min_keys: usize) -> usize {
-    if radix_min_keys == 0 {
-        pinpoint_stats::radix::RADIX_MIN_KEYS
-    } else {
-        radix_min_keys
-    }
-}
-
 /// Stable shard assignment for word-packable keys: one SplitMix64 round.
 /// Must not involve `RandomState` or anything process-seeded — determinism
 /// across runs and thread counts depends on it.
@@ -309,17 +292,6 @@ mod tests {
         assert_eq!(resolve_schedule(2, 2), 2);
         assert_eq!(resolve_schedule(0, 2), 2, "auto stays overlapped");
         assert_eq!(resolve_schedule(1, 8), 1, "explicit serial is honored");
-    }
-
-    #[test]
-    fn radix_resolution_defaults_and_extremes() {
-        assert_eq!(
-            resolve_radix(0),
-            pinpoint_stats::radix::RADIX_MIN_KEYS,
-            "auto is the stats-crate fallback boundary"
-        );
-        assert_eq!(resolve_radix(1), 1, "1 forces radix everywhere");
-        assert_eq!(resolve_radix(usize::MAX), usize::MAX, "MAX disables radix");
     }
 
     #[test]

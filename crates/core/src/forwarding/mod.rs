@@ -429,7 +429,6 @@ fn run_forwarding_bundle(
     let mut out = FwdShardOutput::default();
     // Reused across patterns: hop-alignment buffers.
     let mut scratch = detect::AlignScratch::default();
-    let radix_min_keys = engine::resolve_radix(cfg.radix_min_keys);
     for ForwardingShardTask {
         idx,
         rows,
@@ -438,7 +437,7 @@ fn run_forwarding_bundle(
     } in bundle
     {
         rows.gather(idx, chunks);
-        rows.finalize(radix_min_keys);
+        rows.finalize();
         for j in 0..rows.pattern_count() {
             let slice = rows.pattern_in(j, keys, hops);
             let entry = shard

@@ -350,7 +350,7 @@ impl PatternShardRows {
     /// across shards — and, in the pipelined executor, concurrently with
     /// the next bin's scatter wave: observed patterns are stamped by the
     /// caller's serial fence from the entry list this lays out.
-    pub(crate) fn finalize(&mut self, radix_min_keys: usize) {
+    pub(crate) fn finalize(&mut self) {
         self.pool.clear();
         self.entries.clear();
         // One u64-keyed sort over a small, cache-resident shard. Equal keys
@@ -359,7 +359,7 @@ impl PatternShardRows {
         // radix path and the unstable comparison path yield identical
         // pools. SENTINEL sorts after every real hop slot, so presence
         // rows are consumed at the end of a group.
-        if self.rows.len() >= radix_min_keys {
+        if self.rows.len() >= pinpoint_stats::RADIX_MIN_KEYS {
             pinpoint_stats::sort_by_u64_key(&mut self.rows, &mut self.sort_scratch, |r| r.0);
         } else {
             self.rows.sort_unstable_by_key(|r| r.0);
@@ -713,7 +713,7 @@ impl PatternArena {
         let parts = self.parts_mut();
         for (i, shard) in parts.rows.iter_mut().enumerate() {
             shard.gather(i, parts.chunks);
-            shard.finalize(pinpoint_stats::RADIX_MIN_KEYS);
+            shard.finalize();
         }
         self.stamp_bin(bin);
     }
@@ -899,7 +899,11 @@ mod tests {
         // Interleaved records across several routers, destinations, and
         // reply mixes (responsive, unresponsive, repeated-address quirks):
         // the arena must regroup them identically to the nested-map path.
-        let recs = vec![
+        // Those shards stay below `RADIX_MIN_KEYS` rows (comparison sort);
+        // the fan-out appended below gives ONE (router, destination)
+        // pattern more distinct next hops than the threshold, so its
+        // shard takes the radix sort.
+        let mut recs = vec![
             rec(
                 "198.51.100.1",
                 vec![
@@ -924,7 +928,27 @@ mod tests {
                 ],
             ),
         ];
+        // Descending next hops, so the packed row keys arrive unsorted.
+        recs.extend((0..pinpoint_stats::RADIX_MIN_KEYS + 6).rev().map(|k| {
+            let next = format!("10.0.6.{k}");
+            rec(
+                "198.51.100.9",
+                vec![
+                    hop(1, &[Some("10.0.5.1"); 3]),
+                    hop(2, &[Some(next.as_str()); 3]),
+                ],
+            )
+        }));
         assert_eq!(collect_patterns_sharded(&recs), collect_patterns(&recs));
+        let mut arena = PatternArena::new();
+        arena.build(&recs);
+        assert!(
+            arena
+                .rows
+                .iter()
+                .any(|shard| shard.rows.len() >= pinpoint_stats::RADIX_MIN_KEYS),
+            "no shard crossed the radix threshold"
+        );
     }
 
     #[test]

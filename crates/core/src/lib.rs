@@ -46,7 +46,10 @@
 //! runs and the §8 streaming ("Internet Health Report") mode;
 //! [`stream::StreamRouter`] scales that to a fleet of analyzers — one per
 //! concurrent measurement stream — sharing one engine pool with merged
-//! cross-stream reporting. The [`baseline`] module carries the non-robust
+//! cross-stream reporting. Both run bins through the one executor in
+//! [`session`] ([`pipeline::Analyzer::session`] /
+//! [`stream::StreamRouter::session`]); `process_bin` is its one-bin
+//! serial step. The [`baseline`] module carries the non-robust
 //! comparison detectors used by the ablation benches.
 //!
 //! ## Performance
@@ -60,8 +63,8 @@
 //!   buffers, concatenated per shard **in chunk order** so grouped
 //!   output is byte-identical for any chunk size or thread count
 //!   ([`ingest`]). Bins can also be fed incrementally as slices arrive
-//!   ([`pipeline::Analyzer::begin_bin`] / [`pipeline::Analyzer::ingest`]
-//!   / [`pipeline::Analyzer::finish_bin`]) with the identical result.
+//!   ([`session::AnalysisSession::begin_bin`] / `ingest` / `finish_bin`)
+//!   with the identical result.
 //! * **Persistent interning epochs** — links, probes, pattern keys, and
 //!   next hops intern into dense ids once and stay interned across bins:
 //!   steady-state bins perform zero intern-table insertions (counted by
@@ -98,20 +101,18 @@
 //!   [`pipeline::Analyzer::process_bin`], so delay-link shards and
 //!   forwarding-pattern shards interleave on the same cores (§4 ∥ §5)
 //!   instead of racing as two thread herds.
-//! * **One worker pool for a whole fleet** — [`stream::StreamRouter`]
-//!   stages every member analyzer's bin first, then runs ALL streams'
-//!   shard jobs on one pool: stream A's delay shards interleave with
+//! * **One worker pool for a whole fleet** — a [`stream::StreamRouter`]
+//!   session stages every member analyzer's bin first, then runs ALL
+//!   streams' shard jobs on one pool: stream A's delay shards interleave with
 //!   stream B's forwarding shards. Per-stream state stays per-stream;
 //!   the merged [`stream::FleetReport`] sums per-AS severities across
 //!   streams and normalizes them against a fleet-level baseline. See
 //!   `src/README.md` for the architecture and the full determinism
 //!   contract.
-//! * **Cross-bin pipelining** — the depth-2 pipelined executor
-//!   ([`pipeline::Analyzer::pipelined`] →
-//!   [`pipeline::PipelinedDriver`]; fleet twin
-//!   [`stream::StreamRouter::pipelined`]) overlaps bin *n+1*'s scatter
-//!   chunks with bin *n*'s shard jobs as one two-lane wave on the same
-//!   herd: the arenas double-buffer their chunk lanes, intern epochs
+//! * **Cross-bin pipelining** — at depth 2 the bin executor
+//!   ([`session::Session`], the same code for a solo analyzer and a
+//!   fleet) overlaps bin *n+1*'s scatter chunks with bin *n*'s shard
+//!   jobs as one two-lane wave on the same herd: the arenas double-buffer their chunk lanes, intern epochs
 //!   advance only at the serial merge fence between waves, and
 //!   compaction sweeps are fenced into drained gaps. Reports emerge
 //!   strictly in bin order, byte-identical to the serial schedule.
@@ -123,9 +124,9 @@
 //!   k-ascending-runs shape a chunked gather produces) to the standard
 //!   library's run-adaptive stable merge — so only genuinely shuffled
 //!   shards pay counting passes, where radix beats the comparison sort
-//!   2–4×. Stability replaces the explicit gather-order tiebreak, and
-//!   `DetectorConfig::radix_min_keys` keeps every path selectable
-//!   (0 = auto, 1 = always, `usize::MAX` = never).
+//!   2–4×. Stability replaces the explicit gather-order tiebreak;
+//!   shards below `pinpoint_stats::RADIX_MIN_KEYS` keep the comparison
+//!   sort.
 //! * **Selection, not sorting** — per-link characterization fetches
 //!   the median and both Wilson-rank CI bounds with ONE partition-based
 //!   multiselect (`median_ci_select_ranks`) instead of a full sort or
@@ -154,8 +155,8 @@
 //!   `tests/pipeline_overlap_parity.rs` prove equivalence across
 //!   scenarios, seeds, thread counts, chunk sizes, and depths (re-run
 //!   in CI under a `PINPOINT_THREADS` ∈ {1, 2, 4, 8} ×
-//!   `PINPOINT_CHUNK` ∈ {3, default} × `PINPOINT_PIPELINE` ∈ {2, 1} ×
-//!   `PINPOINT_RADIX` ∈ {on, off} matrix on a multi-core runner).
+//!   `PINPOINT_CHUNK` ∈ {3, default} × `PINPOINT_PIPELINE` ∈ {2, 1}
+//!   matrix on a multi-core runner).
 //!
 //! Benchmarks: `cargo bench -p pinpoint-bench` (criterion-style suite,
 //! includes parallel-vs-sequential engine benches) and
@@ -194,8 +195,10 @@ pub use config::DetectorConfig;
 pub use diffrtt::{DelayAlarm, DelayDetector};
 pub use forwarding::{ForwardingAlarm, ForwardingDetector, NextHop};
 pub use ingest::IngestStats;
-pub use pipeline::{Analyzer, BinReport, PipelinedDriver};
+pub use pipeline::{Analyzer, BinReport};
 pub use sanitize::SanitizeStats;
-pub use session::{AnalysisSession, AnalyzerSession, BinSource, FleetSession};
+pub use session::{
+    AnalysisSession, AnalyzerSession, AnalyzerSet, BinSource, FleetSession, Session,
+};
 pub use snapshot::SnapshotError;
-pub use stream::{FleetPipelinedDriver, FleetReport, StreamId, StreamRouter};
+pub use stream::{FleetReport, StreamId, StreamRouter};

@@ -6,21 +6,14 @@
 //! references and sliding windows are stateful, exactly like the online
 //! deployment of §8 consuming the Atlas stream.
 //!
-//! Records can also arrive incrementally, as they do from the streaming
-//! Atlas API: open a bin with [`Analyzer::begin_bin`], feed record slices
-//! with [`Analyzer::ingest`] as they land, and close it with
-//! [`Analyzer::finish_bin`]. Because the chunked scatter front-end
-//! concatenates per-shard rows in chunk (= arrival) order, the report is
-//! byte-identical to a batch [`Analyzer::process_bin`] over the
-//! concatenated records, no matter how the feed was sliced — see
-//! `examples/chunked_ingest.rs`.
-//!
-//! For continuous streams there is also the cross-bin pipelined executor
-//! ([`Analyzer::pipelined`] → [`PipelinedDriver`]): bin *n+1*'s
-//! ingestion runs overlapped with bin *n*'s analysis on one worker herd,
-//! with reports still emitted strictly in bin order and byte-identical
-//! to the serial schedule — see `examples/pipelined_stream.rs` and the
-//! executor section in `src/README.md`.
+//! [`Analyzer::process_bin`] is the one-bin serial call; continuous
+//! streams run through [`Analyzer::session`], the one bin executor
+//! ([`crate::session::Session`]): whole bins or incrementally arriving
+//! slices in, reports out strictly in bin order, with bin *n+1*'s
+//! ingestion overlapped with bin *n*'s analysis at depth 2 — byte-identical
+//! to the serial schedule. See `examples/pipelined_stream.rs`,
+//! `examples/chunked_ingest.rs`, and the executor section in
+//! `src/README.md`.
 
 use crate::aggregate::{
     delay_severity, forwarding_severity, AsMagnitude, AsMapper, EmpathyExtractor, FleetEvent,
@@ -31,6 +24,7 @@ use crate::diffrtt::{DelayAlarm, DelayDetector, LinkStat};
 use crate::forwarding::{ForwardingAlarm, ForwardingDetector};
 use crate::graph::AlarmGraph;
 use crate::sanitize::{SanitizeStats, Sanitizer};
+use crate::session::{AnalysisSession, AnalyzerSet};
 use crate::snapshot::{self, Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::{Asn, BinId, IpLink, Prefix};
@@ -76,13 +70,6 @@ impl BinReport {
     }
 }
 
-/// An open incremental-ingestion bin (see [`Analyzer::begin_bin`]).
-#[derive(Debug, Clone, Copy)]
-struct IngestSession {
-    bin: BinId,
-    records: usize,
-}
-
 /// The stateful §4–§6 pipeline.
 #[derive(Debug)]
 pub struct Analyzer {
@@ -93,7 +80,6 @@ pub struct Analyzer {
     mapper: AsMapper,
     magnitudes: MagnitudeTracker,
     events: EmpathyExtractor,
-    session: Option<IngestSession>,
 }
 
 impl Analyzer {
@@ -116,7 +102,6 @@ impl Analyzer {
             events: EmpathyExtractor::new(&cfg),
             cfg,
             mapper,
-            session: None,
         }
     }
 
@@ -130,12 +115,14 @@ impl Analyzer {
         self.magnitudes.register(ases);
     }
 
-    /// Run one bin through the full pipeline.
+    /// Run one bin through the full pipeline — the executor's depth-1
+    /// step (`self.session(1).push_bin(..)`), for callers that hold one
+    /// bin at a time.
     ///
     /// The bin runs as two waves on ONE scoped worker pool
     /// (`crate::engine`). First the ingestion wave: both detectors' record
     /// chunks scatter in parallel against their persistent intern tables
-    /// ([`Analyzer::scatter_jobs`]), followed by the short sequential
+    /// ([`Analyzer::open_scatter`]), followed by the short sequential
     /// chunk-ordered intern merge. Then the shard wave: every worker
     /// interleaves delay-link shards and forwarding-pattern shards
     /// (§4 ∥ §5) instead of the two detectors racing on separate thread
@@ -144,50 +131,24 @@ impl Analyzer {
     /// and any chunk size.
     ///
     /// A fleet of analyzers shares one pool the same way: see
-    /// [`crate::stream::StreamRouter`], which pools every member's
-    /// scatter chunks in one wave and every member's shard jobs in the
-    /// next.
+    /// [`crate::stream::StreamRouter`], whose session pools every
+    /// member's scatter chunks in one wave and every member's shard jobs
+    /// in the next.
     pub fn process_bin(&mut self, bin: BinId, records: &[TracerouteRecord]) -> BinReport {
-        assert!(
-            self.session.is_none(),
-            "process_bin called while an incremental bin is open (finish_bin first)"
-        );
-        let threads = crate::engine::resolve_threads(self.cfg.threads);
-        let jobs = self.scatter_jobs(bin, records, threads);
-        crate::engine::run_jobs(jobs, threads);
-        self.merge_scatter(bin);
-        let staged = {
-            let mut stage = self.stage(bin, threads);
-            let jobs = stage.jobs();
-            crate::engine::run_jobs(jobs, threads);
-            stage.finish()
-        };
-        self.stamp_bin(bin);
-        self.absorb(bin, records.len(), staged)
+        self.session(1)
+            .push_bin(bin, records)
+            .expect("a depth-1 session reports every bin on its own push")
     }
 
-    /// Open one bin's ingestion (compact intern epochs, start scatter
-    /// sessions) and return both detectors' chunk jobs for the records.
-    /// The caller runs them on a pool of its choice, then calls
-    /// [`Analyzer::merge_scatter`] — the stream router uses this to pool
-    /// the scatter chunks of a whole fleet into one wave.
-    pub(crate) fn scatter_jobs<'a>(
-        &'a mut self,
-        bin: BinId,
-        records: &'a [TracerouteRecord],
-        threads: usize,
-    ) -> Vec<crate::engine::Job<'a>> {
-        self.open_scatter(bin, records, true, threads)
-    }
-
-    /// [`Analyzer::scatter_jobs`] with the compaction sweep optional: the
-    /// pipelined driver opens post-drain bins with `compact: false`
-    /// because it has already swept both epochs at the fence.
+    /// Open one bin's ingestion (start scatter sessions, sanitize) and
+    /// return both detectors' chunk jobs for the records. The executor
+    /// runs them on the shared pool — a fleet's scatter chunks all in one
+    /// wave — then calls [`Analyzer::merge_scatter`]. No compaction
+    /// happens here: the executor sweeps ([`Analyzer::compact_epochs`])
+    /// first, in the drained gap this is only ever called in.
     pub(crate) fn open_scatter<'a>(
         &'a mut self,
-        bin: BinId,
         records: &'a [TracerouteRecord],
-        compact: bool,
         threads: usize,
     ) -> Vec<crate::engine::Job<'a>> {
         let chunk = crate::ingest::resolve_chunk_for(self.cfg.ingest_chunk_records, threads);
@@ -198,10 +159,6 @@ impl Analyzer {
             cfg,
             ..
         } = self;
-        if compact {
-            delay.compact_epoch(bin);
-            forwarding.compact_epoch(bin);
-        }
         delay.begin_bin();
         forwarding.begin_bin();
         sanitizer.begin_bin();
@@ -214,7 +171,7 @@ impl Analyzer {
     /// The depth-2 overlap point: stage the *pending* bin's shard jobs
     /// (both detectors) and open the next bin's scatter session in one
     /// split borrow, so one two-lane engine wave can run them together.
-    /// No compaction happens here — callers fence with
+    /// No compaction happens here — the executor fences with
     /// [`Analyzer::needs_compaction`] / [`Analyzer::compact_epochs`].
     pub(crate) fn overlap_wave<'a>(
         &'a mut self,
@@ -246,11 +203,10 @@ impl Analyzer {
         )
     }
 
-    /// The pipelined executor's fence predicate: whether either
-    /// detector's intern epoch holds an *overdue* key (a sweep may only
-    /// run in a drained gap; see
-    /// [`crate::diffrtt::DelayDetector::needs_compaction`] for the
-    /// tolerant bound accounting for the pending bin's unstamped
+    /// The executor's fence predicate: whether either detector's intern
+    /// epoch holds an *overdue* key (a sweep may only run in a drained
+    /// gap; see [`crate::diffrtt::DelayDetector::needs_compaction`] for
+    /// the tolerant bound accounting for the pending bin's unstamped
     /// observations).
     pub(crate) fn needs_compaction(&self, bin: BinId) -> bool {
         self.delay.needs_compaction(bin) || self.forwarding.needs_compaction(bin)
@@ -263,89 +219,11 @@ impl Analyzer {
         self.forwarding.compact_epoch(bin);
     }
 
-    /// The serial fence after a bin's shard wave: stamp every observed
-    /// link and pattern in the epoch tables. Must run before any
-    /// compaction decision for a later bin.
-    pub(crate) fn stamp_bin(&mut self, bin: BinId) {
-        self.delay.stamp_bin(bin);
-        self.forwarding.stamp_bin(bin);
-    }
-
     /// The sequential chunk-ordered intern merge between the scatter wave
     /// and the shard wave, for both detectors.
     pub(crate) fn merge_scatter(&mut self, bin: BinId) {
         self.delay.merge_scatter(bin);
         self.forwarding.merge_scatter(bin);
-    }
-
-    /// Open a bin for incremental ingestion. Feed record slices with
-    /// [`Analyzer::ingest`] as they arrive, then close the bin with
-    /// [`Analyzer::finish_bin`]. The resulting report is byte-identical
-    /// to [`Analyzer::process_bin`] over the concatenated records.
-    ///
-    /// # Panics
-    /// When a previous incremental bin is still open.
-    pub fn begin_bin(&mut self, bin: BinId) {
-        assert!(
-            self.session.is_none(),
-            "begin_bin called while a bin is already open (finish_bin first)"
-        );
-        self.delay.compact_epoch(bin);
-        self.forwarding.compact_epoch(bin);
-        self.delay.begin_bin();
-        self.forwarding.begin_bin();
-        self.sanitizer.begin_bin();
-        self.session = Some(IngestSession { bin, records: 0 });
-    }
-
-    /// Scatter one slice of the open bin's records (in arrival order)
-    /// through both detectors' chunked front-ends, on the engine pool.
-    ///
-    /// # Panics
-    /// Without an open [`Analyzer::begin_bin`] session.
-    pub fn ingest(&mut self, records: &[TracerouteRecord]) {
-        {
-            let session = self
-                .session
-                .as_mut()
-                .expect("ingest called without begin_bin");
-            session.records += records.len();
-        }
-        let threads = crate::engine::resolve_threads(self.cfg.threads);
-        let chunk = crate::ingest::resolve_chunk_for(self.cfg.ingest_chunk_records, threads);
-        let Analyzer {
-            delay,
-            forwarding,
-            sanitizer,
-            cfg,
-            ..
-        } = self;
-        let clean = sanitizer.sanitize(records, cfg);
-        let mut jobs = delay.scatter_jobs(clean, chunk);
-        jobs.extend(forwarding.scatter_jobs(clean, chunk));
-        crate::engine::run_jobs(jobs, threads);
-    }
-
-    /// Close the open incremental bin: merge the intern epochs, run the
-    /// shard wave, and aggregate the [`BinReport`].
-    ///
-    /// # Panics
-    /// Without an open [`Analyzer::begin_bin`] session.
-    pub fn finish_bin(&mut self) -> BinReport {
-        let IngestSession { bin, records } = self
-            .session
-            .take()
-            .expect("finish_bin called without begin_bin");
-        let threads = crate::engine::resolve_threads(self.cfg.threads);
-        self.merge_scatter(bin);
-        let staged = {
-            let mut stage = self.stage(bin, threads);
-            let jobs = stage.jobs();
-            crate::engine::run_jobs(jobs, threads);
-            stage.finish()
-        };
-        self.stamp_bin(bin);
-        self.absorb(bin, records, staged)
     }
 
     /// Interning-epoch counters summed over both detectors' arenas. A
@@ -368,10 +246,9 @@ impl Analyzer {
 
     /// Stage one bin's shard work for the shared engine without running
     /// it (after the scatter wave and [`Analyzer::merge_scatter`]). The
-    /// caller decides which pool executes the jobs — [`Analyzer::
-    /// process_bin`] runs its own, the stream router pools the jobs of a
-    /// whole fleet — then collects with [`AnalyzerStage::finish`] and
-    /// hands the result back through [`Analyzer::absorb`].
+    /// executor pools the jobs of every member into one wave, then
+    /// collects with [`AnalyzerStage::finish`] and hands the result back
+    /// through [`Analyzer::absorb`].
     pub(crate) fn stage<'a>(&'a mut self, bin: BinId, threads: usize) -> AnalyzerStage<'a> {
         let Analyzer {
             delay, forwarding, ..
@@ -382,9 +259,14 @@ impl Analyzer {
         }
     }
 
-    /// Fold one staged bin's detector outputs into the analyzer's stateful
-    /// trackers and aggregate them into a [`BinReport`] (§6).
+    /// The serial fence after a bin's shard wave: stamp every observed
+    /// link and pattern in the epoch tables (must run before any
+    /// compaction decision for a later bin), then fold the staged
+    /// detector outputs into the analyzer's stateful trackers and
+    /// aggregate them into a [`BinReport`] (§6).
     pub(crate) fn absorb(&mut self, bin: BinId, records: usize, staged: StagedBin) -> BinReport {
+        self.delay.stamp_bin(bin);
+        self.forwarding.stamp_bin(bin);
         self.delay.links_seen += staged.new_links;
         self.aggregate(
             bin,
@@ -405,10 +287,6 @@ impl Analyzer {
         bin: BinId,
         records: &[TracerouteRecord],
     ) -> BinReport {
-        assert!(
-            self.session.is_none(),
-            "process_bin_sequential called while an incremental bin is open (finish_bin first)"
-        );
         let (delay_alarms, link_stats, forwarding_alarms) = {
             let Analyzer {
                 delay,
@@ -466,53 +344,17 @@ impl Analyzer {
         }
     }
 
-    /// The cross-bin pipelined executor over this analyzer: feed bins in
-    /// order with [`PipelinedDriver::push_bin`] and reports come back in
-    /// bin order, one bin behind at depth 2 — while bin *n*'s delay and
-    /// forwarding shard jobs run, bin *n+1*'s scatter chunks run on the
-    /// same worker herd. `depth` follows the usual knob convention: `0`
-    /// resolves through [`DetectorConfig::pipeline_depth`] (whose own `0`
-    /// means the engine default, depth 2); `1` is the strictly serial
-    /// schedule; anything deeper clamps to 2; and a resolved one-worker
-    /// herd always collapses to the serial schedule (nothing to overlap —
-    /// see `engine::resolve_schedule`). Output is byte-identical to
-    /// [`Analyzer::process_bin`] for every depth — the determinism
-    /// contract's pipelining rule (see `src/README.md`).
-    ///
-    /// # Panics
-    /// When an incremental [`Analyzer::begin_bin`] session is open.
-    pub fn pipelined(&mut self, depth: usize) -> PipelinedDriver<'_> {
-        assert!(
-            self.session.is_none(),
-            "pipelined called while an incremental bin is open (finish_bin first)"
-        );
-        let depth = crate::engine::resolve_schedule(
-            if depth == 0 {
-                self.cfg.pipeline_depth
-            } else {
-                depth
-            },
-            self.cfg.threads,
-        );
-        PipelinedDriver {
-            analyzer: self,
-            depth,
-            pending: None,
-            last: None,
-        }
-    }
-
-    /// The unified [`crate::session::AnalysisSession`] over this
-    /// analyzer — the one entry path behind batch, incremental, and
-    /// pipelined use (see the [`crate::session`] docs). `depth` resolves
-    /// like [`Analyzer::pipelined`]: `0` falls through to
-    /// [`DetectorConfig::pipeline_depth`] (whose own `0` means the
-    /// engine default, 2); `1` is the strictly serial schedule.
-    ///
-    /// # Panics
-    /// When an incremental [`Analyzer::begin_bin`] session is open.
+    /// The [`crate::session::AnalysisSession`] over this analyzer — the
+    /// one executor behind batch, incremental, and pipelined use (see
+    /// the [`crate::session`] docs). `depth` `0` resolves to the engine
+    /// default (2); `1` is the strictly serial schedule; anything deeper
+    /// clamps to 2; and a resolved one-worker herd always collapses to
+    /// the serial schedule (nothing to overlap — see
+    /// `engine::resolve_schedule`). Output is byte-identical for every
+    /// depth — the determinism contract's pipelining rule (see
+    /// `src/README.md`).
     pub fn session(&mut self, depth: usize) -> crate::session::AnalyzerSession<'_> {
-        crate::session::AnalyzerSession::new(self, depth)
+        crate::session::Session::new(self, depth)
     }
 
     /// Serialize the analyzer's complete resumable state into a
@@ -520,15 +362,14 @@ impl Analyzer {
     ///
     /// The snapshot determinism rule (see [`crate::snapshot`]): the same
     /// analytic state always yields the same bytes, regardless of how
-    /// many threads, what chunk size, which pipeline depth, or which
-    /// radix threshold produced it — the four throughput knobs are
-    /// normalized out, and every map is serialized in sorted or dense-id
-    /// order. Restoring and feeding the remaining bins yields reports
-    /// byte-identical to the uninterrupted run.
-    ///
-    /// # Panics
-    /// When an incremental [`Analyzer::begin_bin`] session is open — a
-    /// half-scattered bin is not resumable state; close it first.
+    /// many threads, what chunk size, or which pipeline depth produced
+    /// it — the two throughput knobs are normalized out, and every map
+    /// is serialized in sorted or dense-id order. Restoring and feeding
+    /// the remaining bins yields reports byte-identical to the
+    /// uninterrupted run. An in-flight bin is not resumable state:
+    /// snapshot mid-session through
+    /// [`AnalysisSession::checkpoint`],
+    /// which drains first.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::with_header(snapshot::KIND_ANALYZER);
         self.snapshot_body(&mut w);
@@ -538,10 +379,6 @@ impl Analyzer {
     /// Write the analyzer's state without the container header — the
     /// stream router embeds many of these in one fleet snapshot.
     pub(crate) fn snapshot_body(&self, w: &mut Writer) {
-        assert!(
-            self.session.is_none(),
-            "snapshot called while an incremental bin is open (finish_bin first)"
-        );
         self.cfg.snapshot_into(w);
         let prefixes = self.mapper.prefixes();
         w.seq(prefixes.len());
@@ -579,9 +416,8 @@ impl Analyzer {
     }
 
     /// [`Analyzer::restore`] with a configuration hook, for re-pinning
-    /// the throughput knobs (`threads`, `ingest_chunk_records`,
-    /// `pipeline_depth`, `radix_min_keys`) that snapshots normalize to
-    /// "auto". Analytic knobs can also be inspected here, but changing
+    /// the throughput knobs (`threads`, `ingest_chunk_records`) that
+    /// snapshots normalize to "auto". Analytic knobs can also be inspected here, but changing
     /// them mid-stream voids the byte-parity contract.
     pub fn restore_with(
         bytes: &[u8],
@@ -642,7 +478,6 @@ impl Analyzer {
             mapper,
             magnitudes,
             events,
-            session: None,
         })
     }
 
@@ -676,6 +511,45 @@ impl Analyzer {
     /// Events currently open.
     pub fn open_events(&self) -> usize {
         self.events.open_count()
+    }
+}
+
+/// A solo analyzer is a set of one: its input is the one member's feed
+/// and the reduce step is the identity.
+impl AnalyzerSet for Analyzer {
+    type Input = [TracerouteRecord];
+    type Report = BinReport;
+
+    fn threads(&self) -> usize {
+        self.cfg.threads
+    }
+
+    fn members(&mut self) -> Vec<&mut Analyzer> {
+        vec![self]
+    }
+
+    fn feeds<'i>(&self, input: &'i [TracerouteRecord]) -> Vec<&'i [TracerouteRecord]> {
+        vec![input]
+    }
+
+    fn reduce(&mut self, _bin: BinId, mut reports: Vec<BinReport>) -> BinReport {
+        reports.pop().expect("a set of one yields one report")
+    }
+
+    fn events(&self) -> Vec<FleetEvent> {
+        Analyzer::events(self)
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        Analyzer::snapshot(self)
+    }
+
+    fn ingest_stats(&self) -> crate::ingest::IngestStats {
+        Analyzer::ingest_stats(self)
+    }
+
+    fn sanitize_stats(&self) -> SanitizeStats {
+        Analyzer::sanitize_stats(self)
     }
 }
 
@@ -716,151 +590,6 @@ pub(crate) struct StagedBin {
     link_stats: HashMap<IpLink, LinkStat>,
     new_links: usize,
     forwarding_alarms: Vec<ForwardingAlarm>,
-}
-
-/// The cross-bin pipelined executor (create with [`Analyzer::pipelined`]).
-///
-/// At depth 2 the driver keeps one bin in flight: a pushed bin is
-/// scattered and merged, and its shard wave runs *inside the next push*,
-/// overlapped with that push's scatter chunks as one two-lane engine
-/// wave. [`PipelinedDriver::push_bin`] therefore returns the report of
-/// the **previous** bin (or `None` for the very first), and
-/// [`PipelinedDriver::finish`] flushes the last one — reports always
-/// emerge strictly in bin order.
-///
-/// Two serial fences keep the overlap byte-identical to the serial
-/// schedule:
-///
-/// * **The merge fence.** Intern epochs only advance in the sequential
-///   merge after each wave, in bin order; shard jobs never write the
-///   epoch tables (observed keys are stamped after the wave). Scatter
-///   output depends only on `(records, tables at bin open)`, and the
-///   tables a bin opens against are identical under either schedule —
-///   so id assignment, and with it every report byte, cannot change.
-/// * **The epoch fence.** A compaction sweep renumbers dense ids, so it
-///   may only run when no bin's rows are in flight: when any interned
-///   key is overdue (unseen past `reference_expiry_bins + 1` — expired
-///   even if the still-unstamped pending bin observed it), the driver
-///   drains the pending bin first, sweeps, and refills the pipeline —
-///   one bubble per sweep, only when something is genuinely dead. The
-///   same keys get evicted as under the serial schedule, at most one
-///   bin later; invisible in reports, since dense ids never reach them.
-///
-/// Dropping the driver without [`PipelinedDriver::finish`] abandons the
-/// in-flight bin: its shard wave never runs, so it produces no report
-/// and never touches the detectors' references (only its keys were
-/// interned — harmless, and compacted away like any unused key).
-pub struct PipelinedDriver<'a> {
-    analyzer: &'a mut Analyzer,
-    depth: usize,
-    pending: Option<IngestSession>,
-    /// Last bin pushed — enforces the increasing-order contract at every
-    /// depth (`pending` alone goes `None` at depth 1 and after a drain).
-    last: Option<BinId>,
-}
-
-impl PipelinedDriver<'_> {
-    /// The resolved pipeline depth (1 or 2).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The underlying analyzer — its cumulative counters
-    /// ([`Analyzer::ingest_stats`] / [`Analyzer::sanitize_stats`]) stay
-    /// readable while bins are in flight.
-    pub fn analyzer(&self) -> &Analyzer {
-        self.analyzer
-    }
-
-    /// Feed the next bin. Returns the previous bin's report at depth 2
-    /// (`None` on the first push), or this bin's report at depth 1.
-    ///
-    /// # Panics
-    /// When bins are not fed in strictly increasing order.
-    pub fn push_bin(&mut self, bin: BinId, records: &[TracerouteRecord]) -> Option<BinReport> {
-        if let Some(last) = self.last {
-            assert!(
-                bin.0 > last.0,
-                "pipelined bins must be fed in increasing order ({bin:?} after {last:?})"
-            );
-        }
-        self.last = Some(bin);
-        if self.depth == 1 {
-            return Some(self.analyzer.process_bin(bin, records));
-        }
-        let threads = crate::engine::resolve_threads(self.analyzer.cfg.threads);
-        let Some(pending) = self.pending else {
-            // Prologue: scatter + merge the first bin; its shard wave
-            // rides the next push.
-            self.open_bin(bin, records, true, threads);
-            return None;
-        };
-        if self.analyzer.needs_compaction(bin) {
-            // Epoch fence: drain, sweep, refill (see the type docs).
-            let report = self.drain(pending, threads);
-            self.analyzer.compact_epochs(bin);
-            self.open_bin(bin, records, false, threads);
-            return Some(report);
-        }
-        // Steady state: the pending bin's shard jobs and this bin's
-        // scatter chunks run as one two-lane wave on one worker herd.
-        let staged = {
-            let (mut stage, scatter) = self.analyzer.overlap_wave(pending.bin, records, threads);
-            let mut wave = crate::engine::Wave::new();
-            wave.push_analysis(stage.jobs());
-            wave.push_scatter(scatter);
-            wave.run(threads);
-            stage.finish()
-        };
-        self.analyzer.stamp_bin(pending.bin);
-        let report = self.analyzer.absorb(pending.bin, pending.records, staged);
-        self.analyzer.merge_scatter(bin);
-        self.pending = Some(IngestSession {
-            bin,
-            records: records.len(),
-        });
-        Some(report)
-    }
-
-    /// Flush the in-flight bin, if any: run its shard wave alone and
-    /// return its report. Idempotent — a second call returns `None`.
-    pub fn finish(&mut self) -> Option<BinReport> {
-        let pending = self.pending.take()?;
-        let threads = crate::engine::resolve_threads(self.analyzer.cfg.threads);
-        Some(self.drain(pending, threads))
-    }
-
-    /// Scatter + merge a bin without analyzing it yet, leaving it
-    /// pending — the pipeline refill shared by the prologue and the
-    /// post-sweep epoch fence (which has already compacted).
-    fn open_bin(
-        &mut self,
-        bin: BinId,
-        records: &[TracerouteRecord],
-        compact: bool,
-        threads: usize,
-    ) {
-        let jobs = self.analyzer.open_scatter(bin, records, compact, threads);
-        crate::engine::run_jobs(jobs, threads);
-        self.analyzer.merge_scatter(bin);
-        self.pending = Some(IngestSession {
-            bin,
-            records: records.len(),
-        });
-    }
-
-    /// Shards-only wave for the pending bin + the post-wave fences.
-    fn drain(&mut self, pending: IngestSession, threads: usize) -> BinReport {
-        self.pending = None;
-        let staged = {
-            let mut stage = self.analyzer.stage(pending.bin, threads);
-            let jobs = stage.jobs();
-            crate::engine::run_jobs(jobs, threads);
-            stage.finish()
-        };
-        self.analyzer.stamp_bin(pending.bin);
-        self.analyzer.absorb(pending.bin, pending.records, staged)
-    }
 }
 
 #[cfg(test)]
@@ -1058,11 +787,14 @@ mod tests {
         a.process_bin(BinId(0), &batch);
 
         let mut b = Analyzer::new(DetectorConfig::fast_test(), mapper());
-        b.begin_bin(BinId(0));
-        for chunk in batch.chunks(2) {
-            b.ingest(chunk);
+        {
+            let mut session = b.session(1);
+            session.begin_bin(BinId(0));
+            for chunk in batch.chunks(2) {
+                session.ingest(chunk);
+            }
+            session.finish_bin();
         }
-        b.finish_bin();
 
         assert_eq!(a.sanitize_stats(), b.sanitize_stats());
         assert_eq!(a.sanitize_stats().quarantined(), 1);

@@ -1,25 +1,23 @@
-//! The unified bin-analysis session API.
+//! The bin schedule: one executor, one session API.
 //!
-//! Four entry paths grew onto the pipeline over time — batch
-//! ([`Analyzer::process_bin`]), incremental ([`Analyzer::begin_bin`] /
-//! [`Analyzer::ingest`] / [`Analyzer::finish_bin`]), cross-bin pipelined
-//! ([`Analyzer::pipelined`]), and the fleet twins on
-//! [`StreamRouter`] — each with its own calling convention and its own
-//! report cadence. Every consumer (scenario runners, benches, the live
-//! service) had to pick one and hard-code its shape.
-//!
-//! This module folds them behind two small traits:
+//! The §8 deployment is one loop — consume the stream bin by bin, keep
+//! references, emit reports — and this module is the only place that
+//! loop's schedule is written. [`Session`] runs consecutive bins over an
+//! [`AnalyzerSet`]: a set of member [`Analyzer`]s plus a reduce step. A
+//! solo [`Analyzer`] is a set of one with the identity reduce; a
+//! [`StreamRouter`] is its streams with the fleet merge. One stream and
+//! many streams therefore reach the report funnel through the same code,
+//! at every depth.
 //!
 //! * [`AnalysisSession`] — one open-ended run over consecutive bins.
-//!   `begin_bin` / `ingest` / `finish_bin` feed a bin in slices as they
-//!   arrive; [`AnalysisSession::push_bin`] feeds a whole bin at once
-//!   (zero-copy — no staging buffer is touched); [`AnalysisSession::flush`]
-//!   drains whatever the executor still holds. Reports come back from
-//!   `finish_bin` / `push_bin` / `flush` **strictly in bin order**, but
-//!   possibly delayed: at pipeline depth 2 each push returns the
-//!   *previous* bin's report and `flush` returns the last one, exactly
-//!   like the raw [`PipelinedDriver`]. Depth-1 sessions return every
-//!   report immediately and `flush` returns `None`. Consumers that
+//!   [`AnalysisSession::push_bin`] feeds a whole bin at once (zero-copy);
+//!   `begin_bin` / `ingest` / `finish_bin` stage a bin's slices in a
+//!   reused buffer as they arrive and push it on `finish_bin`;
+//!   [`AnalysisSession::flush`] drains whatever the executor still
+//!   holds. Reports come back **strictly in bin order**, but possibly
+//!   delayed: at pipeline depth 2 each push returns the *previous* bin's
+//!   report and `flush` returns the last one. Depth-1 sessions return
+//!   every report immediately and `flush` returns `None`. Consumers that
 //!   handle the `Option` uniformly are automatically correct at every
 //!   depth — that is the point of the trait.
 //! * [`BinSource`] — anything that yields `(BinId, feed)` pairs in
@@ -30,18 +28,23 @@
 //!
 //! [`drive`] connects the two: it exhausts a source through a session
 //! and hands every report to an observer, which is the whole run loop of
-//! `scenarios::run_pipelined` and of the live service's executor thread.
+//! `scenarios::run_pipelined`; the live service's executor thread is the
+//! same loop over its collect queue.
 //!
-//! The concrete sessions are [`AnalyzerSession`] (solo pipeline, created
-//! by [`Analyzer::session`]) and [`FleetSession`] (stream fleet, created
-//! by [`StreamRouter::session`]). Both resolve `depth` with the usual
-//! knob convention (`0` → `DetectorConfig::pipeline_depth` → engine
-//! default 2; `1` = strictly serial) and both inherit the determinism
-//! contract: for a fixed record sequence the emitted reports are
-//! byte-identical across every depth, thread count, and chunk size.
+//! [`AnalyzerSession`] (from [`Analyzer::session`]) and [`FleetSession`]
+//! (from [`StreamRouter::session`]) are aliases of [`Session`]. `depth`
+//! `0` resolves to the engine default (2), `1` is the strictly serial
+//! schedule, deeper clamps to 2, and a one-worker herd always runs
+//! serially (`engine::resolve_schedule`). For a fixed record sequence the
+//! emitted reports are byte-identical across every depth, thread count,
+//! and chunk size.
 
-use crate::pipeline::{Analyzer, BinReport, PipelinedDriver};
-use crate::stream::{FleetPipelinedDriver, FleetReport, StreamRouter};
+use crate::aggregate::FleetEvent;
+use crate::engine;
+use crate::ingest::IngestStats;
+use crate::pipeline::{Analyzer, AnalyzerStage, BinReport};
+use crate::sanitize::SanitizeStats;
+use crate::stream::StreamRouter;
 use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::BinId;
 use std::borrow::Borrow;
@@ -73,8 +76,7 @@ where
 }
 
 /// One open-ended analysis run over consecutive bins — the single
-/// interface behind the batch, incremental, pipelined, and fleet entry
-/// paths (see the [module docs](self)).
+/// interface in front of the executor (see the [module docs](self)).
 pub trait AnalysisSession {
     /// One bin's worth of input, borrowed (`[TracerouteRecord]` for a
     /// solo analyzer, `[Vec<TracerouteRecord>]` — one slot per stream —
@@ -109,11 +111,7 @@ pub trait AnalysisSession {
     ///
     /// # Panics
     /// When a bin is open, or `bin` does not increase.
-    fn push_bin(&mut self, bin: BinId, input: &Self::Input) -> Option<Self::Report> {
-        self.begin_bin(bin);
-        self.ingest(input);
-        self.finish_bin()
-    }
+    fn push_bin(&mut self, bin: BinId, input: &Self::Input) -> Option<Self::Report>;
 
     /// Drain the executor: the in-flight bin's report at depth 2, `None`
     /// at depth 1 (every report was already returned). Idempotent.
@@ -132,9 +130,9 @@ pub trait AnalysisSession {
     /// ([`BinReport::events`](crate::pipeline::BinReport::events) /
     /// [`FleetReport::events`](crate::stream::FleetReport::events));
     /// this reads the same state between bins, e.g. for a final
-    /// listing. Reflects only *reported* bins — with pipelined lanes, a
+    /// listing. Reflects only *reported* bins — at depth 2, a
     /// pushed-but-unreported bin is not yet visible.
-    fn events(&self) -> Vec<crate::aggregate::FleetEvent>;
+    fn events(&self) -> Vec<FleetEvent>;
 
     /// Drain the executor and serialize the run's complete resumable
     /// state: returns the flushed in-flight report (if the pipeline held
@@ -171,282 +169,319 @@ where
     }
 }
 
-/// Which executor a solo session runs on.
-enum Lanes<'a> {
-    /// Depth 1: the strictly serial schedule, delegating to the
-    /// analyzer's native batch / incremental paths.
-    Serial(&'a mut Analyzer),
-    /// Depth 2: the cross-bin pipelined executor.
-    Pipelined(PipelinedDriver<'a>),
+/// What the bin schedule runs over: a set of member [`Analyzer`]s that
+/// share one worker herd, plus the reduce step that turns their per-bin
+/// reports into the set's report. Implemented by [`Analyzer`] (a set of
+/// one, identity reduce) and [`StreamRouter`] (its streams, the fleet
+/// merge); [`Session`] and the service's executor thread are generic
+/// over it.
+pub trait AnalyzerSet {
+    /// One bin's worth of input, borrowed.
+    type Input: ?Sized;
+    /// What a finished bin produces.
+    type Report;
+
+    /// The `threads` knob of the shared herd (`0` = all cores).
+    fn threads(&self) -> usize;
+
+    /// The member analyzers, in member order — the order they are
+    /// staged, merged, and reduced in, never completion order.
+    fn members(&mut self) -> Vec<&mut Analyzer>;
+
+    /// Split one bin's input into one record slice per member.
+    ///
+    /// # Panics
+    /// When the input does not carry exactly one feed per member.
+    fn feeds<'i>(&self, input: &'i Self::Input) -> Vec<&'i [TracerouteRecord]>;
+
+    /// Fold the members' reports of one bin (member order) into the
+    /// set's report. This is the single funnel every schedule flows
+    /// through, so anything stateful here (fleet magnitudes, the fleet
+    /// event channel) is deterministic by construction.
+    fn reduce(&mut self, bin: BinId, reports: Vec<BinReport>) -> Self::Report;
+
+    /// The event channel's cumulative view (see
+    /// [`AnalysisSession::events`]).
+    fn events(&self) -> Vec<FleetEvent>;
+
+    /// The set's complete resumable state, serialized.
+    fn snapshot(&self) -> Vec<u8>;
+
+    /// Interning-epoch counters summed over the members.
+    fn ingest_stats(&self) -> IngestStats;
+
+    /// Sanitizer counters summed over the members.
+    fn sanitize_stats(&self) -> SanitizeStats;
 }
 
-/// A solo-analyzer [`AnalysisSession`] (create with
-/// [`Analyzer::session`]). At depth 1 it delegates straight to the
-/// analyzer's batch and incremental paths; at depth 2 it drives the
-/// cross-bin [`PipelinedDriver`], staging incrementally-ingested slices
-/// in a reused buffer until `finish_bin` (while [`AnalyzerSession::push_bin`]
-/// bypasses the buffer entirely). Reports are byte-identical across
-/// depths.
-pub struct AnalyzerSession<'a> {
-    lanes: Lanes<'a>,
-    /// The incrementally-open bin, if any (pipelined lane only — the
-    /// serial lane reuses the analyzer's own open-bin bookkeeping).
+/// One bin in flight: scattered and merged, its shard wave not yet run.
+struct Pending {
+    bin: BinId,
+    /// Each member's record count (reported on its `BinReport`).
+    records: Vec<usize>,
+}
+
+/// The bin executor and the [`AnalysisSession`] in front of it (create
+/// with [`Analyzer::session`] / [`StreamRouter::session`]).
+///
+/// A pushed bin is *opened* — every member's scatter chunks run as one
+/// wave, followed by the members' sequential chunk-ordered intern merges
+/// — and then *analyzed*: every member's delay and forwarding shard jobs
+/// run as one wave, the members stamp and aggregate in member order, and
+/// the set reduces their reports. At depth 1 both steps happen inside the
+/// push. At depth 2 the session keeps one bin in flight: its shard wave
+/// runs *inside the next push*, overlapped with that push's scatter
+/// chunks as one two-lane engine wave, so a push returns the report of
+/// the **previous** bin (`None` for the very first) and
+/// [`AnalysisSession::flush`] returns the last one — reports always
+/// emerge strictly in bin order.
+///
+/// Two serial fences keep the overlap byte-identical to the serial
+/// schedule:
+///
+/// * **The merge fence.** Intern epochs only advance in the sequential
+///   merge after each wave, in bin order; shard jobs never write the
+///   epoch tables (observed keys are stamped after the wave). Scatter
+///   output depends only on `(records, tables at bin open)`, and the
+///   tables a bin opens against are identical under either schedule —
+///   so id assignment, and with it every report byte, cannot change.
+/// * **The epoch fence.** A compaction sweep renumbers dense ids, so it
+///   may only run when no bin's rows are in flight: when any member's
+///   interned key is overdue (unseen past `reference_expiry_bins + 1` —
+///   expired even if the still-unstamped pending bin observed it), the
+///   session drains the pending bin first, sweeps every member, and
+///   refills the pipeline — one bubble per sweep, only when something is
+///   genuinely dead, and no member ever renumbers ids under in-flight
+///   rows. The same keys get evicted as under the serial schedule, at
+///   most one bin later; invisible in reports, since dense ids never
+///   reach them.
+///
+/// Dropping the session without [`AnalysisSession::flush`] abandons the
+/// in-flight bin: its shard wave never runs, so it produces no report
+/// and never touches the detectors' references (only its keys were
+/// interned — harmless, and compacted away like any unused key).
+pub struct Session<'a, S: AnalyzerSet> {
+    set: &'a mut S,
+    depth: usize,
+    /// Resolved worker count of the shared herd.
+    threads: usize,
+    pending: Option<Pending>,
+    /// Last bin pushed — enforces the increasing-order contract at every
+    /// depth (`pending` alone goes `None` at depth 1 and after a drain).
+    last: Option<BinId>,
+    /// The incrementally-open bin, if any.
     open: Option<BinId>,
-    /// Staging buffer for incrementally-ingested slices at depth 2
-    /// (reused across bins; empty in steady push_bin use).
-    buffer: Vec<TracerouteRecord>,
-}
-
-impl<'a> AnalyzerSession<'a> {
-    pub(crate) fn new(analyzer: &'a mut Analyzer, depth: usize) -> Self {
-        let depth = crate::engine::resolve_schedule(
-            if depth == 0 {
-                analyzer.config().pipeline_depth
-            } else {
-                depth
-            },
-            analyzer.config().threads,
-        );
-        let lanes = if depth == 1 {
-            Lanes::Serial(analyzer)
-        } else {
-            Lanes::Pipelined(analyzer.pipelined(depth))
-        };
-        AnalyzerSession {
-            lanes,
-            open: None,
-            buffer: Vec::new(),
-        }
-    }
-
-    /// The underlying analyzer — intern-epoch and sanitizer counters
-    /// ([`Analyzer::ingest_stats`] / [`Analyzer::sanitize_stats`]) keep
-    /// working mid-session, which is how the live service's `/stats`
-    /// endpoint reads them.
-    pub fn analyzer(&self) -> &Analyzer {
-        match &self.lanes {
-            Lanes::Serial(a) => a,
-            Lanes::Pipelined(d) => d.analyzer(),
-        }
-    }
-}
-
-impl AnalysisSession for AnalyzerSession<'_> {
-    type Input = [TracerouteRecord];
-    type Report = BinReport;
-
-    fn begin_bin(&mut self, bin: BinId) {
-        match &mut self.lanes {
-            Lanes::Serial(a) => a.begin_bin(bin),
-            Lanes::Pipelined(_) => {
-                assert!(
-                    self.open.is_none(),
-                    "begin_bin called while a bin is already open (finish_bin first)"
-                );
-                self.open = Some(bin);
-                self.buffer.clear();
-            }
-        }
-    }
-
-    fn ingest(&mut self, input: &[TracerouteRecord]) {
-        match &mut self.lanes {
-            Lanes::Serial(a) => a.ingest(input),
-            Lanes::Pipelined(_) => {
-                assert!(self.open.is_some(), "ingest called without begin_bin");
-                self.buffer.extend_from_slice(input);
-            }
-        }
-    }
-
-    fn finish_bin(&mut self) -> Option<BinReport> {
-        match &mut self.lanes {
-            Lanes::Serial(a) => Some(a.finish_bin()),
-            Lanes::Pipelined(d) => {
-                let bin = self
-                    .open
-                    .take()
-                    .expect("finish_bin called without begin_bin");
-                let report = d.push_bin(bin, &self.buffer);
-                self.buffer.clear();
-                report
-            }
-        }
-    }
-
-    fn push_bin(&mut self, bin: BinId, input: &[TracerouteRecord]) -> Option<BinReport> {
-        assert!(
-            self.open.is_none(),
-            "push_bin called while a bin is open (finish_bin first)"
-        );
-        match &mut self.lanes {
-            Lanes::Serial(a) => Some(a.process_bin(bin, input)),
-            Lanes::Pipelined(d) => d.push_bin(bin, input),
-        }
-    }
-
-    fn flush(&mut self) -> Option<BinReport> {
-        assert!(
-            self.open.is_none(),
-            "flush called while a bin is open (finish_bin first)"
-        );
-        match &mut self.lanes {
-            Lanes::Serial(_) => None,
-            Lanes::Pipelined(d) => d.finish(),
-        }
-    }
-
-    fn depth(&self) -> usize {
-        match &self.lanes {
-            Lanes::Serial(_) => 1,
-            Lanes::Pipelined(d) => d.depth(),
-        }
-    }
-
-    fn events(&self) -> Vec<crate::aggregate::FleetEvent> {
-        self.analyzer().events()
-    }
-
-    fn checkpoint(&mut self) -> (Option<BinReport>, Vec<u8>) {
-        let report = self.flush();
-        (report, self.analyzer().snapshot())
-    }
-}
-
-/// Which executor a fleet session runs on.
-enum FleetLanes<'a> {
-    Serial(&'a mut StreamRouter),
-    Pipelined(FleetPipelinedDriver<'a>),
-}
-
-/// A fleet [`AnalysisSession`] over a [`StreamRouter`] (create with
-/// [`StreamRouter::session`]). Input is one feed per stream
-/// (`[Vec<TracerouteRecord>]`, index = [`crate::stream::StreamId`]);
-/// reports are merged [`FleetReport`]s. The router has no native
-/// incremental path, so both depths stage incrementally-ingested slices
-/// in reused per-stream buffers — [`FleetSession::push_bin`] bypasses
-/// them.
-pub struct FleetSession<'a> {
-    lanes: FleetLanes<'a>,
-    open: Option<BinId>,
-    /// Per-stream staging buffers for incremental ingestion (reused
-    /// across bins; empty in steady push_bin use).
+    /// Per-member staging buffers for incremental ingestion (sized at
+    /// the first `begin_bin`, reused across bins; never allocated in
+    /// pure `push_bin` use).
     buffers: Vec<Vec<TracerouteRecord>>,
 }
 
-impl<'a> FleetSession<'a> {
-    pub(crate) fn new(router: &'a mut StreamRouter, depth: usize) -> Self {
-        let depth = crate::engine::resolve_schedule(
-            if depth == 0 {
-                router.default_pipeline_depth()
-            } else {
-                depth
-            },
-            router.configured_threads(),
-        );
-        let streams = router.len();
-        let lanes = if depth == 1 {
-            FleetLanes::Serial(router)
-        } else {
-            FleetLanes::Pipelined(router.pipelined(depth))
-        };
-        FleetSession {
-            lanes,
+/// A solo-analyzer session (create with [`Analyzer::session`]).
+pub type AnalyzerSession<'a> = Session<'a, Analyzer>;
+
+/// A fleet session over a [`StreamRouter`] (create with
+/// [`StreamRouter::session`]): input is one feed per stream, index =
+/// [`crate::stream::StreamId`]; reports are merged
+/// [`FleetReport`](crate::stream::FleetReport)s.
+pub type FleetSession<'a> = Session<'a, StreamRouter>;
+
+impl<'a, S: AnalyzerSet> Session<'a, S> {
+    /// A session over `set` at pipeline `depth` (`0` = engine default).
+    pub fn new(set: &'a mut S, depth: usize) -> Self {
+        let threads = engine::resolve_threads(set.threads());
+        Session {
+            set,
+            depth: engine::resolve_schedule(depth, threads),
+            threads,
+            pending: None,
+            last: None,
             open: None,
-            buffers: vec![Vec::new(); streams],
+            buffers: Vec::new(),
         }
     }
 
-    /// The underlying router — fleet-summed [`StreamRouter::ingest_stats`]
-    /// / [`StreamRouter::sanitize_stats`] keep working mid-session.
-    pub fn router(&self) -> &StreamRouter {
-        match &self.lanes {
-            FleetLanes::Serial(r) => r,
-            FleetLanes::Pipelined(d) => d.router(),
+    /// The underlying set — its cumulative counters
+    /// ([`AnalyzerSet::ingest_stats`] / [`AnalyzerSet::sanitize_stats`])
+    /// stay readable while bins are in flight, which is how the live
+    /// service's `/stats` endpoint reads them.
+    pub fn inner(&self) -> &S {
+        self.set
+    }
+
+    fn assert_increasing(&self, bin: BinId) {
+        if let Some(last) = self.last {
+            assert!(
+                bin.0 > last.0,
+                "bins must be fed in increasing order ({bin:?} after {last:?})"
+            );
         }
+    }
+
+    /// The schedule: one bin in, the next in-order report out.
+    fn push(&mut self, bin: BinId, feeds: &[&[TracerouteRecord]]) -> Option<S::Report> {
+        self.assert_increasing(bin);
+        self.last = Some(bin);
+        let drained = match self.pending.take() {
+            Some(pending) if !self.set.members().iter().any(|a| a.needs_compaction(bin)) => {
+                // Steady state: the pending bin's shard jobs and this
+                // bin's scatter chunks run as one two-lane wave on one
+                // worker herd; then the merge fence for this bin.
+                let report = self.analyze(&pending, Some(feeds));
+                self.merge_fence(bin, feeds);
+                return Some(report);
+            }
+            // Nothing in flight, or the epoch fence (see the type docs):
+            // drain before sweeping.
+            pending => pending.map(|pending| self.analyze(&pending, None)),
+        };
+        // A drained gap — no bin's rows in flight — so the compaction
+        // sweep may renumber dense ids; then scatter + merge this bin.
+        {
+            let mut members = self.set.members();
+            let mut wave = engine::Wave::new();
+            for (analyzer, records) in members.iter_mut().zip(feeds) {
+                analyzer.compact_epochs(bin);
+                wave.push_scatter(analyzer.open_scatter(records, self.threads));
+            }
+            wave.run(self.threads);
+        }
+        self.merge_fence(bin, feeds);
+        if self.depth == 1 {
+            // Serial schedule: nothing stays in flight.
+            self.drain()
+        } else {
+            drained
+        }
+    }
+
+    /// The merge fence: every member's sequential chunk-ordered intern
+    /// merge for the just-scattered `bin`, in member order, leaving the
+    /// bin pending.
+    fn merge_fence(&mut self, bin: BinId, feeds: &[&[TracerouteRecord]]) {
+        for analyzer in self.set.members() {
+            analyzer.merge_scatter(bin);
+        }
+        self.pending = Some(Pending {
+            bin,
+            records: feeds.iter().map(|records| records.len()).collect(),
+        });
+    }
+
+    /// Run the pending bin's shard wave — alone (a drain), or with the
+    /// `next` bin's scatter chunks in the wave's scatter lane (the
+    /// depth-2 overlap) — then the post-wave fences: members stamp and
+    /// aggregate in member order, and the set reduces their reports.
+    fn analyze(&mut self, pending: &Pending, next: Option<&[&[TracerouteRecord]]>) -> S::Report {
+        let threads = self.threads;
+        let reports = {
+            let mut members = self.set.members();
+            let staged: Vec<_> = {
+                let mut stages = Vec::with_capacity(members.len());
+                let mut wave = engine::Wave::new();
+                match next {
+                    None => {
+                        for analyzer in members.iter_mut() {
+                            stages.push(analyzer.stage(pending.bin, threads));
+                        }
+                    }
+                    Some(feeds) => {
+                        for (analyzer, records) in members.iter_mut().zip(feeds) {
+                            let (stage, scatter) =
+                                analyzer.overlap_wave(pending.bin, records, threads);
+                            wave.push_scatter(scatter);
+                            stages.push(stage);
+                        }
+                    }
+                }
+                for stage in &mut stages {
+                    wave.push_analysis(stage.jobs());
+                }
+                wave.run(threads);
+                stages.into_iter().map(AnalyzerStage::finish).collect()
+            };
+            members
+                .iter_mut()
+                .zip(&pending.records)
+                .zip(staged)
+                .map(|((analyzer, &records), staged)| analyzer.absorb(pending.bin, records, staged))
+                .collect()
+        };
+        self.set.reduce(pending.bin, reports)
+    }
+
+    /// Analyze the in-flight bin, if any, on its own.
+    fn drain(&mut self) -> Option<S::Report> {
+        let pending = self.pending.take()?;
+        Some(self.analyze(&pending, None))
     }
 }
 
-impl AnalysisSession for FleetSession<'_> {
-    type Input = [Vec<TracerouteRecord>];
-    type Report = FleetReport;
+impl<S: AnalyzerSet> AnalysisSession for Session<'_, S> {
+    type Input = S::Input;
+    type Report = S::Report;
 
     fn begin_bin(&mut self, bin: BinId) {
         assert!(
             self.open.is_none(),
             "begin_bin called while a bin is already open (finish_bin first)"
         );
+        self.assert_increasing(bin);
         self.open = Some(bin);
-        for buffer in &mut self.buffers {
-            buffer.clear();
-        }
+        let members = self.set.members().len();
+        self.buffers.resize_with(members, Vec::new);
     }
 
-    fn ingest(&mut self, input: &[Vec<TracerouteRecord>]) {
+    fn ingest(&mut self, input: &S::Input) {
         assert!(self.open.is_some(), "ingest called without begin_bin");
-        assert_eq!(
-            input.len(),
-            self.buffers.len(),
-            "one feed per stream (streams: {}, feeds: {})",
-            self.buffers.len(),
-            input.len()
-        );
-        for (buffer, feed) in self.buffers.iter_mut().zip(input) {
+        for (buffer, feed) in self.buffers.iter_mut().zip(self.set.feeds(input)) {
             buffer.extend_from_slice(feed);
         }
     }
 
-    fn finish_bin(&mut self) -> Option<FleetReport> {
+    fn finish_bin(&mut self) -> Option<S::Report> {
         let bin = self
             .open
             .take()
             .expect("finish_bin called without begin_bin");
-        let report = match &mut self.lanes {
-            FleetLanes::Serial(r) => Some(r.process_bin(bin, &self.buffers)),
-            FleetLanes::Pipelined(d) => d.push_bin(bin, &self.buffers),
-        };
-        for buffer in &mut self.buffers {
+        let mut buffers = std::mem::take(&mut self.buffers);
+        let feeds: Vec<&[TracerouteRecord]> = buffers.iter().map(Vec::as_slice).collect();
+        let report = self.push(bin, &feeds);
+        for buffer in &mut buffers {
             buffer.clear();
         }
+        self.buffers = buffers;
         report
     }
 
-    fn push_bin(&mut self, bin: BinId, input: &[Vec<TracerouteRecord>]) -> Option<FleetReport> {
+    fn push_bin(&mut self, bin: BinId, input: &S::Input) -> Option<S::Report> {
         assert!(
             self.open.is_none(),
             "push_bin called while a bin is open (finish_bin first)"
         );
-        match &mut self.lanes {
-            FleetLanes::Serial(r) => Some(r.process_bin(bin, input)),
-            FleetLanes::Pipelined(d) => d.push_bin(bin, input),
-        }
+        let feeds = self.set.feeds(input);
+        self.push(bin, &feeds)
     }
 
-    fn flush(&mut self) -> Option<FleetReport> {
+    fn flush(&mut self) -> Option<S::Report> {
         assert!(
             self.open.is_none(),
             "flush called while a bin is open (finish_bin first)"
         );
-        match &mut self.lanes {
-            FleetLanes::Serial(_) => None,
-            FleetLanes::Pipelined(d) => d.finish(),
-        }
+        self.drain()
     }
 
     fn depth(&self) -> usize {
-        match &self.lanes {
-            FleetLanes::Serial(_) => 1,
-            FleetLanes::Pipelined(d) => d.depth(),
-        }
+        self.depth
     }
 
-    fn events(&self) -> Vec<crate::aggregate::FleetEvent> {
-        self.router().events()
+    fn events(&self) -> Vec<FleetEvent> {
+        self.set.events()
     }
 
-    fn checkpoint(&mut self) -> (Option<FleetReport>, Vec<u8>) {
+    fn checkpoint(&mut self) -> (Option<S::Report>, Vec<u8>) {
         let report = self.flush();
-        (report, self.router().snapshot())
+        (report, self.set.snapshot())
     }
 }
 
@@ -471,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn depth_resolution_matches_driver_convention() {
+    fn depth_resolution_defaults_and_clamps() {
         let mut a = pipelined_analyzer();
         assert_eq!(a.session(1).depth(), 1);
         let mut a = pipelined_analyzer();

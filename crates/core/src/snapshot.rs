@@ -15,18 +15,17 @@
 //!
 //! 1. **Byte-stable across the execution matrix.** The snapshot of an
 //!    analyzer at bin *k* is byte-identical regardless of thread count,
-//!    scatter chunk size, pipeline depth, or radix knob. Hash maps
+//!    scatter chunk size, or pipeline depth. Hash maps
 //!    serialize in sorted key order; intern tables serialize in dense-id
 //!    (insertion) order, which *is* deterministic by the chunk-order
-//!    merge rule; throughput knobs (`threads`, `ingest_chunk_records`,
-//!    `pipeline_depth`, `radix_min_keys`) are normalized to 0 ("auto")
-//!    inside the serialized config, so machines with different pinned
-//!    knobs produce the same bytes.
+//!    merge rule; throughput knobs (`threads`, `ingest_chunk_records`)
+//!    are normalized to 0 ("auto") inside the serialized config, so
+//!    machines with different pinned knobs produce the same bytes.
 //! 2. **Resume parity.** Snapshot at bin *k*, restore into a fresh
 //!    process (possibly with different throughput knobs), feed bins
 //!    *k+1..n*: every report is byte-identical to the uninterrupted run.
 //!    `tests/snapshot_parity.rs` proves both properties across the CI
-//!    thread × chunk × depth × radix matrix.
+//!    thread × chunk × depth matrix.
 //!
 //! ## Wire format
 //!
@@ -42,7 +41,7 @@ use std::fmt;
 /// Snapshot header magic: "PNPT".
 const MAGIC: [u8; 4] = *b"PNPT";
 /// Snapshot format version. Bump on any wire-format change.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 /// Checkpoint-file frame magic: "PNCK".
 const FRAME_MAGIC: [u8; 4] = *b"PNCK";
 
@@ -346,14 +345,18 @@ mod tests {
             Reader::open(b"XXXXxxxxx").unwrap_err(),
             SnapshotError::BadMagic
         );
-        let mut w = Writer::default();
-        w.buf.extend_from_slice(&MAGIC);
-        w.u32(999);
-        w.u8(KIND_ANALYZER);
-        assert_eq!(
-            Reader::open(&w.into_bytes()).unwrap_err(),
-            SnapshotError::BadVersion(999)
-        );
+        // 1 is the previous format (its config block carried two more
+        // knob slots): it must be refused by version, not misparsed.
+        for version in [999u32, 1] {
+            let mut w = Writer::default();
+            w.buf.extend_from_slice(&MAGIC);
+            w.u32(version);
+            w.u8(KIND_ANALYZER);
+            assert_eq!(
+                Reader::open(&w.into_bytes()).unwrap_err(),
+                SnapshotError::BadVersion(version)
+            );
+        }
     }
 
     #[test]

@@ -42,9 +42,9 @@ use crate::aggregate::{
     merge_severities, AsMagnitude, EmpathyExtractor, FleetEvent, MagnitudeTracker, StreamEvidence,
 };
 use crate::config::DetectorConfig;
-use crate::engine;
 use crate::graph::AlarmGraph;
 use crate::pipeline::{Analyzer, BinReport};
+use crate::session::{AnalysisSession, AnalyzerSet};
 use crate::snapshot::{self, Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::{Asn, BinId};
@@ -146,19 +146,8 @@ impl StreamRouter {
         }
     }
 
-    /// Resolved worker count for one fleet bin — the same resolution a
-    /// solo analyzer uses.
-    fn effective_threads(&self) -> usize {
-        engine::resolve_threads(self.threads)
-    }
-
-    /// The raw `set_threads` knob, for schedule resolution (the fleet's
-    /// twin of `DetectorConfig::threads`).
-    pub(crate) fn configured_threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run one bin of the whole fleet through one shared worker pool.
+    /// Run one bin of the whole fleet through one shared worker pool —
+    /// the executor's depth-1 step (`self.session(1).push_bin(..)`).
     ///
     /// `feeds[i]` is the record feed of stream `i` (one slot per stream,
     /// empty when the stream saw no traffic this bin). The fleet bin runs
@@ -167,57 +156,15 @@ impl StreamRouter {
     /// then — after the per-stream chunk-ordered intern merges, done in
     /// stream order — every stream's delay and forwarding shard jobs.
     /// The engine deals each wave's jobs round-robin onto one set of
-    /// scoped workers, so the fleet runs as one thread herd.
+    /// scoped workers, so the fleet runs as one thread herd; the streams
+    /// then aggregate in stream order and merge.
     ///
     /// # Panics
     /// When `feeds.len()` differs from the number of streams.
     pub fn process_bin(&mut self, bin: BinId, feeds: &[Vec<TracerouteRecord>]) -> FleetReport {
-        assert_eq!(
-            feeds.len(),
-            self.streams.len(),
-            "one feed per stream (streams: {}, feeds: {})",
-            self.streams.len(),
-            feeds.len()
-        );
-        let threads = self.effective_threads();
-        // Ingestion wave: every stream's scatter chunks on one pool.
-        {
-            let mut wave = engine::Wave::new();
-            for (stream, records) in self.streams.iter_mut().zip(feeds) {
-                wave.push_scatter(stream.analyzer.scatter_jobs(bin, records, threads));
-            }
-            wave.run(threads);
-        }
-        // Chunk-ordered intern merges, in stream order.
-        for stream in &mut self.streams {
-            stream.analyzer.merge_scatter(bin);
-        }
-        // Shard wave: stage every stream, pool every job, run once.
-        let staged: Vec<_> = {
-            let mut stages: Vec<_> = self
-                .streams
-                .iter_mut()
-                .map(|stream| stream.analyzer.stage(bin, threads))
-                .collect();
-            let mut jobs = Vec::new();
-            for stage in &mut stages {
-                jobs.extend(stage.jobs());
-            }
-            engine::run_jobs(jobs, threads);
-            stages.into_iter().map(|stage| stage.finish()).collect()
-        };
-        // Aggregate per stream in stream order, then merge.
-        let reports: Vec<BinReport> = self
-            .streams
-            .iter_mut()
-            .zip(feeds)
-            .zip(staged)
-            .map(|((stream, records), staged)| {
-                stream.analyzer.stamp_bin(bin);
-                stream.analyzer.absorb(bin, records.len(), staged)
-            })
-            .collect();
-        self.merge(bin, reports)
+        self.session(1)
+            .push_bin(bin, feeds)
+            .expect("a depth-1 session reports every bin on its own push")
     }
 
     /// Single-threaded reference path: every stream runs
@@ -229,13 +176,7 @@ impl StreamRouter {
         bin: BinId,
         feeds: &[Vec<TracerouteRecord>],
     ) -> FleetReport {
-        assert_eq!(
-            feeds.len(),
-            self.streams.len(),
-            "one feed per stream (streams: {}, feeds: {})",
-            self.streams.len(),
-            feeds.len()
-        );
+        let feeds = AnalyzerSet::feeds(self, feeds);
         let reports: Vec<BinReport> = self
             .streams
             .iter_mut()
@@ -248,9 +189,9 @@ impl StreamRouter {
     /// Fleet-level aggregation: sum per-AS severities across the streams'
     /// reports, score them against the fleet magnitude baseline, and run
     /// the merged view through the fleet event channel — this is the
-    /// single funnel every fleet execution path (pooled, sequential,
-    /// pipelined) flows through, so the event deltas are deterministic
-    /// by construction.
+    /// single funnel every fleet execution path (the session at either
+    /// depth, and the sequential reference) flows through, so the event
+    /// deltas are deterministic by construction.
     fn merge(&mut self, bin: BinId, reports: Vec<BinReport>) -> FleetReport {
         let (dsev, fsev) = merge_severities(reports.iter().map(|r| &r.magnitudes));
         let magnitudes = self.fleet_magnitudes.score_bin(&dsev, &fsev);
@@ -338,49 +279,17 @@ impl StreamRouter {
             })
     }
 
-    /// The cross-bin pipelined executor over the whole fleet — the
-    /// multi-stream twin of [`Analyzer::pipelined`]: at depth 2, every
-    /// stream's shard jobs for the pending bin and every stream's scatter
-    /// chunks for the pushed bin run as ONE two-lane wave on the shared
-    /// herd. Reports come back strictly in bin order, one bin behind.
-    /// `depth` resolves like the analyzer's: `0` falls through to the
-    /// first stream's `DetectorConfig::pipeline_depth` (the streams of a
-    /// fleet share their configuration in practice; an empty fleet takes
-    /// the engine default), whose own `0` means the engine default (2);
-    /// deeper than 2 clamps; and a one-worker herd ([`Self::set_threads`])
-    /// collapses to the serial schedule (see `engine::resolve_schedule`).
-    /// Byte-identical to [`StreamRouter::process_bin`] for every depth.
-    pub fn pipelined(&mut self, depth: usize) -> FleetPipelinedDriver<'_> {
-        let depth = if depth == 0 {
-            self.streams
-                .first()
-                .map_or(0, |s| s.analyzer.config().pipeline_depth)
-        } else {
-            depth
-        };
-        let depth = engine::resolve_schedule(depth, self.threads);
-        FleetPipelinedDriver {
-            router: self,
-            depth,
-            pending: None,
-            last: None,
-        }
-    }
-
-    /// The unified [`crate::session::AnalysisSession`] over the fleet —
-    /// the multi-stream twin of [`Analyzer::session`]. `depth` resolves
-    /// like [`StreamRouter::pipelined`].
+    /// The [`crate::session::AnalysisSession`] over the fleet — the same
+    /// executor as [`Analyzer::session`], over every stream at once: at
+    /// depth 2 the two-lane wave carries `2 × streams` job sets (every
+    /// stream's shard bundles for the pending bin, then every stream's
+    /// scatter chunks for the pushed bin), and the epoch fence drains when
+    /// ANY stream's arenas need a compaction sweep. `depth` resolves like
+    /// the analyzer's (`0` = engine default 2; a one-worker herd —
+    /// [`Self::set_threads`] — runs serially). Byte-identical to
+    /// [`StreamRouter::process_bin`] for every depth.
     pub fn session(&mut self, depth: usize) -> crate::session::FleetSession<'_> {
-        crate::session::FleetSession::new(self, depth)
-    }
-
-    /// The depth knob a `0` falls through to: the first stream's
-    /// configured `pipeline_depth` (a fleet shares its configuration in
-    /// practice; an empty fleet takes the engine default).
-    pub(crate) fn default_pipeline_depth(&self) -> usize {
-        self.streams
-            .first()
-            .map_or(0, |s| s.analyzer.config().pipeline_depth)
+        crate::session::Session::new(self, depth)
     }
 
     /// Serialize the whole fleet's resumable state — every stream's
@@ -389,9 +298,6 @@ impl StreamRouter {
     /// [`Analyzer::snapshot`]: throughput knobs (including the router's
     /// own [`StreamRouter::set_threads`]) are normalized out, so the
     /// bytes are identical across the whole execution matrix.
-    ///
-    /// # Panics
-    /// When any stream has an open incremental bin.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::with_header(snapshot::KIND_FLEET);
         w.seq(self.streams.len());
@@ -455,184 +361,49 @@ impl StreamRouter {
     }
 }
 
-/// One fleet bin in flight: its id and each stream's record count.
-#[derive(Debug)]
-struct FleetPending {
-    bin: BinId,
-    records: Vec<usize>,
-}
+/// A fleet is the set of its streams' analyzers, reduced by the fleet
+/// merge.
+impl AnalyzerSet for StreamRouter {
+    type Input = [Vec<TracerouteRecord>];
+    type Report = FleetReport;
 
-/// The fleet's cross-bin pipelined executor (create with
-/// [`StreamRouter::pipelined`]). Same contract as
-/// [`crate::pipeline::PipelinedDriver`] — in-order [`FleetReport`]s, one
-/// bin behind at depth 2, merge and epoch fences serial — lifted to the
-/// whole fleet: the two-lane wave carries `2 × streams` job sets (every
-/// stream's shard bundles, then every stream's scatter chunks), and the
-/// epoch fence drains when ANY stream's arenas need a compaction sweep,
-/// so no stream ever renumbers ids under in-flight rows.
-pub struct FleetPipelinedDriver<'a> {
-    router: &'a mut StreamRouter,
-    depth: usize,
-    pending: Option<FleetPending>,
-    /// Last bin pushed — enforces the increasing-order contract at every
-    /// depth (`pending` alone goes `None` at depth 1 and after a drain).
-    last: Option<BinId>,
-}
-
-impl FleetPipelinedDriver<'_> {
-    /// The resolved pipeline depth (1 or 2).
-    pub fn depth(&self) -> usize {
-        self.depth
+    fn threads(&self) -> usize {
+        self.threads
     }
 
-    /// The underlying router — its fleet-summed counters
-    /// ([`StreamRouter::ingest_stats`] / [`StreamRouter::sanitize_stats`])
-    /// stay readable while bins are in flight.
-    pub fn router(&self) -> &StreamRouter {
-        self.router
+    fn members(&mut self) -> Vec<&mut Analyzer> {
+        self.streams.iter_mut().map(|s| &mut s.analyzer).collect()
     }
 
-    /// Feed the next fleet bin (`feeds[i]` is stream `i`'s records).
-    /// Returns the previous bin's merged report at depth 2 (`None` on
-    /// the first push), or this bin's at depth 1.
-    ///
-    /// # Panics
-    /// When `feeds.len()` differs from the stream count, or bins are not
-    /// fed in strictly increasing order.
-    pub fn push_bin(&mut self, bin: BinId, feeds: &[Vec<TracerouteRecord>]) -> Option<FleetReport> {
+    fn feeds<'i>(&self, input: &'i [Vec<TracerouteRecord>]) -> Vec<&'i [TracerouteRecord]> {
         assert_eq!(
-            feeds.len(),
-            self.router.streams.len(),
+            input.len(),
+            self.streams.len(),
             "one feed per stream (streams: {}, feeds: {})",
-            self.router.streams.len(),
-            feeds.len()
+            self.streams.len(),
+            input.len()
         );
-        if let Some(last) = self.last {
-            assert!(
-                bin.0 > last.0,
-                "pipelined bins must be fed in increasing order ({bin:?} after {last:?})"
-            );
-        }
-        self.last = Some(bin);
-        if self.depth == 1 {
-            return Some(self.router.process_bin(bin, feeds));
-        }
-        let threads = self.router.effective_threads();
-        let Some(pending) = self.pending.take() else {
-            self.open_bin(bin, feeds, true, threads);
-            return None;
-        };
-        if self
-            .router
-            .streams
-            .iter()
-            .any(|s| s.analyzer.needs_compaction(bin))
-        {
-            // Epoch fence: drain the fleet, sweep every stream, refill.
-            let report = self.drain(pending, threads);
-            for stream in &mut self.router.streams {
-                stream.analyzer.compact_epochs(bin);
-            }
-            self.open_bin(bin, feeds, false, threads);
-            return Some(report);
-        }
-        // Steady state: every stream's pending shard jobs + every
-        // stream's next-bin scatter chunks, one two-lane wave.
-        let staged: Vec<_> = {
-            let mut stages = Vec::with_capacity(self.router.streams.len());
-            let mut wave = engine::Wave::new();
-            for (stream, records) in self.router.streams.iter_mut().zip(feeds) {
-                let (stage, scatter) = stream.analyzer.overlap_wave(pending.bin, records, threads);
-                wave.push_scatter(scatter);
-                stages.push(stage);
-            }
-            for stage in &mut stages {
-                wave.push_analysis(stage.jobs());
-            }
-            wave.run(threads);
-            stages.into_iter().map(|stage| stage.finish()).collect()
-        };
-        let reports: Vec<BinReport> = self
-            .router
-            .streams
-            .iter_mut()
-            .zip(&pending.records)
-            .zip(staged)
-            .map(|((stream, &records), staged)| {
-                stream.analyzer.stamp_bin(pending.bin);
-                stream.analyzer.absorb(pending.bin, records, staged)
-            })
-            .collect();
-        let report = self.router.merge(pending.bin, reports);
-        for stream in &mut self.router.streams {
-            stream.analyzer.merge_scatter(bin);
-        }
-        self.pending = Some(FleetPending {
-            bin,
-            records: feeds.iter().map(Vec::len).collect(),
-        });
-        Some(report)
+        input.iter().map(Vec::as_slice).collect()
     }
 
-    /// Flush the in-flight fleet bin, if any. Idempotent.
-    pub fn finish(&mut self) -> Option<FleetReport> {
-        let pending = self.pending.take()?;
-        let threads = self.router.effective_threads();
-        Some(self.drain(pending, threads))
+    fn reduce(&mut self, bin: BinId, reports: Vec<BinReport>) -> FleetReport {
+        self.merge(bin, reports)
     }
 
-    /// Scatter + merge a bin across the fleet without analyzing it yet.
-    fn open_bin(
-        &mut self,
-        bin: BinId,
-        feeds: &[Vec<TracerouteRecord>],
-        compact: bool,
-        threads: usize,
-    ) {
-        {
-            let mut wave = engine::Wave::new();
-            for (stream, records) in self.router.streams.iter_mut().zip(feeds) {
-                wave.push_scatter(stream.analyzer.open_scatter(bin, records, compact, threads));
-            }
-            wave.run(threads);
-        }
-        for stream in &mut self.router.streams {
-            stream.analyzer.merge_scatter(bin);
-        }
-        self.pending = Some(FleetPending {
-            bin,
-            records: feeds.iter().map(Vec::len).collect(),
-        });
+    fn events(&self) -> Vec<FleetEvent> {
+        StreamRouter::events(self)
     }
 
-    /// Shards-only wave for the pending fleet bin + the post-wave fences.
-    fn drain(&mut self, pending: FleetPending, threads: usize) -> FleetReport {
-        let staged: Vec<_> = {
-            let mut stages: Vec<_> = self
-                .router
-                .streams
-                .iter_mut()
-                .map(|stream| stream.analyzer.stage(pending.bin, threads))
-                .collect();
-            let mut jobs = Vec::new();
-            for stage in &mut stages {
-                jobs.extend(stage.jobs());
-            }
-            engine::run_jobs(jobs, threads);
-            stages.into_iter().map(|stage| stage.finish()).collect()
-        };
-        let reports: Vec<BinReport> = self
-            .router
-            .streams
-            .iter_mut()
-            .zip(&pending.records)
-            .zip(staged)
-            .map(|((stream, &records), staged)| {
-                stream.analyzer.stamp_bin(pending.bin);
-                stream.analyzer.absorb(pending.bin, records, staged)
-            })
-            .collect();
-        self.router.merge(pending.bin, reports)
+    fn snapshot(&self) -> Vec<u8> {
+        StreamRouter::snapshot(self)
+    }
+
+    fn ingest_stats(&self) -> crate::ingest::IngestStats {
+        StreamRouter::ingest_stats(self)
+    }
+
+    fn sanitize_stats(&self) -> crate::sanitize::SanitizeStats {
+        StreamRouter::sanitize_stats(self)
     }
 }
 

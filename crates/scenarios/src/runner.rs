@@ -109,34 +109,21 @@ pub struct RunSummary {
 pub fn run(
     case: &CaseStudy,
     analyzer: &mut Analyzer,
-    mut observer: impl FnMut(&BinReport),
+    observer: impl FnMut(&BinReport),
 ) -> RunSummary {
-    // A depth-1 session is the strictly serial schedule: every push is
-    // the historical `process_bin` batch path and reports immediately.
-    let mut summary = RunSummary::default();
-    {
-        let mut session = analyzer.session(1);
-        drive(
-            &mut session,
-            case.platform.stream(case.start_bin, case.end_bin),
-            |report| {
-                fold_report(&mut summary, &report);
-                observer(&report);
-            },
-        );
-    }
-    close_summary(&mut summary, analyzer);
-    summary
+    // Depth 1 is the strictly serial schedule: every push reports its
+    // own bin immediately.
+    run_pipelined(case, analyzer, 1, observer)
 }
 
 /// Run the full pipeline over the case study's window in streaming mode:
 /// each bin's records arrive as arrival-ordered chunks of `chunk_records`
 /// ([`Platform::collect_bin_chunked`]) and are fed incrementally through
-/// `Analyzer::begin_bin` / `ingest` / `finish_bin` — the §8 deployment
-/// shape, where results trickle in from the Atlas stream instead of
-/// materializing per bin. The chunk-order determinism of the ingestion
-/// front-end makes the reports (and so the summary) byte-identical to
-/// [`run`] for any chunk size.
+/// the session's `begin_bin` / `ingest` / `finish_bin` — the §8
+/// deployment shape, where results trickle in from the Atlas stream
+/// instead of materializing per bin. The session pushes the slices in
+/// arrival order, so the reports (and so the summary) are byte-identical
+/// to [`run`] for any chunk size.
 pub fn run_streamed(
     case: &CaseStudy,
     analyzer: &mut Analyzer,
@@ -171,8 +158,8 @@ pub fn run_streamed(
 /// Run the full pipeline over the case study's window on the cross-bin
 /// pipelined executor: while bin *n*'s shard jobs run, bin *n+1*'s
 /// scatter chunks run on the same worker herd
-/// (`Analyzer::session` — `depth` 0 = the analyzer's configured
-/// `pipeline_depth`, 1 = serial, 2 = overlapped). `observer` still sees
+/// (`Analyzer::session` — `depth` 0 = the engine default, 1 = serial,
+/// 2 = overlapped). `observer` still sees
 /// every report strictly in bin order; the whole run — reports, summary,
 /// tracked state — is byte-identical to [`run`] at every depth, which is
 /// the executor's determinism contract (`tests/pipeline_overlap_parity.rs`).

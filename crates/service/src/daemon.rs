@@ -51,7 +51,7 @@ use crate::http::{HttpServer, Router};
 use crate::queue::BoundedQueue;
 use crate::state::{Phase, PublishedBin, QueueGauge, ServiceState, TimelinePoint};
 use pinpoint_core::render;
-use pinpoint_core::session::{AnalysisSession, BinSource};
+use pinpoint_core::session::{AnalysisSession, AnalyzerSet, BinSource, Session};
 use pinpoint_core::{
     Analyzer, BinReport, EventTable, FleetEvent, FleetReport, IngestStats, SanitizeStats,
     StreamRouter,
@@ -80,9 +80,8 @@ pub struct ServiceConfig {
     pub report_capacity: usize,
     /// HTTP worker threads (concurrent clients served in parallel).
     pub http_workers: usize,
-    /// Pipeline depth for the executor's session (`0` = the analyzer's
-    /// configured `pipeline_depth`, `1` = serial, `2` = cross-bin
-    /// overlapped).
+    /// Pipeline depth for the executor's session (`0` = the engine
+    /// default, `1` = serial, `2` = cross-bin overlapped).
     pub depth: usize,
     /// First sleep after a feed disconnect, in milliseconds; each
     /// further consecutive disconnect doubles it up to
@@ -144,6 +143,18 @@ struct Emitted {
 enum ReportKind {
     Solo(BinReport),
     Fleet(FleetReport),
+}
+
+impl From<BinReport> for ReportKind {
+    fn from(report: BinReport) -> Self {
+        ReportKind::Solo(report)
+    }
+}
+
+impl From<FleetReport> for ReportKind {
+    fn from(report: FleetReport) -> Self {
+        ReportKind::Fleet(report)
+    }
 }
 
 impl ReportKind {
@@ -265,50 +276,41 @@ struct Checkpointing {
     state: Arc<ServiceState>,
 }
 
-/// What the executor thread runs: it owns its analyzer (or fleet) and
-/// creates the session inside the thread, because a session borrows its
-/// analyzer and cannot cross the spawn boundary itself.
-trait Engine: Send + 'static {
-    type Feed: Send + 'static;
-
-    /// The full current event list (open + closed) of the underlying
-    /// analyzer — non-empty after a snapshot restore, where the
-    /// reporter's event fold must be seeded with it or `/events` would
-    /// forget everything from before the checkpoint.
-    fn initial_events(&self) -> Vec<FleetEvent>;
-
-    fn drive(
-        self: Box<Self>,
-        depth: usize,
-        ckpt: Option<Checkpointing>,
-        bins: &BoundedQueue<Collected<Self::Feed>>,
-        emit: &mut dyn FnMut(Emitted) -> bool,
-    );
-}
-
-/// Run one session over the collect queue until it closes, pairing each
-/// in-order report with the collect timestamp of its bin. `emit`
-/// returning `false` means the downstream stage is gone — stop driving
-/// (dead-stage shutdown propagation). With `ckpt`, the session is
-/// drained every N bins and its snapshot durably saved.
+/// The executor thread's body: run one session over the collect queue
+/// until it closes, pairing each in-order report with the collect
+/// timestamp of its bin. The thread owns its analyzer (or fleet) and the
+/// session is created here, inside the thread, because a session borrows
+/// its set and cannot cross the spawn boundary itself. `emit` returning
+/// `false` means the downstream stage is gone — stop driving (dead-stage
+/// shutdown propagation). With `ckpt`, the session is drained every N
+/// bins and its snapshot durably saved.
 fn drive_session<S>(
-    session: &mut S,
+    set: &mut S,
+    depth: usize,
     mut ckpt: Option<Checkpointing>,
     bins: &BoundedQueue<Collected<<S::Input as ToOwned>::Owned>>,
-    stats: impl Fn(&S) -> (IngestStats, SanitizeStats),
-    wrap: impl Fn(S::Report) -> ReportKind,
     emit: &mut dyn FnMut(Emitted) -> bool,
 ) where
-    S: AnalysisSession,
+    S: AnalyzerSet,
     S::Input: ToOwned,
-    <S::Input as ToOwned>::Owned: Send + 'static,
+    S::Report: Into<ReportKind>,
 {
+    let mut session = Session::new(set, depth);
+    // Collected-but-unreported bins, oldest first.
     let mut inflight: VecDeque<(u64, Instant)> = VecDeque::new();
-    let mut forward = |report: ReportKind, at: Instant, s: (IngestStats, SanitizeStats)| -> bool {
+    // Forward the next in-order report, which must be the oldest
+    // in-flight bin's.
+    let mut forward = |inflight: &mut VecDeque<(u64, Instant)>,
+                       session: &Session<'_, S>,
+                       report: S::Report|
+     -> bool {
+        let (bin, at) = inflight.pop_front().expect("report without in-flight bin");
+        let report: ReportKind = report.into();
+        debug_assert_eq!(bin, report.bin(), "reports must emerge in collect order");
         emit(Emitted {
             report,
-            ingest: s.0,
-            sanitize: s.1,
+            ingest: session.inner().ingest_stats(),
+            sanitize: session.inner().sanitize_stats(),
             collected_at: at,
         })
     };
@@ -316,10 +318,7 @@ fn drive_session<S>(
         let collected_bin = c.bin.0;
         inflight.push_back((collected_bin, c.at));
         if let Some(report) = session.push_bin(c.bin, c.feed.borrow()) {
-            let (bin, at) = inflight.pop_front().expect("report without in-flight bin");
-            let report = wrap(report);
-            debug_assert_eq!(bin, report.bin(), "reports must emerge in collect order");
-            if !forward(report, at, stats(session)) {
+            if !forward(&mut inflight, &session, report) {
                 return;
             }
         }
@@ -331,10 +330,7 @@ fn drive_session<S>(
                 // bin report and must still reach the reporter.
                 let (report, snapshot) = session.checkpoint();
                 if let Some(report) = report {
-                    let (bin, at) = inflight.pop_front().expect("report without in-flight bin");
-                    let report = wrap(report);
-                    debug_assert_eq!(bin, report.bin(), "checkpoint must flush the pending bin");
-                    if !forward(report, at, stats(session)) {
+                    if !forward(&mut inflight, &session, report) {
                         return;
                     }
                 }
@@ -348,74 +344,11 @@ fn drive_session<S>(
         }
     }
     if let Some(report) = session.flush() {
-        let (bin, at) = inflight.pop_front().expect("report without in-flight bin");
-        let report = wrap(report);
-        debug_assert_eq!(bin, report.bin(), "flush must return the pending bin");
-        if !forward(report, at, stats(session)) {
+        if !forward(&mut inflight, &session, report) {
             return;
         }
     }
     debug_assert!(inflight.is_empty(), "drain left a collected bin unreported");
-}
-
-struct SoloEngine {
-    analyzer: Analyzer,
-}
-
-impl Engine for SoloEngine {
-    type Feed = Vec<TracerouteRecord>;
-
-    fn initial_events(&self) -> Vec<FleetEvent> {
-        self.analyzer.events()
-    }
-
-    fn drive(
-        mut self: Box<Self>,
-        depth: usize,
-        ckpt: Option<Checkpointing>,
-        bins: &BoundedQueue<Collected<Vec<TracerouteRecord>>>,
-        emit: &mut dyn FnMut(Emitted) -> bool,
-    ) {
-        let mut session = self.analyzer.session(depth);
-        drive_session(
-            &mut session,
-            ckpt,
-            bins,
-            |s| (s.analyzer().ingest_stats(), s.analyzer().sanitize_stats()),
-            ReportKind::Solo,
-            emit,
-        );
-    }
-}
-
-struct FleetEngine {
-    router: StreamRouter,
-}
-
-impl Engine for FleetEngine {
-    type Feed = Vec<Vec<TracerouteRecord>>;
-
-    fn initial_events(&self) -> Vec<FleetEvent> {
-        self.router.events()
-    }
-
-    fn drive(
-        mut self: Box<Self>,
-        depth: usize,
-        ckpt: Option<Checkpointing>,
-        bins: &BoundedQueue<Collected<Vec<Vec<TracerouteRecord>>>>,
-        emit: &mut dyn FnMut(Emitted) -> bool,
-    ) {
-        let mut session = self.router.session(depth);
-        drive_session(
-            &mut session,
-            ckpt,
-            bins,
-            |s| (s.router().ingest_stats(), s.router().sanitize_stats()),
-            ReportKind::Fleet,
-            emit,
-        );
-    }
 }
 
 /// Extract a printable message from a caught panic payload.
@@ -475,7 +408,7 @@ impl Daemon {
     where
         F: BinSource<Feed = Vec<TracerouteRecord>> + Send + 'static,
     {
-        Self::spawn_engine(cfg, SoloEngine { analyzer }, SteadyFeed(feed), None)
+        Self::spawn_engine(cfg, analyzer, SteadyFeed(feed), None)
     }
 
     /// Spawn the daemon over a solo analyzer fed by a fault-signalling
@@ -490,7 +423,7 @@ impl Daemon {
     where
         F: RecoverableSource<Feed = Vec<TracerouteRecord>>,
     {
-        Self::spawn_engine(cfg, SoloEngine { analyzer }, feed, None)
+        Self::spawn_engine(cfg, analyzer, feed, None)
     }
 
     /// [`Daemon::spawn`] with a reporter-side hook, called with each bin
@@ -505,7 +438,7 @@ impl Daemon {
     where
         F: BinSource<Feed = Vec<TracerouteRecord>> + Send + 'static,
     {
-        Self::spawn_engine(cfg, SoloEngine { analyzer }, SteadyFeed(feed), Some(hook))
+        Self::spawn_engine(cfg, analyzer, SteadyFeed(feed), Some(hook))
     }
 
     /// Spawn the daemon over a stream fleet. `feed` yields one
@@ -518,26 +451,35 @@ impl Daemon {
     where
         F: BinSource<Feed = Vec<Vec<TracerouteRecord>>> + Send + 'static,
     {
-        Self::spawn_engine(cfg, FleetEngine { router }, SteadyFeed(feed), None)
+        Self::spawn_engine(cfg, router, SteadyFeed(feed), None)
     }
 
-    fn spawn_engine<E, F>(
+    /// Spawn the three stages over any [`AnalyzerSet`] — a solo analyzer
+    /// and a fleet differ only in feed and report types.
+    fn spawn_engine<S, F>(
         cfg: ServiceConfig,
-        engine: E,
+        mut set: S,
         feed: F,
         hook: Option<ReportHook>,
     ) -> std::io::Result<Daemon>
     where
-        E: Engine,
-        F: RecoverableSource<Feed = E::Feed>,
+        S: AnalyzerSet + Send + 'static,
+        S::Input: ToOwned,
+        S::Report: Into<ReportKind>,
+        F: RecoverableSource<Feed = <S::Input as ToOwned>::Owned>,
+        F::Feed: Send,
     {
         let state = ServiceState::new();
-        let collect_q = Arc::new(BoundedQueue::<Collected<E::Feed>>::new(
+        let collect_q = Arc::new(BoundedQueue::<Collected<F::Feed>>::new(
             cfg.collect_capacity,
         ));
         let report_q = Arc::new(BoundedQueue::<Emitted>::new(cfg.report_capacity));
         let stop_collect = Arc::new(AtomicBool::new(false));
-        let initial_events = engine.initial_events();
+        // The full current event list (open + closed) — non-empty after a
+        // snapshot restore, where the reporter's event fold must be
+        // seeded with it or `/events` would forget everything from
+        // before the checkpoint.
+        let initial_events = set.events();
         let ckpt = match (&cfg.checkpoint_dir, cfg.checkpoint_every) {
             (Some(dir), every) if every > 0 => Some(Checkpointing {
                 store: CheckpointStore::new(dir),
@@ -629,7 +571,7 @@ impl Daemon {
                     .name("pinpointd-executor".to_string())
                     .spawn(move || {
                         supervise("executor", &state, &collect_q, &report_q, || {
-                            Box::new(engine).drive(depth, ckpt, &collect_q, &mut |emitted| {
+                            drive_session(&mut set, depth, ckpt, &collect_q, &mut |emitted| {
                                 report_q.push(emitted).is_ok()
                             });
                             report_q.close();

@@ -14,8 +14,8 @@
 //! 1 KiB histogram zeroing.
 
 /// Element count below which a comparison sort beats the histogram
-/// pre-pass. Callers use this as the default small-N fallback threshold
-/// (the engine's `radix_min_keys = 0` resolves to it).
+/// pre-pass. The engine's grouping paths use this as their small-N
+/// fallback threshold.
 pub const RADIX_MIN_KEYS: usize = 64;
 
 /// Stable LSD radix sort of `data` by `key`, ascending.

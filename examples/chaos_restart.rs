@@ -101,15 +101,13 @@ fn main() {
         "act 2: restored {} snapshot bytes covering bins ≤ {last_bin}",
         snapshot.len()
     );
-    // Snapshots normalize the throughput knobs (threads, chunking,
-    // depth, radix) to zero — re-pin them for the new process. They
-    // change wall-clock behaviour only, never report bytes.
+    // Snapshots normalize the throughput knobs (threads, chunking) to
+    // zero — re-pin them for the new process. They change wall-clock
+    // behaviour only, never report bytes.
     let knobs = case.cfg.clone();
     let restored = Analyzer::restore_with(&snapshot, |c| {
         c.threads = knobs.threads;
         c.ingest_chunk_records = knobs.ingest_chunk_records;
-        c.pipeline_depth = knobs.pipeline_depth;
-        c.radix_min_keys = knobs.radix_min_keys;
     })
     .expect("frame verified, snapshot decodes");
 

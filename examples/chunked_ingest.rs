@@ -2,13 +2,14 @@
 //! streaming Atlas API delivers it.
 //!
 //! The §8 deployment never sees a bin as one materialized `Vec` — results
-//! trickle in. The chunked ingestion front-end makes that the native
-//! shape: open a bin with `Analyzer::begin_bin`, hand over record slices
-//! with `Analyzer::ingest` as they arrive (each call scatters its chunks
-//! on the engine pool against the persistent intern tables), and close
-//! with `Analyzer::finish_bin`. Because per-shard rows concatenate in
-//! chunk (= arrival) order, the report is **byte-identical** to a batch
-//! `process_bin` over the concatenated records — chunking is invisible.
+//! trickle in. The session API makes that the native shape: open a bin
+//! with `begin_bin`, hand over record slices with `ingest` as they arrive
+//! (the session stages them in a reused buffer), and close with
+//! `finish_bin`, which pushes the bin through the executor — its scatter
+//! chunks run on the engine pool against the persistent intern tables.
+//! Because per-shard rows concatenate in chunk (= arrival) order, the
+//! report is **byte-identical** to a batch `process_bin` over the
+//! concatenated records — slicing and chunking are invisible.
 //!
 //! The example also shows the interning epoch at work: the first bin
 //! interns every link, probe, pattern, and next hop once; steady-state
@@ -18,7 +19,7 @@
 //! cargo run --release --example chunked_ingest
 //! ```
 
-use pinpoint::core::DetectorConfig;
+use pinpoint::core::{AnalysisSession, DetectorConfig};
 use pinpoint::model::BinId;
 use pinpoint::scenarios::{steady, Scale};
 
@@ -36,6 +37,8 @@ fn main() {
     );
 
     let mut incremental = pinpoint::core::Analyzer::new(cfg.clone(), case.mapper.clone());
+    // Depth 1: every `finish_bin` reports its own bin.
+    let mut session = incremental.session(1);
     let mut batch = pinpoint::core::Analyzer::new(cfg, case.mapper.clone());
 
     println!(
@@ -47,13 +50,13 @@ fn main() {
         // what an async reader would hand the analyzer piece by piece.
         let chunks = case.platform.collect_bin_chunked(BinId(bin), 64);
 
-        incremental.begin_bin(BinId(bin));
+        session.begin_bin(BinId(bin));
         for chunk in &chunks {
-            incremental.ingest(chunk); // scatter now, analyze at finish
+            session.ingest(chunk); // stage now, scatter + analyze at finish
         }
-        let report = incremental.finish_bin();
+        let report = session.finish_bin().expect("depth 1 reports at once");
 
-        let stats = incremental.ingest_stats();
+        let stats = session.inner().ingest_stats();
         println!(
             "{bin:>4} {:>7} {:>7} {:>8} {:>8} {:>14} {:>9}",
             chunks.len(),

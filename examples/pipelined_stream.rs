@@ -4,7 +4,7 @@
 //! The deployment analyzes every hour of traceroutes continuously, so
 //! wall-clock throughput is set by the serial chain *ingest bin → analyze
 //! bin → ingest next bin*. The depth-2 pipelined executor breaks that
-//! chain: push bins into `Analyzer::pipelined(2)` and each push runs the
+//! chain: push bins into `Analyzer::session(2)` and each push runs the
 //! *previous* bin's delay + forwarding shard jobs concurrently with the
 //! pushed bin's scatter chunks, as one two-lane wave on the shared engine
 //! pool. Reports come back strictly in bin order, one bin behind, and the
@@ -18,7 +18,7 @@
 //! cargo run --release --example pipelined_stream
 //! ```
 
-use pinpoint::core::BinReport;
+use pinpoint::core::{AnalysisSession, BinReport};
 use pinpoint::model::BinId;
 use pinpoint::scenarios::{steady, Scale};
 use std::time::Instant;
@@ -43,14 +43,14 @@ fn main() {
         {
             // Depth 1 = strictly serial bins; depth 2 = the two-lane
             // overlap. Same API either way.
-            let mut driver = analyzer.pipelined(depth);
+            let mut session = analyzer.session(depth);
             for (bin, records) in &window {
                 // At depth 2 this returns the PREVIOUS bin's report: the
                 // pushed bin only scatters now and analyzes inside the
                 // next push, overlapped with that push's ingestion.
-                reports.extend(driver.push_bin(*bin, records));
+                reports.extend(session.push_bin(*bin, records));
             }
-            reports.extend(driver.finish()); // flush the in-flight bin
+            reports.extend(session.flush()); // the in-flight bin
         }
         let ms = t.elapsed().as_secs_f64() * 1e3;
         println!(

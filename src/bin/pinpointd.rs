@@ -214,8 +214,6 @@ fn run_live(args: &Args, case: CaseStudy) -> i32 {
                 match Analyzer::restore_with(&snapshot, |c| {
                     c.threads = knobs.threads;
                     c.ingest_chunk_records = knobs.ingest_chunk_records;
-                    c.pipeline_depth = knobs.pipeline_depth;
-                    c.radix_min_keys = knobs.radix_min_keys;
                 }) {
                     Ok(analyzer) => {
                         eprintln!("pinpointd: resumed from checkpoint at bin {last_bin}");

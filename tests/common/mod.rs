@@ -54,8 +54,9 @@ pub fn chunk_from_env() -> usize {
 
 /// Cross-bin pipeline depth under test: `PINPOINT_PIPELINE` when set
 /// (the CI matrix exports 1 = serial and 2 = overlapped), otherwise 0
-/// (`DetectorConfig::pipeline_depth` auto, currently 2). Byte-for-byte
-/// parity must hold for every value — overlap is pure scheduling.
+/// (the engine default, currently 2). The suites pass it to
+/// `session(..)`. Byte-for-byte parity must hold for every value —
+/// overlap is pure scheduling.
 pub fn pipeline_from_env() -> usize {
     check_pipeline_depth(
         "PINPOINT_PIPELINE",
@@ -78,52 +79,13 @@ pub fn check_pipeline_depth(name: &str, depth: usize) -> usize {
     depth
 }
 
-/// Radix grouping mode under test: `PINPOINT_RADIX` when set (the CI
-/// matrix exports `on` and `off` alongside the default `auto`),
-/// otherwise 0 — `DetectorConfig::radix_min_keys` auto, which resolves
-/// to `pinpoint_stats::RADIX_MIN_KEYS`. Byte-for-byte parity must hold
-/// for every value — the radix sort is stable, so grouping order never
-/// depends on which sorter ran.
-pub fn radix_from_env() -> usize {
-    match std::env::var("PINPOINT_RADIX") {
-        Ok(v) => parse_radix_mode("PINPOINT_RADIX", &v),
-        Err(std::env::VarError::NotPresent) => 0,
-        Err(std::env::VarError::NotUnicode(v)) => {
-            panic!("PINPOINT_RADIX={v:?} is not valid unicode — cannot be a radix grouping mode")
-        }
-    }
-}
-
-/// The mode parser behind [`radix_from_env`], split out (like
-/// [`parse_matrix_var`]) so the failure mode is testable without mutating
-/// process-global environment state. Unlike the numeric matrix axes this
-/// one also speaks `on`/`off`/`auto`, mapping them onto the
-/// `radix_min_keys` threshold convention (`1` = every shard,
-/// `usize::MAX` = never, `0` = engine default).
-pub fn parse_radix_mode(name: &str, value: &str) -> usize {
-    match value.trim() {
-        "on" => 1,
-        "off" => usize::MAX,
-        "auto" | "" => 0,
-        other => other.parse().unwrap_or_else(|_| {
-            panic!(
-                "{name}={value:?} is not a valid radix grouping mode: set {name} to \
-                 `on` (radix-sort every shard), `off` (comparison sort only), `auto` \
-                 (engine default threshold), or a key-count threshold, \
-                 e.g. `{name}=128 cargo test`"
-            )
-        }),
-    }
-}
-
-/// The parity config: `fast_test` with the matrix-selected thread count,
-/// scatter chunk size, pipeline depth, and radix grouping mode.
+/// The parity config: `fast_test` with the matrix-selected thread count
+/// and scatter chunk size (the depth axis is an argument of `session(..)`
+/// — see [`pipeline_from_env`]).
 pub fn parity_config() -> DetectorConfig {
     let mut cfg = DetectorConfig::fast_test();
     cfg.threads = threads_from_env();
     cfg.ingest_chunk_records = chunk_from_env();
-    cfg.pipeline_depth = pipeline_from_env();
-    cfg.radix_min_keys = radix_from_env();
     cfg
 }
 

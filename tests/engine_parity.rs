@@ -6,9 +6,9 @@
 //!
 //! The CI thread matrix re-runs this file with `PINPOINT_THREADS` ∈
 //! {1, 2, 4, 8} on a multi-core runner — the only place real interleavings
-//! exist — and with `PINPOINT_RADIX` ∈ {on, off} so both grouping sorters
-//! face every interleaving, via [`common::parity_config`].
+//! exist — via [`common::parity_config`].
 
+#[allow(dead_code)]
 mod common;
 
 use common::{assert_reports_identical, parity_config};
@@ -72,38 +72,6 @@ fn parity_holds_for_any_thread_count() {
         let mut analyzer = Analyzer::new(cfg, case.mapper.clone());
         let got = analyzer.process_bin(BinId(0), &records);
         assert_reports_identical(&got, &want, &format!("threads={threads}"));
-    }
-}
-
-#[test]
-fn parity_holds_for_any_radix_mode() {
-    // The radix sorter is stable and the gathered runs arrive in record
-    // order, so WHICH sorter groups a shard must be invisible in the
-    // output. Sweep the whole knob range — always-radix, never-radix,
-    // auto, and a mid threshold that splits real shards across the two
-    // paths — against the sequential reference, over several bins so
-    // sorter choice also cannot leak through carried state.
-    let case = steady::case_study(2015, Scale::Small);
-    let mut reference = Analyzer::new(DetectorConfig::fast_test(), case.mapper.clone());
-    let mut analyzers: Vec<(usize, Analyzer)> = [1usize, usize::MAX, 0, 64]
-        .into_iter()
-        .map(|radix_min_keys| {
-            let mut cfg = parity_config();
-            cfg.radix_min_keys = radix_min_keys;
-            (radix_min_keys, Analyzer::new(cfg, case.mapper.clone()))
-        })
-        .collect();
-    for bin in 0..5u64 {
-        let records = case.platform.collect_bin(BinId(bin));
-        let want = reference.process_bin_sequential(BinId(bin), &records);
-        for (radix_min_keys, analyzer) in analyzers.iter_mut() {
-            let got = analyzer.process_bin(BinId(bin), &records);
-            assert_reports_identical(
-                &got,
-                &want,
-                &format!("radix_min_keys={radix_min_keys} bin {bin}"),
-            );
-        }
     }
 }
 

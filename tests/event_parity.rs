@@ -8,13 +8,13 @@
 //!
 //! Like the other parity suites, the CI matrix re-runs this file under
 //! `PINPOINT_THREADS` × `PINPOINT_CHUNK` × `PINPOINT_PIPELINE` via
-//! `common::parity_config`; the tests additionally sweep threads, chunks,
+//! `common::{parity_config, pipeline_from_env}`; the tests additionally sweep threads, chunks,
 //! and depths locally, so every matrix point proves several schedules.
 
 #[allow(dead_code)]
 mod common;
 
-use common::parity_config;
+use common::{parity_config, pipeline_from_env};
 use pinpoint::core::aggregate::{EmpathyExtractor, StreamEvidence};
 use pinpoint::core::{render, AnalysisSession, DetectorConfig, EventTable, FleetReport};
 use pinpoint::model::json::Value;
@@ -72,7 +72,7 @@ fn fleet_event_deltas_are_byte_identical_across_schedules() {
     );
 
     // The env-selected matrix point (CI exports the axes), every depth.
-    for depth in [0usize, 1, 2] {
+    for depth in [pipeline_from_env(), 1, 2] {
         let (got_bins, got_listing) = drive(parity_config(), depth);
         assert_eq!(got_bins, want_bins, "deltas diverged at depth {depth}");
         assert_eq!(
@@ -107,7 +107,7 @@ fn delta_fold_equals_post_hoc_extraction() {
     let (outage_start, outage_end) = ixp::outage_bins();
 
     let mut router = case.router();
-    let mut session = router.session(0);
+    let mut session = router.session(pipeline_from_env());
     let mut reports: Vec<FleetReport> = Vec::new();
     for bin in outage_start - 4..outage_end + 2 {
         let feeds = case.collect_bin(BinId(bin));

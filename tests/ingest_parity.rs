@@ -4,15 +4,16 @@
 //! feed slicing, and through intern-table compaction under key churn.
 //!
 //! The CI matrix re-runs this file with `PINPOINT_THREADS` ∈ {1, 2, 4, 8}
-//! × `PINPOINT_CHUNK` ∈ {3 records, default} on a multi-core runner; the
+//! × `PINPOINT_CHUNK` ∈ {3 records, default} × `PINPOINT_PIPELINE` ∈
+//! {2, 1} on a multi-core runner; the
 //! tests below additionally sweep chunk sizes internally, so every matrix
 //! point proves parity for several chunkings.
 
 mod common;
 
-use common::{assert_reports_identical, parity_config};
+use common::{assert_reports_identical, parity_config, pipeline_from_env};
 use pinpoint::core::aggregate::AsMapper;
-use pinpoint::core::{Analyzer, DetectorConfig};
+use pinpoint::core::{AnalysisSession, Analyzer, DetectorConfig};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{steady, Scale};
@@ -123,8 +124,9 @@ proptest! {
     }
 
     /// Incremental ingestion — the bin fed as arbitrary successive slices
-    /// through `begin_bin` / `ingest` / `finish_bin` — produces the exact
-    /// report of a batch `process_bin` over the concatenation.
+    /// through a session's `begin_bin` / `ingest` / `finish_bin` (at the
+    /// matrix-selected depth) — produces the exact report of a batch
+    /// `process_bin` over the concatenation.
     #[test]
     fn prop_incremental_ingest_matches_batch(
         cut_a in 0u32..12,
@@ -146,14 +148,20 @@ proptest! {
         cuts.sort_unstable();
         let mut batch = chunked_analyzer(2);
         let mut streamed = chunked_analyzer(2);
+        let mut session = streamed.session(pipeline_from_env());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
         for bin in 0..2u64 {
-            let want = batch.process_bin(BinId(bin), &records);
-            streamed.begin_bin(BinId(bin));
-            streamed.ingest(&records[..cuts[0]]);
-            streamed.ingest(&records[cuts[0]..cuts[1]]);
-            streamed.ingest(&records[cuts[1]..]);
-            let got = streamed.finish_bin();
-            assert_reports_identical(&got, &want, &format!("bin {bin} cuts {cuts:?}"));
+            want.push(batch.process_bin(BinId(bin), &records));
+            session.begin_bin(BinId(bin));
+            session.ingest(&records[..cuts[0]]);
+            session.ingest(&records[cuts[0]..cuts[1]]);
+            session.ingest(&records[cuts[1]..]);
+            got.extend(session.finish_bin());
+        }
+        got.extend(session.flush());
+        prop_assert_eq!(got.len(), want.len());
+        for (got, want) in got.iter().zip(&want) {
+            assert_reports_identical(got, want, &format!("bin {:?} cuts {cuts:?}", want.bin));
         }
     }
 }
@@ -312,34 +320,4 @@ fn matrix_env_misconfiguration_panics_with_contract() {
     // Valid values parse, including surrounding whitespace.
     assert_eq!(common::parse_matrix_var("PINPOINT_THREADS", " 4 ", "x"), 4);
     assert_eq!(common::parse_matrix_var("PINPOINT_CHUNK", "0", "x"), 0);
-}
-
-/// `PINPOINT_RADIX` speaks modes as well as numbers; both the word map
-/// and the misconfiguration contract must hold.
-#[test]
-fn radix_env_modes_parse_and_garbage_panics_with_contract() {
-    assert_eq!(common::parse_radix_mode("PINPOINT_RADIX", "on"), 1);
-    assert_eq!(
-        common::parse_radix_mode("PINPOINT_RADIX", "off"),
-        usize::MAX
-    );
-    assert_eq!(common::parse_radix_mode("PINPOINT_RADIX", "auto"), 0);
-    assert_eq!(common::parse_radix_mode("PINPOINT_RADIX", ""), 0);
-    assert_eq!(common::parse_radix_mode("PINPOINT_RADIX", " 128 "), 128);
-    for garbage in ["fast", "On", "-1", "yes"] {
-        let result =
-            std::panic::catch_unwind(|| common::parse_radix_mode("PINPOINT_RADIX", garbage));
-        let err = result.expect_err("garbage radix mode must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap_or(&"").to_string());
-        assert!(
-            msg.contains("PINPOINT_RADIX")
-                && msg.contains(garbage)
-                && msg.contains("`off`")
-                && msg.contains("cargo test"),
-            "panic message not actionable: {msg:?}"
-        );
-    }
 }

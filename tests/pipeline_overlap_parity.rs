@@ -1,4 +1,4 @@
-//! Cross-bin pipelined-executor parity tests: the depth-2 pipeline —
+//! Bin-executor parity tests: the depth-2 schedule of `session(depth)` —
 //! bin *n*'s delay + forwarding shard jobs overlapped with bin *n+1*'s
 //! scatter chunks on one worker herd — must be *byte-for-byte* equivalent
 //! to the serial schedule for any thread count, any scatter chunk size,
@@ -10,14 +10,16 @@
 //! Like the other parity suites, the CI matrix re-runs this file under
 //! `PINPOINT_THREADS` × `PINPOINT_CHUNK` × `PINPOINT_PIPELINE`; the tests
 //! additionally sweep depth {1, 2} (and the env-selected depth via
-//! `parity_config`) internally, so every matrix point proves several
+//! `pipeline_from_env`) internally, so every matrix point proves several
 //! schedules.
 
 mod common;
 
-use common::{assert_reports_identical, parity_config};
+use common::{assert_reports_identical, parity_config, pipeline_from_env};
 use pinpoint::core::aggregate::AsMapper;
-use pinpoint::core::{Analyzer, BinReport, DetectorConfig, FleetReport, StreamRouter};
+use pinpoint::core::{
+    AnalysisSession, Analyzer, BinReport, DetectorConfig, FleetReport, StreamRouter,
+};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{ixp, Scale};
@@ -30,7 +32,7 @@ fn mapper() -> AsMapper {
     ])
 }
 
-/// Drive a bin stream through the pipelined executor and collect the
+/// Drive a bin stream through a `session(depth)` and collect the
 /// in-order reports.
 fn drive(
     analyzer: &mut Analyzer,
@@ -38,11 +40,11 @@ fn drive(
     bins: &[(BinId, Vec<TracerouteRecord>)],
 ) -> Vec<BinReport> {
     let mut out = Vec::new();
-    let mut driver = analyzer.pipelined(depth);
+    let mut session = analyzer.session(depth);
     for (bin, records) in bins {
-        out.extend(driver.push_bin(*bin, records));
+        out.extend(session.push_bin(*bin, records));
     }
-    out.extend(driver.finish());
+    out.extend(session.flush());
     out
 }
 
@@ -165,9 +167,8 @@ fn pipelined_analyzer_matches_serial_through_ixp_outage() {
         "the outage fired no alarms — parity would only be proven on quiet bins"
     );
 
-    // Depth 0 resolves through the env-selected cfg.pipeline_depth, so
-    // the CI PINPOINT_PIPELINE axis lands exactly here.
-    for depth in [0usize, 1, 2] {
+    // The CI PINPOINT_PIPELINE axis lands exactly here.
+    for depth in [pipeline_from_env(), 1, 2] {
         let mut pipelined = Analyzer::new(parity_config(), case.mapper.clone());
         let got = drive(&mut pipelined, depth, &bins);
         assert_streams_identical(&got, &want, &format!("ixp depth {depth}"));
@@ -298,7 +299,7 @@ fn fleet(cfg: &DetectorConfig) -> StreamRouter {
 }
 
 /// Fleet parity across depths: a 3-stream [`StreamRouter`] driven through
-/// the fleet pipelined executor — two-lane waves carrying every stream's
+/// a fleet session — two-lane waves carrying every stream's
 /// shard jobs AND every stream's next-bin scatter chunks — must match the
 /// sequential fleet path byte for byte through an alarm-firing event bin,
 /// an empty bin, and a churn stream whose compaction forces the fleet
@@ -326,18 +327,16 @@ fn pipelined_fleet_matches_serial() {
         "no forwarding alarm in the fleet schedule"
     );
 
-    // Depth 0 resolves through the streams' env-selected
-    // cfg.pipeline_depth (parity_config set it from PINPOINT_PIPELINE),
-    // so the CI axis reaches the fleet path through the documented knob.
-    for depth in [0usize, 1, 2] {
+    // The CI PINPOINT_PIPELINE axis reaches the fleet path here.
+    for depth in [pipeline_from_env(), 1, 2] {
         let mut router = fleet(&cfg);
         let mut got = Vec::new();
         {
-            let mut driver = router.pipelined(depth);
+            let mut session = router.session(depth);
             for (bin, feeds) in &bins {
-                got.extend(driver.push_bin(*bin, feeds));
+                got.extend(session.push_bin(*bin, feeds));
             }
-            got.extend(driver.finish());
+            got.extend(session.flush());
         }
         assert_eq!(got.len(), want.len(), "depth {depth}: report count");
         for (a, b) in got.iter().zip(&want) {
@@ -388,28 +387,125 @@ fn pipelined_parity_across_local_thread_and_chunk_sweep() {
     }
 }
 
+/// A solo analyzer and a one-stream fleet whose herds have two workers,
+/// so `session(2)` really is the overlapped schedule on any host.
+fn two_worker_pair() -> (Analyzer, StreamRouter) {
+    let mut cfg = DetectorConfig::fast_test();
+    cfg.threads = 2;
+    let mut router = StreamRouter::new();
+    router.add_stream("only", Analyzer::new(cfg.clone(), mapper()));
+    router.set_threads(2);
+    (Analyzer::new(cfg, mapper()), router)
+}
+
+/// A labelled scenario that feeds a session a non-increasing bin.
+type RewindCase = (&'static str, Box<dyn FnOnce()>);
+
+/// Every case must panic with the increasing-order message; the last
+/// payload is re-raised so the calling `#[should_panic]` test sees it.
+fn assert_each_rewind_panics(cases: Vec<RewindCase>) -> ! {
+    let mut last = None;
+    for (label, case) in cases {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case))
+            .expect_err(&format!("{label}: a rewound bin clock must panic"));
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            msg.contains("increasing order"),
+            "{label}: panicked with {msg:?}"
+        );
+        last = Some(payload);
+    }
+    std::panic::resume_unwind(last.expect("at least one case"))
+}
+
 /// The increasing-order contract holds at every depth — including depth
-/// 1, where no bin is ever pending, and after a `finish()` drain: a
-/// regressed bin clock must panic, not silently rewind the references.
+/// 1, where no bin is ever pending: a regressed or repeated bin clock
+/// must panic, not silently rewind the references — on a solo session
+/// (`push_bin` and `begin_bin`) and on a fleet session alike.
 #[test]
 #[should_panic(expected = "increasing order")]
 fn regressed_bin_clock_panics_even_at_depth_1() {
-    let mut analyzer = Analyzer::new(DetectorConfig::fast_test(), mapper());
-    let mut driver = analyzer.pipelined(1);
-    driver.push_bin(BinId(5), &delay_records(5, false));
-    driver.push_bin(BinId(3), &delay_records(3, false));
+    assert_each_rewind_panics(vec![
+        (
+            "solo push",
+            Box::new(|| {
+                let (mut analyzer, _) = two_worker_pair();
+                let mut session = analyzer.session(1);
+                session.push_bin(BinId(5), &delay_records(5, false));
+                session.push_bin(BinId(3), &delay_records(3, false));
+            }),
+        ),
+        (
+            "solo repeated bin via begin_bin",
+            Box::new(|| {
+                let (mut analyzer, _) = two_worker_pair();
+                let mut session = analyzer.session(1);
+                session.push_bin(BinId(5), &delay_records(5, false));
+                session.begin_bin(BinId(5));
+            }),
+        ),
+        (
+            "fleet push",
+            Box::new(|| {
+                let (_, mut router) = two_worker_pair();
+                let mut session = router.session(1);
+                session.push_bin(BinId(5), &[delay_records(5, false)]);
+                session.push_bin(BinId(3), &[delay_records(3, false)]);
+            }),
+        ),
+    ])
 }
 
-/// Same contract across a `finish()` flush at depth 2 (`pending` is
-/// empty again, but the clock must not rewind).
+/// Same contract at depth 2 across a `flush()` and a `checkpoint()`
+/// drain (`pending` is empty again, but the clock must not rewind).
 #[test]
 #[should_panic(expected = "increasing order")]
 fn regressed_bin_clock_panics_after_finish() {
-    let mut analyzer = Analyzer::new(DetectorConfig::fast_test(), mapper());
-    let mut driver = analyzer.pipelined(2);
-    driver.push_bin(BinId(5), &delay_records(5, false));
-    driver.finish();
-    driver.push_bin(BinId(4), &delay_records(4, false));
+    assert_each_rewind_panics(vec![
+        (
+            "solo after flush",
+            Box::new(|| {
+                let (mut analyzer, _) = two_worker_pair();
+                let mut session = analyzer.session(2);
+                session.push_bin(BinId(5), &delay_records(5, false));
+                session.flush();
+                session.push_bin(BinId(4), &delay_records(4, false));
+            }),
+        ),
+        (
+            "solo after checkpoint",
+            Box::new(|| {
+                let (mut analyzer, _) = two_worker_pair();
+                let mut session = analyzer.session(2);
+                session.push_bin(BinId(5), &delay_records(5, false));
+                session.checkpoint();
+                session.begin_bin(BinId(4));
+            }),
+        ),
+        (
+            "fleet after flush",
+            Box::new(|| {
+                let (_, mut router) = two_worker_pair();
+                let mut session = router.session(2);
+                session.push_bin(BinId(5), &[delay_records(5, false)]);
+                session.flush();
+                session.push_bin(BinId(4), &[delay_records(4, false)]);
+            }),
+        ),
+        (
+            "fleet after checkpoint",
+            Box::new(|| {
+                let (_, mut router) = two_worker_pair();
+                let mut session = router.session(2);
+                session.push_bin(BinId(5), &[delay_records(5, false)]);
+                session.checkpoint();
+                session.push_bin(BinId(5), &[delay_records(5, false)]);
+            }),
+        ),
+    ])
 }
 
 /// The depth knob's contract: unsupported depths must fail loudly in the

@@ -5,11 +5,12 @@
 //! identically: the CI matrix re-runs this file under `PINPOINT_THREADS`
 //! × `PINPOINT_CHUNK` × `PINPOINT_PIPELINE` like the parity suites.
 
+#[allow(dead_code)]
 mod common;
 
 use common::{assert_reports_identical, parity_config};
 use pinpoint::core::aggregate::AsMapper;
-use pinpoint::core::{Analyzer, BinReport, DetectorConfig, SanitizeStats};
+use pinpoint::core::{AnalysisSession, Analyzer, BinReport, DetectorConfig, SanitizeStats};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::netsim::ArtifactModel;
@@ -44,38 +45,32 @@ fn run_batch(
     (reports, a.sanitize_stats())
 }
 
-/// Feed the same stream incrementally, `chunk` records per `ingest` call.
-fn run_chunked(
-    cfg: &DetectorConfig,
-    bins: &[Vec<TracerouteRecord>],
-    chunk: usize,
-) -> (Vec<BinReport>, SanitizeStats) {
-    let mut a = analyzer_with(cfg);
-    let mut reports = Vec::new();
-    for (i, records) in bins.iter().enumerate() {
-        a.begin_bin(BinId(i as u64));
-        for slice in records.chunks(chunk.max(1)) {
-            a.ingest(slice);
-        }
-        reports.push(a.finish_bin());
-    }
-    (reports, a.sanitize_stats())
-}
-
-/// Feed the same stream through the cross-bin pipelined executor.
-fn run_pipelined(
+/// Feed the same stream through a `session(depth)`: whole bins via
+/// `push_bin` when `slice` is 0, otherwise incrementally, `slice` records
+/// per `ingest` call.
+fn run_session(
     cfg: &DetectorConfig,
     bins: &[Vec<TracerouteRecord>],
     depth: usize,
+    slice: usize,
 ) -> (Vec<BinReport>, SanitizeStats) {
     let mut a = analyzer_with(cfg);
     let mut reports = Vec::new();
     {
-        let mut driver = a.pipelined(depth);
+        let mut session = a.session(depth);
         for (i, records) in bins.iter().enumerate() {
-            reports.extend(driver.push_bin(BinId(i as u64), records));
+            let bin = BinId(i as u64);
+            if slice == 0 {
+                reports.extend(session.push_bin(bin, records));
+                continue;
+            }
+            session.begin_bin(bin);
+            for part in records.chunks(slice) {
+                session.ingest(part);
+            }
+            reports.extend(session.finish_bin());
         }
-        reports.extend(driver.finish());
+        reports.extend(session.flush());
     }
     (reports, a.sanitize_stats())
 }
@@ -85,10 +80,10 @@ fn run_pipelined(
 fn assert_all_paths_agree(cfg: &DetectorConfig, bins: &[Vec<TracerouteRecord>], ctx: &str) {
     let (want, want_stats) = run_batch(cfg, bins);
     for (label, (got, got_stats)) in [
-        ("chunked(1)", run_chunked(cfg, bins, 1)),
-        ("chunked(7)", run_chunked(cfg, bins, 7)),
-        ("pipelined(1)", run_pipelined(cfg, bins, 1)),
-        ("pipelined(2)", run_pipelined(cfg, bins, 2)),
+        ("chunked(1)", run_session(cfg, bins, 1, 1)),
+        ("chunked(7)", run_session(cfg, bins, 2, 7)),
+        ("pipelined(1)", run_session(cfg, bins, 1, 0)),
+        ("pipelined(2)", run_session(cfg, bins, 2, 0)),
     ] {
         assert_eq!(got.len(), want.len(), "{ctx}/{label}: report count");
         for (a, b) in got.iter().zip(&want) {

@@ -10,7 +10,7 @@
 #[allow(dead_code)]
 mod common;
 
-use common::parity_config;
+use common::{parity_config, pipeline_from_env};
 use pinpoint::core::render;
 use pinpoint::model::records::TracerouteRecord;
 use pinpoint::model::BinId;
@@ -62,7 +62,7 @@ fn daemon_replay_is_byte_identical_to_offline_pipelined() {
     let mut offline: BTreeMap<u64, String> = BTreeMap::new();
     let mut table = pinpoint::core::EventTable::new();
     let mut analyzer = case.analyzer();
-    runner::run_pipelined(&case, &mut analyzer, 0, |report| {
+    runner::run_pipelined(&case, &mut analyzer, pipeline_from_env(), |report| {
         table.absorb(&report.events);
         offline.insert(report.bin.0, render::bin_report(report).to_string());
     });
@@ -73,8 +73,11 @@ fn daemon_replay_is_byte_identical_to_offline_pipelined() {
 
     // Live replay of the identical feed.
     let feed = case.platform.collect_bins(case.start_bin, case.end_bin);
-    let daemon = Daemon::spawn(ServiceConfig::default(), case.analyzer(), feed.into_iter())
-        .expect("daemon spawns");
+    let cfg = ServiceConfig {
+        depth: pipeline_from_env(),
+        ..ServiceConfig::default()
+    };
+    let daemon = Daemon::spawn(cfg, case.analyzer(), feed.into_iter()).expect("daemon spawns");
     let addr = daemon.local_addr();
     daemon.state().wait_done();
 

@@ -9,7 +9,7 @@
 #[allow(dead_code)]
 mod common;
 
-use common::parity_config;
+use common::{parity_config, pipeline_from_env};
 use pinpoint::core::render;
 use pinpoint::core::session::AnalysisSession;
 use pinpoint::core::{Analyzer, EventTable};
@@ -213,7 +213,7 @@ fn daemon_over_faulty_feed_matches_offline_recovered_run() {
     let mut table = EventTable::new();
     let mut analyzer = case.analyzer();
     {
-        let mut session = analyzer.session(0);
+        let mut session = analyzer.session(pipeline_from_env());
         let recovered =
             RecoveredFeed::new(FaultyFeed::new(feed.clone().into_iter(), model.clone()));
         let mut fold = |report: pinpoint::core::BinReport| {
@@ -239,6 +239,7 @@ fn daemon_over_faulty_feed_matches_offline_recovered_run() {
     let cfg = ServiceConfig {
         retry_base_ms: 1,
         retry_cap_ms: 4,
+        depth: pipeline_from_env(),
         ..ServiceConfig::default()
     };
     let signals = FaultyFeed::new(feed.into_iter(), model).map(|event| match event {
@@ -293,7 +294,7 @@ fn checkpoint_resume_reports_are_byte_identical() {
     let mut table = EventTable::new();
     let mut analyzer = case.analyzer();
     {
-        let mut session = analyzer.session(0);
+        let mut session = analyzer.session(pipeline_from_env());
         let mut fold = |report: pinpoint::core::BinReport| {
             table.absorb(&report.events);
             reference.insert(report.bin.0, render::bin_report(&report).to_string());
@@ -315,6 +316,7 @@ fn checkpoint_resume_reports_are_byte_identical() {
     let cfg = ServiceConfig {
         checkpoint_every: 2,
         checkpoint_dir: Some(dir.clone()),
+        depth: pipeline_from_env(),
         ..ServiceConfig::default()
     };
     let partial: Vec<_> = feed.iter().filter(|(b, _)| b.0 < cut).cloned().collect();
@@ -340,13 +342,12 @@ fn checkpoint_resume_reports_are_byte_identical() {
     let restored = Analyzer::restore_with(&snapshot, |c| {
         c.threads = knobs.threads;
         c.ingest_chunk_records = knobs.ingest_chunk_records;
-        c.pipeline_depth = knobs.pipeline_depth;
-        c.radix_min_keys = knobs.radix_min_keys;
     })
     .expect("checkpoint restores");
 
     let cfg = ServiceConfig {
         resume_from: Some(last_bin),
+        depth: pipeline_from_env(),
         ..ServiceConfig::default()
     };
     // Replay overlaps the checkpoint on purpose: the collector must

@@ -8,6 +8,7 @@
 //! sorted or dense-id order — see `pinpoint_core::snapshot`) makes the
 //! bytes themselves stable across that matrix too.
 
+#[allow(dead_code)]
 mod common;
 
 use common::{assert_reports_identical, parity_config};
@@ -150,8 +151,6 @@ fn restore_at_every_cut_resumes_byte_identical() {
         let mut pinned = Analyzer::restore_with(&bytes, |c| {
             c.threads = cfg.threads;
             c.ingest_chunk_records = cfg.ingest_chunk_records;
-            c.pipeline_depth = cfg.pipeline_depth;
-            c.radix_min_keys = cfg.radix_min_keys;
         })
         .expect("restore_with");
         for ((bin, records), reference) in bins[cut..].iter().zip(&want[cut..]) {
@@ -162,34 +161,34 @@ fn restore_at_every_cut_resumes_byte_identical() {
 }
 
 /// The snapshot determinism rule: the same analytic state must yield the
-/// same bytes no matter which thread count, chunk size, or radix mode
-/// produced it — and re-snapshotting a restored analyzer reproduces the
+/// same bytes no matter which thread count, chunk size, or pipeline
+/// depth produced it — and re-snapshotting a restored analyzer reproduces the
 /// bytes exactly (the codec round-trips losslessly).
 #[test]
 fn snapshot_bytes_are_identical_across_the_scheduling_matrix() {
     let bins = schedule();
     let mut reference_bytes: Option<Vec<u8>> = None;
-    for (threads, chunk, radix) in [
-        (1usize, 0usize, 0usize),
-        (2, 3, 1),
-        (3, 1, usize::MAX),
-        (5, 7, 0),
+    for (threads, chunk, depth) in [
+        (1usize, 0usize, 1usize),
+        (2, 3, 2),
+        (3, 1, 1),
+        (5, 7, 2),
         (0, 0, 0),
     ] {
         let mut cfg = DetectorConfig::fast_test();
         cfg.threads = threads;
         cfg.ingest_chunk_records = chunk;
-        cfg.radix_min_keys = radix;
         let mut analyzer = Analyzer::new(cfg, mapper());
+        let mut session = analyzer.session(depth);
         for (bin, records) in &bins {
-            analyzer.process_bin(*bin, records);
+            session.push_bin(*bin, records);
         }
-        let bytes = analyzer.snapshot();
+        let bytes = session.checkpoint().1;
         match &reference_bytes {
             None => reference_bytes = Some(bytes),
             Some(want) => assert_eq!(
                 &bytes, want,
-                "snapshot bytes diverged at threads={threads} chunk={chunk} radix={radix}"
+                "snapshot bytes diverged at threads={threads} chunk={chunk} depth={depth}"
             ),
         }
     }
@@ -242,8 +241,6 @@ fn session_checkpoint_resumes_through_ixp_outage() {
         let mut tail = Analyzer::restore_with(&bytes, |c| {
             c.threads = cfg.threads;
             c.ingest_chunk_records = cfg.ingest_chunk_records;
-            c.pipeline_depth = cfg.pipeline_depth;
-            c.radix_min_keys = cfg.radix_min_keys;
         })
         .expect("restore");
         let mut session = tail.session(depth);

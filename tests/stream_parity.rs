@@ -10,9 +10,11 @@
 
 mod common;
 
-use common::{assert_reports_identical, parity_config, threads_from_env};
+use common::{assert_reports_identical, parity_config, pipeline_from_env, threads_from_env};
 use pinpoint::core::aggregate::AsMapper;
-use pinpoint::core::{Analyzer, DetectorConfig, FleetReport, StreamRouter};
+use pinpoint::core::{
+    AnalysisSession, Analyzer, BinReport, DetectorConfig, FleetReport, StreamRouter,
+};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{ixp, multi, Scale};
@@ -157,53 +159,104 @@ fn fleet_parity_across_thread_counts() {
 #[test]
 fn fleet_merge_is_lossless_over_disjoint_streams() {
     // A fleet over disjoint streams must equal running each analyzer
-    // alone: same per-stream reports, merged severities = the sums.
-    let cfg = parity_config();
-    let mut router = fleet(&cfg, threads_from_env());
-    let mut solo: Vec<Analyzer> = (0..3)
-        .map(|_| Analyzer::new(cfg.clone(), mapper()))
-        .collect();
-    for analyzer in &mut solo {
-        analyzer.register_ases([Asn(64500), Asn(64501)]);
-    }
-    for b in 0..12u64 {
-        let event = b == 11;
-        let feeds = fleet_feeds(b, event);
-        let fleet_report = router.process_bin(BinId(b), &feeds);
-        for (i, analyzer) in solo.iter_mut().enumerate() {
-            let solo_report = analyzer.process_bin(BinId(b), &feeds[i]);
-            assert_reports_identical(
-                &fleet_report.streams[i],
-                &solo_report,
-                &format!("bin {b} stream {i}"),
-            );
+    // alone: same per-stream reports, merged severities = the sums — on
+    // the matrix-selected point, and through `session(d)` at both depths
+    // on a two-worker herd (where depth 2 really overlaps), so "the fleet
+    // and the solo analyzer run the same schedule" is asserted at every
+    // depth. The last case is a fleet of ONE stream, which must equal the
+    // solo analyzer byte for byte, merged view and event deltas included.
+    let mut two_workers = parity_config();
+    two_workers.threads = 2;
+    for (cfg, threads, depth, streams) in [
+        (
+            parity_config(),
+            threads_from_env(),
+            pipeline_from_env(),
+            3usize,
+        ),
+        (two_workers.clone(), 2, 1, 3),
+        (two_workers.clone(), 2, 2, 3),
+        (two_workers.clone(), 2, 1, 1),
+        (two_workers, 2, 2, 1),
+    ] {
+        let ctx = format!("threads {threads} depth {depth} streams {streams}");
+        let mut router = StreamRouter::with_magnitude_window(cfg.magnitude_window_bins);
+        let mut solo: Vec<Analyzer> = Vec::new();
+        for i in 0..streams {
+            router.add_stream(format!("stream-{i}"), Analyzer::new(cfg.clone(), mapper()));
+            solo.push(Analyzer::new(cfg.clone(), mapper()));
         }
-        // Merged raw severities are exactly the per-stream sums.
-        for (asn, merged) in &fleet_report.magnitudes {
-            let dsum: f64 = fleet_report
-                .streams
-                .iter()
-                .filter_map(|r| r.magnitude(*asn))
-                .map(|m| m.delay_severity)
-                .sum();
-            let fsum: f64 = fleet_report
-                .streams
-                .iter()
-                .filter_map(|r| r.magnitude(*asn))
-                .map(|m| m.forwarding_severity)
-                .sum();
-            assert!(
-                (merged.delay_severity - dsum).abs() < 1e-12,
-                "bin {b} {asn}"
-            );
-            assert!(
-                (merged.forwarding_severity - fsum).abs() < 1e-12,
-                "bin {b} {asn}"
-            );
+        router.set_threads(threads);
+        router.register_ases([Asn(64500), Asn(64501)]);
+        for analyzer in &mut solo {
+            analyzer.register_ases([Asn(64500), Asn(64501)]);
         }
+
+        let mut fleet_reports: Vec<FleetReport> = Vec::new();
+        let mut solo_reports: Vec<Vec<BinReport>> = (0..streams).map(|_| Vec::new()).collect();
+        {
+            let mut fleet_session = router.session(depth);
+            let mut solo_sessions: Vec<_> = solo.iter_mut().map(|a| a.session(depth)).collect();
+            for b in 0..12u64 {
+                let mut feeds = fleet_feeds(b, b == 11);
+                feeds.truncate(streams);
+                fleet_reports.extend(fleet_session.push_bin(BinId(b), &feeds));
+                for ((session, out), feed) in
+                    solo_sessions.iter_mut().zip(&mut solo_reports).zip(&feeds)
+                {
+                    out.extend(session.push_bin(BinId(b), feed));
+                }
+            }
+            fleet_reports.extend(fleet_session.flush());
+            for (session, out) in solo_sessions.iter_mut().zip(&mut solo_reports) {
+                out.extend(session.flush());
+            }
+        }
+
+        assert_eq!(fleet_reports.len(), 12, "{ctx}: report count");
+        for (b, fleet_report) in fleet_reports.iter().enumerate() {
+            for (i, reports) in solo_reports.iter().enumerate() {
+                assert_reports_identical(
+                    &fleet_report.streams[i],
+                    &reports[b],
+                    &format!("{ctx} bin {b} stream {i}"),
+                );
+            }
+            if streams == 1 {
+                let solo_report = &solo_reports[0][b];
+                assert_eq!(
+                    fleet_report.magnitudes, solo_report.magnitudes,
+                    "{ctx} bin {b}"
+                );
+                assert_eq!(fleet_report.events, solo_report.events, "{ctx} bin {b}");
+            }
+            // Merged raw severities are exactly the per-stream sums.
+            for (asn, merged) in &fleet_report.magnitudes {
+                let dsum: f64 = fleet_report
+                    .streams
+                    .iter()
+                    .filter_map(|r| r.magnitude(*asn))
+                    .map(|m| m.delay_severity)
+                    .sum();
+                let fsum: f64 = fleet_report
+                    .streams
+                    .iter()
+                    .filter_map(|r| r.magnitude(*asn))
+                    .map(|m| m.forwarding_severity)
+                    .sum();
+                assert!(
+                    (merged.delay_severity - dsum).abs() < 1e-12,
+                    "{ctx} bin {b} {asn}"
+                );
+                assert!(
+                    (merged.forwarding_severity - fsum).abs() < 1e-12,
+                    "{ctx} bin {b} {asn}"
+                );
+            }
+        }
+        let solo_links: usize = solo.iter().map(Analyzer::tracked_links).sum();
+        assert_eq!(router.tracked_links(), solo_links, "{ctx}");
     }
-    let solo_links: usize = solo.iter().map(Analyzer::tracked_links).sum();
-    assert_eq!(router.tracked_links(), solo_links);
 }
 
 /// Link-churn feed: each bin, a fresh set of links appears (three probes
