@@ -197,13 +197,10 @@ impl Platform {
         })
     }
 
-    /// Pre-materialize a window of bins — the feed shape the cross-bin
-    /// pipelined executor wants when measuring pure engine overlap: with
-    /// every bin's records already collected, the only serial work
-    /// between two-lane waves is the intern merge, so bin *n+1*'s scatter
-    /// genuinely hides behind bin *n*'s analysis instead of waiting on
-    /// the simulator. (The lazy [`Platform::stream`] works too; it just
-    /// re-enters the simulator between waves.)
+    /// Pre-materialize a window of bins — the feed shape for replaying
+    /// one window several times, or timing the engine without the
+    /// simulator in the loop. (The lazy [`Platform::stream`] works too;
+    /// it re-enters the simulator between bins.)
     pub fn collect_bins(&self, first: BinId, last: BinId) -> Vec<(BinId, Vec<TracerouteRecord>)> {
         self.stream(first, last).collect()
     }

@@ -7,7 +7,7 @@
 //! usage: pipeline_bench [--seed=N] [--reps=N] [--out=PATH] [--check=PATH]
 //! ```
 //!
-//! Thirteen workloads run: the steady scenario's Small bin (faithful
+//! Twelve workloads run: the steady scenario's Small bin (faithful
 //! simulator output), a synthetic Atlas-scale delay-heavy bin (hundreds
 //! of diversity-passing links), a forwarding-heavy bin (~1200 next-hop
 //! patterns, links below the diversity floor), a mixed bin driving both
@@ -15,9 +15,7 @@
 //! through one `StreamRouter` pool (every stream's §4 and §5 shards on the
 //! same workers), a scatter-dominated `ingest_heavy` bin (long responsive
 //! paths, ~200k samples, almost no per-key analysis) that isolates the
-//! chunked-ingestion layer, a `pipelined_stream` of mixed bins timing
-//! the cross-bin pipelined executor at depth 1 vs depth 2 (ingestion of
-//! bin *n+1* overlapped with analysis of bin *n*), and an
+//! chunked-ingestion layer, an
 //! `artifact_heavy` bin — the mixed workload corrupted by a hostile
 //! `ArtifactModel` — that times the record sanitizer's front-door pass in
 //! isolation (`sanitize_ms`) and records how many records it quarantined
@@ -29,8 +27,8 @@
 //! mark (`queue_peak`, asserted ≤ capacity), and an `event_extraction`
 //! workload that replays the three-stream AMS-IX outage with the empathy
 //! extractor live in the merge funnel, parity-gates the incremental
-//! event deltas byte-for-byte across pipeline depths, and records the
-//! events and deltas the channel carried, a grouping-bound
+//! event deltas byte-for-byte against the sequential reference, and
+//! records the events and deltas the channel carried, a grouping-bound
 //! `grouping_heavy` bin (a horde of single-sample probes, so the
 //! per-shard `(link, probe)` key sort — the LSD radix grouping path —
 //! is the bill), a characterization-bound `characterize_heavy` bin
@@ -210,113 +208,6 @@ fn time_sanitize(work: &[TracerouteRecord], reps: usize) -> f64 {
     pinpoint_stats::median(&samples).expect("reps >= 1")
 }
 
-/// Time a stream of bins through the cross-bin pipelined executor at
-/// depths 1 and 2, with the whole-stream passes interleaved (d1, d2,
-/// d1, d2, …) so environmental drift cannot bias one depth's numbers.
-/// Each depth keeps its own warmed analyzer whose bin clock advances
-/// across passes, like the deployment's endless feed. Returns
-/// `(depth1_ms, depth2_ms)` medians per bin.
-fn time_pipelined_pair(
-    mapper: &AsMapper,
-    bins: &[Vec<TracerouteRecord>],
-    reps: usize,
-) -> (f64, f64) {
-    let work = &bins[1..];
-    let mut arms: Vec<(usize, Analyzer, Vec<f64>)> = [1usize, 2]
-        .into_iter()
-        .map(|depth| {
-            let mut analyzer = Analyzer::new(DetectorConfig::default(), mapper.clone());
-            analyzer.process_bin(BinId(0), &bins[0]);
-            (depth, analyzer, Vec::with_capacity(reps))
-        })
-        .collect();
-    for rep in 0..reps {
-        let base = 1 + rep as u64 * work.len() as u64;
-        for (depth, analyzer, samples) in &mut arms {
-            let t = Instant::now();
-            let mut session = analyzer.session(*depth);
-            for (i, records) in work.iter().enumerate() {
-                std::hint::black_box(session.push_bin(BinId(base + i as u64), records));
-            }
-            std::hint::black_box(session.flush());
-            samples.push(t.elapsed().as_secs_f64() * 1e3 / work.len() as f64);
-        }
-    }
-    let median =
-        |arm: &(usize, Analyzer, Vec<f64>)| pinpoint_stats::median(&arm.2).expect("reps >= 1");
-    (median(&arms[0]), median(&arms[1]))
-}
-
-/// The pipelined-executor workload: parity-gate depth 2 against depth 1
-/// AND the plain serial engine bin by bin, then record depth-1 timings
-/// as `sequential_ms` and depth-2 as `parallel_ms` — so `speedup` is the
-/// overlap win of running bin *n+1*'s ingestion during bin *n*'s
-/// analysis (≈1.0 on a 1-core machine, where there is nothing to overlap
-/// with).
-fn run_pipelined_workload(
-    name: &str,
-    mapper: &AsMapper,
-    bins: &[Vec<TracerouteRecord>],
-    reps: usize,
-) -> WorkloadResult {
-    let work = &bins[1..];
-    let mut serial = Analyzer::new(DetectorConfig::default(), mapper.clone());
-    serial.process_bin(BinId(0), &bins[0]);
-    let want: Vec<_> = work
-        .iter()
-        .enumerate()
-        .map(|(i, records)| serial.process_bin(BinId(1 + i as u64), records))
-        .collect();
-    let mut intern_inserts = 0;
-    for depth in [1usize, 2] {
-        let mut analyzer = Analyzer::new(DetectorConfig::default(), mapper.clone());
-        analyzer.process_bin(BinId(0), &bins[0]);
-        let mut got = Vec::new();
-        {
-            let mut session = analyzer.session(depth);
-            for (i, records) in work.iter().enumerate() {
-                got.extend(session.push_bin(BinId(1 + i as u64), records));
-            }
-            got.extend(session.flush());
-        }
-        assert_eq!(got.len(), want.len(), "{name}: depth {depth} lost reports");
-        for (a, b) in got.iter().zip(&want) {
-            assert_eq!(a.bin, b.bin, "{name}: depth {depth} reordered bins");
-            assert_eq!(
-                a.delay_alarms, b.delay_alarms,
-                "{name}: pipelined parity broke (depth {depth})"
-            );
-            assert_eq!(
-                a.forwarding_alarms, b.forwarding_alarms,
-                "{name}: pipelined parity broke (depth {depth})"
-            );
-            assert_eq!(
-                a.link_stats, b.link_stats,
-                "{name}: pipelined parity broke (depth {depth})"
-            );
-        }
-        intern_inserts = analyzer.ingest_stats().bin_insertions;
-    }
-
-    let (sequential_ms, parallel_ms) = time_pipelined_pair(mapper, bins, reps);
-    WorkloadResult {
-        name: name.to_string(),
-        records: work.iter().map(Vec::len).sum::<usize>() / work.len(),
-        links: want[0].link_stats.len(),
-        sequential_ms,
-        parallel_ms,
-        intern_inserts,
-        sanitize_ms: 0.0,
-        quarantined: 0,
-        e2e_latency_ms: 0.0,
-        queue_peak: 0,
-        events: 0,
-        event_deltas: 0,
-        snapshot_ms: 0.0,
-        snapshot_bytes: 0,
-    }
-}
-
 /// Build the bench fleet: one analyzer per stream on the default config.
 fn fleet(mapper: &AsMapper, streams: usize) -> StreamRouter {
     let mut router = StreamRouter::new();
@@ -425,7 +316,13 @@ fn run_multi_workload(
 /// bin (spawn → drained), so `speedup` reads as service overhead (≈1.0
 /// when the pipeline hides the queue hops). Additionally records the
 /// mean collect→report latency (`e2e_latency_ms`) and the high-water
-/// mark across both queues (`queue_peak`, asserted ≤ capacity). Parity
+/// mark across both queues (`queue_peak`, asserted ≤ capacity). The
+/// feed here is unpaced, so the latency is mostly time spent queued
+/// behind earlier bins. The 102 ms this row carried until PR 14 (1 hw
+/// thread; 58.6 ms re-run on 2) was that plus the one-bin report delay
+/// of the depth-2 session — report *n* waited for `push_bin(n+1)`; with
+/// reports leaving their own push it reads 40.7 ms (2 hw threads).
+/// Parity
 /// gate: every report the daemon caches must be byte-identical to the
 /// offline `render::bin_report` of the same stream.
 fn run_service_workload(
@@ -442,7 +339,6 @@ fn run_service_workload(
         for (i, records) in bins.iter().enumerate() {
             reports.extend(session.push_bin(BinId(i as u64), records));
         }
-        reports.extend(session.flush());
     }
     let links = reports.last().map_or(0, |r| r.link_stats.len());
     let want: Vec<String> = reports
@@ -465,7 +361,6 @@ fn run_service_workload(
         for (i, records) in bins.iter().enumerate() {
             std::hint::black_box(session.push_bin(BinId(i as u64), records));
         }
-        std::hint::black_box(session.flush());
         offline_samples.push(t.elapsed().as_secs_f64() * 1e3 / bins.len() as f64);
 
         let feed: Vec<(BinId, Vec<TracerouteRecord>)> = bins
@@ -525,12 +420,11 @@ fn run_service_workload(
 /// The event-extraction workload: the three-stream AMS-IX outage driven
 /// through a fleet session with the empathy extractor live. Parity gate:
 /// the per-bin event deltas (rendered exactly as `pinpointd` serves
-/// them) at pipeline depth 2 must be byte-for-byte identical to the
-/// serial depth-1 schedule, the delta folds must agree, and the window
-/// must yield at least one event. `sequential_ms` is the depth-1 fleet
-/// wall per bin, `parallel_ms` the depth-2 wall, so `speedup` is the
-/// cross-bin overlap win with event extraction in the merge funnel;
-/// `events` / `event_deltas` record what the channel carried.
+/// them) must be byte-for-byte identical to the sequential reference
+/// path's, the delta folds must agree, and the window must yield at
+/// least one event. `sequential_ms` is the sequential fleet wall per
+/// bin, `parallel_ms` the session's, like every other row; `events` /
+/// `event_deltas` record what the channel carried.
 fn run_event_workload(name: &str, seed: u64, reps: usize) -> WorkloadResult {
     let mut case = multi::case_study(seed, Scale::Small);
     case.cfg = DetectorConfig::fast_test();
@@ -539,53 +433,46 @@ fn run_event_workload(name: &str, seed: u64, reps: usize) -> WorkloadResult {
         .map(|b| (BinId(b), case.collect_bin(BinId(b))))
         .collect();
 
-    let drive = |depth: usize| {
+    // One pass over the window through either path: the rendered deltas
+    // and their fold.
+    let drive = |sequential: bool| {
         let mut router = case.router();
-        let mut session = router.session(depth);
         let mut deltas: Vec<String> = Vec::new();
         let mut table = EventTable::new();
-        let mut absorb = |report: &FleetReport, table: &mut EventTable| {
+        for (bin, feeds) in &bins {
+            let report = if sequential {
+                router.process_bin_sequential(*bin, feeds)
+            } else {
+                router.process_bin(*bin, feeds)
+            };
             table.absorb(&report.events);
             deltas.extend(report.events.iter().map(|e| render::event(e).to_string()));
-        };
-        for (bin, feeds) in &bins {
-            if let Some(report) = session.push_bin(*bin, feeds) {
-                absorb(&report, &mut table);
-            }
-        }
-        if let Some(report) = session.flush() {
-            absorb(&report, &mut table);
         }
         (deltas, table)
     };
-    let (want, table) = drive(1);
+    let (want, table) = drive(true);
     assert!(
         !table.is_empty(),
         "{name}: the outage window extracted no fleet events"
     );
-    let (got, got_table) = drive(2);
+    let (got, got_table) = drive(false);
     assert_eq!(
         got, want,
-        "{name}: event-delta parity broke across pipeline depths"
+        "{name}: event-delta parity broke against the sequential reference"
     );
     assert_eq!(
         got_table.ranked(),
         table.ranked(),
-        "{name}: the delta folds diverged across pipeline depths"
+        "{name}: the delta folds diverged from the sequential reference"
     );
 
-    // Interleave the depth passes (d1, d2, d1, d2, …) so environmental
-    // drift cannot bias one depth's median.
+    // Interleave the arms (sequential, session, sequential, …) so
+    // environmental drift cannot bias one arm's median.
     let mut samples = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
     for _ in 0..reps {
-        for (arm, depth) in [1usize, 2].into_iter().enumerate() {
-            let mut router = case.router();
+        for (arm, sequential) in [true, false].into_iter().enumerate() {
             let t = Instant::now();
-            let mut session = router.session(depth);
-            for (bin, feeds) in &bins {
-                std::hint::black_box(session.push_bin(*bin, feeds));
-            }
-            std::hint::black_box(session.flush());
+            std::hint::black_box(drive(sequential));
             samples[arm].push(t.elapsed().as_secs_f64() * 1e3 / bins.len() as f64);
         }
     }
@@ -616,7 +503,7 @@ fn run_event_workload(name: &str, seed: u64, reps: usize) -> WorkloadResult {
 
 /// The checkpoint-cadence workload: the mixed-bin stream driven once as
 /// a plain session (`sequential_ms` per bin) and once checkpointing
-/// after **every** bin — drain + `Analyzer::snapshot()` per push
+/// after **every** bin — one `Analyzer::snapshot()` per push
 /// (`parallel_ms` per bin), so `speedup` reads as checkpoint overhead
 /// (≤ 1.0; the gap is the price of crash-safety at its most aggressive
 /// cadence). The isolated `snapshot()` call is also timed on the warmed
@@ -639,7 +526,6 @@ fn run_checkpoint_workload(
         for (i, records) in bins.iter().enumerate() {
             reference.extend(session.push_bin(BinId(i as u64), records));
         }
-        reference.extend(session.flush());
     }
     let want: Vec<String> = reference
         .iter()
@@ -655,11 +541,8 @@ fn run_checkpoint_workload(
         let mut session = analyzer.session(0);
         for (i, records) in bins.iter().enumerate() {
             got.extend(session.push_bin(BinId(i as u64), records));
-            let (flushed, snapshot) = session.checkpoint();
-            got.extend(flushed);
-            last_snapshot = snapshot;
+            last_snapshot = session.checkpoint();
         }
-        got.extend(session.flush());
     }
     assert_eq!(got.len(), want.len(), "{name}: checkpointing lost reports");
     for (g, w) in got.iter().zip(&want) {
@@ -689,7 +572,7 @@ fn run_checkpoint_workload(
         for (i, records) in bins[..cut].iter().enumerate() {
             let _ = session.push_bin(BinId(i as u64), records);
         }
-        session.checkpoint().1
+        session.checkpoint()
     };
     let knobs = DetectorConfig::default();
     let mut resumed = Analyzer::restore_with(&mid_snapshot, |c| {
@@ -703,7 +586,6 @@ fn run_checkpoint_workload(
         for (i, records) in bins[cut..].iter().enumerate() {
             tail.extend(session.push_bin(BinId((cut + i) as u64), records));
         }
-        tail.extend(session.flush());
     }
     assert_eq!(tail.len(), want.len() - cut, "{name}: resume lost reports");
     for (g, w) in tail.iter().zip(&want[cut..]) {
@@ -728,7 +610,6 @@ fn run_checkpoint_workload(
         for (i, records) in bins.iter().enumerate() {
             std::hint::black_box(session.push_bin(BinId(i as u64), records));
         }
-        std::hint::black_box(session.flush());
         drop(session);
         plain_samples.push(t.elapsed().as_secs_f64() * 1e3 / bins.len() as f64);
 
@@ -739,7 +620,6 @@ fn run_checkpoint_workload(
             std::hint::black_box(session.push_bin(BinId(i as u64), records));
             std::hint::black_box(session.checkpoint());
         }
-        std::hint::black_box(session.flush());
         drop(session);
         ckpt_samples.push(t.elapsed().as_secs_f64() * 1e3 / bins.len() as f64);
 
@@ -885,22 +765,12 @@ fn main() {
         "ingest_heavy steady-state bin performed intern insertions"
     );
 
-    // Workload 7: a stream of mixed bins through the cross-bin pipelined
-    // executor — depth-1 (serial bins) timed against depth-2 (bin n+1's
-    // scatter chunks overlapped with bin n's shard jobs), parity-gated
-    // against the plain engine per bin. Bins share one key universe, so
-    // the steady-state zero-insertion guarantee holds through the
-    // pipeline too (recorded; the warm bin interns everything).
+    // The mixed-bin stream the service and checkpoint workloads replay.
     let stream_bins: Vec<Vec<TracerouteRecord>> = (0..5)
         .map(|b| mixed_bin(&spec, &fwd_spec, seed, b))
         .collect();
-    let pipelined_result = run_pipelined_workload("pipelined_stream", &mapper, &stream_bins, reps);
-    assert_eq!(
-        pipelined_result.intern_inserts, 0,
-        "pipelined_stream steady-state bin performed intern insertions"
-    );
 
-    // Workload 8: the mixed bin mangled by a hostile artifact model —
+    // Workload 7: the mixed bin mangled by a hostile artifact model —
     // loops, false links, swapped replies, duplicated hops. The engine
     // parity gate now also proves both paths sanitize identically; the
     // standalone sanitizer pass is timed separately so its overhead is
@@ -925,19 +795,19 @@ fn main() {
         "artifact_heavy work bin quarantined nothing — the workload is not exercising the sanitizer"
     );
 
-    // Workload 9: the same mixed stream served end-to-end by the live
+    // Workload 8: the same mixed stream served end-to-end by the live
     // daemon — the collector/executor/reporter pipeline over bounded
     // queues, parity-gated byte-for-byte against the offline render,
     // with the collect→report latency and the queue high-water mark
     // recorded in the trajectory file.
     let service_result = run_service_workload("service_e2e", &mapper, &stream_bins, reps);
 
-    // Workload 10: the three-stream AMS-IX outage with the empathy
+    // Workload 9: the three-stream AMS-IX outage with the empathy
     // extractor live in the merge funnel — the incremental event channel
-    // parity-gated across pipeline depths and timed end to end.
+    // parity-gated against the sequential reference and timed end to end.
     let event_result = run_event_workload("event_extraction", seed, reps);
 
-    // Workload 11: grouping-bound bin — a horde of probes, one sample
+    // Workload 10: grouping-bound bin — a horde of probes, one sample
     // each, so the per-shard (link, probe) key sort in `finalize` is the
     // bill. Exercises the LSD radix grouping path end to end; the key
     // universe is steady across bins (asserted zero insertions).
@@ -950,7 +820,7 @@ fn main() {
         "grouping_heavy steady-state bin performed intern insertions"
     );
 
-    // Workload 12: characterization-bound bin — few links, ~1.1k samples
+    // Workload 11: characterization-bound bin — few links, ~1.1k samples
     // each across five ASes, so the shard-level batched math (rank
     // selection + cached Wilson bounds + diversity verdicts) dominates.
     let char_spec = WorkloadSpec::characterize_heavy();
@@ -958,7 +828,7 @@ fn main() {
     let work = synthetic_bin(&char_spec, seed, 1);
     let characterize_result = run_workload("characterize_heavy", &mapper, &warm, &work, reps);
 
-    // Workload 13: the mixed stream with a durable checkpoint after
+    // Workload 12: the mixed stream with a durable checkpoint after
     // every bin — the crash-safety tax at its most aggressive cadence,
     // with the isolated snapshot() wall and the snapshot size recorded,
     // and the snapshot/restore/resume byte-parity gates run every time.
@@ -972,7 +842,6 @@ fn main() {
         mixed_result,
         multi_result,
         ingest_result,
-        pipelined_result,
         artifact_result,
         service_result,
         event_result,

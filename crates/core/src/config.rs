@@ -149,7 +149,7 @@ impl DetectorConfig {
     /// the two throughput knobs (`threads`, `ingest_chunk_records`) are
     /// written as `0` ("auto"). They never affect output bytes, only
     /// scheduling, so normalizing them is what makes snapshots
-    /// byte-identical across the whole thread × chunk × depth matrix.
+    /// byte-identical across the whole thread × chunk matrix.
     /// Callers who want pinned knobs after a restore set them on the
     /// restored config.
     pub(crate) fn snapshot_into(&self, w: &mut Writer) {

@@ -264,11 +264,7 @@ pub(crate) struct DelayChunk {
 
 /// The read-only arena state a scatter job shares with every other job:
 /// the per-shard link tables and the probe table. Lookups are lock-free;
-/// known keys resolve without any insertion. Holding only the epoch
-/// tables (never the per-wave row workspace) is what lets the cross-bin
-/// pipelined executor run a scatter wave *concurrently* with the previous
-/// bin's shard wave: the shard jobs own the row workspace mutably while
-/// every scatter job shares these tables immutably.
+/// known keys resolve without any insertion.
 #[derive(Clone, Copy)]
 pub(crate) struct DelayScatterView<'a> {
     pub(crate) links: &'a [Interner<IpLink>],
@@ -375,18 +371,7 @@ impl DelayChunk {
     }
 }
 
-/// One shard's per-wave row workspace: the bin's rows and their grouped
-/// layout. `gather` concatenates the bin's chunk buffers in chunk order
-/// (patching pending ids); `finalize` (run by the shard's worker thread)
-/// sorts and groups into `pool`/`spans`/`entries`.
-///
-/// Deliberately holds NO epoch state — the shard's link intern table
-/// lives in [`SampleArena::links`] — so a shard wave can own this
-/// workspace mutably while the next bin's scatter jobs read the epoch
-/// tables. The workspace is consumed within one wave (its content is
-/// dead once the wave's outputs are merged and the observed entries are
-/// stamped), which is why a depth-2 pipeline needs only double-buffered
-/// *chunk* storage, not double-buffered shards.
+/// One staged (record, link) observation of a shard's bin.
 #[derive(Debug, Clone, Copy)]
 struct SampleRun {
     /// `link_local << 32 | probe_slot` (patched — never [`PENDING`]).
@@ -398,6 +383,13 @@ struct SampleRun {
     len: u32,
 }
 
+/// One shard's per-wave row workspace: the bin's rows and their grouped
+/// layout. `gather` concatenates the bin's chunk buffers in chunk order
+/// (patching pending ids); `finalize` (run by the shard's worker thread)
+/// sorts and groups into `pool`/`spans`/`entries`. Holds no epoch state —
+/// the shard's link intern table lives in [`SampleArena::links`] — and is
+/// consumed within one wave: its content is dead once the wave's outputs
+/// are merged and the observed entries are stamped.
 #[derive(Debug, Default)]
 pub(crate) struct ShardRows {
     /// The bin's gathered runs, sorted by `(key, chunk, start)` at
@@ -457,11 +449,10 @@ impl ShardRows {
 
     /// Sort this shard's runs and lay out the grouped pool/span/entry
     /// indexes, copying each run's samples out of its chunk's value pool.
-    /// Safe to run concurrently across shards — and, in the pipelined
-    /// executor, concurrently with the next bin's scatter wave: it never
-    /// touches the epoch tables (observed links are stamped by the
-    /// caller's serial fence, [`SampleArena::stamp_bin`], from the entry
-    /// list this lays out).
+    /// Safe to run concurrently across shards: it never touches the
+    /// epoch tables (observed links are stamped by the caller's serial
+    /// fence, [`SampleArena::stamp_bin`], from the entry list this lays
+    /// out).
     pub(crate) fn finalize(&mut self, idx: usize, probe_asns: &[Asn], chunks: &[DelayChunk]) {
         self.pool.clear();
         self.spans.clear();
@@ -573,18 +564,10 @@ impl ShardRows {
 /// every table is retained across bins, and a compaction sweep on the
 /// shared `reference_expiry_bins` clock evicts keys that stopped
 /// appearing, so neither allocation nor key churn grows with the epoch.
-///
-/// For the cross-bin pipelined executor the arena splits cleanly in two:
-/// epoch state (intern tables, probe ASNs) shared read-only by scatter
-/// jobs, and per-wave state (chunk lanes, shard row workspaces) owned by
-/// exactly one wave — `split_lanes` hands one engine wave the pending
-/// bin's shard parts AND the next bin's scatter parts at once.
 #[derive(Debug)]
 pub struct SampleArena {
-    /// Epoch-persistent per-shard link → shard-local id tables. Kept
-    /// apart from the per-wave [`ShardRows`] so the pipelined executor
-    /// can share them read-only with a scatter wave while a shard wave
-    /// owns the row workspace.
+    /// Epoch-persistent per-shard link → shard-local id tables, shared
+    /// read-only by every scatter job.
     links: Vec<Interner<IpLink>>,
     /// Per-shard per-wave row workspace (consumed within one shard wave).
     rows: Vec<ShardRows>,
@@ -597,14 +580,10 @@ pub struct SampleArena {
     probe_pins: Vec<u64>,
     /// Monotonic scatter-session counter (bumped per bin open).
     session: u64,
-    /// Double-buffered scatter-chunk lanes: the depth-2 pipeline scatters
-    /// bin *n+1* into one lane while bin *n*'s shard wave still reads the
-    /// other. The serial path stays in a single lane. Each lane's chunk
-    /// buffers (run indexes, value pools, dedup maps) are retained and
-    /// recycled across its bins — a steady stream allocates nothing here.
-    lanes: [ChunkPool<DelayChunk>; 2],
-    /// Lane of the open scatter session.
-    lane: usize,
+    /// The open bin's scatter chunks. The chunk buffers (run indexes,
+    /// value pools, dedup maps) are retained and recycled across bins —
+    /// a steady stream allocates nothing here.
+    chunks: ChunkPool<DelayChunk>,
     insertions_at_bin_start: u64,
 }
 
@@ -617,8 +596,7 @@ impl Default for SampleArena {
             probe_asns: Vec::new(),
             probe_pins: Vec::new(),
             session: 0,
-            lanes: [ChunkPool::default(), ChunkPool::default()],
-            lane: 0,
+            chunks: ChunkPool::default(),
             insertions_at_bin_start: 0,
         }
     }
@@ -628,8 +606,7 @@ impl Default for SampleArena {
 /// workspaces alongside the bin's chunk outputs and the shared (read-only)
 /// intern tables, so stage construction can hand shards to workers while
 /// chunk rows, link keys, and probe id/ASN slices stay readable from every
-/// job — and, under the pipelined executor, from the next bin's scatter
-/// jobs at the same time.
+/// job.
 pub(crate) struct SampleArenaParts<'a> {
     pub(crate) rows: &'a mut [ShardRows],
     pub(crate) links: &'a [Interner<IpLink>],
@@ -662,7 +639,7 @@ impl SampleArena {
     /// Serialize the epoch-persistent state: the per-shard link tables and
     /// the probe table (keys in dense-id order — restore reproduces the
     /// identical id assignment), the probe ASN pins, and the session
-    /// counters. Per-wave state (shard rows, chunk lanes) is scratch the
+    /// counters. Per-wave state (shard rows, scatter chunks) is scratch the
     /// next bin rebuilds, so it is not written.
     pub(crate) fn snapshot_into(&self, w: &mut Writer) {
         for table in &self.links {
@@ -729,32 +706,20 @@ impl SampleArena {
         Ok(arena)
     }
 
-    /// Start a new scatter session in the current lane: the next bin's
-    /// chunks overwrite the lane from the beginning and the bin-insertion
-    /// counter resets. The serial path — and the pipelined prologue/drain
-    /// refills — open bins here; an overlapped open goes through
-    /// [`Self::split_lanes`] instead.
+    /// Start a new scatter session: the next bin's chunks overwrite the
+    /// pool from the beginning and the bin-insertion counter resets.
     pub(crate) fn begin_bin(&mut self) {
         self.session += 1;
-        self.lanes[self.lane].begin_bin();
+        self.chunks.begin_bin();
         self.insertions_at_bin_start = self.total_insertions();
-    }
-
-    /// Whether any link or probe would be evicted by a [`Self::compact`]
-    /// sweep at `now`. The pipelined executor checks this before
-    /// overlapping a new bin: a sweep renumbers dense ids, so it may only
-    /// run in a drained gap where no bin's rows are in flight.
-    pub(crate) fn needs_compaction(&self, now: BinId, expiry_bins: usize) -> bool {
-        self.probes.any_expired(now, expiry_bins)
-            || self.links.iter().any(|t| t.any_expired(now, expiry_bins))
     }
 
     /// Evict links and probes unseen for more than `expiry_bins` bins and
     /// renumber the survivors. Dense ids never reach reports, so a sweep
-    /// is byte-for-byte invisible downstream. Must run in the gap between
-    /// epochs: after every in-flight bin's shard wave (and its
-    /// [`Self::stamp_bin`]) and before the next bin's chunks scatter —
-    /// renumbering under in-flight rows would corrupt their packed ids.
+    /// is byte-for-byte invisible downstream. Must run between bins: after
+    /// the previous bin's shard wave (and its [`Self::stamp_bin`]) and
+    /// before the next bin's chunks scatter — renumbering under scattered
+    /// rows would corrupt their packed ids.
     pub(crate) fn compact(&mut self, now: BinId, expiry_bins: usize) {
         for table in &mut self.links {
             table.compact(now, expiry_bins);
@@ -774,65 +739,13 @@ impl SampleArena {
     /// the session's chunk sequence (incremental feeding appends).
     pub(crate) fn scatter_parts(&mut self, n: usize) -> (&mut [DelayChunk], DelayScatterView<'_>) {
         let SampleArena {
-            lanes,
-            lane,
-            links,
-            probes,
-            ..
-        } = self;
-        (
-            lanes[*lane].reserve(n, DelayChunk::clear),
-            DelayScatterView { links, probes },
-        )
-    }
-
-    /// Open the next bin's scatter session in the *opposite* lane and
-    /// split the arena into both waves' disjoint parts: the pending bin's
-    /// shard-wave parts (its chunk lane, the row workspaces) and the new
-    /// session's reserved chunk buffers + scatter view. This is the
-    /// depth-2 overlap point — the returned borrows let one engine wave
-    /// run the pending bin's shard jobs concurrently with the new bin's
-    /// scatter jobs, because the shard side owns `rows` mutably while
-    /// both sides share the epoch tables immutably and each side touches
-    /// only its own chunk lane.
-    pub(crate) fn split_lanes(
-        &mut self,
-        n: usize,
-    ) -> (
-        SampleArenaParts<'_>,
-        &mut [DelayChunk],
-        DelayScatterView<'_>,
-    ) {
-        self.lane ^= 1;
-        self.session += 1;
-        self.insertions_at_bin_start = self.total_insertions();
-        let SampleArena {
-            links,
-            rows,
-            probes,
-            probe_asns,
-            lanes,
-            lane,
-            ..
-        } = self;
-        let links: &[Interner<IpLink>] = links;
-        let [lane0, lane1] = lanes;
-        let (pending, next) = if *lane == 0 {
-            (lane1, lane0)
-        } else {
-            (lane0, lane1)
-        };
-        next.begin_bin();
-        let chunks = next.reserve(n, DelayChunk::clear);
-        (
-            SampleArenaParts {
-                rows,
-                links,
-                chunks: pending.active(),
-                probe_ids: probes.keys(),
-                probe_asns,
-            },
             chunks,
+            links,
+            probes,
+            ..
+        } = self;
+        (
+            chunks.reserve(n, DelayChunk::clear),
             DelayScatterView { links, probes },
         )
     }
@@ -844,8 +757,7 @@ impl SampleArena {
     /// its first record of the bin, and stamp probe last-seen clocks.
     pub(crate) fn merge(&mut self, bin: BinId) {
         let SampleArena {
-            lanes,
-            lane,
+            chunks,
             links,
             probes,
             probe_asns,
@@ -853,8 +765,7 @@ impl SampleArena {
             session,
             ..
         } = self;
-        let chunks = lanes[*lane].active_mut();
-        for chunk in chunks.iter_mut() {
+        for chunk in chunks.active_mut() {
             chunk.link_patch.clear();
             for &link in &chunk.new_links {
                 let s = shard_of(&link);
@@ -894,10 +805,8 @@ impl SampleArena {
 
     /// Stamp every link observed by the just-finished shard wave with
     /// `bin` — the serial fence closing a bin's epoch bookkeeping. Split
-    /// out of `finalize` so shard jobs never write the epoch tables (the
-    /// pipelined executor shares those tables with a concurrent scatter
-    /// wave); must run after the wave and before any compaction decision
-    /// for a later bin.
+    /// out of `finalize` so shard jobs never write the epoch tables; must
+    /// run after the wave and before the next bin's compaction sweep.
     pub(crate) fn stamp_bin(&mut self, bin: BinId) {
         for (table, shard) in self.links.iter_mut().zip(&self.rows) {
             for e in &shard.entries {
@@ -906,15 +815,12 @@ impl SampleArena {
         }
     }
 
-    /// Disjoint views for the engine's shard wave (after [`Self::merge`]),
-    /// reading the current lane — the serial path, and the pipelined
-    /// drain, where the pending bin is the one most recently scattered.
+    /// Disjoint views for the engine's shard wave (after [`Self::merge`]).
     pub(crate) fn parts_mut(&mut self) -> SampleArenaParts<'_> {
         let SampleArena {
             links,
             rows,
-            lanes,
-            lane,
+            chunks,
             probes,
             probe_asns,
             ..
@@ -922,7 +828,7 @@ impl SampleArena {
         SampleArenaParts {
             rows,
             links,
-            chunks: lanes[*lane].active(),
+            chunks: chunks.active(),
             probe_ids: probes.keys(),
             probe_asns,
         }

@@ -163,28 +163,11 @@ impl DelayDetector {
         (alarms, stats)
     }
 
-    /// Compact the intern epoch on the shared expiry clock. Must run in a
-    /// drained gap: no bin's scattered rows in flight (the sweep renumbers
-    /// dense ids). The serial path runs it at every bin open; the
-    /// pipelined executor fences first (see [`DelayDetector::
-    /// needs_compaction`]).
+    /// Compact the intern epoch on the shared expiry clock. Runs at bin
+    /// open, before the bin's chunks scatter: the sweep renumbers dense
+    /// ids, so no scattered rows may exist yet.
     pub(crate) fn compact_epoch(&mut self, bin: BinId) {
         self.arena.compact(bin, self.cfg.reference_expiry_bins);
-    }
-
-    /// The pipelined executor's fence predicate: whether any interned key
-    /// is *overdue* — unseen for more than `reference_expiry_bins + 1`
-    /// bins, i.e. expired even if the still-unstamped in-flight bin
-    /// observed it. The +1 matters: this check runs before the pending
-    /// bin's shard wave (and its stamps), so testing the raw expiry would
-    /// cry wolf for every key the pending bin is about to refresh —
-    /// degenerating to a drain per bin at small expiry values. The
-    /// tolerant bound drains only for genuinely dead keys; their eviction
-    /// lands at most one bin later than the serial schedule's, which is
-    /// report-invisible (dense ids never reach reports).
-    pub(crate) fn needs_compaction(&self, bin: BinId) -> bool {
-        self.arena
-            .needs_compaction(bin, self.cfg.reference_expiry_bins + 1)
     }
 
     /// Open one bin's scatter session. Must precede any
@@ -194,8 +177,8 @@ impl DelayDetector {
     }
 
     /// The serial fence after a bin's shard wave: stamp every observed
-    /// link's epoch entry. Must run before any compaction decision for a
-    /// later bin.
+    /// link's epoch entry. Must run before the next bin's compaction
+    /// sweep.
     pub(crate) fn stamp_bin(&mut self, bin: BinId) {
         self.arena.stamp_bin(bin);
     }
@@ -243,34 +226,33 @@ impl DelayDetector {
         let DelayDetector {
             cfg, shards, arena, ..
         } = self;
-        build_stage(arena.parts_mut(), shards, cfg, bin, threads)
-    }
-
-    /// The depth-2 overlap point: stage the *pending* bin's shard wave
-    /// AND open the next bin's scatter session (opposite chunk lane, no
-    /// compaction — the caller fences that) in one split borrow, so both
-    /// job sets can run as one two-lane engine wave. Returns the pending
-    /// bin's stage plus the next bin's scatter-chunk jobs.
-    pub(crate) fn overlap<'a>(
-        &'a mut self,
-        pending: BinId,
-        records: &'a [TracerouteRecord],
-        chunk_records: usize,
-        threads: usize,
-    ) -> (DelayStage<'a>, Vec<engine::Job<'a>>) {
-        let DelayDetector {
-            cfg, shards, arena, ..
-        } = self;
-        let n = ingest::chunk_count(records.len(), chunk_records);
-        let (parts, chunks, view) = arena.split_lanes(n);
-        let scatter = ingest::chunk_jobs(
+        let compute::SampleArenaParts {
+            rows,
+            links,
             chunks,
-            records,
-            chunk_records,
-            view,
-            |chunk, records, view| chunk.scatter(records, view),
+            probe_ids,
+            probe_asns,
+        } = arena.parts_mut();
+        let bundles = engine::round_robin(
+            rows.iter_mut()
+                .enumerate()
+                .zip(shards.iter_mut())
+                .map(|((idx, rows), shard)| DelayShardTask {
+                    idx,
+                    rows,
+                    links: links[idx].keys(),
+                    shard,
+                }),
+            threads,
         );
-        (build_stage(parts, shards, cfg, pending, threads), scatter)
+        DelayStage {
+            inner: engine::ShardStage::new(bundles),
+            cfg,
+            bin,
+            chunks,
+            probe_ids,
+            probe_asns,
+        }
     }
 
     /// The original single-threaded, nested-map, full-sort path — kept as
@@ -392,8 +374,7 @@ impl DelayDetector {
 }
 
 /// One shard's slice of a staged wave: its per-wave row workspace, its
-/// epoch link keys (read-only — safe next to a concurrent scatter wave),
-/// and its detector state.
+/// epoch link keys (read-only), and its detector state.
 pub(crate) struct DelayShardTask<'a> {
     idx: usize,
     rows: &'a mut ShardRows,
@@ -403,45 +384,6 @@ pub(crate) struct DelayShardTask<'a> {
 
 /// One worker's bundle: its round-robin share of shard tasks.
 type DelayBundle<'a> = Vec<DelayShardTask<'a>>;
-
-/// Deal a scattered-and-merged arena into a [`DelayStage`] of `threads`
-/// round-robin bundles — shared by the serial [`DelayDetector::stage`]
-/// and the overlapped [`DelayDetector::overlap`].
-fn build_stage<'a>(
-    parts: compute::SampleArenaParts<'a>,
-    shards: &'a mut [Shard],
-    cfg: &'a DetectorConfig,
-    bin: BinId,
-    threads: usize,
-) -> DelayStage<'a> {
-    let compute::SampleArenaParts {
-        rows,
-        links,
-        chunks,
-        probe_ids,
-        probe_asns,
-    } = parts;
-    let bundles = engine::round_robin(
-        rows.iter_mut()
-            .enumerate()
-            .zip(shards.iter_mut())
-            .map(|((idx, rows), shard)| DelayShardTask {
-                idx,
-                rows,
-                links: links[idx].keys(),
-                shard,
-            }),
-        threads,
-    );
-    DelayStage {
-        inner: engine::ShardStage::new(bundles),
-        cfg,
-        bin,
-        chunks,
-        probe_ids,
-        probe_asns,
-    }
-}
 
 /// A bin staged for the shared engine: an [`engine::ShardStage`] of shard
 /// bundles plus the per-bin inputs every job reads. Produce jobs with
@@ -506,9 +448,7 @@ struct BundleScratch {
 /// by `&mut` — no locks, no contention — and every per-link decision
 /// depends only on `(cfg, link, bin)`, so the caller's in-order merge is
 /// independent of the thread count. Nothing here writes the epoch tables
-/// (stamping is the caller's post-wave fence), which is what lets the
-/// pipelined executor run this concurrently with the next bin's scatter
-/// wave.
+/// (stamping is the caller's post-wave fence).
 fn run_delay_bundle(
     bundle: DelayBundle<'_>,
     cfg: &DetectorConfig,

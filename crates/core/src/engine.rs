@@ -50,39 +50,6 @@ pub(crate) fn reference_expired(now: BinId, last_seen: BinId, expiry_bins: usize
     now.0.saturating_sub(last_seen.0) > expiry_bins as u64
 }
 
-/// Resolve a pipeline-depth knob (`0` = engine default) into the depth of
-/// the cross-bin pipelined executor: `1` runs bins strictly serially
-/// (ingest → analyze → ingest …), `2` overlaps bin *n+1*'s scatter chunks
-/// with bin *n*'s shard jobs on one worker herd. Deeper pipelines would
-/// need a third chunk lane without buying more overlap (the serial merge
-/// fences every bin anyway), so the depth clamps to 2. Purely a
-/// throughput knob — output is byte-identical for every value.
-pub(crate) fn resolve_depth(depth: usize) -> usize {
-    if depth == 0 {
-        2
-    } else {
-        depth.clamp(1, 2)
-    }
-}
-
-/// Resolve the *effective* schedule for a `(depth, threads)` knob pair.
-/// The overlapped depth-2 executor exists to run bin *n+1*'s scatter
-/// chunks while other workers grind bin *n*'s shard jobs; a resolved
-/// single-worker herd has nothing to overlap, so the two-lane schedule
-/// can only pay its own costs (the chunk lanes ping-pong, leaving each
-/// lane's buffers cache-cold every other bin) and measures strictly
-/// slower than running serially. Collapse it to the serial schedule
-/// there. Reports stay byte-identical — the only visible difference is
-/// cadence: the serial schedule returns each bin's report on its own
-/// push instead of one push later, and `depth()` reports `1`.
-pub(crate) fn resolve_schedule(depth: usize, threads: usize) -> usize {
-    if resolve_threads(threads) == 1 {
-        1
-    } else {
-        resolve_depth(depth)
-    }
-}
-
 /// Stable shard assignment for word-packable keys: one SplitMix64 round.
 /// Must not involve `RandomState` or anything process-seeded — determinism
 /// across runs and thread counts depends on it.
@@ -159,58 +126,6 @@ impl<B, O> ShardStage<B, O> {
     }
 }
 
-/// The two-lane wave: one collection of jobs executed as a single
-/// `run_jobs` call on one worker herd, with an *analysis* lane (the
-/// pending bin's shard jobs — the critical path, since its report is
-/// emitted right after the wave) dealt ahead of a *scatter* lane (the
-/// next bin's chunk jobs, which only need to finish before that bin's
-/// merge). Round-robin dealing preserves job order per worker, so every
-/// worker drains its share of analysis jobs before touching prefetch
-/// work — a priority rule, not a barrier: an idle worker starts scatter
-/// chunks while its peers still grind shards.
-///
-/// Both the serial per-bin flow (scatter wave, then shard wave — each a
-/// single-lane instance) and the cross-bin pipelined executor (shards of
-/// bin *n* ∥ scatter of bin *n+1*) stage through this type, so there is
-/// exactly one dealing rule to reason about. Determinism is inherited
-/// from [`run_jobs`]: jobs in either lane touch disjoint state, so lane
-/// interleaving is invisible in the output.
-pub(crate) struct Wave<'a> {
-    analysis: Vec<Job<'a>>,
-    scatter: Vec<Job<'a>>,
-}
-
-impl<'a> Wave<'a> {
-    /// An empty wave.
-    pub(crate) fn new() -> Self {
-        Wave {
-            analysis: Vec::new(),
-            scatter: Vec::new(),
-        }
-    }
-
-    /// Add shard jobs of a bin under analysis (dealt first).
-    pub(crate) fn push_analysis(&mut self, jobs: Vec<Job<'a>>) {
-        self.analysis.extend(jobs);
-    }
-
-    /// Add scatter-chunk jobs of a bin being ingested (dealt after the
-    /// analysis lane).
-    pub(crate) fn push_scatter(&mut self, jobs: Vec<Job<'a>>) {
-        self.scatter.extend(jobs);
-    }
-
-    /// Run both lanes as one wave on `threads` pooled workers.
-    pub(crate) fn run(self, threads: usize) {
-        let Wave {
-            mut analysis,
-            scatter,
-        } = self;
-        analysis.extend(scatter);
-        run_jobs(analysis, threads);
-    }
-}
-
 /// Run `jobs` on `threads` scoped workers.
 ///
 /// Jobs are dealt to workers round-robin by index and each worker runs its
@@ -271,47 +186,6 @@ mod tests {
         let key = ("10.0.0.1".parse::<std::net::Ipv4Addr>().unwrap(), 7u32);
         assert_eq!(shard_of_hashed(&key), shard_of_hashed(&key));
         assert!(shard_of_hashed(&key) < NUM_SHARDS);
-    }
-
-    #[test]
-    fn depth_resolution_defaults_and_clamps() {
-        assert_eq!(resolve_depth(0), 2, "auto is the overlapped executor");
-        assert_eq!(resolve_depth(1), 1);
-        assert_eq!(resolve_depth(2), 2);
-        assert_eq!(resolve_depth(9), 2, "deeper than 2 buys nothing");
-    }
-
-    #[test]
-    fn schedule_collapses_to_serial_on_one_worker() {
-        assert_eq!(
-            resolve_schedule(2, 1),
-            1,
-            "one worker has nothing to overlap"
-        );
-        assert_eq!(resolve_schedule(0, 1), 1);
-        assert_eq!(resolve_schedule(2, 2), 2);
-        assert_eq!(resolve_schedule(0, 2), 2, "auto stays overlapped");
-        assert_eq!(resolve_schedule(1, 8), 1, "explicit serial is honored");
-    }
-
-    #[test]
-    fn wave_runs_analysis_lane_before_scatter_lane_per_worker() {
-        // Single worker → strict total order: all analysis jobs first.
-        let log = std::sync::Mutex::new(Vec::new());
-        let mut wave = Wave::new();
-        let log_ref = &log;
-        wave.push_scatter(
-            (0..3)
-                .map(|i| Box::new(move || log_ref.lock().unwrap().push(10 + i)) as Job)
-                .collect(),
-        );
-        wave.push_analysis(
-            (0..2)
-                .map(|i| Box::new(move || log_ref.lock().unwrap().push(i)) as Job)
-                .collect(),
-        );
-        wave.run(1);
-        assert_eq!(*log.lock().unwrap(), vec![0, 1, 10, 11, 12]);
     }
 
     #[test]

@@ -184,20 +184,10 @@ impl ForwardingDetector {
         alarms
     }
 
-    /// Compact the intern epoch on the shared expiry clock. Must run in a
-    /// drained gap — see [`crate::diffrtt::DelayDetector::compact_epoch`].
+    /// Compact the intern epoch on the shared expiry clock, at bin open —
+    /// see [`crate::diffrtt::DelayDetector::compact_epoch`].
     pub(crate) fn compact_epoch(&mut self, bin: BinId) {
         self.arena.compact(bin, self.cfg.reference_expiry_bins);
-    }
-
-    /// The pipelined executor's fence predicate: whether any interned key
-    /// is *overdue* (unseen beyond `reference_expiry_bins + 1` — see
-    /// [`crate::diffrtt::DelayDetector::needs_compaction`] for why the
-    /// tolerant bound, which accounts for the pending bin's unstamped
-    /// observations, is the right one).
-    pub(crate) fn needs_compaction(&self, bin: BinId) -> bool {
-        self.arena
-            .needs_compaction(bin, self.cfg.reference_expiry_bins + 1)
     }
 
     /// Open one bin's scatter session.
@@ -206,8 +196,8 @@ impl ForwardingDetector {
     }
 
     /// The serial fence after a bin's shard wave: stamp every observed
-    /// pattern's epoch entry. Must run before any compaction decision for
-    /// a later bin.
+    /// pattern's epoch entry. Must run before the next bin's compaction
+    /// sweep.
     pub(crate) fn stamp_bin(&mut self, bin: BinId) {
         self.arena.stamp_bin(bin);
     }
@@ -248,31 +238,31 @@ impl ForwardingDetector {
     /// first.
     pub(crate) fn stage<'a>(&'a mut self, bin: BinId, threads: usize) -> ForwardingStage<'a> {
         let ForwardingDetector { cfg, shards, arena } = self;
-        build_stage(arena.parts_mut(), shards, cfg, bin, threads)
-    }
-
-    /// The depth-2 overlap point — the forwarding twin of
-    /// [`crate::diffrtt::DelayDetector::overlap`]: stage the pending
-    /// bin's shard wave and open the next bin's scatter session (opposite
-    /// chunk lane, no compaction) in one split borrow.
-    pub(crate) fn overlap<'a>(
-        &'a mut self,
-        pending: BinId,
-        records: &'a [TracerouteRecord],
-        chunk_records: usize,
-        threads: usize,
-    ) -> (ForwardingStage<'a>, Vec<engine::Job<'a>>) {
-        let ForwardingDetector { cfg, shards, arena } = self;
-        let n = ingest::chunk_count(records.len(), chunk_records);
-        let (parts, chunks, view) = arena.split_lanes(n);
-        let scatter = ingest::chunk_jobs(
+        let pattern::PatternArenaParts {
+            rows,
+            patterns,
             chunks,
-            records,
-            chunk_records,
-            view,
-            |chunk, records, view| chunk.scatter(records, view),
+            hops,
+        } = arena.parts_mut();
+        let bundles = engine::round_robin(
+            rows.iter_mut()
+                .enumerate()
+                .zip(shards.iter_mut())
+                .map(|((idx, rows), shard)| ForwardingShardTask {
+                    idx,
+                    rows,
+                    keys: patterns[idx].keys(),
+                    shard,
+                }),
+            threads,
         );
-        (build_stage(parts, shards, cfg, pending, threads), scatter)
+        ForwardingStage {
+            inner: engine::ShardStage::new(bundles),
+            cfg,
+            bin,
+            chunks,
+            hops,
+        }
     }
 
     /// The original single-threaded, nested-map path — kept as the
@@ -332,8 +322,7 @@ impl ForwardingDetector {
 }
 
 /// One shard's slice of a staged wave: its per-wave row workspace, its
-/// epoch pattern keys (read-only — safe next to a concurrent scatter
-/// wave), and its detector state.
+/// epoch pattern keys (read-only), and its detector state.
 pub(crate) struct ForwardingShardTask<'a> {
     idx: usize,
     rows: &'a mut PatternShardRows,
@@ -343,43 +332,6 @@ pub(crate) struct ForwardingShardTask<'a> {
 
 /// One worker's bundle: its round-robin share of shard tasks.
 type ForwardingBundle<'a> = Vec<ForwardingShardTask<'a>>;
-
-/// Deal a scattered-and-merged arena into a [`ForwardingStage`] of
-/// `threads` round-robin bundles — shared by the serial stage and the
-/// overlapped one.
-fn build_stage<'a>(
-    parts: pattern::PatternArenaParts<'a>,
-    shards: &'a mut [FwdShard],
-    cfg: &'a DetectorConfig,
-    bin: BinId,
-    threads: usize,
-) -> ForwardingStage<'a> {
-    let pattern::PatternArenaParts {
-        rows,
-        patterns,
-        chunks,
-        hops,
-    } = parts;
-    let bundles = engine::round_robin(
-        rows.iter_mut()
-            .enumerate()
-            .zip(shards.iter_mut())
-            .map(|((idx, rows), shard)| ForwardingShardTask {
-                idx,
-                rows,
-                keys: patterns[idx].keys(),
-                shard,
-            }),
-        threads,
-    );
-    ForwardingStage {
-        inner: engine::ShardStage::new(bundles),
-        cfg,
-        bin,
-        chunks,
-        hops,
-    }
-}
 
 /// A bin staged for the shared engine — the forwarding twin of
 /// [`crate::diffrtt::DelayStage`]: an [`engine::ShardStage`] of shard

@@ -187,10 +187,8 @@ pub(crate) struct PatternChunk {
     acc: Vec<(u32, f64)>,
 }
 
-/// The read-only arena state a scatter job shares with every other job.
-/// Holds only the epoch tables (never the per-wave row workspace), so the
-/// pipelined executor can run a scatter wave concurrently with the
-/// previous bin's shard wave — see `crate::diffrtt::compute` for the twin.
+/// The read-only arena state a scatter job shares with every other job:
+/// the epoch tables — see `crate::diffrtt::compute` for the twin.
 #[derive(Clone, Copy)]
 pub(crate) struct PatternScatterView<'a> {
     pub(crate) patterns: &'a [Interner<PatternKey>],
@@ -292,10 +290,8 @@ impl PatternChunk {
 /// One shard's per-wave row workspace: the bin's pattern rows and their
 /// grouped layout. `gather` concatenates the bin's chunk buffers in chunk
 /// order (patching pending ids); `finalize` (run by the shard's worker
-/// thread) sorts and groups into `pool`/`entries`. Holds NO epoch state —
-/// the shard's pattern intern table lives in [`PatternArena::patterns`] —
-/// for the same reason as the delay side's `ShardRows`: a shard wave owns
-/// this mutably while the next bin's scatter jobs read the epoch tables.
+/// thread) sorts and groups into `pool`/`entries`. Holds no epoch state —
+/// the shard's pattern intern table lives in [`PatternArena::patterns`].
 #[derive(Debug, Default)]
 pub(crate) struct PatternShardRows {
     /// `(pattern_local << 32 | hop_slot, packets)` — 16 bytes, sorted by
@@ -347,9 +343,8 @@ impl PatternShardRows {
     /// including presence-only ones (a hop whose successor sent no
     /// packets), whose empty observation must still decay its reference
     /// exactly as the nested-map path does. Safe to run concurrently
-    /// across shards — and, in the pipelined executor, concurrently with
-    /// the next bin's scatter wave: observed patterns are stamped by the
-    /// caller's serial fence from the entry list this lays out.
+    /// across shards: observed patterns are stamped by the caller's
+    /// serial fence from the entry list this lays out.
     pub(crate) fn finalize(&mut self) {
         self.pool.clear();
         self.entries.clear();
@@ -409,8 +404,7 @@ impl PatternShardRows {
 /// workspaces alongside the bin's chunk outputs and the shared
 /// (read-only) intern tables, so stage construction can hand shards to
 /// workers while chunk rows, pattern keys, and the hop slice stay
-/// readable from every job — and, under the pipelined executor, from the
-/// next bin's scatter jobs at the same time.
+/// readable from every job.
 pub(crate) struct PatternArenaParts<'a> {
     pub(crate) rows: &'a mut [PatternShardRows],
     pub(crate) patterns: &'a [Interner<PatternKey>],
@@ -437,17 +431,14 @@ pub(crate) struct PatternArenaParts<'a> {
 #[derive(Debug)]
 pub struct PatternArena {
     /// Epoch-persistent per-shard pattern key → shard-local id tables,
-    /// kept apart from the per-wave [`PatternShardRows`] so the pipelined
-    /// executor can share them read-only with a concurrent scatter wave.
+    /// shared read-only by every scatter job.
     patterns: Vec<Interner<PatternKey>>,
     /// Per-shard per-wave row workspace (consumed within one shard wave).
     rows: Vec<PatternShardRows>,
     /// Epoch-persistent next-hop → slot table.
     hops: Interner<NextHop>,
-    /// Double-buffered scatter-chunk lanes (see `SampleArena::lanes`).
-    lanes: [ChunkPool<PatternChunk>; 2],
-    /// Lane of the open scatter session.
-    lane: usize,
+    /// The open bin's scatter chunks (see `SampleArena::chunks`).
+    chunks: ChunkPool<PatternChunk>,
     insertions_at_bin_start: u64,
 }
 
@@ -461,8 +452,7 @@ impl Default for PatternArena {
                 .map(|_| PatternShardRows::default())
                 .collect(),
             hops: Interner::default(),
-            lanes: [ChunkPool::default(), ChunkPool::default()],
-            lane: 0,
+            chunks: ChunkPool::default(),
             insertions_at_bin_start: 0,
         }
     }
@@ -492,7 +482,7 @@ impl PatternArena {
     /// Serialize the epoch-persistent state: per-shard pattern tables and
     /// the next-hop table (keys in dense-id order, so restore reproduces
     /// the identical id assignment) plus the bin-insertion watermark.
-    /// Per-wave state (shard rows, chunk lanes) is scratch — not written.
+    /// Per-wave state (shard rows, scatter chunks) is scratch — not written.
     pub(crate) fn snapshot_into(&self, w: &mut Writer) {
         for table in &self.patterns {
             let (keys, seen, insertions, evictions) = table.snapshot_parts();
@@ -555,26 +545,16 @@ impl PatternArena {
         Ok(arena)
     }
 
-    /// Start a new scatter session in the current lane (see
+    /// Start a new scatter session (see
     /// [`crate::diffrtt::SampleArena::begin_bin`]).
     pub(crate) fn begin_bin(&mut self) {
-        self.lanes[self.lane].begin_bin();
+        self.chunks.begin_bin();
         self.insertions_at_bin_start = self.total_insertions();
     }
 
-    /// Whether a [`Self::compact`] sweep at `now` would evict anything —
-    /// the pipelined executor's fence predicate.
-    pub(crate) fn needs_compaction(&self, now: BinId, expiry_bins: usize) -> bool {
-        self.hops.any_expired(now, expiry_bins)
-            || self
-                .patterns
-                .iter()
-                .any(|t| t.any_expired(now, expiry_bins))
-    }
-
     /// Evict patterns and hops unseen for more than `expiry_bins` bins.
-    /// Byte-for-byte invisible in reports; must run in the gap between
-    /// epochs — never while any bin's scattered rows are in flight.
+    /// Byte-for-byte invisible in reports; must run between bins — never
+    /// under a bin's scattered rows.
     pub(crate) fn compact(&mut self, now: BinId, expiry_bins: usize) {
         for table in &mut self.patterns {
             table.compact(now, expiry_bins);
@@ -590,57 +570,13 @@ impl PatternArena {
         n: usize,
     ) -> (&mut [PatternChunk], PatternScatterView<'_>) {
         let PatternArena {
-            lanes,
-            lane,
-            patterns,
-            hops,
-            ..
-        } = self;
-        (
-            lanes[*lane].reserve(n, PatternChunk::clear),
-            PatternScatterView { patterns, hops },
-        )
-    }
-
-    /// Open the next bin's scatter session in the *opposite* lane and
-    /// split the arena into both waves' disjoint parts — the forwarding
-    /// twin of [`crate::diffrtt::SampleArena::split_lanes`], the depth-2
-    /// overlap point.
-    pub(crate) fn split_lanes(
-        &mut self,
-        n: usize,
-    ) -> (
-        PatternArenaParts<'_>,
-        &mut [PatternChunk],
-        PatternScatterView<'_>,
-    ) {
-        self.lane ^= 1;
-        self.insertions_at_bin_start = self.total_insertions();
-        let PatternArena {
-            patterns,
-            rows,
-            hops,
-            lanes,
-            lane,
-            ..
-        } = self;
-        let patterns: &[Interner<PatternKey>] = patterns;
-        let [lane0, lane1] = lanes;
-        let (pending, next) = if *lane == 0 {
-            (lane1, lane0)
-        } else {
-            (lane0, lane1)
-        };
-        next.begin_bin();
-        let chunks = next.reserve(n, PatternChunk::clear);
-        (
-            PatternArenaParts {
-                rows,
-                patterns,
-                chunks: pending.active(),
-                hops: hops.keys(),
-            },
             chunks,
+            patterns,
+            hops,
+            ..
+        } = self;
+        (
+            chunks.reserve(n, PatternChunk::clear),
             PatternScatterView { patterns, hops },
         )
     }
@@ -652,14 +588,12 @@ impl PatternArena {
     /// ([`Self::stamp_bin`]).
     pub(crate) fn merge(&mut self, bin: BinId) {
         let PatternArena {
-            lanes,
-            lane,
+            chunks,
             patterns,
             hops,
             ..
         } = self;
-        let chunks = lanes[*lane].active_mut();
-        for chunk in chunks.iter_mut() {
+        for chunk in chunks.active_mut() {
             chunk.pattern_patch.clear();
             for &key in &chunk.new_patterns {
                 let s = shard_of_pattern(&key);
@@ -690,7 +624,7 @@ impl PatternArena {
 
     /// Stamp every pattern observed by the just-finished shard wave with
     /// `bin` — the forwarding half of the serial epoch fence. Must run
-    /// after the wave and before any compaction decision for a later bin.
+    /// after the wave and before the next bin's compaction sweep.
     pub(crate) fn stamp_bin(&mut self, bin: BinId) {
         for (table, shard) in self.patterns.iter_mut().zip(&self.rows) {
             for &(local, _, _) in &shard.entries {
@@ -718,21 +652,19 @@ impl PatternArena {
         self.stamp_bin(bin);
     }
 
-    /// Disjoint views for the engine's shard wave (after [`Self::merge`]),
-    /// reading the current lane.
+    /// Disjoint views for the engine's shard wave (after [`Self::merge`]).
     pub(crate) fn parts_mut(&mut self) -> PatternArenaParts<'_> {
         let PatternArena {
             patterns,
             rows,
-            lanes,
-            lane,
+            chunks,
             hops,
             ..
         } = self;
         PatternArenaParts {
             rows,
             patterns,
-            chunks: lanes[*lane].active(),
+            chunks: chunks.active(),
             hops: hops.keys(),
         }
     }

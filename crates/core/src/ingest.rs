@@ -27,11 +27,9 @@
 //!   invisible — `tests/ingest_parity.rs` proves it.
 //!
 //! The two-wave protocol per bin (scatter-chunk jobs, then shard jobs)
-//! is what `engine::run_jobs` executes; `engine::Wave` is the two-lane
-//! pre-stage collection that lets one worker herd serve the scatter
-//! chunks of *every* detector — and, in a fleet, every stream — at once,
-//! and, in the cross-bin pipelined executor, serve them *alongside* the
-//! previous bin's shard jobs.
+//! is what `engine::run_jobs` executes: one worker herd serves the
+//! scatter chunks of *every* detector — and, in a fleet, every stream —
+//! at once, then every shard job.
 
 use crate::engine;
 use pinpoint_model::records::TracerouteRecord;
@@ -225,11 +223,8 @@ impl<K: Copy + Eq + Hash> Interner<K> {
     }
 
     /// Whether any key has gone unseen for more than `expiry_bins` bins —
-    /// the same predicate [`Interner::compact`] uses as its fast path.
-    /// The pipelined executor asks this *before* overlapping a new bin:
-    /// a sweep may only run in a drained gap (no bin's rows in flight),
-    /// so a `true` here forces the pipeline to fence first.
-    pub(crate) fn any_expired(&self, now: BinId, expiry_bins: usize) -> bool {
+    /// the fast path of [`Interner::compact`].
+    fn any_expired(&self, now: BinId, expiry_bins: usize) -> bool {
         self.last_seen
             .iter()
             .any(|&seen| engine::reference_expired(now, seen, expiry_bins))

@@ -48,8 +48,8 @@
 //! concurrent measurement stream — sharing one engine pool with merged
 //! cross-stream reporting. Both run bins through the one executor in
 //! [`session`] ([`pipeline::Analyzer::session`] /
-//! [`stream::StreamRouter::session`]); `process_bin` is its one-bin
-//! serial step. The [`baseline`] module carries the non-robust
+//! [`stream::StreamRouter::session`]); `process_bin` is one push of
+//! it. The [`baseline`] module carries the non-robust
 //! comparison detectors used by the ablation benches.
 //!
 //! ## Performance
@@ -109,13 +109,16 @@
 //!   streams and normalizes them against a fleet-level baseline. See
 //!   `src/README.md` for the architecture and the full determinism
 //!   contract.
-//! * **Cross-bin pipelining** — at depth 2 the bin executor
-//!   ([`session::Session`], the same code for a solo analyzer and a
-//!   fleet) overlaps bin *n+1*'s scatter chunks with bin *n*'s shard
-//!   jobs as one two-lane wave on the same herd: the arenas double-buffer their chunk lanes, intern epochs
-//!   advance only at the serial merge fence between waves, and
-//!   compaction sweeps are fenced into drained gaps. Reports emerge
-//!   strictly in bin order, byte-identical to the serial schedule.
+//! * **Report on push** — the bin executor ([`session::Session`], the
+//!   same code for a solo analyzer and a fleet) runs one straight-line
+//!   schedule per bin: compaction sweep, scatter wave, serial merge
+//!   fence (the only place intern epochs advance), shard wave, absorb.
+//!   A bin's report is the return value of the push that fed it, so a
+//!   live consumer learns about bin *n* without waiting for bin *n+1*;
+//!   the cross-bin overlap that remains is between the service's
+//!   threads (feed pull ∥ analyze ∥ render). An earlier depth-2
+//!   schedule that overlapped bin *n+1*'s scatter with bin *n*'s shards
+//!   was removed on measurement — see `src/README.md`.
 //! * **Radix grouping** — the per-shard grouping sort runs a stable
 //!   LSD radix sort over the packed `u64` run keys
 //!   (`pinpoint_stats::sort_by_u64_key`): an XOR-diff pre-pass skips
@@ -136,39 +139,32 @@
 //!   samples sit contiguously in the shard pool after grouping, so
 //!   selection permutes that region in place instead of copying into a
 //!   scratch buffer.
-//! * **Serial schedule on serial hardware** — `engine::resolve_schedule`
-//!   collapses pipeline depth 2 to 1 when the worker herd has one
-//!   thread: there is nothing to overlap, and the two-lane schedule
-//!   would only pay its lane ping-pong. Byte-identical output; only the
-//!   report cadence changes.
 //! * **Determinism** — per-link randomness is derived from
 //!   `(seed, link, bin)`, job outputs merge in job order (never
 //!   completion order), alarms get a final total-order sort, ingestion
-//!   follows the chunk-order rule, and pipelining follows the
-//!   merge-fence rule, so output is byte-for-byte identical for any
-//!   thread count, any scatter chunk size, and any pipeline depth. The
+//!   follows the chunk-order rule, and intern epochs advance only at
+//!   the merge fence, so output is byte-for-byte identical for any
+//!   thread count and any scatter chunk size. The
 //!   original single-threaded paths are kept behind
 //!   [`pipeline::Analyzer::process_bin_sequential`] /
 //!   [`stream::StreamRouter::process_bin_sequential`], and
 //!   `tests/engine_parity.rs` + `tests/forwarding_parity.rs` +
 //!   `tests/stream_parity.rs` + `tests/ingest_parity.rs` +
 //!   `tests/pipeline_overlap_parity.rs` prove equivalence across
-//!   scenarios, seeds, thread counts, chunk sizes, and depths (re-run
-//!   in CI under a `PINPOINT_THREADS` ∈ {1, 2, 4, 8} ×
-//!   `PINPOINT_CHUNK` ∈ {3, default} × `PINPOINT_PIPELINE` ∈ {2, 1}
-//!   matrix on a multi-core runner).
+//!   scenarios, seeds, thread counts, and chunk sizes (re-run in CI
+//!   under a `PINPOINT_THREADS` ∈ {1, 2, 4, 8} × `PINPOINT_CHUNK` ∈
+//!   {3, default} matrix on a multi-core runner).
 //!
 //! Benchmarks: `cargo bench -p pinpoint-bench` (criterion-style suite,
 //! includes parallel-vs-sequential engine benches) and
 //! `cargo run --release -p pinpoint-bench --bin pipeline_bench`, which
-//! writes throughput + speedup numbers to `BENCH_pipeline.json` — seven
-//! workloads: faithful simulator bin, delay-heavy, forwarding-heavy, a
+//! writes throughput + speedup numbers to `BENCH_pipeline.json` —
+//! among its workloads: faithful simulator bin, delay-heavy, forwarding-heavy, a
 //! mixed bin loading both shard pipelines in one combined pass, a
-//! three-stream fleet bin pooled through the `StreamRouter`, a
+//! three-stream fleet bin pooled through the `StreamRouter`, and a
 //! scatter-dominated `ingest_heavy` bin isolating the chunked-ingestion
 //! layer (with its zero-steady-state-insertion guarantee asserted every
-//! run), and a `pipelined_stream` of bins timing the cross-bin executor
-//! at depth 1 vs depth 2 — so the perf trajectory is tracked PR over PR
+//! run) — so the perf trajectory is tracked PR over PR
 //! (`--check` turns a run into a regression gate against the committed
 //! numbers).
 

@@ -6,13 +6,11 @@
 //! references and sliding windows are stateful, exactly like the online
 //! deployment of §8 consuming the Atlas stream.
 //!
-//! [`Analyzer::process_bin`] is the one-bin serial call; continuous
-//! streams run through [`Analyzer::session`], the one bin executor
+//! [`Analyzer::process_bin`] is the one-bin call; continuous streams run
+//! through [`Analyzer::session`], the one bin executor
 //! ([`crate::session::Session`]): whole bins or incrementally arriving
-//! slices in, reports out strictly in bin order, with bin *n+1*'s
-//! ingestion overlapped with bin *n*'s analysis at depth 2 — byte-identical
-//! to the serial schedule. See `examples/pipelined_stream.rs`,
-//! `examples/chunked_ingest.rs`, and the executor section in
+//! slices in, each bin's report out of the push that fed it. See
+//! `examples/chunked_ingest.rs` and the executor section in
 //! `src/README.md`.
 
 use crate::aggregate::{
@@ -24,7 +22,7 @@ use crate::diffrtt::{DelayAlarm, DelayDetector, LinkStat};
 use crate::forwarding::{ForwardingAlarm, ForwardingDetector};
 use crate::graph::AlarmGraph;
 use crate::sanitize::{SanitizeStats, Sanitizer};
-use crate::session::{AnalysisSession, AnalyzerSet};
+use crate::session::AnalyzerSet;
 use crate::snapshot::{self, Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::{Asn, BinId, IpLink, Prefix};
@@ -115,9 +113,9 @@ impl Analyzer {
         self.magnitudes.register(ases);
     }
 
-    /// Run one bin through the full pipeline — the executor's depth-1
-    /// step (`self.session(1).push_bin(..)`), for callers that hold one
-    /// bin at a time.
+    /// Run one bin through the full pipeline — one push of the executor
+    /// ([`crate::session::Session`]), for callers that hold one bin at a
+    /// time.
     ///
     /// The bin runs as two waves on ONE scoped worker pool
     /// (`crate::engine`). First the ingestion wave: both detectors' record
@@ -135,9 +133,7 @@ impl Analyzer {
     /// member's scatter chunks in one wave and every member's shard jobs
     /// in the next.
     pub fn process_bin(&mut self, bin: BinId, records: &[TracerouteRecord]) -> BinReport {
-        self.session(1)
-            .push_bin(bin, records)
-            .expect("a depth-1 session reports every bin on its own push")
+        crate::session::Session::new(self).push(bin, &[records])
     }
 
     /// Open one bin's ingestion (start scatter sessions, sanitize) and
@@ -145,7 +141,7 @@ impl Analyzer {
     /// runs them on the shared pool — a fleet's scatter chunks all in one
     /// wave — then calls [`Analyzer::merge_scatter`]. No compaction
     /// happens here: the executor sweeps ([`Analyzer::compact_epochs`])
-    /// first, in the drained gap this is only ever called in.
+    /// first.
     pub(crate) fn open_scatter<'a>(
         &'a mut self,
         records: &'a [TracerouteRecord],
@@ -168,52 +164,8 @@ impl Analyzer {
         jobs
     }
 
-    /// The depth-2 overlap point: stage the *pending* bin's shard jobs
-    /// (both detectors) and open the next bin's scatter session in one
-    /// split borrow, so one two-lane engine wave can run them together.
-    /// No compaction happens here — the executor fences with
-    /// [`Analyzer::needs_compaction`] / [`Analyzer::compact_epochs`].
-    pub(crate) fn overlap_wave<'a>(
-        &'a mut self,
-        pending: BinId,
-        records: &'a [TracerouteRecord],
-        threads: usize,
-    ) -> (AnalyzerStage<'a>, Vec<crate::engine::Job<'a>>) {
-        let chunk = crate::ingest::resolve_chunk_for(self.cfg.ingest_chunk_records, threads);
-        let Analyzer {
-            delay,
-            forwarding,
-            sanitizer,
-            cfg,
-            ..
-        } = self;
-        // The pending bin's rows are already scattered into the arenas,
-        // so reusing the sanitizer's buffer for the next bin is safe.
-        sanitizer.begin_bin();
-        let clean = sanitizer.sanitize(records, cfg);
-        let (delay_stage, mut scatter) = delay.overlap(pending, clean, chunk, threads);
-        let (forwarding_stage, fwd_scatter) = forwarding.overlap(pending, clean, chunk, threads);
-        scatter.extend(fwd_scatter);
-        (
-            AnalyzerStage {
-                delay: delay_stage,
-                forwarding: forwarding_stage,
-            },
-            scatter,
-        )
-    }
-
-    /// The executor's fence predicate: whether either detector's intern
-    /// epoch holds an *overdue* key (a sweep may only run in a drained
-    /// gap; see [`crate::diffrtt::DelayDetector::needs_compaction`] for
-    /// the tolerant bound accounting for the pending bin's unstamped
-    /// observations).
-    pub(crate) fn needs_compaction(&self, bin: BinId) -> bool {
-        self.delay.needs_compaction(bin) || self.forwarding.needs_compaction(bin)
-    }
-
-    /// Compact both detectors' intern epochs at `bin`. Must run in a
-    /// drained gap — no bin's scattered rows in flight.
+    /// Compact both detectors' intern epochs at `bin`. Runs at bin open,
+    /// before [`Analyzer::open_scatter`].
     pub(crate) fn compact_epochs(&mut self, bin: BinId) {
         self.delay.compact_epoch(bin);
         self.forwarding.compact_epoch(bin);
@@ -237,9 +189,7 @@ impl Analyzer {
 
     /// Sanitizer counters: records inspected, quarantined (by reason),
     /// and repaired. The `bin_*` fields describe the most recently
-    /// *opened* bin — under the depth-2 pipelined executor that is the
-    /// in-flight bin, one ahead of the last report; the cumulative
-    /// fields are schedule-independent.
+    /// reported bin.
     pub fn sanitize_stats(&self) -> SanitizeStats {
         self.sanitizer.stats()
     }
@@ -260,8 +210,8 @@ impl Analyzer {
     }
 
     /// The serial fence after a bin's shard wave: stamp every observed
-    /// link and pattern in the epoch tables (must run before any
-    /// compaction decision for a later bin), then fold the staged
+    /// link and pattern in the epoch tables (must run before the next
+    /// bin's compaction sweep), then fold the staged
     /// detector outputs into the analyzer's stateful trackers and
     /// aggregate them into a [`BinReport`] (§6).
     pub(crate) fn absorb(&mut self, bin: BinId, records: usize, staged: StagedBin) -> BinReport {
@@ -322,8 +272,8 @@ impl Analyzer {
         let fsev = forwarding_severity(&forwarding_alarms, &self.mapper);
         let magnitudes = self.magnitudes.score_bin(&dsev, &fsev);
         // The event channel updates here — the single funnel every
-        // execution path (batch, incremental, pipelined) flows through,
-        // so the deltas are deterministic by construction.
+        // execution path (the session and the sequential reference)
+        // flows through, so the deltas are deterministic by construction.
         let events = self.events.observe(
             bin,
             &[StreamEvidence {
@@ -345,16 +295,11 @@ impl Analyzer {
     }
 
     /// The [`crate::session::AnalysisSession`] over this analyzer — the
-    /// one executor behind batch, incremental, and pipelined use (see
-    /// the [`crate::session`] docs). `depth` `0` resolves to the engine
-    /// default (2); `1` is the strictly serial schedule; anything deeper
-    /// clamps to 2; and a resolved one-worker herd always collapses to
-    /// the serial schedule (nothing to overlap — see
-    /// `engine::resolve_schedule`). Output is byte-identical for every
-    /// depth — the determinism contract's pipelining rule (see
-    /// `src/README.md`).
-    pub fn session(&mut self, depth: usize) -> crate::session::AnalyzerSession<'_> {
-        crate::session::Session::new(self, depth)
+    /// one executor behind batch and incremental use (see the
+    /// [`crate::session`] docs). `depth` is vestigial: it is accepted and
+    /// selects nothing, there is one schedule.
+    pub fn session(&mut self, _depth: usize) -> crate::session::AnalyzerSession<'_> {
+        crate::session::Session::new(self)
     }
 
     /// Serialize the analyzer's complete resumable state into a
@@ -362,14 +307,10 @@ impl Analyzer {
     ///
     /// The snapshot determinism rule (see [`crate::snapshot`]): the same
     /// analytic state always yields the same bytes, regardless of how
-    /// many threads, what chunk size, or which pipeline depth produced
-    /// it — the two throughput knobs are normalized out, and every map
-    /// is serialized in sorted or dense-id order. Restoring and feeding
-    /// the remaining bins yields reports byte-identical to the
-    /// uninterrupted run. An in-flight bin is not resumable state:
-    /// snapshot mid-session through
-    /// [`AnalysisSession::checkpoint`],
-    /// which drains first.
+    /// many threads or what chunk size produced it — the two throughput
+    /// knobs are normalized out, and every map is serialized in sorted
+    /// or dense-id order. Restoring and feeding the remaining bins
+    /// yields reports byte-identical to the uninterrupted run.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::with_header(snapshot::KIND_ANALYZER);
         self.snapshot_body(&mut w);
@@ -595,6 +536,7 @@ pub(crate) struct StagedBin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::AnalysisSession;
     use pinpoint_model::records::{Hop, Reply};
     use pinpoint_model::{MeasurementId, ProbeId, SimTime};
     use std::net::Ipv4Addr;

@@ -11,10 +11,10 @@
 //!
 //! The contract, in wave-model terms: [`Sanitizer::sanitize`] is a pure
 //! per-record function applied **once per record slice, serially, before
-//! the scatter wave is built** — in `Analyzer::open_scatter`, the
-//! depth-2 `overlap_wave`, and the sequential reference path alike. Because the verdict for a record depends only on
-//! that record and the config, the sanitized sequence is independent of
-//! thread count, chunk size, and pipeline depth; downstream byte-for-byte
+//! the scatter wave is built** — in `Analyzer::open_scatter` and the
+//! sequential reference path alike. Because the verdict for a record
+//! depends only on that record and the config, the sanitized sequence is
+//! independent of thread count and chunk size; downstream byte-for-byte
 //! report parity is preserved by construction (and re-proven by
 //! `tests/robustness.rs` over hostile feeds).
 //!

@@ -6,20 +6,13 @@
 //! [`AnalyzerSet`]: a set of member [`Analyzer`]s plus a reduce step. A
 //! solo [`Analyzer`] is a set of one with the identity reduce; a
 //! [`StreamRouter`] is its streams with the fleet merge. One stream and
-//! many streams therefore reach the report funnel through the same code,
-//! at every depth.
+//! many streams therefore reach the report funnel through the same code.
 //!
 //! * [`AnalysisSession`] — one open-ended run over consecutive bins.
 //!   [`AnalysisSession::push_bin`] feeds a whole bin at once (zero-copy);
 //!   `begin_bin` / `ingest` / `finish_bin` stage a bin's slices in a
-//!   reused buffer as they arrive and push it on `finish_bin`;
-//!   [`AnalysisSession::flush`] drains whatever the executor still
-//!   holds. Reports come back **strictly in bin order**, but possibly
-//!   delayed: at pipeline depth 2 each push returns the *previous* bin's
-//!   report and `flush` returns the last one. Depth-1 sessions return
-//!   every report immediately and `flush` returns `None`. Consumers that
-//!   handle the `Option` uniformly are automatically correct at every
-//!   depth — that is the point of the trait.
+//!   reused buffer as they arrive and push it on `finish_bin`. A bin's
+//!   report leaves the push that fed it: nothing is ever left in flight.
 //! * [`BinSource`] — anything that yields `(BinId, feed)` pairs in
 //!   increasing bin order. Every `Iterator<Item = (BinId, F)>` is a
 //!   `BinSource` for free, so `platform.stream(..)`, a `Vec` of
@@ -28,16 +21,13 @@
 //!
 //! [`drive`] connects the two: it exhausts a source through a session
 //! and hands every report to an observer, which is the whole run loop of
-//! `scenarios::run_pipelined`; the live service's executor thread is the
-//! same loop over its collect queue.
+//! `scenarios::run`; the live service's executor thread is the same loop
+//! over its collect queue.
 //!
 //! [`AnalyzerSession`] (from [`Analyzer::session`]) and [`FleetSession`]
-//! (from [`StreamRouter::session`]) are aliases of [`Session`]. `depth`
-//! `0` resolves to the engine default (2), `1` is the strictly serial
-//! schedule, deeper clamps to 2, and a one-worker herd always runs
-//! serially (`engine::resolve_schedule`). For a fixed record sequence the
-//! emitted reports are byte-identical across every depth, thread count,
-//! and chunk size.
+//! (from [`StreamRouter::session`]) are aliases of [`Session`]. For a
+//! fixed record sequence the emitted reports are byte-identical across
+//! every thread count and chunk size.
 
 use crate::aggregate::FleetEvent;
 use crate::engine;
@@ -97,9 +87,8 @@ pub trait AnalysisSession {
     /// Without an open bin.
     fn ingest(&mut self, input: &Self::Input);
 
-    /// Close the open bin. Returns the next in-order report — the closed
-    /// bin's at depth 1, the *previous* bin's at depth 2 (`None` until
-    /// the pipeline has filled).
+    /// Close the open bin and analyze it. Always `Some`: the closed
+    /// bin's report.
     ///
     /// # Panics
     /// Without an open bin.
@@ -107,22 +96,23 @@ pub trait AnalysisSession {
 
     /// Feed one whole bin at once. Equivalent to `begin_bin` + `ingest` +
     /// `finish_bin` but zero-copy: the input slice goes straight to the
-    /// executor without touching the session's staging buffer.
+    /// executor without touching the session's staging buffer. Always
+    /// `Some`: the pushed bin's report.
     ///
     /// # Panics
     /// When a bin is open, or `bin` does not increase.
     fn push_bin(&mut self, bin: BinId, input: &Self::Input) -> Option<Self::Report>;
 
-    /// Drain the executor: the in-flight bin's report at depth 2, `None`
-    /// at depth 1 (every report was already returned). Idempotent.
-    ///
-    /// # Panics
-    /// When a bin is still open.
-    fn flush(&mut self) -> Option<Self::Report>;
+    /// Vestigial: every report already left its own push, so there is
+    /// never anything to drain.
+    fn flush(&mut self) -> Option<Self::Report> {
+        None
+    }
 
-    /// The resolved pipeline depth (1 or 2): how many bins may be in
-    /// flight, and therefore how far reports trail pushes.
-    fn depth(&self) -> usize;
+    /// Vestigial: no bin ever stays in flight, so the depth is always 1.
+    fn depth(&self) -> usize {
+        1
+    }
 
     /// The event channel's cumulative view: every event the run has
     /// extracted so far (open and closed), ranked by merged severity.
@@ -130,29 +120,24 @@ pub trait AnalysisSession {
     /// ([`BinReport::events`](crate::pipeline::BinReport::events) /
     /// [`FleetReport::events`](crate::stream::FleetReport::events));
     /// this reads the same state between bins, e.g. for a final
-    /// listing. Reflects only *reported* bins — at depth 2, a
-    /// pushed-but-unreported bin is not yet visible.
+    /// listing.
     fn events(&self) -> Vec<FleetEvent>;
 
-    /// Drain the executor and serialize the run's complete resumable
-    /// state: returns the flushed in-flight report (if the pipeline held
-    /// one — hand it to the observer like any other) and the snapshot
-    /// bytes ([`Analyzer::snapshot`] / [`StreamRouter::snapshot`]
-    /// layout). Draining inserts one pipeline bubble at depth 2, exactly
-    /// like the epoch fence, and is invisible in report bytes — so a
-    /// checkpoint cadence never voids the determinism contract. The
-    /// session keeps running afterwards; the pipeline refills on the
-    /// next push.
+    /// Serialize the run's complete resumable state
+    /// ([`Analyzer::snapshot`] / [`StreamRouter::snapshot`] layout).
+    /// Between pushes every pushed bin is fully analyzed, so the
+    /// snapshot covers them all and taking it never disturbs the
+    /// schedule; the session keeps running afterwards.
     ///
     /// # Panics
     /// When a bin is still open (`finish_bin` first).
-    fn checkpoint(&mut self) -> (Option<Self::Report>, Vec<u8>);
+    fn checkpoint(&mut self) -> Vec<u8>;
 }
 
 /// Exhaust a [`BinSource`] through an [`AnalysisSession`], handing every
-/// report to `observer` strictly in bin order (including the flushed
-/// tail). This is the canonical run loop — `scenarios::run_pipelined`
-/// and the service's executor thread are both this shape.
+/// report to `observer` strictly in bin order. This is the canonical run
+/// loop — `scenarios::run` and the service's executor thread are both
+/// this shape.
 pub fn drive<S, B>(session: &mut S, mut source: B, mut observer: impl FnMut(S::Report))
 where
     S: AnalysisSession + ?Sized,
@@ -163,9 +148,6 @@ where
         if let Some(report) = session.push_bin(bin, feed.borrow()) {
             observer(report);
         }
-    }
-    if let Some(report) = session.flush() {
-        observer(report);
     }
 }
 
@@ -195,9 +177,9 @@ pub trait AnalyzerSet {
     fn feeds<'i>(&self, input: &'i Self::Input) -> Vec<&'i [TracerouteRecord]>;
 
     /// Fold the members' reports of one bin (member order) into the
-    /// set's report. This is the single funnel every schedule flows
-    /// through, so anything stateful here (fleet magnitudes, the fleet
-    /// event channel) is deterministic by construction.
+    /// set's report. This is the single funnel every bin flows through,
+    /// so anything stateful here (fleet magnitudes, the fleet event
+    /// channel) is deterministic by construction.
     fn reduce(&mut self, bin: BinId, reports: Vec<BinReport>) -> Self::Report;
 
     /// The event channel's cumulative view (see
@@ -214,60 +196,31 @@ pub trait AnalyzerSet {
     fn sanitize_stats(&self) -> SanitizeStats;
 }
 
-/// One bin in flight: scattered and merged, its shard wave not yet run.
-struct Pending {
-    bin: BinId,
-    /// Each member's record count (reported on its `BinReport`).
-    records: Vec<usize>,
-}
-
 /// The bin executor and the [`AnalysisSession`] in front of it (create
 /// with [`Analyzer::session`] / [`StreamRouter::session`]).
 ///
-/// A pushed bin is *opened* — every member's scatter chunks run as one
-/// wave, followed by the members' sequential chunk-ordered intern merges
-/// — and then *analyzed*: every member's delay and forwarding shard jobs
-/// run as one wave, the members stamp and aggregate in member order, and
-/// the set reduces their reports. At depth 1 both steps happen inside the
-/// push. At depth 2 the session keeps one bin in flight: its shard wave
-/// runs *inside the next push*, overlapped with that push's scatter
-/// chunks as one two-lane engine wave, so a push returns the report of
-/// the **previous** bin (`None` for the very first) and
-/// [`AnalysisSession::flush`] returns the last one — reports always
-/// emerge strictly in bin order.
+/// One push is one bin, start to finish, in a straight line:
 ///
-/// Two serial fences keep the overlap byte-identical to the serial
-/// schedule:
+/// 1. **Compaction sweep.** Every member evicts the intern keys that
+///    expired on the `reference_expiry_bins` clock. The sweep renumbers
+///    dense ids, which is safe exactly here — the previous bin's rows
+///    are dead and this bin's are not scattered yet.
+/// 2. **Scatter wave.** Every member's scatter chunks run as one wave on
+///    the shared worker herd.
+/// 3. **Merge fence.** The members' sequential chunk-ordered intern
+///    merges, in member order — the only place intern epochs advance, so
+///    id assignment depends on `(records, tables at bin open)` alone.
+/// 4. **Shard wave.** Every member's delay and forwarding shard jobs run
+///    as one wave; shard jobs never write the epoch tables.
+/// 5. **Absorb and reduce.** The members stamp their observed keys and
+///    aggregate in member order, and the set reduces their reports.
 ///
-/// * **The merge fence.** Intern epochs only advance in the sequential
-///   merge after each wave, in bin order; shard jobs never write the
-///   epoch tables (observed keys are stamped after the wave). Scatter
-///   output depends only on `(records, tables at bin open)`, and the
-///   tables a bin opens against are identical under either schedule —
-///   so id assignment, and with it every report byte, cannot change.
-/// * **The epoch fence.** A compaction sweep renumbers dense ids, so it
-///   may only run when no bin's rows are in flight: when any member's
-///   interned key is overdue (unseen past `reference_expiry_bins + 1` —
-///   expired even if the still-unstamped pending bin observed it), the
-///   session drains the pending bin first, sweeps every member, and
-///   refills the pipeline — one bubble per sweep, only when something is
-///   genuinely dead, and no member ever renumbers ids under in-flight
-///   rows. The same keys get evicted as under the serial schedule, at
-///   most one bin later; invisible in reports, since dense ids never
-///   reach them.
-///
-/// Dropping the session without [`AnalysisSession::flush`] abandons the
-/// in-flight bin: its shard wave never runs, so it produces no report
-/// and never touches the detectors' references (only its keys were
-/// interned — harmless, and compacted away like any unused key).
+/// The report of bin *n* is the return value of the push of bin *n*.
 pub struct Session<'a, S: AnalyzerSet> {
     set: &'a mut S,
-    depth: usize,
     /// Resolved worker count of the shared herd.
     threads: usize,
-    pending: Option<Pending>,
-    /// Last bin pushed — enforces the increasing-order contract at every
-    /// depth (`pending` alone goes `None` at depth 1 and after a drain).
+    /// Last bin pushed — enforces the increasing-order contract.
     last: Option<BinId>,
     /// The incrementally-open bin, if any.
     open: Option<BinId>,
@@ -287,24 +240,22 @@ pub type AnalyzerSession<'a> = Session<'a, Analyzer>;
 pub type FleetSession<'a> = Session<'a, StreamRouter>;
 
 impl<'a, S: AnalyzerSet> Session<'a, S> {
-    /// A session over `set` at pipeline `depth` (`0` = engine default).
-    pub fn new(set: &'a mut S, depth: usize) -> Self {
+    /// A session over `set`.
+    pub fn new(set: &'a mut S) -> Self {
         let threads = engine::resolve_threads(set.threads());
         Session {
             set,
-            depth: engine::resolve_schedule(depth, threads),
             threads,
-            pending: None,
             last: None,
             open: None,
             buffers: Vec::new(),
         }
     }
 
-    /// The underlying set — its cumulative counters
-    /// ([`AnalyzerSet::ingest_stats`] / [`AnalyzerSet::sanitize_stats`])
-    /// stay readable while bins are in flight, which is how the live
-    /// service's `/stats` endpoint reads them.
+    /// The underlying set — its counters ([`AnalyzerSet::ingest_stats`]
+    /// / [`AnalyzerSet::sanitize_stats`]) describe the bin just
+    /// reported, which is how the live service's `/stats` endpoint reads
+    /// them.
     pub fn inner(&self) -> &S {
         self.set
     }
@@ -318,102 +269,39 @@ impl<'a, S: AnalyzerSet> Session<'a, S> {
         }
     }
 
-    /// The schedule: one bin in, the next in-order report out.
-    fn push(&mut self, bin: BinId, feeds: &[&[TracerouteRecord]]) -> Option<S::Report> {
+    /// The schedule (see the type docs): one bin in, its report out.
+    pub(crate) fn push(&mut self, bin: BinId, feeds: &[&[TracerouteRecord]]) -> S::Report {
         self.assert_increasing(bin);
         self.last = Some(bin);
-        let drained = match self.pending.take() {
-            Some(pending) if !self.set.members().iter().any(|a| a.needs_compaction(bin)) => {
-                // Steady state: the pending bin's shard jobs and this
-                // bin's scatter chunks run as one two-lane wave on one
-                // worker herd; then the merge fence for this bin.
-                let report = self.analyze(&pending, Some(feeds));
-                self.merge_fence(bin, feeds);
-                return Some(report);
-            }
-            // Nothing in flight, or the epoch fence (see the type docs):
-            // drain before sweeping.
-            pending => pending.map(|pending| self.analyze(&pending, None)),
-        };
-        // A drained gap — no bin's rows in flight — so the compaction
-        // sweep may renumber dense ids; then scatter + merge this bin.
-        {
-            let mut members = self.set.members();
-            let mut wave = engine::Wave::new();
-            for (analyzer, records) in members.iter_mut().zip(feeds) {
-                analyzer.compact_epochs(bin);
-                wave.push_scatter(analyzer.open_scatter(records, self.threads));
-            }
-            wave.run(self.threads);
-        }
-        self.merge_fence(bin, feeds);
-        if self.depth == 1 {
-            // Serial schedule: nothing stays in flight.
-            self.drain()
-        } else {
-            drained
-        }
-    }
-
-    /// The merge fence: every member's sequential chunk-ordered intern
-    /// merge for the just-scattered `bin`, in member order, leaving the
-    /// bin pending.
-    fn merge_fence(&mut self, bin: BinId, feeds: &[&[TracerouteRecord]]) {
-        for analyzer in self.set.members() {
-            analyzer.merge_scatter(bin);
-        }
-        self.pending = Some(Pending {
-            bin,
-            records: feeds.iter().map(|records| records.len()).collect(),
-        });
-    }
-
-    /// Run the pending bin's shard wave — alone (a drain), or with the
-    /// `next` bin's scatter chunks in the wave's scatter lane (the
-    /// depth-2 overlap) — then the post-wave fences: members stamp and
-    /// aggregate in member order, and the set reduces their reports.
-    fn analyze(&mut self, pending: &Pending, next: Option<&[&[TracerouteRecord]]>) -> S::Report {
         let threads = self.threads;
         let reports = {
             let mut members = self.set.members();
+            let mut scatter = Vec::new();
+            for (analyzer, records) in members.iter_mut().zip(feeds) {
+                analyzer.compact_epochs(bin);
+                scatter.extend(analyzer.open_scatter(records, threads));
+            }
+            engine::run_jobs(scatter, threads);
+            for analyzer in members.iter_mut() {
+                analyzer.merge_scatter(bin);
+            }
             let staged: Vec<_> = {
-                let mut stages = Vec::with_capacity(members.len());
-                let mut wave = engine::Wave::new();
-                match next {
-                    None => {
-                        for analyzer in members.iter_mut() {
-                            stages.push(analyzer.stage(pending.bin, threads));
-                        }
-                    }
-                    Some(feeds) => {
-                        for (analyzer, records) in members.iter_mut().zip(feeds) {
-                            let (stage, scatter) =
-                                analyzer.overlap_wave(pending.bin, records, threads);
-                            wave.push_scatter(scatter);
-                            stages.push(stage);
-                        }
-                    }
-                }
-                for stage in &mut stages {
-                    wave.push_analysis(stage.jobs());
-                }
-                wave.run(threads);
+                let mut stages: Vec<_> = members
+                    .iter_mut()
+                    .map(|analyzer| analyzer.stage(bin, threads))
+                    .collect();
+                let shards = stages.iter_mut().flat_map(AnalyzerStage::jobs).collect();
+                engine::run_jobs(shards, threads);
                 stages.into_iter().map(AnalyzerStage::finish).collect()
             };
             members
                 .iter_mut()
-                .zip(&pending.records)
+                .zip(feeds)
                 .zip(staged)
-                .map(|((analyzer, &records), staged)| analyzer.absorb(pending.bin, records, staged))
+                .map(|((analyzer, records), staged)| analyzer.absorb(bin, records.len(), staged))
                 .collect()
         };
-        self.set.reduce(pending.bin, reports)
-    }
-
-    /// Analyze the in-flight bin, if any, on its own.
-    fn drain(&mut self) -> Option<S::Report> {
-        let pending = self.pending.take()?;
-        Some(self.analyze(&pending, None))
+        self.set.reduce(bin, reports)
     }
 }
 
@@ -451,7 +339,7 @@ impl<S: AnalyzerSet> AnalysisSession for Session<'_, S> {
             buffer.clear();
         }
         self.buffers = buffers;
-        report
+        Some(report)
     }
 
     fn push_bin(&mut self, bin: BinId, input: &S::Input) -> Option<S::Report> {
@@ -460,28 +348,19 @@ impl<S: AnalyzerSet> AnalysisSession for Session<'_, S> {
             "push_bin called while a bin is open (finish_bin first)"
         );
         let feeds = self.set.feeds(input);
-        self.push(bin, &feeds)
-    }
-
-    fn flush(&mut self) -> Option<S::Report> {
-        assert!(
-            self.open.is_none(),
-            "flush called while a bin is open (finish_bin first)"
-        );
-        self.drain()
-    }
-
-    fn depth(&self) -> usize {
-        self.depth
+        Some(self.push(bin, &feeds))
     }
 
     fn events(&self) -> Vec<FleetEvent> {
         self.set.events()
     }
 
-    fn checkpoint(&mut self) -> (Option<S::Report>, Vec<u8>) {
-        let report = self.flush();
-        (report, self.set.snapshot())
+    fn checkpoint(&mut self) -> Vec<u8> {
+        assert!(
+            self.open.is_none(),
+            "checkpoint called while a bin is open (finish_bin first)"
+        );
+        self.set.snapshot()
     }
 }
 
@@ -491,111 +370,84 @@ mod tests {
     use crate::aggregate::AsMapper;
     use crate::config::DetectorConfig;
 
-    fn analyzer() -> Analyzer {
-        Analyzer::new(DetectorConfig::fast_test(), AsMapper::new())
-    }
-
-    /// An analyzer whose herd has two workers — required by every test
-    /// that exercises depth-2 cadence, because a one-worker herd
-    /// collapses the overlapped schedule to serial
-    /// (`engine::resolve_schedule`), regardless of the host's core count.
-    fn pipelined_analyzer() -> Analyzer {
+    fn analyzer(threads: usize) -> Analyzer {
         let mut cfg = DetectorConfig::fast_test();
-        cfg.threads = 2;
+        cfg.threads = threads;
         Analyzer::new(cfg, AsMapper::new())
     }
 
-    #[test]
-    fn depth_resolution_defaults_and_clamps() {
-        let mut a = pipelined_analyzer();
-        assert_eq!(a.session(1).depth(), 1);
-        let mut a = pipelined_analyzer();
-        assert_eq!(a.session(2).depth(), 2);
-        let mut a = pipelined_analyzer();
-        assert_eq!(a.session(7).depth(), 2, "deeper than 2 clamps");
-        let mut a = pipelined_analyzer();
-        assert_eq!(a.session(0).depth(), 2, "0 falls through to the default");
+    fn fleet(threads: usize) -> StreamRouter {
+        let mut router = StreamRouter::new();
+        router.add_stream("a", analyzer(threads));
+        router.add_stream("b", analyzer(threads));
+        router.set_threads(threads);
+        router
     }
 
+    /// The cadence itself: on every herd size, every push returns the
+    /// report of the bin it was fed and nothing is left to flush.
     #[test]
-    fn one_worker_session_collapses_to_serial() {
-        let mut cfg = DetectorConfig::fast_test();
-        cfg.threads = 1;
-        let mut a = Analyzer::new(cfg, AsMapper::new());
-        let mut session = a.session(2);
-        assert_eq!(session.depth(), 1, "one worker has nothing to overlap");
-        // Serial cadence: every push reports its own bin immediately.
-        let report = session
-            .push_bin(BinId(0), &[])
-            .expect("serial schedule reports immediately");
-        assert_eq!(report.bin, BinId(0));
-        assert!(session.flush().is_none());
-    }
+    fn every_push_reports_its_own_bin_on_every_thread_count() {
+        for threads in [1usize, 2, 8] {
+            let mut a = analyzer(threads);
+            let mut session = a.session(0);
+            for bin in 0..3u64 {
+                let report = session
+                    .push_bin(BinId(bin), &[])
+                    .expect("every push reports");
+                assert_eq!(report.bin, BinId(bin), "solo threads={threads}");
+            }
+            assert!(session.flush().is_none(), "solo threads={threads}");
 
-    #[test]
-    fn serial_session_reports_every_bin_immediately() {
-        let mut a = analyzer();
-        let mut session = a.session(1);
-        for bin in 0..3u64 {
-            let report = session
-                .push_bin(BinId(bin), &[])
-                .expect("depth 1 is immediate");
-            assert_eq!(report.bin, BinId(bin));
+            let mut router = fleet(threads);
+            let mut session = router.session(0);
+            let feeds = vec![Vec::new(), Vec::new()];
+            for bin in 0..3u64 {
+                let report = session
+                    .push_bin(BinId(bin), &feeds)
+                    .expect("every push reports");
+                assert_eq!(report.bin, BinId(bin), "fleet threads={threads}");
+            }
+            assert!(session.flush().is_none(), "fleet threads={threads}");
         }
-        assert!(session.flush().is_none());
     }
 
     #[test]
-    fn pipelined_session_trails_one_bin_and_flushes_the_tail() {
-        let mut a = pipelined_analyzer();
-        let mut session = a.session(2);
-        assert!(session.push_bin(BinId(0), &[]).is_none());
-        assert_eq!(session.push_bin(BinId(1), &[]).unwrap().bin, BinId(0));
-        assert_eq!(session.flush().unwrap().bin, BinId(1));
-        assert!(session.flush().is_none(), "flush is idempotent");
+    fn depth_argument_selects_nothing() {
+        for depth in [0usize, 1, 2, 7] {
+            assert_eq!(analyzer(2).session(depth).depth(), 1, "solo depth={depth}");
+            assert_eq!(fleet(2).session(depth).depth(), 1, "fleet depth={depth}");
+        }
     }
 
     #[test]
-    fn incremental_slices_and_drive_agree_on_report_order() {
-        let mut a = pipelined_analyzer();
-        let mut session = a.session(2);
+    fn incremental_slices_report_on_finish_bin() {
+        let mut a = analyzer(2);
+        let mut session = a.session(0);
         session.begin_bin(BinId(0));
         session.ingest(&[]);
         session.ingest(&[]);
-        assert!(session.finish_bin().is_none());
-        assert_eq!(session.push_bin(BinId(1), &[]).unwrap().bin, BinId(0));
+        assert_eq!(session.finish_bin().unwrap().bin, BinId(0));
+        assert_eq!(session.push_bin(BinId(1), &[]).unwrap().bin, BinId(1));
     }
 
     #[test]
     fn drive_exhausts_a_source_in_order() {
-        let mut a = pipelined_analyzer();
+        let mut a = analyzer(2);
         let bins: Vec<(BinId, Vec<TracerouteRecord>)> =
             (0..4u64).map(|b| (BinId(b), Vec::new())).collect();
         let mut seen = Vec::new();
-        let mut session = a.session(2);
+        let mut session = a.session(0);
         drive(&mut session, bins.into_iter(), |r| seen.push(r.bin));
         assert_eq!(seen, vec![BinId(0), BinId(1), BinId(2), BinId(3)]);
     }
 
     #[test]
-    fn fleet_session_round_trips() {
-        let mut router = StreamRouter::new();
-        router.add_stream("a", pipelined_analyzer());
-        router.add_stream("b", pipelined_analyzer());
-        router.set_threads(2);
-        let mut session = router.session(2);
-        let feeds = vec![Vec::new(), Vec::new()];
-        assert!(session.push_bin(BinId(0), &feeds).is_none());
-        assert_eq!(session.push_bin(BinId(1), &feeds).unwrap().bin, BinId(0));
-        assert_eq!(session.flush().unwrap().bin, BinId(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "flush called while a bin is open")]
-    fn flush_with_open_bin_panics() {
-        let mut a = pipelined_analyzer();
-        let mut session = a.session(2);
+    #[should_panic(expected = "checkpoint called while a bin is open")]
+    fn checkpoint_with_open_bin_panics() {
+        let mut a = analyzer(2);
+        let mut session = a.session(0);
         session.begin_bin(BinId(0));
-        session.flush();
+        session.checkpoint();
     }
 }

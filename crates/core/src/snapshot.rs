@@ -14,9 +14,8 @@
 //! Snapshots obey the same contract reports do, extended one level:
 //!
 //! 1. **Byte-stable across the execution matrix.** The snapshot of an
-//!    analyzer at bin *k* is byte-identical regardless of thread count,
-//!    scatter chunk size, or pipeline depth. Hash maps
-//!    serialize in sorted key order; intern tables serialize in dense-id
+//!    analyzer at bin *k* is byte-identical regardless of thread count
+//!    or scatter chunk size. Hash maps serialize in sorted key order; intern tables serialize in dense-id
 //!    (insertion) order, which *is* deterministic by the chunk-order
 //!    merge rule; throughput knobs (`threads`, `ingest_chunk_records`)
 //!    are normalized to 0 ("auto") inside the serialized config, so
@@ -25,7 +24,7 @@
 //!    process (possibly with different throughput knobs), feed bins
 //!    *k+1..n*: every report is byte-identical to the uninterrupted run.
 //!    `tests/snapshot_parity.rs` proves both properties across the CI
-//!    thread × chunk × depth matrix.
+//!    thread × chunk matrix.
 //!
 //! ## Wire format
 //!

@@ -44,7 +44,7 @@ use crate::aggregate::{
 use crate::config::DetectorConfig;
 use crate::graph::AlarmGraph;
 use crate::pipeline::{Analyzer, BinReport};
-use crate::session::{AnalysisSession, AnalyzerSet};
+use crate::session::AnalyzerSet;
 use crate::snapshot::{self, Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::{Asn, BinId};
@@ -147,7 +147,7 @@ impl StreamRouter {
     }
 
     /// Run one bin of the whole fleet through one shared worker pool —
-    /// the executor's depth-1 step (`self.session(1).push_bin(..)`).
+    /// one push of the executor ([`crate::session::Session`]).
     ///
     /// `feeds[i]` is the record feed of stream `i` (one slot per stream,
     /// empty when the stream saw no traffic this bin). The fleet bin runs
@@ -162,9 +162,8 @@ impl StreamRouter {
     /// # Panics
     /// When `feeds.len()` differs from the number of streams.
     pub fn process_bin(&mut self, bin: BinId, feeds: &[Vec<TracerouteRecord>]) -> FleetReport {
-        self.session(1)
-            .push_bin(bin, feeds)
-            .expect("a depth-1 session reports every bin on its own push")
+        let feeds = AnalyzerSet::feeds(self, feeds);
+        crate::session::Session::new(self).push(bin, &feeds)
     }
 
     /// Single-threaded reference path: every stream runs
@@ -189,8 +188,8 @@ impl StreamRouter {
     /// Fleet-level aggregation: sum per-AS severities across the streams'
     /// reports, score them against the fleet magnitude baseline, and run
     /// the merged view through the fleet event channel — this is the
-    /// single funnel every fleet execution path (the session at either
-    /// depth, and the sequential reference) flows through, so the event
+    /// single funnel every fleet execution path (the session and the
+    /// sequential reference) flows through, so the event
     /// deltas are deterministic by construction.
     fn merge(&mut self, bin: BinId, reports: Vec<BinReport>) -> FleetReport {
         let (dsev, fsev) = merge_severities(reports.iter().map(|r| &r.magnitudes));
@@ -280,16 +279,11 @@ impl StreamRouter {
     }
 
     /// The [`crate::session::AnalysisSession`] over the fleet — the same
-    /// executor as [`Analyzer::session`], over every stream at once: at
-    /// depth 2 the two-lane wave carries `2 × streams` job sets (every
-    /// stream's shard bundles for the pending bin, then every stream's
-    /// scatter chunks for the pushed bin), and the epoch fence drains when
-    /// ANY stream's arenas need a compaction sweep. `depth` resolves like
-    /// the analyzer's (`0` = engine default 2; a one-worker herd —
-    /// [`Self::set_threads`] — runs serially). Byte-identical to
-    /// [`StreamRouter::process_bin`] for every depth.
-    pub fn session(&mut self, depth: usize) -> crate::session::FleetSession<'_> {
-        crate::session::Session::new(self, depth)
+    /// executor as [`Analyzer::session`], over every stream at once: each
+    /// wave carries every stream's job set. `depth` is vestigial: it is
+    /// accepted and selects nothing, there is one schedule.
+    pub fn session(&mut self, _depth: usize) -> crate::session::FleetSession<'_> {
+        crate::session::Session::new(self)
     }
 
     /// Serialize the whole fleet's resumable state — every stream's

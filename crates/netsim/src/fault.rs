@@ -15,7 +15,7 @@
 //! [`FaultyFeed`] applies it as an iterator adapter over any
 //! `(BinId, Vec<R>)` source, which makes it a `BinSource` at the analysis
 //! boundary (every iterator of bin pairs is one) — so batch, incremental,
-//! pipelined, and service entry paths all see the *same* faulty feed.
+//! and service entry paths all see the *same* faulty feed.
 //!
 //! Fault classes split by visibility:
 //!

@@ -189,7 +189,7 @@ pub fn lan_pairs(report: &pinpoint_core::BinReport, mapper: &AsMapper, asn: Asn)
     pairs.len()
 }
 
-/// Replay the outage at one grade (on the pipelined executor — the
+/// Replay the outage at one grade (through the session executor — the
 /// deployment shape) and score it against the ground truth.
 pub fn evaluate(seed: u64, grade: NoiseGrade) -> RobustnessOutcome {
     let case = case_study(seed, grade);
@@ -202,7 +202,7 @@ pub fn evaluate(seed: u64, grade: NoiseGrade) -> RobustnessOutcome {
     let mut hits = 0u64;
     let mut eligible = 0u64;
     let mut false_alarms = 0u64;
-    let summary = runner::run_pipelined(&case, &mut analyzer, 0, |report| {
+    let summary = runner::run(&case, &mut analyzer, |report| {
         let b = report.bin.0;
         let detected = |asn: Asn| {
             report

@@ -197,12 +197,12 @@ mod tests {
 
         let mut merged_min = f64::INFINITY;
         let mut stream_min = vec![f64::INFINITY; case.streams.len()];
-        let mut session = router.session(1);
+        let mut session = router.session(0);
         for bin in outage_start - 4..outage_end + 2 {
             let feeds = case.collect_bin(BinId(bin));
             let report = session
                 .push_bin(BinId(bin), &feeds)
-                .expect("depth 1 reports immediately");
+                .expect("every push reports its own bin");
             if bin < outage_start {
                 continue;
             }
@@ -248,12 +248,12 @@ mod tests {
 
         let mut table = EventTable::new();
         let mut first_emission = None;
-        let mut session = router.session(1);
+        let mut session = router.session(0);
         for bin in outage_start - 4..outage_end + 2 {
             let feeds = case.collect_bin(BinId(bin));
             let report = session
                 .push_bin(BinId(bin), &feeds)
-                .expect("depth 1 reports immediately");
+                .expect("every push reports its own bin");
             if !report.events.is_empty() && first_emission.is_none() {
                 first_emission = Some(bin);
             }

@@ -102,18 +102,31 @@ pub struct RunSummary {
     pub mean_next_hops: f64,
 }
 
-/// Run the full pipeline over the case study's window.
+/// Run the full pipeline over the case study's window: one
+/// [`drive`] of the platform's bin stream through the analyzer's session.
 ///
-/// `observer` is called with each bin's report (figure harnesses extract
-/// series there); pass `|_|{}` when only the summary matters.
+/// `observer` is called with each bin's report, strictly in bin order
+/// (figure harnesses extract series there); pass `|_|{}` when only the
+/// summary matters.
 pub fn run(
     case: &CaseStudy,
     analyzer: &mut Analyzer,
-    observer: impl FnMut(&BinReport),
+    mut observer: impl FnMut(&BinReport),
 ) -> RunSummary {
-    // Depth 1 is the strictly serial schedule: every push reports its
-    // own bin immediately.
-    run_pipelined(case, analyzer, 1, observer)
+    let mut summary = RunSummary::default();
+    {
+        let mut session = analyzer.session(0);
+        drive(
+            &mut session,
+            case.platform.stream(case.start_bin, case.end_bin),
+            |report| {
+                fold_report(&mut summary, &report);
+                observer(&report);
+            },
+        );
+    }
+    close_summary(&mut summary, analyzer);
+    summary
 }
 
 /// Run the full pipeline over the case study's window in streaming mode:
@@ -132,7 +145,7 @@ pub fn run_streamed(
 ) -> RunSummary {
     let mut summary = RunSummary::default();
     {
-        let mut session = analyzer.session(1);
+        let mut session = analyzer.session(0);
         for (bin, chunks) in
             case.platform
                 .stream_chunked(case.start_bin, case.end_bin, chunk_records)
@@ -146,40 +159,6 @@ pub fn run_streamed(
                 observer(&report);
             }
         }
-        if let Some(report) = session.flush() {
-            fold_report(&mut summary, &report);
-            observer(&report);
-        }
-    }
-    close_summary(&mut summary, analyzer);
-    summary
-}
-
-/// Run the full pipeline over the case study's window on the cross-bin
-/// pipelined executor: while bin *n*'s shard jobs run, bin *n+1*'s
-/// scatter chunks run on the same worker herd
-/// (`Analyzer::session` — `depth` 0 = the engine default, 1 = serial,
-/// 2 = overlapped). `observer` still sees
-/// every report strictly in bin order; the whole run — reports, summary,
-/// tracked state — is byte-identical to [`run`] at every depth, which is
-/// the executor's determinism contract (`tests/pipeline_overlap_parity.rs`).
-pub fn run_pipelined(
-    case: &CaseStudy,
-    analyzer: &mut Analyzer,
-    depth: usize,
-    mut observer: impl FnMut(&BinReport),
-) -> RunSummary {
-    let mut summary = RunSummary::default();
-    {
-        let mut session = analyzer.session(depth);
-        drive(
-            &mut session,
-            case.platform.stream(case.start_bin, case.end_bin),
-            |report| {
-                fold_report(&mut summary, &report);
-                observer(&report);
-            },
-        );
     }
     close_summary(&mut summary, analyzer);
     summary
@@ -239,31 +218,6 @@ mod tests {
             summary.tracked_links
         );
         assert!(summary.tracked_patterns > 10);
-    }
-
-    #[test]
-    fn pipelined_run_matches_batch_run() {
-        // The cross-bin pipelined executor must be invisible in the
-        // summary and in every observed report, at every depth.
-        let case = CaseStudy::assemble(
-            11,
-            Scale::Small,
-            EventSchedule::new(),
-            DetectorConfig::fast_test(),
-            (0, 3),
-            "test-epoch",
-            4,
-        );
-        let mut batch = case.analyzer();
-        let mut want_bins = Vec::new();
-        let want = run(&case, &mut batch, |r| want_bins.push(r.bin));
-        for depth in [0usize, 1, 2] {
-            let mut pipelined = case.analyzer();
-            let mut got_bins = Vec::new();
-            let got = run_pipelined(&case, &mut pipelined, depth, |r| got_bins.push(r.bin));
-            assert_eq!(got, want, "depth={depth}");
-            assert_eq!(got_bins, want_bins, "depth={depth}: bin order");
-        }
     }
 
     #[test]

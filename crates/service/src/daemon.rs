@@ -14,9 +14,10 @@
 //!                                                             └──────────┘
 //! ```
 //!
-//! The collector pulls bin *n+1* from the feed while the depth-2
-//! pipelined session churns bin *n*; the reporter renders each emitted
-//! report **once** into the immutable cache. Both queues block their
+//! The collector pulls bin *n+1* from the feed while the executor
+//! analyzes bin *n* and the reporter renders bin *n−1* — each report is
+//! forwarded the moment its bin is analyzed and rendered **once** into
+//! the immutable cache. Both queues block their
 //! producer when full (see [`crate::queue`]), so a stalled consumer
 //! stalls the stage above it — backpressure all the way to the feed,
 //! never unbounded growth. Graceful shutdown stops only the collector;
@@ -39,8 +40,8 @@
 //! byte-matches an offline run over the recovered feed.
 //!
 //! **Checkpointing.** With `checkpoint_every > 0` and a
-//! `checkpoint_dir`, the executor drains its session every N bins and
-//! writes the byte-stable snapshot through [`CheckpointStore`] (framed,
+//! `checkpoint_dir`, the executor snapshots its session every N bins
+//! and writes the byte-stable bytes through [`CheckpointStore`] (framed,
 //! checksummed, atomically renamed). A later process restores the
 //! snapshot and resumes with [`ServiceConfig::resume_from`]; reports
 //! from then on are byte-identical to the uninterrupted run.
@@ -60,7 +61,7 @@ use pinpoint_model::json::Value;
 use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::{Asn, BinId};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,9 +81,6 @@ pub struct ServiceConfig {
     pub report_capacity: usize,
     /// HTTP worker threads (concurrent clients served in parallel).
     pub http_workers: usize,
-    /// Pipeline depth for the executor's session (`0` = the engine
-    /// default, `1` = serial, `2` = cross-bin overlapped).
-    pub depth: usize,
     /// First sleep after a feed disconnect, in milliseconds; each
     /// further consecutive disconnect doubles it up to
     /// [`ServiceConfig::retry_cap_ms`].
@@ -112,7 +110,6 @@ impl Default for ServiceConfig {
             collect_capacity: 4,
             report_capacity: 4,
             http_workers: 8,
-            depth: 0,
             retry_base_ms: 50,
             retry_cap_ms: 2_000,
             checkpoint_every: 0,
@@ -268,7 +265,7 @@ fn timeline_points(
 }
 
 /// The executor's periodic-checkpoint cadence: every `every` accepted
-/// bins, drain the session and persist the byte-stable snapshot.
+/// bins, persist the session's byte-stable snapshot.
 struct Checkpointing {
     store: CheckpointStore,
     every: u64,
@@ -277,16 +274,16 @@ struct Checkpointing {
 }
 
 /// The executor thread's body: run one session over the collect queue
-/// until it closes, pairing each in-order report with the collect
-/// timestamp of its bin. The thread owns its analyzer (or fleet) and the
+/// until it closes, forwarding each bin's report — stamped with the
+/// counters of that same bin and its collect timestamp — the moment the
+/// bin is analyzed. The thread owns its analyzer (or fleet) and the
 /// session is created here, inside the thread, because a session borrows
 /// its set and cannot cross the spawn boundary itself. `emit` returning
 /// `false` means the downstream stage is gone — stop driving (dead-stage
-/// shutdown propagation). With `ckpt`, the session is drained every N
-/// bins and its snapshot durably saved.
+/// shutdown propagation). With `ckpt`, the session's snapshot is durably
+/// saved every N bins.
 fn drive_session<S>(
     set: &mut S,
-    depth: usize,
     mut ckpt: Option<Checkpointing>,
     bins: &BoundedQueue<Collected<<S::Input as ToOwned>::Owned>>,
     emit: &mut dyn FnMut(Emitted) -> bool,
@@ -295,47 +292,25 @@ fn drive_session<S>(
     S::Input: ToOwned,
     S::Report: Into<ReportKind>,
 {
-    let mut session = Session::new(set, depth);
-    // Collected-but-unreported bins, oldest first.
-    let mut inflight: VecDeque<(u64, Instant)> = VecDeque::new();
-    // Forward the next in-order report, which must be the oldest
-    // in-flight bin's.
-    let mut forward = |inflight: &mut VecDeque<(u64, Instant)>,
-                       session: &Session<'_, S>,
-                       report: S::Report|
-     -> bool {
-        let (bin, at) = inflight.pop_front().expect("report without in-flight bin");
-        let report: ReportKind = report.into();
-        debug_assert_eq!(bin, report.bin(), "reports must emerge in collect order");
-        emit(Emitted {
-            report,
+    let mut session = Session::new(set);
+    while let Ok(c) = bins.pop() {
+        let report = session
+            .push_bin(c.bin, c.feed.borrow())
+            .expect("every push reports its own bin");
+        let emitted = Emitted {
+            report: report.into(),
             ingest: session.inner().ingest_stats(),
             sanitize: session.inner().sanitize_stats(),
-            collected_at: at,
-        })
-    };
-    while let Ok(c) = bins.pop() {
-        let collected_bin = c.bin.0;
-        inflight.push_back((collected_bin, c.at));
-        if let Some(report) = session.push_bin(c.bin, c.feed.borrow()) {
-            if !forward(&mut inflight, &session, report) {
-                return;
-            }
+            collected_at: c.at,
+        };
+        if !emit(emitted) {
+            return;
         }
         if let Some(ck) = ckpt.as_mut() {
             ck.seen += 1;
             if ck.seen % ck.every == 0 {
-                // Drain the pipeline so the snapshot covers every bin
-                // pushed so far; the flushed report (if any) is a real
-                // bin report and must still reach the reporter.
-                let (report, snapshot) = session.checkpoint();
-                if let Some(report) = report {
-                    if !forward(&mut inflight, &session, report) {
-                        return;
-                    }
-                }
-                match ck.store.save(collected_bin, &snapshot) {
-                    Ok(_) => ck.state.record_checkpoint(collected_bin),
+                match ck.store.save(c.bin.0, &session.checkpoint()) {
+                    Ok(_) => ck.state.record_checkpoint(c.bin.0),
                     Err(e) => ck
                         .state
                         .record_fault(format!("checkpoint write failed: {e}")),
@@ -343,12 +318,6 @@ fn drive_session<S>(
             }
         }
     }
-    if let Some(report) = session.flush() {
-        if !forward(&mut inflight, &session, report) {
-            return;
-        }
-    }
-    debug_assert!(inflight.is_empty(), "drain left a collected bin unreported");
 }
 
 /// Extract a printable message from a caught panic payload.
@@ -559,19 +528,18 @@ impl Daemon {
         }
 
         // Executor: one session over the whole queue; closes the report
-        // queue when the collect queue is drained and flushed. A push
-        // into a dead report queue stops the drive early.
+        // queue when the collect queue is drained. A push into a dead
+        // report queue stops the drive early.
         {
             let collect_q = Arc::clone(&collect_q);
             let report_q = Arc::clone(&report_q);
             let state = Arc::clone(&state);
-            let depth = cfg.depth;
             threads.push(
                 std::thread::Builder::new()
                     .name("pinpointd-executor".to_string())
                     .spawn(move || {
                         supervise("executor", &state, &collect_q, &report_q, || {
-                            drive_session(&mut set, depth, ckpt, &collect_q, &mut |emitted| {
+                            drive_session(&mut set, ckpt, &collect_q, &mut |emitted| {
                                 report_q.push(emitted).is_ok()
                             });
                             report_q.close();

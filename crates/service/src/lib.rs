@@ -2,14 +2,15 @@
 //!
 //! The live deployment shape of the pipeline (§8's "Internet Health
 //! Report" service): a long-running daemon that collects traceroute
-//! bins from a feed, analyzes them on the cross-bin pipelined executor
-//! through the unified `pinpoint_core::session` API, renders each
+//! bins from a feed, analyzes them on the bin executor through the
+//! unified `pinpoint_core::session` API, renders each
 //! report once into an immutable cache, and serves the results over a
 //! std-only HTTP surface.
 //!
 //! Three stages, two bounded queues (see [`daemon`] for the topology):
-//! the collector pulls bin *n+1* while the executor churns bin *n*;
-//! the reporter renders and publishes. Every queue blocks its producer
+//! the collector pulls bin *n+1* while the executor analyzes bin *n*;
+//! the reporter renders and publishes each report as soon as its bin is
+//! analyzed. Every queue blocks its producer
 //! when full ([`queue::BoundedQueue`]), so a slow consumer stalls the
 //! stage above instead of growing a backlog — the service is
 //! memory-bounded by construction. Graceful shutdown ([`Daemon::
@@ -18,9 +19,9 @@
 //!
 //! **Determinism contract, extended to the service:** replaying the
 //! same record sequence through the daemon produces reports
-//! byte-identical to the offline `scenarios::run_pipelined` rendered
-//! through `pinpoint_core::render` — proven by `tests/service_parity.rs`
-//! across the thread/chunk/depth CI matrix.
+//! byte-identical to the offline `scenarios::run` rendered through
+//! `pinpoint_core::render` — proven by `tests/service_parity.rs` across
+//! the thread/chunk CI matrix.
 //!
 //! **Crash safety:** every stage runs supervised (`catch_unwind`); a
 //! panic poisons both queues, flips the phase to [`Phase::Failed`], and

@@ -457,7 +457,10 @@ impl ServiceState {
         .to_string()
     }
 
-    /// `/bins` body: every reported bin with its headline counters.
+    /// `/bins` body: every reported bin with its headline counters. The
+    /// listing is built under the state mutex and stringified after it
+    /// is released, so a reader holds up the reporter's `publish` for
+    /// the copy only.
     pub fn bins_json(&self) -> String {
         let inner = self.inner.lock().unwrap();
         let rows = inner
@@ -476,21 +479,17 @@ impl ServiceState {
                 ])
             })
             .collect();
-        Value::object(vec![
-            ("bins", Value::Array(rows)),
-            (
-                "latest",
-                inner
-                    .entries
-                    .keys()
-                    .next_back()
-                    .map_or(Value::Null, |b| Value::Number(*b as f64)),
-            ),
-        ])
-        .to_string()
+        let latest = inner
+            .entries
+            .keys()
+            .next_back()
+            .map_or(Value::Null, |b| Value::Number(*b as f64));
+        drop(inner);
+        Value::object(vec![("bins", Value::Array(rows)), ("latest", latest)]).to_string()
     }
 
     /// `/asn/{id}/timeline` body, `None` when the AS was never scored.
+    /// Stringified outside the state mutex, like [`Self::bins_json`].
     pub fn timeline_json(&self, asn: u32) -> Option<String> {
         let inner = self.inner.lock().unwrap();
         let points = inner.timelines.get(&asn)?;
@@ -509,6 +508,7 @@ impl ServiceState {
                 ])
             })
             .collect();
+        drop(inner);
         Some(
             Value::object(vec![
                 ("asn", Value::Number(f64::from(asn))),

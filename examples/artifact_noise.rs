@@ -6,7 +6,7 @@
 //! attribution, duplicated and missing hops, probe clock skew. This
 //! example injects each grade of the `scenarios::artifacts` sweep via
 //! the deterministic `ArtifactModel`, replays the same ground-truth IXP
-//! outage through the full pipelined analyzer, and reads back:
+//! outage through the full analyzer, and reads back:
 //!
 //! * the sanitizer's counters (`Analyzer::sanitize_stats`) — how many
 //!   records were quarantined per class vs repaired in place;

@@ -56,9 +56,6 @@ fn main() {
                 reference.insert(report.bin.0, render::bin_report(&report).to_string());
             }
         }
-        if let Some(report) = session.flush() {
-            reference.insert(report.bin.0, render::bin_report(&report).to_string());
-        }
     }
     println!(
         "reference: {} bins analyzed without interruption",

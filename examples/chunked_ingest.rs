@@ -37,8 +37,8 @@ fn main() {
     );
 
     let mut incremental = pinpoint::core::Analyzer::new(cfg.clone(), case.mapper.clone());
-    // Depth 1: every `finish_bin` reports its own bin.
-    let mut session = incremental.session(1);
+    // Every `finish_bin` reports its own bin.
+    let mut session = incremental.session(0);
     let mut batch = pinpoint::core::Analyzer::new(cfg, case.mapper.clone());
 
     println!(
@@ -54,7 +54,7 @@ fn main() {
         for chunk in &chunks {
             session.ingest(chunk); // stage now, scatter + analyze at finish
         }
-        let report = session.finish_bin().expect("depth 1 reports at once");
+        let report = session.finish_bin().expect("every bin reports on finish");
 
         let stats = session.inner().ingest_stats();
         println!(

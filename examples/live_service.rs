@@ -3,12 +3,12 @@
 //!
 //! The daemon is the deployment shape of the pipeline (§8's "Internet
 //! Health Report"): a collector thread pulls bin *n+1* from the feed
-//! while the depth-2 pipelined session churns bin *n*, joined by bounded
+//! while the executor's session analyzes bin *n*, joined by bounded
 //! queues (a slow stage stalls the one above it — never a backlog), and
-//! a reporter renders each report once into an immutable cache that the
-//! HTTP workers serve byte-identically to every client. The rendered
-//! bytes are the same bytes the offline `scenarios::run_pipelined` path
-//! produces — the determinism contract, extended to the service
+//! a reporter renders each report once — the moment its bin is analyzed
+//! — into an immutable cache that the HTTP workers serve
+//! byte-identically to every client. The rendered bytes are the same
+//! bytes the offline `scenarios::run` path produces — the determinism contract, extended to the service
 //! (`tests/service_parity.rs`).
 //!
 //! ```sh

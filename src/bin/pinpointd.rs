@@ -2,14 +2,14 @@
 //!
 //! Builds one of the reproducible case studies (`steady` or the AMS-IX
 //! `ixp` outage), then serves it live: a collector thread pulls each
-//! hourly bin from the platform while the pipelined executor churns the
+//! hourly bin from the platform while the executor analyzes the
 //! previous one, and the rendered reports are exposed over the HTTP
 //! surface (`/health`, `/bins`, `/bins/{id}/report`, `/bins/{id}/events`,
 //! `/events`, `/events/{id}`, `/asn/{id}/timeline`, `/alarms/graph`,
 //! `/stats`). `POST /shutdown` drains gracefully.
 //!
 //! `--offline` runs the identical window through the offline
-//! `scenarios::run_pipelined` path instead and prints one bin's rendered
+//! `scenarios::run` path instead and prints one bin's rendered
 //! report to stdout (no trailing newline) — the CI smoke test diffs that
 //! byte-for-byte against the daemon's `/bins/{id}/report` body.
 //! `--offline --events` prints the final ranked event listing instead —
@@ -58,7 +58,6 @@ struct Args {
     scenario: String,
     seed: u64,
     bins: Option<u64>,
-    depth: usize,
     addr: String,
     artifacts: String,
     fast: bool,
@@ -75,7 +74,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: pinpointd [--scenario=steady|ixp] [--seed=N] [--bins=N] \
-         [--depth=N] [--addr=HOST:PORT] [--artifacts=none|mild|hostile] \
+         [--addr=HOST:PORT] [--artifacts=none|mild|hostile] \
          [--fast] [--checkpoint-every=N] [--checkpoint-dir=PATH] [--resume] \
          [--faults=none|mild|hostile] [--fault-seed=N] \
          [--offline [--bin=N] [--events]]"
@@ -88,7 +87,6 @@ fn parse_args() -> Args {
         scenario: "ixp".to_string(),
         seed: 42,
         bins: None,
-        depth: 0,
         addr: "127.0.0.1:7411".to_string(),
         artifacts: "none".to_string(),
         fast: false,
@@ -110,7 +108,6 @@ fn parse_args() -> Args {
             ("--scenario", Some(v)) => args.scenario = v.to_string(),
             ("--seed", Some(v)) => args.seed = v.parse().unwrap_or_else(|_| usage()),
             ("--bins", Some(v)) => args.bins = Some(v.parse().unwrap_or_else(|_| usage())),
-            ("--depth", Some(v)) => args.depth = v.parse().unwrap_or_else(|_| usage()),
             ("--addr", Some(v)) => args.addr = v.to_string(),
             ("--artifacts", Some(v)) => args.artifacts = v.to_string(),
             ("--fast", None) => args.fast = true,
@@ -158,7 +155,7 @@ fn build_case(args: &Args) -> CaseStudy {
     case
 }
 
-/// Offline reference: run the window through `scenarios::run_pipelined`
+/// Offline reference: run the window through `scenarios::run`
 /// and print the target bin's rendered report — the exact bytes the
 /// daemon serves for `/bins/{id}/report`.
 fn run_offline(args: &Args, case: CaseStudy) -> i32 {
@@ -168,7 +165,7 @@ fn run_offline(args: &Args, case: CaseStudy) -> i32 {
         // Fold the incremental event channel exactly as the daemon's
         // reporter does: the final listing must equal the live /events.
         let mut table = pinpoint::core::EventTable::new();
-        runner::run_pipelined(&case, &mut analyzer, args.depth, |report| {
+        runner::run(&case, &mut analyzer, |report| {
             table.absorb(&report.events);
         });
         // No trailing newline: stdout must equal the HTTP body.
@@ -176,7 +173,7 @@ fn run_offline(args: &Args, case: CaseStudy) -> i32 {
         return 0;
     }
     let mut body = None;
-    runner::run_pipelined(&case, &mut analyzer, args.depth, |report| {
+    runner::run(&case, &mut analyzer, |report| {
         if report.bin.0 == target {
             body = Some(render::bin_report(report).to_string());
         }
@@ -243,7 +240,6 @@ fn run_live(args: &Args, case: CaseStudy) -> i32 {
     };
     let cfg = ServiceConfig {
         addr: args.addr.clone(),
-        depth: args.depth,
         checkpoint_every: args.checkpoint_every,
         checkpoint_dir: args.checkpoint_dir.clone().map(Into::into),
         resume_from,

@@ -52,36 +52,8 @@ pub fn chunk_from_env() -> usize {
     matrix_var("PINPOINT_CHUNK", "scatter chunk size (records)")
 }
 
-/// Cross-bin pipeline depth under test: `PINPOINT_PIPELINE` when set
-/// (the CI matrix exports 1 = serial and 2 = overlapped), otherwise 0
-/// (the engine default, currently 2). The suites pass it to
-/// `session(..)`. Byte-for-byte parity must hold for every value —
-/// overlap is pure scheduling.
-pub fn pipeline_from_env() -> usize {
-    check_pipeline_depth(
-        "PINPOINT_PIPELINE",
-        matrix_var("PINPOINT_PIPELINE", "pipeline depth"),
-    )
-}
-
-/// The depth validator behind [`pipeline_from_env`], split out (like
-/// [`parse_matrix_var`]) so the failure mode is testable without mutating
-/// process-global environment state. Depths above 2 would silently clamp
-/// to 2 inside the engine — a matrix axis claiming to test depth 3 must
-/// fail loudly instead of re-testing depth 2.
-pub fn check_pipeline_depth(name: &str, depth: usize) -> usize {
-    assert!(
-        depth <= 2,
-        "{name}={depth} is not a supported pipeline depth: set {name} to 0 \
-         (engine default), 1 (strictly serial bins), or 2 (overlap bin n+1's \
-         ingestion with bin n's analysis) — deeper pipelines do not exist",
-    );
-    depth
-}
-
 /// The parity config: `fast_test` with the matrix-selected thread count
-/// and scatter chunk size (the depth axis is an argument of `session(..)`
-/// — see [`pipeline_from_env`]).
+/// and scatter chunk size.
 pub fn parity_config() -> DetectorConfig {
     let mut cfg = DetectorConfig::fast_test();
     cfg.threads = threads_from_env();

@@ -1,23 +1,24 @@
 //! Incremental event-channel parity: the fleet event deltas emitted per
 //! bin by the empathy extractor — through `Analyzer::aggregate` and
 //! `StreamRouter::merge`, the two funnels every execution path shares —
-//! must be *byte-for-byte* identical for any thread count, any scatter
-//! chunk size, and any pipeline depth; the fold of those deltas must
-//! equal the post-hoc extraction over the same evidence; and the channel
-//! must survive the depth-2 compaction drain fence unchanged.
+//! must be *byte-for-byte* identical for any thread count and any scatter
+//! chunk size; the fold of those deltas must equal the post-hoc
+//! extraction over the same evidence; and the channel must survive
+//! mid-stream intern compaction unchanged.
 //!
 //! Like the other parity suites, the CI matrix re-runs this file under
-//! `PINPOINT_THREADS` × `PINPOINT_CHUNK` × `PINPOINT_PIPELINE` via
-//! `common::{parity_config, pipeline_from_env}`; the tests additionally sweep threads, chunks,
-//! and depths locally, so every matrix point proves several schedules.
+//! `PINPOINT_THREADS` × `PINPOINT_CHUNK` via `common::parity_config`; the
+//! tests additionally sweep threads and chunks locally, so every matrix
+//! point proves several schedules.
 
 #[allow(dead_code)]
 mod common;
 
-use common::{parity_config, pipeline_from_env};
+use common::parity_config;
 use pinpoint::core::aggregate::{EmpathyExtractor, StreamEvidence};
 use pinpoint::core::{render, AnalysisSession, DetectorConfig, EventTable, FleetReport};
 use pinpoint::model::json::Value;
+use pinpoint::model::records::TracerouteRecord;
 use pinpoint::model::BinId;
 use pinpoint::scenarios::{ixp, multi, Scale};
 
@@ -36,50 +37,61 @@ fn fresh_case(cfg: DetectorConfig) -> multi::MultiStreamCase {
     case
 }
 
-/// Drive the outage window through a fleet session at `depth`, returning
-/// each bin's rendered deltas plus the final ranked listing (rendered
-/// from the delta fold, exactly as the service reporter serves it).
-fn drive(cfg: DetectorConfig, depth: usize) -> (Vec<String>, String) {
-    let case = fresh_case(cfg);
-    let mut router = case.router();
-    let mut session = router.session(depth);
+/// Run the outage window bin by bin through `step`, returning each bin's
+/// rendered deltas plus the final ranked listing (rendered from the delta
+/// fold, exactly as the service reporter serves it).
+fn fold_window(
+    case: &multi::MultiStreamCase,
+    mut step: impl FnMut(BinId, &[Vec<TracerouteRecord>]) -> FleetReport,
+) -> (Vec<String>, String) {
     let (outage_start, outage_end) = ixp::outage_bins();
     let mut per_bin = Vec::new();
     let mut table = EventTable::new();
     for bin in outage_start - 4..outage_end + 2 {
-        let feeds = case.collect_bin(BinId(bin));
-        if let Some(report) = session.push_bin(BinId(bin), &feeds) {
-            table.absorb(&report.events);
-            per_bin.push(deltas_json(&report));
-        }
-    }
-    if let Some(report) = session.flush() {
+        let report = step(BinId(bin), &case.collect_bin(BinId(bin)));
         table.absorb(&report.events);
         per_bin.push(deltas_json(&report));
     }
     (per_bin, render::events(&table.ranked()).to_string())
 }
 
+/// Drive the outage window through a fleet session.
+fn drive(cfg: DetectorConfig) -> (Vec<String>, String) {
+    let case = fresh_case(cfg);
+    let mut router = case.router();
+    let mut session = router.session(0);
+    fold_window(&case, |bin, feeds| {
+        session
+            .push_bin(bin, feeds)
+            .expect("every push reports its own bin")
+    })
+}
+
+/// The same window through the nested-map sequential reference, which
+/// has no intern tables to compact.
+fn drive_sequential(cfg: DetectorConfig) -> (Vec<String>, String) {
+    let case = fresh_case(cfg);
+    let mut router = case.router();
+    fold_window(&case, |bin, feeds| {
+        router.process_bin_sequential(bin, feeds)
+    })
+}
+
 /// The incremental event channel through the AMS-IX outage must emit the
-/// identical bytes for the env-selected matrix point, a local thread /
-/// chunk sweep, and every pipeline depth.
+/// identical bytes for the env-selected matrix point and a local thread /
+/// chunk sweep.
 #[test]
 fn fleet_event_deltas_are_byte_identical_across_schedules() {
-    let (want_bins, want_listing) = drive(DetectorConfig::fast_test(), 1);
+    let (want_bins, want_listing) = drive(DetectorConfig::fast_test());
     assert!(
         want_bins.iter().any(|b| b != "[]"),
         "the outage emitted no event deltas — parity would only be proven on quiet bins"
     );
 
-    // The env-selected matrix point (CI exports the axes), every depth.
-    for depth in [pipeline_from_env(), 1, 2] {
-        let (got_bins, got_listing) = drive(parity_config(), depth);
-        assert_eq!(got_bins, want_bins, "deltas diverged at depth {depth}");
-        assert_eq!(
-            got_listing, want_listing,
-            "listing diverged at depth {depth}"
-        );
-    }
+    // The env-selected matrix point (CI exports the axes).
+    let (got_bins, got_listing) = drive(parity_config());
+    assert_eq!(got_bins, want_bins, "deltas diverged at the matrix point");
+    assert_eq!(got_listing, want_listing);
 
     // A local sweep including a thread count that doesn't divide the
     // shard count and a pathological 3-record chunk.
@@ -88,7 +100,7 @@ fn fleet_event_deltas_are_byte_identical_across_schedules() {
             let mut cfg = DetectorConfig::fast_test();
             cfg.threads = threads;
             cfg.ingest_chunk_records = chunk;
-            let (got_bins, got_listing) = drive(cfg, 2);
+            let (got_bins, got_listing) = drive(cfg);
             assert_eq!(
                 got_bins, want_bins,
                 "deltas diverged at threads {threads} chunk {chunk}"
@@ -107,13 +119,12 @@ fn delta_fold_equals_post_hoc_extraction() {
     let (outage_start, outage_end) = ixp::outage_bins();
 
     let mut router = case.router();
-    let mut session = router.session(pipeline_from_env());
+    let mut session = router.session(0);
     let mut reports: Vec<FleetReport> = Vec::new();
     for bin in outage_start - 4..outage_end + 2 {
         let feeds = case.collect_bin(BinId(bin));
         reports.extend(session.push_bin(BinId(bin), &feeds));
     }
-    reports.extend(session.flush());
 
     let mut table = EventTable::new();
     for report in &reports {
@@ -145,23 +156,20 @@ fn delta_fold_equals_post_hoc_extraction() {
     assert_eq!(replay_table.ranked(), table.ranked());
 }
 
-/// The channel must survive the depth-2 compaction drain fence: with a
-/// short reference expiry the intern tables compact mid-stream, and the
-/// deltas must still match the serial schedule byte for byte.
+/// The channel must survive intern compaction: with a short reference
+/// expiry the intern tables compact mid-stream, and the deltas must still
+/// match the sequential reference — which interns nothing — byte for byte.
 #[test]
 fn event_channel_survives_compaction_drain_fence() {
-    let mut cfg = DetectorConfig::fast_test();
+    let mut cfg = parity_config();
     cfg.reference_expiry_bins = 3;
 
-    let (serial_bins, serial_listing) = drive(cfg.clone(), 1);
+    let (want_bins, want_listing) = drive_sequential(cfg.clone());
     assert!(
-        serial_bins.iter().any(|b| b != "[]"),
-        "no deltas through the fence schedule"
+        want_bins.iter().any(|b| b != "[]"),
+        "no deltas through the compaction schedule"
     );
-    let (overlapped_bins, overlapped_listing) = drive(cfg, 2);
-    assert_eq!(
-        overlapped_bins, serial_bins,
-        "deltas diverged across the drain fence"
-    );
-    assert_eq!(overlapped_listing, serial_listing);
+    let (got_bins, got_listing) = drive(cfg);
+    assert_eq!(got_bins, want_bins, "deltas diverged across compaction");
+    assert_eq!(got_listing, want_listing);
 }

@@ -4,14 +4,13 @@
 //! feed slicing, and through intern-table compaction under key churn.
 //!
 //! The CI matrix re-runs this file with `PINPOINT_THREADS` ∈ {1, 2, 4, 8}
-//! × `PINPOINT_CHUNK` ∈ {3 records, default} × `PINPOINT_PIPELINE` ∈
-//! {2, 1} on a multi-core runner; the
+//! × `PINPOINT_CHUNK` ∈ {3 records, default} on a multi-core runner; the
 //! tests below additionally sweep chunk sizes internally, so every matrix
 //! point proves parity for several chunkings.
 
 mod common;
 
-use common::{assert_reports_identical, parity_config, pipeline_from_env};
+use common::{assert_reports_identical, parity_config};
 use pinpoint::core::aggregate::AsMapper;
 use pinpoint::core::{AnalysisSession, Analyzer, DetectorConfig};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
@@ -148,7 +147,7 @@ proptest! {
         cuts.sort_unstable();
         let mut batch = chunked_analyzer(2);
         let mut streamed = chunked_analyzer(2);
-        let mut session = streamed.session(pipeline_from_env());
+        let mut session = streamed.session(0);
         let (mut want, mut got) = (Vec::new(), Vec::new());
         for bin in 0..2u64 {
             want.push(batch.process_bin(BinId(bin), &records));
@@ -158,7 +157,6 @@ proptest! {
             session.ingest(&records[cuts[1]..]);
             got.extend(session.finish_bin());
         }
-        got.extend(session.flush());
         prop_assert_eq!(got.len(), want.len());
         for (got, want) in got.iter().zip(&want) {
             assert_reports_identical(got, want, &format!("bin {:?} cuts {cuts:?}", want.bin));

@@ -1,21 +1,23 @@
-//! Bin-executor parity tests: the depth-2 schedule of `session(depth)` —
-//! bin *n*'s delay + forwarding shard jobs overlapped with bin *n+1*'s
-//! scatter chunks on one worker herd — must be *byte-for-byte* equivalent
-//! to the serial schedule for any thread count, any scatter chunk size,
-//! and any depth, for a solo [`Analyzer`] and for a multi-stream
-//! [`StreamRouter`] fleet alike. The sweeps here cover alarm-firing event
-//! bins (the AMS-IX outage; a delay surge; a route flip), empty bins, and
-//! an epoch-compaction bin mid-stream (the drain fence).
+//! Bin-executor parity tests: the one schedule of `session(..)` — compaction
+//! sweep, scatter wave, merge fence, shard wave, absorb — must be
+//! *byte-for-byte* equivalent to the nested-map sequential reference
+//! (`process_bin_sequential`) for any thread count and any scatter chunk
+//! size, for a solo [`Analyzer`] and for a multi-stream [`StreamRouter`]
+//! fleet alike, and must agree with itself on the intern-epoch and
+//! sanitizer counters across that matrix. The sweeps here cover
+//! alarm-firing event bins (the AMS-IX outage; a delay surge; a route
+//! flip), empty bins, and epoch-compaction bins mid-stream. The file also
+//! pins the session's bin-clock contract.
 //!
 //! Like the other parity suites, the CI matrix re-runs this file under
-//! `PINPOINT_THREADS` × `PINPOINT_CHUNK` × `PINPOINT_PIPELINE`; the tests
-//! additionally sweep depth {1, 2} (and the env-selected depth via
-//! `pipeline_from_env`) internally, so every matrix point proves several
-//! schedules.
+//! `PINPOINT_THREADS` × `PINPOINT_CHUNK`; the tests additionally sweep
+//! threads and chunks internally, so every matrix point proves several
+//! schedules. (The file keeps its historical name: the test ids are
+//! pinned by the tier-1 floor list.)
 
 mod common;
 
-use common::{assert_reports_identical, parity_config, pipeline_from_env};
+use common::{assert_reports_identical, parity_config};
 use pinpoint::core::aggregate::AsMapper;
 use pinpoint::core::{
     AnalysisSession, Analyzer, BinReport, DetectorConfig, FleetReport, StreamRouter,
@@ -32,19 +34,14 @@ fn mapper() -> AsMapper {
     ])
 }
 
-/// Drive a bin stream through a `session(depth)` and collect the
-/// in-order reports.
-fn drive(
-    analyzer: &mut Analyzer,
-    depth: usize,
-    bins: &[(BinId, Vec<TracerouteRecord>)],
-) -> Vec<BinReport> {
+/// Drive a bin stream through a session and collect the in-order
+/// reports.
+fn drive(analyzer: &mut Analyzer, bins: &[(BinId, Vec<TracerouteRecord>)]) -> Vec<BinReport> {
     let mut out = Vec::new();
-    let mut session = analyzer.session(depth);
+    let mut session = analyzer.session(0);
     for (bin, records) in bins {
         out.extend(session.push_bin(*bin, records));
     }
-    out.extend(session.flush());
     out
 }
 
@@ -145,9 +142,9 @@ fn forwarding_records(stream: u8, bin: u64, flipped: bool) -> Vec<TracerouteReco
 }
 
 /// Full-pipeline parity through the AMS-IX outage: the scenario where
-/// real forwarding alarms fire. The pipelined executor at every depth —
-/// including the env-selected one — must reproduce the sequential
-/// reference path byte for byte, report by report, in bin order.
+/// real forwarding alarms fire. The session at the env-selected matrix
+/// point must reproduce the sequential reference path byte for byte,
+/// report by report, in bin order.
 #[test]
 fn pipelined_analyzer_matches_serial_through_ixp_outage() {
     let case = ixp::case_study(7, Scale::Small);
@@ -167,22 +164,13 @@ fn pipelined_analyzer_matches_serial_through_ixp_outage() {
         "the outage fired no alarms — parity would only be proven on quiet bins"
     );
 
-    // The CI PINPOINT_PIPELINE axis lands exactly here.
-    for depth in [pipeline_from_env(), 1, 2] {
-        let mut pipelined = Analyzer::new(parity_config(), case.mapper.clone());
-        let got = drive(&mut pipelined, depth, &bins);
-        assert_streams_identical(&got, &want, &format!("ixp depth {depth}"));
-        assert_eq!(
-            pipelined.tracked_links(),
-            sequential.tracked_links(),
-            "depth {depth}: tracked links diverged"
-        );
-        assert_eq!(
-            pipelined.tracked_patterns(),
-            sequential.tracked_patterns(),
-            "depth {depth}: tracked patterns diverged"
-        );
-    }
+    // The CI PINPOINT_THREADS × PINPOINT_CHUNK axes land exactly here.
+    let mut engine = Analyzer::new(parity_config(), case.mapper.clone());
+    let got = drive(&mut engine, &bins);
+    assert_streams_identical(&got, &want, "ixp");
+    assert_eq!(engine.tracked_links(), sequential.tracked_links());
+    assert_eq!(engine.tracked_patterns(), sequential.tracked_patterns());
+    assert_eq!(engine.sanitize_stats(), sequential.sanitize_stats());
 }
 
 /// The bin schedule of the churn sweep: steady delay traffic + per-bin
@@ -204,11 +192,11 @@ fn churn_schedule() -> Vec<(BinId, Vec<TracerouteRecord>)> {
         .collect()
 }
 
-/// Epoch-compaction bin mid-stream: with a 2-bin expiry the churn keys of
-/// bins 0–3 die while the stream is still flowing, so the depth-2
-/// pipeline must hit its drain-sweep-refill fence — and stay
-/// byte-identical to both serial paths, including the delay surge fired
-/// *after* the sweeps.
+/// Epoch-compaction bins mid-stream: with a 2-bin expiry the churn keys of
+/// bins 0–3 die while the stream is still flowing, so the sweep at bin
+/// open renumbers dense ids under a live stream — and the session must
+/// stay byte-identical to the sequential path (which interns nothing),
+/// including the delay surge fired *after* the sweeps.
 #[test]
 fn pipelined_compaction_fence_mid_stream_parity() {
     let mut cfg = parity_config();
@@ -217,46 +205,35 @@ fn pipelined_compaction_fence_mid_stream_parity() {
     sequential_cfg.reference_expiry_bins = 2;
     let bins = churn_schedule();
 
-    let mut sequential = Analyzer::new(sequential_cfg, mapper());
+    let mut sequential = Analyzer::new(sequential_cfg.clone(), mapper());
     let want: Vec<BinReport> = bins
         .iter()
         .map(|(bin, records)| sequential.process_bin_sequential(*bin, records))
         .collect();
     assert!(
         want.iter().any(|r| !r.delay_alarms.is_empty()),
-        "the surge fired no delay alarm through the fence schedule"
+        "the surge fired no delay alarm through the compaction schedule"
     );
 
-    for depth in [1usize, 2] {
-        let mut pipelined = Analyzer::new(cfg.clone(), mapper());
-        let got = drive(&mut pipelined, depth, &bins);
-        assert_streams_identical(&got, &want, &format!("churn depth {depth}"));
-        let stats = pipelined.ingest_stats();
-        assert!(
-            stats.evictions > 0,
-            "depth {depth}: no compaction sweep ran — the fence was never exercised"
-        );
-        assert_eq!(
-            pipelined.tracked_links(),
-            sequential.tracked_links(),
-            "depth {depth}"
-        );
-    }
+    let mut engine = Analyzer::new(cfg, mapper());
+    let got = drive(&mut engine, &bins);
+    assert_streams_identical(&got, &want, "churn");
+    assert!(
+        engine.ingest_stats().evictions > 0,
+        "no compaction sweep ran — the schedule never exercised one"
+    );
+    assert_eq!(engine.tracked_links(), sequential.tracked_links());
+    assert_eq!(engine.sanitize_stats(), sequential.sanitize_stats());
 
-    // The two engine schedules must also agree on the eviction sets —
-    // the fence defers a sweep to a drained gap (an overdue key's
-    // eviction may land one bin later than serial), but the same keys
-    // must die, so with quiet bins at the end of the schedule the
-    // cumulative epoch counters converge to equality.
-    let mut serial_engine = Analyzer::new(cfg.clone(), mapper());
-    for (bin, records) in &bins {
-        serial_engine.process_bin(*bin, records);
-    }
-    let mut overlapped = Analyzer::new(cfg, mapper());
-    drive(&mut overlapped, 2, &bins);
+    // The same keys must die on every schedule: the intern-epoch counters
+    // of the matrix point equal those of the one-worker, auto-chunk run.
+    let mut one_worker_cfg = sequential_cfg;
+    one_worker_cfg.threads = 1;
+    let mut one_worker = Analyzer::new(one_worker_cfg, mapper());
+    drive(&mut one_worker, &bins);
     assert_eq!(
-        overlapped.ingest_stats(),
-        serial_engine.ingest_stats(),
+        engine.ingest_stats(),
+        one_worker.ingest_stats(),
         "intern-epoch counters diverged between schedules"
     );
 }
@@ -298,12 +275,10 @@ fn fleet(cfg: &DetectorConfig) -> StreamRouter {
     router
 }
 
-/// Fleet parity across depths: a 3-stream [`StreamRouter`] driven through
-/// a fleet session — two-lane waves carrying every stream's
-/// shard jobs AND every stream's next-bin scatter chunks — must match the
+/// Fleet parity: a 3-stream [`StreamRouter`] driven through a fleet
+/// session — each wave carrying every stream's jobs — must match the
 /// sequential fleet path byte for byte through an alarm-firing event bin,
-/// an empty bin, and a churn stream whose compaction forces the fleet
-/// drain fence.
+/// an empty bin, and a churn stream whose keys compact mid-stream.
 #[test]
 fn pipelined_fleet_matches_serial() {
     let mut cfg = parity_config();
@@ -327,36 +302,33 @@ fn pipelined_fleet_matches_serial() {
         "no forwarding alarm in the fleet schedule"
     );
 
-    // The CI PINPOINT_PIPELINE axis reaches the fleet path here.
-    for depth in [pipeline_from_env(), 1, 2] {
-        let mut router = fleet(&cfg);
-        let mut got = Vec::new();
-        {
-            let mut session = router.session(depth);
-            for (bin, feeds) in &bins {
-                got.extend(session.push_bin(*bin, feeds));
-            }
-            got.extend(session.flush());
-        }
-        assert_eq!(got.len(), want.len(), "depth {depth}: report count");
-        for (a, b) in got.iter().zip(&want) {
-            assert_fleets_identical(a, b, &format!("fleet depth {depth} bin {:?}", a.bin));
-        }
-        assert_eq!(router.tracked_links(), sequential.tracked_links());
-        assert_eq!(router.tracked_patterns(), sequential.tracked_patterns());
-        if depth == 2 {
-            assert!(
-                router.ingest_stats().evictions > 0,
-                "the fleet drain fence was never exercised"
-            );
+    // The CI matrix axes reach the fleet path here.
+    let mut router = fleet(&cfg);
+    let mut got = Vec::new();
+    {
+        let mut session = router.session(0);
+        for (bin, feeds) in &bins {
+            got.extend(session.push_bin(*bin, feeds));
         }
     }
+    assert_eq!(got.len(), want.len(), "report count");
+    for (a, b) in got.iter().zip(&want) {
+        assert_fleets_identical(a, b, &format!("fleet bin {:?}", a.bin));
+    }
+    assert_eq!(router.tracked_links(), sequential.tracked_links());
+    assert_eq!(router.tracked_patterns(), sequential.tracked_patterns());
+    assert_eq!(router.sanitize_stats(), sequential.sanitize_stats());
+    assert!(
+        router.ingest_stats().evictions > 0,
+        "no fleet compaction sweep was ever exercised"
+    );
 }
 
-/// The pipelined executor must stay byte-identical across *local* thread
-/// and chunk sweeps too — including counts that don't divide the shard
-/// count and a pathological 3-record chunk — so parity holds even on
-/// matrix points the CI grid never visits.
+/// The session must stay byte-identical across *local* thread and chunk
+/// sweeps too — including counts that don't divide the shard count and a
+/// pathological 3-record chunk — so parity holds even on matrix points
+/// the CI grid never visits, and every point must land on the same
+/// intern-epoch and sanitizer counters.
 #[test]
 fn pipelined_parity_across_local_thread_and_chunk_sweep() {
     let bins = churn_schedule();
@@ -368,27 +340,30 @@ fn pipelined_parity_across_local_thread_and_chunk_sweep() {
         .map(|(bin, records)| sequential.process_bin_sequential(*bin, records))
         .collect();
 
+    let mut ingest_stats = None;
     for threads in [1usize, 3, 5] {
         for chunk in [0usize, 3] {
-            for depth in [1usize, 2] {
-                let mut cfg = DetectorConfig::fast_test();
-                cfg.reference_expiry_bins = 2;
-                cfg.threads = threads;
-                cfg.ingest_chunk_records = chunk;
-                let mut pipelined = Analyzer::new(cfg, mapper());
-                let got = drive(&mut pipelined, depth, &bins);
-                assert_streams_identical(
-                    &got,
-                    &want,
-                    &format!("threads {threads} chunk {chunk} depth {depth}"),
-                );
-            }
+            let ctx = format!("threads {threads} chunk {chunk}");
+            let mut cfg = DetectorConfig::fast_test();
+            cfg.reference_expiry_bins = 2;
+            cfg.threads = threads;
+            cfg.ingest_chunk_records = chunk;
+            let mut engine = Analyzer::new(cfg, mapper());
+            let got = drive(&mut engine, &bins);
+            assert_streams_identical(&got, &want, &ctx);
+            assert_eq!(
+                engine.sanitize_stats(),
+                sequential.sanitize_stats(),
+                "{ctx}"
+            );
+            let stats = engine.ingest_stats();
+            assert_eq!(*ingest_stats.get_or_insert(stats), stats, "{ctx}");
         }
     }
 }
 
-/// A solo analyzer and a one-stream fleet whose herds have two workers,
-/// so `session(2)` really is the overlapped schedule on any host.
+/// A solo analyzer and a one-stream fleet whose herds have two workers
+/// on any host.
 fn two_worker_pair() -> (Analyzer, StreamRouter) {
     let mut cfg = DetectorConfig::fast_test();
     cfg.threads = 2;
@@ -421,10 +396,10 @@ fn assert_each_rewind_panics(cases: Vec<RewindCase>) -> ! {
     std::panic::resume_unwind(last.expect("at least one case"))
 }
 
-/// The increasing-order contract holds at every depth — including depth
-/// 1, where no bin is ever pending: a regressed or repeated bin clock
-/// must panic, not silently rewind the references — on a solo session
-/// (`push_bin` and `begin_bin`) and on a fleet session alike.
+/// The increasing-order contract holds although no bin is ever pending:
+/// a regressed or repeated bin clock must panic, not silently rewind the
+/// references — on a solo session (`push_bin` and `begin_bin`) and on a
+/// fleet session alike.
 #[test]
 #[should_panic(expected = "increasing order")]
 fn regressed_bin_clock_panics_even_at_depth_1() {
@@ -433,7 +408,7 @@ fn regressed_bin_clock_panics_even_at_depth_1() {
             "solo push",
             Box::new(|| {
                 let (mut analyzer, _) = two_worker_pair();
-                let mut session = analyzer.session(1);
+                let mut session = analyzer.session(0);
                 session.push_bin(BinId(5), &delay_records(5, false));
                 session.push_bin(BinId(3), &delay_records(3, false));
             }),
@@ -442,7 +417,7 @@ fn regressed_bin_clock_panics_even_at_depth_1() {
             "solo repeated bin via begin_bin",
             Box::new(|| {
                 let (mut analyzer, _) = two_worker_pair();
-                let mut session = analyzer.session(1);
+                let mut session = analyzer.session(0);
                 session.push_bin(BinId(5), &delay_records(5, false));
                 session.begin_bin(BinId(5));
             }),
@@ -451,7 +426,7 @@ fn regressed_bin_clock_panics_even_at_depth_1() {
             "fleet push",
             Box::new(|| {
                 let (_, mut router) = two_worker_pair();
-                let mut session = router.session(1);
+                let mut session = router.session(0);
                 session.push_bin(BinId(5), &[delay_records(5, false)]);
                 session.push_bin(BinId(3), &[delay_records(3, false)]);
             }),
@@ -459,8 +434,8 @@ fn regressed_bin_clock_panics_even_at_depth_1() {
     ])
 }
 
-/// Same contract at depth 2 across a `flush()` and a `checkpoint()`
-/// drain (`pending` is empty again, but the clock must not rewind).
+/// Same contract across a `flush()` and a `checkpoint()`: neither may
+/// let the clock rewind.
 #[test]
 #[should_panic(expected = "increasing order")]
 fn regressed_bin_clock_panics_after_finish() {
@@ -469,7 +444,7 @@ fn regressed_bin_clock_panics_after_finish() {
             "solo after flush",
             Box::new(|| {
                 let (mut analyzer, _) = two_worker_pair();
-                let mut session = analyzer.session(2);
+                let mut session = analyzer.session(0);
                 session.push_bin(BinId(5), &delay_records(5, false));
                 session.flush();
                 session.push_bin(BinId(4), &delay_records(4, false));
@@ -479,7 +454,7 @@ fn regressed_bin_clock_panics_after_finish() {
             "solo after checkpoint",
             Box::new(|| {
                 let (mut analyzer, _) = two_worker_pair();
-                let mut session = analyzer.session(2);
+                let mut session = analyzer.session(0);
                 session.push_bin(BinId(5), &delay_records(5, false));
                 session.checkpoint();
                 session.begin_bin(BinId(4));
@@ -489,7 +464,7 @@ fn regressed_bin_clock_panics_after_finish() {
             "fleet after flush",
             Box::new(|| {
                 let (_, mut router) = two_worker_pair();
-                let mut session = router.session(2);
+                let mut session = router.session(0);
                 session.push_bin(BinId(5), &[delay_records(5, false)]);
                 session.flush();
                 session.push_bin(BinId(4), &[delay_records(4, false)]);
@@ -499,28 +474,11 @@ fn regressed_bin_clock_panics_after_finish() {
             "fleet after checkpoint",
             Box::new(|| {
                 let (_, mut router) = two_worker_pair();
-                let mut session = router.session(2);
+                let mut session = router.session(0);
                 session.push_bin(BinId(5), &[delay_records(5, false)]);
                 session.checkpoint();
                 session.push_bin(BinId(5), &[delay_records(5, false)]);
             }),
         ),
     ])
-}
-
-/// The depth knob's contract: unsupported depths must fail loudly in the
-/// harness (the engine would silently clamp them), and supported ones
-/// pass through.
-#[test]
-fn pipeline_depth_validation_is_actionable() {
-    for ok in [0usize, 1, 2] {
-        assert_eq!(common::check_pipeline_depth("PINPOINT_PIPELINE", ok), ok);
-    }
-    let err = std::panic::catch_unwind(|| common::check_pipeline_depth("PINPOINT_PIPELINE", 3))
-        .expect_err("depth 3 must panic");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(
-        msg.contains("PINPOINT_PIPELINE") && msg.contains("deeper pipelines do not exist"),
-        "panic message not actionable: {msg}"
-    );
 }

@@ -1,9 +1,9 @@
 //! Failure-injection and adversarial-input integration tests: the detector
 //! must never panic on malformed, hostile, or degenerate measurement data —
 //! real Atlas feeds contain all of it — and every ingestion path (batch,
-//! chunked incremental, pipelined at any depth) must sanitize it
-//! identically: the CI matrix re-runs this file under `PINPOINT_THREADS`
-//! × `PINPOINT_CHUNK` × `PINPOINT_PIPELINE` like the parity suites.
+//! chunked incremental, whole-bin session) must sanitize it identically:
+//! the CI matrix re-runs this file under `PINPOINT_THREADS` ×
+//! `PINPOINT_CHUNK` like the parity suites.
 
 #[allow(dead_code)]
 mod common;
@@ -45,19 +45,18 @@ fn run_batch(
     (reports, a.sanitize_stats())
 }
 
-/// Feed the same stream through a `session(depth)`: whole bins via
-/// `push_bin` when `slice` is 0, otherwise incrementally, `slice` records
-/// per `ingest` call.
+/// Feed the same stream through a session: whole bins via `push_bin`
+/// when `slice` is 0, otherwise incrementally, `slice` records per
+/// `ingest` call.
 fn run_session(
     cfg: &DetectorConfig,
     bins: &[Vec<TracerouteRecord>],
-    depth: usize,
     slice: usize,
 ) -> (Vec<BinReport>, SanitizeStats) {
     let mut a = analyzer_with(cfg);
     let mut reports = Vec::new();
     {
-        let mut session = a.session(depth);
+        let mut session = a.session(0);
         for (i, records) in bins.iter().enumerate() {
             let bin = BinId(i as u64);
             if slice == 0 {
@@ -70,7 +69,6 @@ fn run_session(
             }
             reports.extend(session.finish_bin());
         }
-        reports.extend(session.flush());
     }
     (reports, a.sanitize_stats())
 }
@@ -80,10 +78,9 @@ fn run_session(
 fn assert_all_paths_agree(cfg: &DetectorConfig, bins: &[Vec<TracerouteRecord>], ctx: &str) {
     let (want, want_stats) = run_batch(cfg, bins);
     for (label, (got, got_stats)) in [
-        ("chunked(1)", run_session(cfg, bins, 1, 1)),
-        ("chunked(7)", run_session(cfg, bins, 2, 7)),
-        ("pipelined(1)", run_session(cfg, bins, 1, 0)),
-        ("pipelined(2)", run_session(cfg, bins, 2, 0)),
+        ("chunked(1)", run_session(cfg, bins, 1)),
+        ("chunked(7)", run_session(cfg, bins, 7)),
+        ("whole-bin", run_session(cfg, bins, 0)),
     ] {
         assert_eq!(got.len(), want.len(), "{ctx}/{label}: report count");
         for (a, b) in got.iter().zip(&want) {
@@ -320,7 +317,7 @@ proptest! {
 
     /// Arbitrary records — further mangled by the artifact model — reach
     /// the same verdicts and reports on every ingestion path: batch,
-    /// chunked incremental, and pipelined at depths 1 and 2.
+    /// chunked incremental, and whole-bin session feeding.
     #[test]
     fn prop_ingestion_paths_agree_on_arbitrary_artifacts(
         seed in 0u64..500,

@@ -1,26 +1,28 @@
 //! Live-service parity: the daemon (collector → executor → reporter with
 //! bounded queues and the HTTP surface) is the *same pipeline* as the
-//! offline `scenarios::run_pipelined` — so its cached, HTTP-served
-//! reports must be byte-for-byte identical to the offline render, its
-//! queues must stay bounded under a stalled consumer, and a graceful
-//! shutdown must drain every collected bin. The CI matrix re-runs this
-//! file under `PINPOINT_THREADS` × `PINPOINT_CHUNK` × `PINPOINT_PIPELINE`
-//! via `common::parity_config`.
+//! offline `scenarios::run` — so its cached, HTTP-served reports must be
+//! byte-for-byte identical to the offline render, each report must be
+//! published (with `/stats` describing that same bin) before the next bin
+//! arrives, its queues must stay bounded under a stalled consumer, and a
+//! graceful shutdown must drain every collected bin. The CI matrix
+//! re-runs this file under `PINPOINT_THREADS` × `PINPOINT_CHUNK` via
+//! `common::parity_config`.
 
 #[allow(dead_code)]
 mod common;
 
-use common::{parity_config, pipeline_from_env};
+use common::parity_config;
 use pinpoint::core::render;
-use pinpoint::model::records::TracerouteRecord;
-use pinpoint::model::BinId;
+use pinpoint::model::json;
+use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
+use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{ixp, runner, Scale};
 use pinpoint::service::{Daemon, Phase, ServiceConfig};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Issue one HTTP/1.1 request and return `(status, body)`.
 fn http(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
@@ -46,8 +48,40 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
     http(addr, "GET", path)
 }
 
+/// Poll `cond` until it holds; five seconds without it is a failure.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// `n` well-formed two-hop traceroutes.
+fn records(n: usize) -> Vec<TracerouteRecord> {
+    (0..n as u32)
+        .map(|i| TracerouteRecord {
+            msm_id: MeasurementId(1),
+            probe_id: ProbeId(i),
+            probe_asn: Asn(64500),
+            dst: Ipv4Addr::new(198, 51, 100, 1),
+            timestamp: SimTime(u64::from(i)),
+            paris_id: 0,
+            hops: vec![
+                Hop::new(1, vec![Reply::new(Ipv4Addr::new(10, 0, 0, 1), 1.0); 3]),
+                Hop::new(2, vec![Reply::new(Ipv4Addr::new(10, 0, 0, 2), 2.0); 3]),
+            ],
+            destination_reached: false,
+        })
+        .collect()
+}
+
+fn empty_analyzer() -> pinpoint::core::Analyzer {
+    pinpoint::core::Analyzer::new(parity_config(), pinpoint::core::aggregate::AsMapper::new())
+}
+
 /// The daemon serving the AMS-IX outage window must publish, for every
-/// bin, the exact bytes the offline `run_pipelined` + `render` path
+/// bin, the exact bytes the offline `run` + `render` path
 /// produces — over the HTTP surface and the in-process cache alike.
 #[test]
 fn daemon_replay_is_byte_identical_to_offline_pipelined() {
@@ -62,7 +96,7 @@ fn daemon_replay_is_byte_identical_to_offline_pipelined() {
     let mut offline: BTreeMap<u64, String> = BTreeMap::new();
     let mut table = pinpoint::core::EventTable::new();
     let mut analyzer = case.analyzer();
-    runner::run_pipelined(&case, &mut analyzer, pipeline_from_env(), |report| {
+    runner::run(&case, &mut analyzer, |report| {
         table.absorb(&report.events);
         offline.insert(report.bin.0, render::bin_report(report).to_string());
     });
@@ -73,11 +107,8 @@ fn daemon_replay_is_byte_identical_to_offline_pipelined() {
 
     // Live replay of the identical feed.
     let feed = case.platform.collect_bins(case.start_bin, case.end_bin);
-    let cfg = ServiceConfig {
-        depth: pipeline_from_env(),
-        ..ServiceConfig::default()
-    };
-    let daemon = Daemon::spawn(cfg, case.analyzer(), feed.into_iter()).expect("daemon spawns");
+    let daemon = Daemon::spawn(ServiceConfig::default(), case.analyzer(), feed.into_iter())
+        .expect("daemon spawns");
     let addr = daemon.local_addr();
     daemon.state().wait_done();
 
@@ -123,6 +154,78 @@ fn daemon_replay_is_byte_identical_to_offline_pipelined() {
     daemon.join().expect("clean join");
 }
 
+/// A bin's report leaves the push that fed it: over a feed that yields
+/// bin 0 and then blocks, bin 0 must be published while bin 1 does not
+/// exist yet.
+#[test]
+fn report_is_published_before_the_next_bin_arrives() {
+    let (tx, rx) = mpsc::channel::<(BinId, Vec<TracerouteRecord>)>();
+    let daemon = Daemon::spawn(ServiceConfig::default(), empty_analyzer(), rx.into_iter())
+        .expect("daemon spawns");
+    tx.send((BinId(0), records(3))).expect("feed bin 0");
+    wait_until("bin 0's report while bin 1 is withheld", || {
+        daemon.state().bins_reported() == 1
+    });
+    assert!(daemon.state().report(0).is_some());
+    assert_eq!(daemon.state().bins_collected(), 1);
+
+    tx.send((BinId(1), records(3))).expect("feed bin 1");
+    drop(tx);
+    daemon.state().wait_done();
+    assert_eq!(daemon.state().bins_reported(), 2);
+    daemon.join().expect("clean join");
+}
+
+/// `/stats` must describe the bin just published, not one the reports
+/// have not reached yet: bin `b` carries `b + 1` records and the reporter
+/// publishes one bin per permit, so after each publish
+/// `sanitize.bin_records` must read that bin's own count.
+#[test]
+fn stats_describe_the_published_bin() {
+    let total = 5u64;
+    let feed = (0..total).map(|b| (BinId(b), records(b as usize + 1)));
+    let permits = Arc::new((Mutex::new(0u64), Condvar::new()));
+    let hook = {
+        let permits = Arc::clone(&permits);
+        Box::new(move |_bin: u64| {
+            let (count, granted) = &*permits;
+            let mut count = count.lock().unwrap();
+            while *count == 0 {
+                count = granted.wait(count).unwrap();
+            }
+            *count -= 1;
+        })
+    };
+    let daemon =
+        Daemon::spawn_with_report_hook(ServiceConfig::default(), empty_analyzer(), feed, hook)
+            .expect("daemon spawns");
+    let addr = daemon.local_addr();
+    for bin in 0..total {
+        {
+            let (count, granted) = &*permits;
+            *count.lock().unwrap() += 1;
+            granted.notify_all();
+        }
+        wait_until("the next publish", || {
+            daemon.state().bins_reported() == bin + 1
+        });
+        let (status, body) = get(addr, "/stats");
+        assert_eq!(status, 200);
+        let stats = json::parse(&body).expect("/stats is JSON");
+        let bin_records = stats
+            .get("sanitize")
+            .and_then(|s| s.get("bin_records"))
+            .and_then(json::Value::as_u64);
+        assert_eq!(
+            bin_records,
+            Some(bin + 1),
+            "/stats after publishing bin {bin} describes another bin: {body}"
+        );
+    }
+    daemon.state().wait_done();
+    daemon.join().expect("clean join");
+}
+
 /// A deliberately stalled reporter must stall the whole pipeline through
 /// the bounded queues: while the first report is held, the collector can
 /// run at most `collect + report capacity + in-flight slack` bins ahead,
@@ -134,7 +237,6 @@ fn stalled_reporter_backpressures_the_collector() {
     let cfg = ServiceConfig {
         collect_capacity: 2,
         report_capacity: 1,
-        depth: 1,
         ..ServiceConfig::default()
     };
     // A gate the reporter blocks on before publishing each bin.
@@ -149,9 +251,8 @@ fn stalled_reporter_backpressures_the_collector() {
             }
         })
     };
-    let mut analyzer =
-        pinpoint::core::Analyzer::new(parity_config(), pinpoint::core::aggregate::AsMapper::new());
-    analyzer.register_ases([pinpoint::model::Asn(64500)]);
+    let mut analyzer = empty_analyzer();
+    analyzer.register_ases([Asn(64500)]);
     let daemon = Daemon::spawn_with_report_hook(cfg, analyzer, feed, hook).expect("daemon spawns");
 
     // Let the pipeline saturate against the closed gate.
@@ -170,10 +271,10 @@ fn stalled_reporter_backpressures_the_collector() {
         0,
         "gate held no report back"
     );
-    // 2 queued + 1 in the collector's blocked push + 1 in the executor +
-    // 1 queued report + 1 in the reporter's hook + 1 session in-flight.
+    // 2 queued + 1 in the collector's blocked push + 1 in the executor's
+    // blocked emit + 1 queued report + 1 in the reporter's hook.
     assert!(
-        collected <= 8,
+        collected <= 6,
         "collector ran {collected} bins ahead of a stalled reporter — \
          backpressure is broken"
     );
@@ -219,10 +320,12 @@ fn graceful_shutdown_drains_every_collected_bin() {
         }
     }
 
-    let analyzer =
-        pinpoint::core::Analyzer::new(parity_config(), pinpoint::core::aggregate::AsMapper::new());
-    let daemon = Daemon::spawn(ServiceConfig::default(), analyzer, SlowFeed { next: 0 })
-        .expect("daemon spawns");
+    let daemon = Daemon::spawn(
+        ServiceConfig::default(),
+        empty_analyzer(),
+        SlowFeed { next: 0 },
+    )
+    .expect("daemon spawns");
     let addr = daemon.local_addr();
 
     while daemon.state().bins_reported() < 3 {
@@ -254,9 +357,8 @@ fn graceful_shutdown_drains_every_collected_bin() {
 #[test]
 fn concurrent_clients_get_identical_bytes() {
     let feed = (0..4u64).map(|b| (BinId(b), Vec::<TracerouteRecord>::new()));
-    let analyzer =
-        pinpoint::core::Analyzer::new(parity_config(), pinpoint::core::aggregate::AsMapper::new());
-    let daemon = Daemon::spawn(ServiceConfig::default(), analyzer, feed).expect("daemon spawns");
+    let daemon =
+        Daemon::spawn(ServiceConfig::default(), empty_analyzer(), feed).expect("daemon spawns");
     let addr = daemon.local_addr();
     daemon.state().wait_done();
     let want = daemon.state().report(3).expect("bin 3 cached");

@@ -9,9 +9,9 @@
 #[allow(dead_code)]
 mod common;
 
-use common::{parity_config, pipeline_from_env};
+use common::parity_config;
 use pinpoint::core::render;
-use pinpoint::core::session::AnalysisSession;
+use pinpoint::core::session::drive;
 use pinpoint::core::{Analyzer, EventTable};
 use pinpoint::model::records::TracerouteRecord;
 use pinpoint::model::BinId;
@@ -90,7 +90,6 @@ fn panicked_stage_degrades_instead_of_deadlocking() {
     let cfg = ServiceConfig {
         collect_capacity: 2,
         report_capacity: 1,
-        depth: 1,
         ..ServiceConfig::default()
     };
     let hook = Box::new(|bin: u64| {
@@ -213,21 +212,13 @@ fn daemon_over_faulty_feed_matches_offline_recovered_run() {
     let mut table = EventTable::new();
     let mut analyzer = case.analyzer();
     {
-        let mut session = analyzer.session(pipeline_from_env());
+        let mut session = analyzer.session(0);
         let recovered =
             RecoveredFeed::new(FaultyFeed::new(feed.clone().into_iter(), model.clone()));
-        let mut fold = |report: pinpoint::core::BinReport| {
+        drive(&mut session, recovered, |report| {
             table.absorb(&report.events);
             offline.insert(report.bin.0, render::bin_report(&report).to_string());
-        };
-        for (bin, records) in recovered {
-            if let Some(report) = session.push_bin(bin, &records) {
-                fold(report);
-            }
-        }
-        if let Some(report) = session.flush() {
-            fold(report);
-        }
+        });
     }
     assert!(
         !offline.is_empty(),
@@ -239,7 +230,6 @@ fn daemon_over_faulty_feed_matches_offline_recovered_run() {
     let cfg = ServiceConfig {
         retry_base_ms: 1,
         retry_cap_ms: 4,
-        depth: pipeline_from_env(),
         ..ServiceConfig::default()
     };
     let signals = FaultyFeed::new(feed.into_iter(), model).map(|event| match event {
@@ -294,19 +284,12 @@ fn checkpoint_resume_reports_are_byte_identical() {
     let mut table = EventTable::new();
     let mut analyzer = case.analyzer();
     {
-        let mut session = analyzer.session(pipeline_from_env());
-        let mut fold = |report: pinpoint::core::BinReport| {
+        let mut session = analyzer.session(0);
+        let bins = feed.iter().map(|(bin, records)| (*bin, records.as_slice()));
+        drive(&mut session, bins, |report| {
             table.absorb(&report.events);
             reference.insert(report.bin.0, render::bin_report(&report).to_string());
-        };
-        for (bin, records) in &feed {
-            if let Some(report) = session.push_bin(*bin, records) {
-                fold(report);
-            }
-        }
-        if let Some(report) = session.flush() {
-            fold(report);
-        }
+        });
     }
 
     // Phase 1: checkpoint every 2 bins, then "crash" after a partial
@@ -316,7 +299,6 @@ fn checkpoint_resume_reports_are_byte_identical() {
     let cfg = ServiceConfig {
         checkpoint_every: 2,
         checkpoint_dir: Some(dir.clone()),
-        depth: pipeline_from_env(),
         ..ServiceConfig::default()
     };
     let partial: Vec<_> = feed.iter().filter(|(b, _)| b.0 < cut).cloned().collect();
@@ -347,7 +329,6 @@ fn checkpoint_resume_reports_are_byte_identical() {
 
     let cfg = ServiceConfig {
         resume_from: Some(last_bin),
-        depth: pipeline_from_env(),
         ..ServiceConfig::default()
     };
     // Replay overlaps the checkpoint on purpose: the collector must

@@ -3,10 +3,10 @@
 //! bytes alone, as a fresh process would — must leave the remaining bins
 //! byte-identical to the uninterrupted run. Like the other parity
 //! suites, the CI matrix re-runs this file under `PINPOINT_THREADS` ×
-//! `PINPOINT_CHUNK` × `PINPOINT_PIPELINE` × `PINPOINT_RADIX`; the
-//! snapshot determinism rule (throughput knobs normalized out, maps in
-//! sorted or dense-id order — see `pinpoint_core::snapshot`) makes the
-//! bytes themselves stable across that matrix too.
+//! `PINPOINT_CHUNK`; the snapshot determinism rule (throughput knobs
+//! normalized out, maps in sorted or dense-id order — see
+//! `pinpoint_core::snapshot`) makes the bytes themselves stable across
+//! that matrix too.
 
 #[allow(dead_code)]
 mod common;
@@ -161,34 +161,28 @@ fn restore_at_every_cut_resumes_byte_identical() {
 }
 
 /// The snapshot determinism rule: the same analytic state must yield the
-/// same bytes no matter which thread count, chunk size, or pipeline
-/// depth produced it — and re-snapshotting a restored analyzer reproduces the
-/// bytes exactly (the codec round-trips losslessly).
+/// same bytes no matter which thread count or chunk size produced it —
+/// and re-snapshotting a restored analyzer reproduces the bytes exactly
+/// (the codec round-trips losslessly).
 #[test]
 fn snapshot_bytes_are_identical_across_the_scheduling_matrix() {
     let bins = schedule();
     let mut reference_bytes: Option<Vec<u8>> = None;
-    for (threads, chunk, depth) in [
-        (1usize, 0usize, 1usize),
-        (2, 3, 2),
-        (3, 1, 1),
-        (5, 7, 2),
-        (0, 0, 0),
-    ] {
+    for (threads, chunk) in [(1usize, 0usize), (2, 3), (3, 1), (5, 7), (0, 0)] {
         let mut cfg = DetectorConfig::fast_test();
         cfg.threads = threads;
         cfg.ingest_chunk_records = chunk;
         let mut analyzer = Analyzer::new(cfg, mapper());
-        let mut session = analyzer.session(depth);
+        let mut session = analyzer.session(0);
         for (bin, records) in &bins {
             session.push_bin(*bin, records);
         }
-        let bytes = session.checkpoint().1;
+        let bytes = session.checkpoint();
         match &reference_bytes {
             None => reference_bytes = Some(bytes),
             Some(want) => assert_eq!(
                 &bytes, want,
-                "snapshot bytes diverged at threads={threads} chunk={chunk} depth={depth}"
+                "snapshot bytes diverged at threads={threads} chunk={chunk}"
             ),
         }
     }
@@ -202,10 +196,9 @@ fn snapshot_bytes_are_identical_across_the_scheduling_matrix() {
     );
 }
 
-/// The session-level checkpoint: drain the pipelined executor mid-stream
-/// (collecting the flushed report like any other), restore a fresh
-/// session from the bytes, and finish the run — byte-identical at every
-/// depth, through the realistic AMS-IX outage scenario.
+/// The session-level checkpoint: snapshot a running session mid-stream,
+/// restore a fresh session from the bytes, and finish the run —
+/// byte-identical through the realistic AMS-IX outage scenario.
 #[test]
 fn session_checkpoint_resumes_through_ixp_outage() {
     let case = ixp::case_study(7, Scale::Small);
@@ -226,35 +219,30 @@ fn session_checkpoint_resumes_through_ixp_outage() {
         "the outage fired no alarms"
     );
 
-    for depth in [1usize, 2] {
-        let mut got: Vec<BinReport> = Vec::new();
-        let bytes = {
-            let mut head = Analyzer::new(cfg.clone(), case.mapper.clone());
-            let mut session = head.session(depth);
-            for (bin, records) in &bins[..cut] {
-                got.extend(session.push_bin(*bin, records));
-            }
-            let (flushed, bytes) = session.checkpoint();
-            got.extend(flushed);
-            bytes
-        };
-        let mut tail = Analyzer::restore_with(&bytes, |c| {
-            c.threads = cfg.threads;
-            c.ingest_chunk_records = cfg.ingest_chunk_records;
-        })
-        .expect("restore");
-        let mut session = tail.session(depth);
-        for (bin, records) in &bins[cut..] {
+    let mut got: Vec<BinReport> = Vec::new();
+    let bytes = {
+        let mut head = Analyzer::new(cfg.clone(), case.mapper.clone());
+        let mut session = head.session(0);
+        for (bin, records) in &bins[..cut] {
             got.extend(session.push_bin(*bin, records));
         }
-        got.extend(session.flush());
-        assert_eq!(got.len(), want.len(), "depth {depth}: report count");
-        for (a, b) in got.iter().zip(&want) {
-            assert_reports_identical(a, b, &format!("depth {depth} bin {:?}", a.bin));
-        }
-        // The cumulative event channel also survived the boundary.
-        assert_eq!(tail.events(), reference.events(), "depth {depth}: events");
+        session.checkpoint()
+    };
+    let mut tail = Analyzer::restore_with(&bytes, |c| {
+        c.threads = cfg.threads;
+        c.ingest_chunk_records = cfg.ingest_chunk_records;
+    })
+    .expect("restore");
+    let mut session = tail.session(0);
+    for (bin, records) in &bins[cut..] {
+        got.extend(session.push_bin(*bin, records));
     }
+    assert_eq!(got.len(), want.len(), "report count");
+    for (a, b) in got.iter().zip(&want) {
+        assert_reports_identical(a, b, &format!("bin {:?}", a.bin));
+    }
+    // The cumulative event channel also survived the boundary.
+    assert_eq!(tail.events(), reference.events(), "events");
 }
 
 /// Fleet snapshots carry every stream's label and analyzer plus the

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{assert_reports_identical, parity_config, pipeline_from_env, threads_from_env};
+use common::{assert_reports_identical, parity_config, threads_from_env};
 use pinpoint::core::aggregate::AsMapper;
 use pinpoint::core::{
     AnalysisSession, Analyzer, BinReport, DetectorConfig, FleetReport, StreamRouter,
@@ -160,26 +160,18 @@ fn fleet_parity_across_thread_counts() {
 fn fleet_merge_is_lossless_over_disjoint_streams() {
     // A fleet over disjoint streams must equal running each analyzer
     // alone: same per-stream reports, merged severities = the sums — on
-    // the matrix-selected point, and through `session(d)` at both depths
-    // on a two-worker herd (where depth 2 really overlaps), so "the fleet
-    // and the solo analyzer run the same schedule" is asserted at every
-    // depth. The last case is a fleet of ONE stream, which must equal the
+    // the matrix-selected point and on a two-worker herd, so "the fleet
+    // and the solo analyzer run the same schedule" is asserted on any
+    // host. The last case is a fleet of ONE stream, which must equal the
     // solo analyzer byte for byte, merged view and event deltas included.
     let mut two_workers = parity_config();
     two_workers.threads = 2;
-    for (cfg, threads, depth, streams) in [
-        (
-            parity_config(),
-            threads_from_env(),
-            pipeline_from_env(),
-            3usize,
-        ),
-        (two_workers.clone(), 2, 1, 3),
-        (two_workers.clone(), 2, 2, 3),
-        (two_workers.clone(), 2, 1, 1),
-        (two_workers, 2, 2, 1),
+    for (cfg, threads, streams) in [
+        (parity_config(), threads_from_env(), 3usize),
+        (two_workers.clone(), 2, 3),
+        (two_workers, 2, 1),
     ] {
-        let ctx = format!("threads {threads} depth {depth} streams {streams}");
+        let ctx = format!("threads {threads} streams {streams}");
         let mut router = StreamRouter::with_magnitude_window(cfg.magnitude_window_bins);
         let mut solo: Vec<Analyzer> = Vec::new();
         for i in 0..streams {
@@ -195,8 +187,8 @@ fn fleet_merge_is_lossless_over_disjoint_streams() {
         let mut fleet_reports: Vec<FleetReport> = Vec::new();
         let mut solo_reports: Vec<Vec<BinReport>> = (0..streams).map(|_| Vec::new()).collect();
         {
-            let mut fleet_session = router.session(depth);
-            let mut solo_sessions: Vec<_> = solo.iter_mut().map(|a| a.session(depth)).collect();
+            let mut fleet_session = router.session(0);
+            let mut solo_sessions: Vec<_> = solo.iter_mut().map(|a| a.session(0)).collect();
             for b in 0..12u64 {
                 let mut feeds = fleet_feeds(b, b == 11);
                 feeds.truncate(streams);
@@ -206,10 +198,6 @@ fn fleet_merge_is_lossless_over_disjoint_streams() {
                 {
                     out.extend(session.push_bin(BinId(b), feed));
                 }
-            }
-            fleet_reports.extend(fleet_session.flush());
-            for (session, out) in solo_sessions.iter_mut().zip(&mut solo_reports) {
-                out.extend(session.flush());
             }
         }
 
