@@ -1,4 +1,4 @@
-//! Ablations: quantify the design choices DESIGN.md calls out.
+//! Ablations: quantify the design choices the paper argues for.
 //!
 //! 1. **median vs mean CLT** — replace the median+Wilson estimator with the
 //!    classical mean ± z·σ/√n: false alarms on a quiet link explode

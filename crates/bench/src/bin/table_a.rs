@@ -99,7 +99,7 @@ fn main() {
     println!(
         "\nnote: mean next hops per model is structurally lower than the paper's 4 —\n\
          the simulator's intra-AS forwarding is single-path, so only inter-AS ECMP\n\
-         and loss events diversify patterns (documented in EXPERIMENTS.md)."
+         and loss events diversify patterns."
     );
     let ok = mean_probes >= 3.0
         && pct_alarmed > 1.0

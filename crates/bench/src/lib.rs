@@ -1,7 +1,7 @@
 //! # pinpoint-bench
 //!
-//! The evaluation harness: one binary per figure/table of the paper
-//! (see DESIGN.md's experiment index) plus criterion performance benches.
+//! The evaluation harness: one binary per figure/table of the paper,
+//! plus the synthetic Atlas-scale workload generators ([`workload`]).
 //!
 //! Every `fig*` binary accepts:
 //!
@@ -11,8 +11,7 @@
 //!
 //! Binaries print the *series the figure plots* (plus an ASCII sparkline
 //! for quick eyeballing) and a `VERDICT:` line summarizing whether the
-//! paper's qualitative claim reproduced. EXPERIMENTS.md records one run of
-//! each.
+//! paper's qualitative claim reproduced.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -106,7 +105,7 @@ pub fn print_series(name: &str, series: &[(u64, f64)], max_rows: usize) {
     }
 }
 
-/// Print the final verdict line the EXPERIMENTS.md table consumes.
+/// Print the final `VERDICT:` line.
 pub fn verdict(ok: bool, detail: &str) {
     println!(
         "\nVERDICT: {} — {detail}",

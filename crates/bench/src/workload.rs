@@ -1,8 +1,9 @@
 //! Synthetic engine workloads.
 //!
 //! The scenario simulators produce *faithful* bins, but their volume is
-//! bounded by simulated probe counts. The throughput benches also need a
-//! bin that looks like the full Atlas stream — thousands of links, each
+//! bounded by simulated probe counts. Engine parity
+//! (`tests/workload_parity.rs`) also has to hold on a bin that looks like
+//! the full Atlas stream — thousands of links, each
 //! monitored by enough probes in enough ASes to survive the §4.3 diversity
 //! filter — without paying simulator cost. This module fabricates such a
 //! bin directly at the record level, deterministically from a seed.
@@ -369,7 +370,8 @@ impl IngestSpec {
 ///
 /// The key universe (links, probes, patterns, next hops) is identical
 /// for every `bin`, so bins after the first are steady state for the
-/// intern epoch: the bench asserts zero intern-table insertions there.
+/// intern epoch: `tests/workload_parity.rs` asserts zero intern-table
+/// insertions there.
 pub fn ingest_bin(spec: &IngestSpec, seed: u64, bin: u64) -> Vec<TracerouteRecord> {
     let mut rng = SplitMix64::new(seed ^ 0x1_4E57 ^ (bin.wrapping_mul(0x9E37_79B9)));
     let hop_ip =
@@ -581,8 +583,8 @@ mod tests {
 
     #[test]
     fn synthetic_bin_survives_the_diversity_filter() {
-        // All links must make it through §4.3 — otherwise the throughput
-        // bench would measure an engine that discards its input.
+        // All links must make it through §4.3 — otherwise the parity test
+        // would compare engines that discard their input.
         let spec = WorkloadSpec::small();
         let mut analyzer = Analyzer::new(DetectorConfig::default(), synthetic_mapper());
         let report = analyzer.process_bin(BinId(0), &synthetic_bin(&spec, 7, 0));

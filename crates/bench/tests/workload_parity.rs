@@ -1,0 +1,127 @@
+//! Engine parity on the Atlas-scale synthetic shapes of
+//! `pinpoint_bench::workload`: one warm bin, then one work bin, through
+//! `process_bin` (the sharded engine) and `process_bin_sequential` (the
+//! nested-map reference) — identical alarms and link statistics on every
+//! shape. The scenario-fed parity suites under `tests/` never reach these
+//! volumes (hundreds of diversity-passing links, ~1k samples per link,
+//! ~900 sort keys per shard); this file is where they are checked.
+
+use pinpoint_bench::workload::{
+    forwarding_bin, grouping_bin, ingest_bin, mixed_bin, multi_stream_feeds, synthetic_bin,
+    synthetic_mapper, ForwardingSpec, GroupingSpec, IngestSpec, WorkloadSpec,
+};
+use pinpoint_core::{Analyzer, BinReport, DetectorConfig, StreamRouter};
+use pinpoint_model::records::TracerouteRecord;
+use pinpoint_model::BinId;
+use pinpoint_netsim::ArtifactModel;
+
+const SEED: u64 = 2015;
+
+fn assert_reports_match(name: &str, a: &BinReport, b: &BinReport) {
+    assert_eq!(a.delay_alarms, b.delay_alarms, "{name}: delay alarms");
+    assert_eq!(
+        a.forwarding_alarms, b.forwarding_alarms,
+        "{name}: forwarding alarms"
+    );
+    assert_eq!(a.link_stats, b.link_stats, "{name}: link stats");
+}
+
+/// Warm both paths on `bin(0)`, compare them on `bin(1)`, and hand back
+/// the engine-side analyzer so the caller can read its per-bin counters.
+fn check_shape(name: &str, bin: impl Fn(u64) -> Vec<TracerouteRecord>) -> Analyzer {
+    let mut engine = Analyzer::new(DetectorConfig::default(), synthetic_mapper());
+    let mut reference = Analyzer::new(DetectorConfig::default(), synthetic_mapper());
+    let warm = bin(0);
+    engine.process_bin(BinId(0), &warm);
+    reference.process_bin_sequential(BinId(0), &warm);
+    let work = bin(1);
+    let a = engine.process_bin(BinId(1), &work);
+    let b = reference.process_bin_sequential(BinId(1), &work);
+    assert_reports_match(name, &a, &b);
+    engine
+}
+
+#[test]
+fn synthetic_large() {
+    let spec = WorkloadSpec::large();
+    check_shape("synthetic_large", |b| synthetic_bin(&spec, SEED, b));
+}
+
+#[test]
+fn forwarding_heavy() {
+    let spec = ForwardingSpec::large();
+    check_shape("forwarding_heavy", |b| forwarding_bin(&spec, SEED, b));
+}
+
+#[test]
+fn mixed_full() {
+    let (delay, forwarding) = (WorkloadSpec::large(), ForwardingSpec::large());
+    check_shape("mixed_full", |b| mixed_bin(&delay, &forwarding, SEED, b));
+}
+
+#[test]
+fn ingest_heavy_is_steady_state() {
+    let spec = IngestSpec::large();
+    let engine = check_shape("ingest_heavy", |b| ingest_bin(&spec, SEED, b));
+    // The work bin replays the warm bin's key universe.
+    assert_eq!(engine.ingest_stats().bin_insertions, 0);
+}
+
+#[test]
+fn grouping_heavy_is_steady_state() {
+    let spec = GroupingSpec::large();
+    let engine = check_shape("grouping_heavy", |b| grouping_bin(&spec, SEED, b));
+    assert_eq!(engine.ingest_stats().bin_insertions, 0);
+}
+
+#[test]
+fn characterize_heavy() {
+    let spec = WorkloadSpec::characterize_heavy();
+    check_shape("characterize_heavy", |b| synthetic_bin(&spec, SEED, b));
+}
+
+/// The mixed bin plus the long ingest paths (loops and false links need
+/// middle hops to land on), every record run through a hostile
+/// `ArtifactModel`: both paths must sanitize identically, and the
+/// sanitizer must actually have something to quarantine.
+#[test]
+fn artifact_heavy_quarantines_on_both_paths() {
+    let (delay, forwarding) = (WorkloadSpec::large(), ForwardingSpec::large());
+    let ingest = IngestSpec::large();
+    let model = ArtifactModel::hostile(SEED);
+    let engine = check_shape("artifact_heavy", |b| {
+        let mut records = mixed_bin(&delay, &forwarding, SEED, b);
+        records.extend(ingest_bin(&ingest, SEED, b));
+        for rec in &mut records {
+            model.corrupt(rec);
+        }
+        records
+    });
+    assert!(engine.sanitize_stats().bin_quarantined > 0);
+}
+
+#[test]
+fn multi_stream_fleet() {
+    let fleet = || {
+        let mut router = StreamRouter::new();
+        for i in 0..3 {
+            router.add_stream(
+                format!("stream-{i}"),
+                Analyzer::new(DetectorConfig::default(), synthetic_mapper()),
+            );
+        }
+        router
+    };
+    let (mut engine, mut reference) = (fleet(), fleet());
+    let warm = multi_stream_feeds(3, SEED, 0);
+    engine.process_bin(BinId(0), &warm);
+    reference.process_bin_sequential(BinId(0), &warm);
+    let work = multi_stream_feeds(3, SEED, 1);
+    let a = engine.process_bin(BinId(1), &work);
+    let b = reference.process_bin_sequential(BinId(1), &work);
+    assert_eq!(a.streams.len(), b.streams.len());
+    for (i, (ra, rb)) in a.streams.iter().zip(&b.streams).enumerate() {
+        assert_reports_match(&format!("multi_stream[{i}]"), ra, rb);
+    }
+    assert_eq!(a.magnitudes, b.magnitudes, "multi_stream: magnitudes");
+}

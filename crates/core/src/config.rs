@@ -4,9 +4,9 @@ use crate::snapshot::{Reader, SnapshotError, Writer};
 
 /// All tunable parameters of the detection pipeline.
 ///
-/// Defaults reproduce the paper's configuration (see DESIGN.md §6 for the
-/// sourcing table). Everything is plain data so experiments can sweep any
-/// knob.
+/// Defaults reproduce the paper's configuration (each field names the
+/// value it takes from §4–§6). Everything is plain data so experiments
+/// can sweep any knob.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectorConfig {
     /// Analysis bin length in seconds (paper: 1 hour).
@@ -125,16 +125,6 @@ impl Default for DetectorConfig {
 }
 
 impl DetectorConfig {
-    /// Resolved engine worker count: `threads`, or every available core
-    /// when it is `0`.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
-    }
-
     /// A configuration suited to short unit-test scenarios: faster-moving
     /// references and a short magnitude window.
     pub fn fast_test() -> Self {

@@ -556,7 +556,7 @@ impl ShardRows {
 /// links and probes through *epoch-persistent* intern tables
 /// (steady-state bins perform zero insertions); a short sequential merge
 /// assigns dense ids to the bin's new keys in chunk order (= record
-/// order); then [`ShardRows::gather`] + [`ShardRows::finalize`] — run
+/// order); then `ShardRows::gather` + `ShardRows::finalize` — run
 /// per shard, in parallel — concatenate each shard's runs in chunk order
 /// and group them with one composite-keyed sort over the run index
 /// (equal keys keep gather order, so the grouped pool is exactly the
@@ -837,7 +837,7 @@ impl SampleArena {
     /// Scatter + merge + gather + finalize inline, as a single chunk (the
     /// single-threaded convenience entry; the engine runs chunks and
     /// shards on its workers). No compaction — callers with an expiry
-    /// policy drive [`Self::compact`] themselves.
+    /// policy drive `compact` themselves.
     pub fn build(&mut self, records: &[TracerouteRecord]) {
         let bin = BinId(0);
         self.begin_bin();

@@ -11,7 +11,7 @@
 //! 4. [`detect`] — compare against the link's smoothed normal reference:
 //!    non-overlapping CIs and ≥ 1 ms median gap raise a [`DelayAlarm`] with
 //!    deviation d(Δ) (Eq. 6);
-//! 5. [`reference`] — fold the bin's median/CI into the reference
+//! 5. [`mod@reference`] — fold the bin's median/CI into the reference
 //!    (exponential smoothing, Eq. 7; warm-up median of the first 3 bins).
 //!
 //! ## The sharded bin engine
@@ -130,12 +130,6 @@ impl DelayDetector {
         }
     }
 
-    /// Worker threads used per bin: the configured count, or all available
-    /// cores when `cfg.threads == 0`, capped by the shard count.
-    fn effective_threads(&self) -> usize {
-        engine::resolve_threads(self.cfg.threads)
-    }
-
     /// Run the five steps over one bin of traceroutes — the parallel,
     /// arena-backed engine: a scatter wave (chunk jobs), the sequential
     /// chunk-ordered intern merge, then the shard wave.
@@ -147,7 +141,7 @@ impl DelayDetector {
         bin: BinId,
         records: &[TracerouteRecord],
     ) -> (Vec<DelayAlarm>, HashMap<IpLink, LinkStat>) {
-        let threads = self.effective_threads();
+        let threads = engine::resolve_threads(self.cfg.threads);
         let chunk = ingest::resolve_chunk_for(self.cfg.ingest_chunk_records, threads);
         self.compact_epoch(bin);
         self.begin_bin();

@@ -1,9 +1,8 @@
 //! The shared sharded-execution engine both detectors run on.
 //!
-//! PR 1 built the delay path as a sharded, allocation-lean, deterministic
-//! parallel engine; this module extracts the pieces that are not specific
-//! to delay analysis so the forwarding detector (and any future detector,
-//! or whole per-stream analyzers) can ride the same machinery:
+//! The pieces of the sharded, allocation-lean, deterministic parallel
+//! engine that are not specific to delay analysis, so both detectors (and
+//! whole per-stream analyzers) ride the same machinery:
 //!
 //! * a fixed shard count ([`NUM_SHARDS`]) with *stable* shard assignment —
 //!   [`shard_of_u64`] for keys that pack into a word (IP links),
@@ -134,7 +133,7 @@ impl<B, O> ShardStage<B, O> {
 /// With `threads <= 1` everything runs inline on the caller's thread (no
 /// spawn overhead, identical results); with fewer jobs than workers only
 /// `jobs.len()` threads are spawned (an empty round-robin queue is a
-/// spawn+join for nothing — incremental ingestion feeds many tiny waves).
+/// spawn+join for nothing).
 pub(crate) fn run_jobs(jobs: Vec<Job<'_>>, threads: usize) {
     if threads <= 1 || jobs.len() <= 1 {
         for job in jobs {

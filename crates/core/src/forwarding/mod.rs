@@ -4,7 +4,7 @@
 //! dropped packets leave no RTT samples. The forwarding detector fills that
 //! gap: it learns, per (router IP, traceroute destination), the usual
 //! distribution of packets over next hops ([`pattern`]), keeps an
-//! exponentially smoothed reference ([`reference`]), and reports patterns
+//! exponentially smoothed reference ([`mod@reference`]), and reports patterns
 //! whose Pearson correlation with the reference falls below τ = −0.25,
 //! attributing the change to specific next hops via responsibility scores
 //! ([`detect`], Eq. 9).
@@ -99,12 +99,6 @@ impl ForwardingDetector {
         }
     }
 
-    /// Worker threads used per bin: the configured count, or all available
-    /// cores when `cfg.threads == 0`, capped by the shard count.
-    fn effective_threads(&self) -> usize {
-        engine::resolve_threads(self.cfg.threads)
-    }
-
     /// Serialize the resumable state: every shard's references (sorted by
     /// pattern key — shard maps iterate in hash order, which is not
     /// stable) and the intern-epoch arena. The config is written once at
@@ -169,7 +163,7 @@ impl ForwardingDetector {
         bin: BinId,
         records: &[TracerouteRecord],
     ) -> Vec<ForwardingAlarm> {
-        let threads = self.effective_threads();
+        let threads = engine::resolve_threads(self.cfg.threads);
         let chunk = ingest::resolve_chunk_for(self.cfg.ingest_chunk_records, threads);
         self.compact_epoch(bin);
         self.begin_bin();

@@ -422,8 +422,8 @@ pub(crate) struct PatternArenaParts<'a> {
 /// keys and hops resolve through *epoch-persistent* intern tables, so
 /// steady-state bins perform zero insertions); a short sequential merge
 /// assigns dense ids to the bin's new keys in chunk order (= record
-/// order); then [`PatternArenaShard::gather`] +
-/// [`PatternArenaShard::finalize`] — run per shard, in parallel —
+/// order); then `PatternShardRows::gather` +
+/// `PatternShardRows::finalize` — run per shard, in parallel —
 /// concatenate each shard's rows in chunk order and sum them into
 /// per-pattern `(hop, packets)` runs. Buffers and tables persist across
 /// bins; compaction on the shared `reference_expiry_bins` clock bounds

@@ -13,7 +13,7 @@
 //!   byte-identical across thread counts and chunk sizes.
 //! * **Persistent interning epochs.** Links, probes, pattern keys, and
 //!   next hops are interned into dense ids once and kept across bins
-//!   ([`Interner`]): a steady-state bin whose keys are all known performs
+//!   (`Interner`): a steady-state bin whose keys are all known performs
 //!   zero intern-table insertions and zero re-hashing. Keys first seen
 //!   mid-bin are queued per chunk and merged *in chunk order* (= record
 //!   order) by a short sequential pass between the scatter wave and the
@@ -44,10 +44,11 @@ pub const DEFAULT_CHUNK_RECORDS: usize = 512;
 /// Auto chunk size when the pool has a single worker. With no cores to
 /// spread chunks over, chunking is purely a cache-blocking knob: a
 /// chunk's run/value buffers and dedup maps should stay resident while
-/// the next chunk scatters, and the `ingest_heavy` workload measures
-/// smaller blocks beating [`DEFAULT_CHUNK_RECORDS`] by ~5% on one core
-/// (and the whole-bin single chunk losing ~40% — its per-shard buffers
-/// outgrow the cache).
+/// the next chunk scatters. On a scatter-dominated bin (`pinpoint-bench`'s
+/// `IngestSpec::large`, ~200k delay rows) smaller blocks were measured
+/// beating [`DEFAULT_CHUNK_RECORDS`] by ~5% on one core (and the
+/// whole-bin single chunk losing ~40% — its per-shard buffers outgrow
+/// the cache).
 pub const SINGLE_WORKER_CHUNK_RECORDS: usize = 128;
 
 /// Resolve the `ingest_chunk_records` knob (0 = auto) into a chunk size.

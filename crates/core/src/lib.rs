@@ -68,8 +68,8 @@
 //! * **Persistent interning epochs** — links, probes, pattern keys, and
 //!   next hops intern into dense ids once and stay interned across bins:
 //!   steady-state bins perform zero intern-table insertions (counted by
-//!   [`pipeline::Analyzer::ingest_stats`], asserted in tests and on
-//!   every bench run), and a compaction sweep on the shared
+//!   [`pipeline::Analyzer::ingest_stats`], asserted in tests), and a
+//!   compaction sweep on the shared
 //!   `reference_expiry_bins` clock keeps the tables bounded under key
 //!   churn — invisibly, since dense ids never reach reports.
 //! * **Flat sample arena with run-length staging** — each (record, link)
@@ -155,18 +155,10 @@
 //!   under a `PINPOINT_THREADS` ∈ {1, 2, 4, 8} × `PINPOINT_CHUNK` ∈
 //!   {3, default} matrix on a multi-core runner).
 //!
-//! Benchmarks: `cargo bench -p pinpoint-bench` (criterion-style suite,
-//! includes parallel-vs-sequential engine benches) and
-//! `cargo run --release -p pinpoint-bench --bin pipeline_bench`, which
-//! writes throughput + speedup numbers to `BENCH_pipeline.json` —
-//! among its workloads: faithful simulator bin, delay-heavy, forwarding-heavy, a
-//! mixed bin loading both shard pipelines in one combined pass, a
-//! three-stream fleet bin pooled through the `StreamRouter`, and a
-//! scatter-dominated `ingest_heavy` bin isolating the chunked-ingestion
-//! layer (with its zero-steady-state-insertion guarantee asserted every
-//! run) — so the perf trajectory is tracked PR over PR
-//! (`--check` turns a run into a regression gate against the committed
-//! numbers).
+//! Performance is measured in one place: the benchmark declared by
+//! `BENCHMARK.json` at the repo root (its own workspace in `benchmark/`),
+//! four workloads with bounded end-to-end metrics and a per-layer set
+//! (`core.session.*`, `core.diffrtt.*`, `core.ingest.*`, …).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

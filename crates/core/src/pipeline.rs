@@ -120,7 +120,7 @@ impl Analyzer {
     /// The bin runs as two waves on ONE scoped worker pool
     /// (`crate::engine`). First the ingestion wave: both detectors' record
     /// chunks scatter in parallel against their persistent intern tables
-    /// ([`Analyzer::open_scatter`]), followed by the short sequential
+    /// (`Analyzer::open_scatter`), followed by the short sequential
     /// chunk-ordered intern merge. Then the shard wave: every worker
     /// interleaves delay-link shards and forwarding-pattern shards
     /// (§4 ∥ §5) instead of the two detectors racing on separate thread
@@ -230,8 +230,7 @@ impl Analyzer {
     /// Single-threaded reference path: nested-map sample and pattern
     /// stores, full-sort characterization, detectors run back to back.
     /// Exists so the parity tests can prove the parallel engine produces
-    /// identical [`BinReport`]s (and so the benches have a baseline to
-    /// beat).
+    /// identical [`BinReport`]s.
     pub fn process_bin_sequential(
         &mut self,
         bin: BinId,

@@ -9,7 +9,7 @@
 //! repairable defect (a duplicated adjacent hop) are *repaired* in place
 //! and kept.
 //!
-//! The contract, in wave-model terms: [`Sanitizer::sanitize`] is a pure
+//! The contract, in wave-model terms: `Sanitizer::sanitize` is a pure
 //! per-record function applied **once per record slice, serially, before
 //! the scatter wave is built** — in `Analyzer::open_scatter` and the
 //! sequential reference path alike. Because the verdict for a record
@@ -290,7 +290,7 @@ impl Sanitizer {
 
 /// One-shot convenience: sanitize a slice into an owned vector and
 /// return the surviving records with the counters. For harnesses and
-/// benches; the analyzer itself uses the zero-copy [`Sanitizer`].
+/// the benchmark; the analyzer itself uses the zero-copy `Sanitizer`.
 pub fn sanitize_records(
     records: &[TracerouteRecord],
     cfg: &DetectorConfig,

@@ -14,7 +14,7 @@
 //!   servers has been negligible" while delays soared. Events can also
 //!   force loss outright (IXP fabric outage → loss = 1).
 //! * **Per-packet noise** — a log-normal body, occasional Pareto slow-path
-//!   spikes (ICMP generation on the router CPU, [28]), and rare gross
+//!   spikes (ICMP generation on the router CPU, \[28\]), and rare gross
 //!   outliers. The outliers are what break the arithmetic mean in Fig. 3b
 //!   while leaving the median untouched.
 //!

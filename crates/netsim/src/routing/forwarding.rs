@@ -7,7 +7,7 @@
 //! the current router) with per-flow ECMP among near-equal candidates —
 //! Paris traceroute keeps the flow identifier fixed, so one traceroute sees
 //! one consistent path, while different probes spread over the alternatives
-//! (§2's "Paris traceroute [mitigates] issues raised by load balancers").
+//! (§2's "Paris traceroute \[mitigates\] issues raised by load balancers").
 
 use crate::ids::{AsId, LinkId, RouterId};
 use crate::routing::policy::RouteTable;

@@ -1,6 +1,6 @@
 //! Cross-seed invariants of the simulated Internet.
 //!
-//! These validate the substrate claims DESIGN.md makes — in particular
+//! These validate what the detectors need from the substrate — in particular
 //! that the simulator genuinely produces the *path asymmetry* that the
 //! paper's differential-RTT method exists to survive ("past studies report
 //! about 90% of AS-level routes as asymmetric", §3 Challenge 1).
@@ -42,7 +42,7 @@ fn as_level_routes_are_substantially_asymmetric() {
         // unique valley-free path; ~20-30 % measured asymmetry is the
         // structural floor (the real Internet's ~90 % comes from much
         // richer peering). What the method needs is that a *substantial*
-        // fraction of return paths differ — see DESIGN.md.
+        // fraction of return paths differ (§3 Challenge 1).
         assert!(
             rate > 0.12,
             "seed {seed}: only {rate:.2} of {total} AS paths asymmetric — \

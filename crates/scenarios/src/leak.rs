@@ -11,7 +11,7 @@
 //! recomputes policy routes with the leak edge) *plus* the congestion the
 //! attracted traffic causes — the simulator does not model traffic volume
 //! endogenously, so the utilization surge is applied to the affected ASes
-//! directly (documented substitution, DESIGN.md S4).
+//! directly (a deliberate substitution).
 
 use crate::runner::CaseStudy;
 use crate::world::{Landmarks, Scale};

@@ -1,8 +1,7 @@
 //! Fault-aware feed sources for the collector.
 //!
-//! The offline entry points consume a plain
-//! [`BinSource`](pinpoint_core::session::BinSource) — an infallible
-//! in-order bin iterator. A live deployment's feed is neither: it
+//! The offline entry points consume a plain [`BinSource`] — an
+//! infallible in-order bin iterator. A live deployment's feed is neither: it
 //! stalls, disconnects, and (after reconnects) replays duplicated or
 //! out-of-order bins. [`RecoverableSource`] is the contract the
 //! collector actually consumes: a stream of [`FeedSignal`]s where

@@ -179,10 +179,46 @@ fn serve_one(mut stream: TcpStream, router: &Router) -> std::io::Result<()> {
         None => (target, None),
     };
     let (status, body) = route(router, method, path, query);
-    respond(&mut stream, status, &body)
+    respond(&mut stream, status, body.as_str())
 }
 
-fn route(router: &Router, method: &str, path: &str, query: Option<&str>) -> (u16, String) {
+/// A response body: a cached render shared with every other client, or
+/// text built for this request.
+enum Body {
+    Cached(Arc<String>),
+    Built(String),
+}
+
+impl Body {
+    fn as_str(&self) -> &str {
+        match self {
+            Body::Cached(body) => body,
+            Body::Built(body) => body,
+        }
+    }
+}
+
+impl From<Arc<String>> for Body {
+    fn from(body: Arc<String>) -> Self {
+        Body::Cached(body)
+    }
+}
+
+impl From<String> for Body {
+    fn from(body: String) -> Self {
+        Body::Built(body)
+    }
+}
+
+impl From<&str> for Body {
+    fn from(body: &str) -> Self {
+        Body::Built(body.to_string())
+    }
+}
+
+fn route(router: &Router, method: &str, path: &str, query: Option<&str>) -> (u16, Body) {
+    const BAD_BIN: &str = "{\"error\":\"bin id must be an integer\"}";
+    let bin_not_reported = |bin: u64| format!("{{\"error\":\"bin {bin} not reported\"}}").into();
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     match (method, segments.as_slice()) {
         ("GET", []) => (
@@ -193,66 +229,72 @@ fn route(router: &Router, method: &str, path: &str, query: Option<&str>) -> (u16
                 "\"/events/{id}\",\"/asn/{id}/timeline\",\"/alarms/graph\",",
                 "\"/stats\",\"POST /shutdown\"]}"
             )
-            .to_string(),
+            .into(),
         ),
-        ("GET", ["health"]) => (200, router.state.health_json()),
-        ("GET", ["bins"]) => (200, router.state.bins_json()),
+        ("GET", ["health"]) => (200, router.state.health_json().into()),
+        ("GET", ["bins"]) => (200, router.state.bins_json().into()),
         ("GET", ["bins", id, "report"]) => match id.parse::<u64>() {
             Ok(bin) => match router.state.report(bin) {
-                Some(report) => (200, report.as_ref().clone()),
-                None => (404, format!("{{\"error\":\"bin {bin} not reported\"}}")),
+                Some(report) => (200, report.into()),
+                None => (404, bin_not_reported(bin)),
             },
-            Err(_) => (400, "{\"error\":\"bin id must be an integer\"}".to_string()),
+            Err(_) => (400, BAD_BIN.into()),
         },
         ("GET", ["bins", id, "events"]) => match id.parse::<u64>() {
             Ok(bin) => match router.state.bin_events(bin) {
-                Some(events) => (200, events.as_ref().clone()),
-                None => (404, format!("{{\"error\":\"bin {bin} not reported\"}}")),
+                Some(events) => (200, events.into()),
+                None => (404, bin_not_reported(bin)),
             },
-            Err(_) => (400, "{\"error\":\"bin id must be an integer\"}".to_string()),
+            Err(_) => (400, BAD_BIN.into()),
         },
-        ("GET", ["events"]) => (200, router.state.events_json().as_ref().clone()),
+        ("GET", ["events"]) => (200, router.state.events_json().into()),
         ("GET", ["events", id]) => match id.parse::<u64>() {
             Ok(event) => match router.state.event_json(event) {
-                Some(body) => (200, body.as_ref().clone()),
-                None => (404, format!("{{\"error\":\"event {event} not reported\"}}")),
+                Some(body) => (200, body.into()),
+                None => (
+                    404,
+                    format!("{{\"error\":\"event {event} not reported\"}}").into(),
+                ),
             },
-            Err(_) => (
-                400,
-                "{\"error\":\"event id must be an integer\"}".to_string(),
-            ),
+            Err(_) => (400, "{\"error\":\"event id must be an integer\"}".into()),
         },
         ("GET", ["asn", id, "timeline"]) => match id.parse::<u32>() {
             Ok(asn) => match router.state.timeline_json(asn) {
-                Some(body) => (200, body),
-                None => (404, format!("{{\"error\":\"AS{asn} not tracked\"}}")),
+                Some(body) => (200, body.into()),
+                None => (404, format!("{{\"error\":\"AS{asn} not tracked\"}}").into()),
             },
-            Err(_) => (400, "{\"error\":\"asn must be an integer\"}".to_string()),
+            Err(_) => (400, "{\"error\":\"asn must be an integer\"}".into()),
         },
         ("GET", ["alarms", "graph"]) => {
-            let bin = query.and_then(|q| {
-                q.split('&')
-                    .find_map(|kv| kv.strip_prefix("bin="))
-                    .and_then(|v| v.parse::<u64>().ok())
-            });
-            match router.state.graph(bin) {
-                Some(graph) => (200, graph.as_ref().clone()),
-                None => (404, "{\"error\":\"no bin reported yet\"}".to_string()),
+            let bin = query
+                .and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("bin=")))
+                .map(str::parse::<u64>)
+                .transpose();
+            let Ok(bin) = bin else {
+                return (400, BAD_BIN.into());
+            };
+            match (router.state.graph(bin), bin) {
+                (Some(graph), _) => (200, graph.into()),
+                (None, Some(bin)) => (404, bin_not_reported(bin)),
+                (None, None) => (404, "{\"error\":\"no bin reported yet\"}".into()),
             }
         }
         ("GET", ["stats"]) => {
             let (collect, report) = (router.gauges)();
-            (200, router.state.stats_json(collect, report))
+            (200, router.state.stats_json(collect, report).into())
         }
         ("POST", ["shutdown"]) => {
             (router.on_shutdown)();
-            (200, "{\"ok\":true,\"phase\":\"draining\"}".to_string())
+            (200, "{\"ok\":true,\"phase\":\"draining\"}".into())
         }
-        _ => (404, "{\"error\":\"not found\"}".to_string()),
+        _ => (404, "{\"error\":\"not found\"}".into()),
     }
 }
 
+/// Head and body leave in ONE write: two small writes would invite a
+/// Nagle / delayed-ACK stall between them.
 fn respond(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
+    use std::fmt::Write as _;
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -261,11 +303,14 @@ fn respond(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<(
         431 => "Request Header Fields Too Large",
         _ => "Error",
     };
-    let response = format!(
+    let mut response = String::with_capacity(128 + body.len());
+    let _ = write!(
+        response,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
+    response.push_str(body);
     stream.write_all(response.as_bytes())?;
     stream.flush()
 }

@@ -9,7 +9,7 @@
 //! * [`Exponential`] — inversion; inter-event times;
 //! * [`Pareto`] — inversion; heavy-tailed delay spikes and the rare gross
 //!   outliers that break mean-based detection (Fig. 3b);
-//! * [`Bernoulli`] helpers live on `SplitMix64` directly.
+//! * Bernoulli helpers live on `SplitMix64` directly.
 //!
 //! Each sampler is validated against its analytic moments in the tests.
 

@@ -8,7 +8,7 @@
 //! normally-distributed estimators (§4.2.2). This crate implements every
 //! statistical primitive the paper uses, from scratch:
 //!
-//! * [`quantile`] — medians, arbitrary quantiles, order statistics
+//! * [`mod@quantile`] — medians, arbitrary quantiles, order statistics
 //!   (quickselect), used for the median differential RTT;
 //! * [`wilson`] — the Wilson score interval (Eq. 5) yielding distribution-free
 //!   confidence intervals on the median;
@@ -17,7 +17,7 @@
 //!   pattern comparison (§5.2.1);
 //! * [`smoothing`] — exponential smoothing for scalar and vector references
 //!   (Eq. 7 / Eq. 8);
-//! * [`mad`] — median absolute deviation and the magnitude metric (Eq. 10);
+//! * [`mod@mad`] — median absolute deviation and the magnitude metric (Eq. 10);
 //! * [`sliding`] — one-week sliding median/MAD windows (§6);
 //! * [`normal`] — standard normal CDF/quantile functions and Q-Q utilities
 //!   (Fig. 3 normality checks);

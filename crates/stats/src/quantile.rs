@@ -46,7 +46,7 @@ pub fn select_kth(data: &mut [f64], k: usize) -> f64 {
 /// list splits at the partition point and each side is resolved inside
 /// the sub-range that partition already produced — the partition work a
 /// rank-by-rank [`select_kth`] sequence would redo is shared instead.
-/// With the same pivot rule ([`median_of_three`]) and partition scheme
+/// With the same pivot rule (`median_of_three`) and partition scheme
 /// as [`select_kth`], every pinned value is the exact order statistic a
 /// full sort would place there.
 ///

@@ -19,7 +19,7 @@
 //! * [`netsim`] — deterministic Internet simulator with event injection
 //! * [`atlas`] — RIPE Atlas measurement platform emulator
 //! * [`core`] — the paper's detection pipeline (see its crate docs for the
-//!   parallel bin-engine architecture and how to run the benches)
+//!   parallel bin-engine architecture)
 //! * [`scenarios`] — reproducible case-study scenarios
 //! * [`service`] — the live daemon (`pinpointd`): collector → executor →
 //!   reporter pipeline behind bounded queues, with an HTTP health API

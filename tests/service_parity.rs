@@ -127,6 +127,20 @@ fn daemon_replay_is_byte_identical_to_offline_pipelined() {
     let (status, graph) = get(addr, "/alarms/graph");
     assert_eq!(status, 200);
     assert!(graph.starts_with(&format!("{{\"bin\":{}", case.end_bin.0 - 1)));
+    // `?bin=N` names one bin's cached graph; a bad or unknown N is an
+    // error, never a silent fall-back to the latest bin.
+    let first = *offline.keys().next().expect("bins reported");
+    let (status, body) = get(addr, &format!("/alarms/graph?bin={first}"));
+    assert_eq!(status, 200);
+    let cached = daemon.state().graph(Some(first)).expect("graph cached");
+    assert_eq!(body, *cached);
+    assert_ne!(body, graph, "?bin= must not serve the latest bin's graph");
+    let (status, body) = get(addr, "/alarms/graph?bin=abc");
+    assert_eq!(status, 400);
+    assert_eq!(body, "{\"error\":\"bin id must be an integer\"}");
+    let (status, body) = get(addr, "/alarms/graph?bin=999999");
+    assert_eq!(status, 404);
+    assert_eq!(body, "{\"error\":\"bin 999999 not reported\"}");
 
     // The event channel: the live /events listing is the same fold.
     let (status, events_body) = get(addr, "/events");
