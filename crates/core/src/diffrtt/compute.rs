@@ -11,23 +11,21 @@
 //! * [`LinkSamples`] / [`collect_link_samples`] — the readable nested-map
 //!   reference layout, one `HashMap` per link keyed by probe. This is the
 //!   *reference path* the engine-parity tests compare against.
-//! * [`SampleArena`] — the engine's flat layout: one contiguous sample pool
-//!   plus per-link/per-probe index spans, with every buffer reused across
-//!   bins. A bin is ingested through the chunked, parallel scatter
-//!   front-end (`crate::ingest`): engine workers scatter record chunks into
-//!   per-(chunk, shard) *run* buffers — one `(key, start, len)` run per
-//!   (record, link) over a per-shard value pool, since an observation's
-//!   1–9 differential RTTs share one key — against epoch-persistent
-//!   link/probe intern tables. Per-shard runs concatenate in chunk order
-//!   and one cache-friendly sort over the (small) run index groups them —
-//!   no per-probe maps, no re-interning of known keys, an order of
-//!   magnitude fewer sorted elements than row-by-row staging, and
-//!   byte-identical output for any chunking.
+//! * `SampleArena` — the engine's flat layout: the shared
+//!   `crate::ingest::EpochArena` under `DelaySpec` (links × probes). The
+//!   spec stages each (record, link) observation as ONE `(key, start,
+//!   len)` run over a per-(chunk, shard) value pool — an observation's
+//!   1–9 differential RTTs share one key — and groups a shard with one
+//!   cache-friendly sort over that (small) run index into one contiguous
+//!   sample pool plus per-link/per-probe index spans: no per-probe maps,
+//!   an order of magnitude fewer sorted elements than row-by-row
+//!   staging, and byte-identical output for any chunking.
 
-use crate::ingest::{ChunkPool, Interner, PENDING};
+use crate::engine::{ShardKey, SnapshotKey};
+use crate::ingest::{pack, ArenaSpec, Chunk, EpochArena, Interner, SidePayload, Wave};
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
-use pinpoint_model::{Asn, BinId, FxHashMap, IpLink, ProbeId};
+use pinpoint_model::{Asn, IpLink, ProbeId};
 use std::collections::HashMap;
 
 /// All differential RTT samples for one link in one bin, per probe.
@@ -120,7 +118,7 @@ impl LinkSamples {
 }
 
 /// Extract per-link differential RTT samples from a bin of traceroutes
-/// (reference path; the engine uses [`SampleArena::build`]).
+/// (reference path; the engine stages through `SampleArena`).
 ///
 /// A probe's AS is pinned to the first `probe_asn` it reports in the bin
 /// (across all links, in record order) — the identical rule the arena's
@@ -158,13 +156,39 @@ pub fn collect_link_samples(records: &[TracerouteRecord]) -> HashMap<IpLink, Lin
     out
 }
 
-pub(crate) use crate::engine::NUM_SHARDS;
-
 /// Stable shard assignment: one SplitMix64 round over the packed address
 /// pair (see [`crate::engine`] for the determinism contract).
 pub(crate) fn shard_of(link: &IpLink) -> usize {
     let key = (u64::from(u32::from(link.near)) << 32) | u64::from(u32::from(link.far));
     crate::engine::shard_of_u64(key)
+}
+
+impl SnapshotKey for IpLink {
+    fn write(&self, w: &mut Writer) {
+        w.ip(self.near);
+        w.ip(self.far);
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(IpLink::new(r.ip()?, r.ip()?))
+    }
+}
+
+impl ShardKey for IpLink {
+    #[inline]
+    fn shard(&self) -> usize {
+        shard_of(self)
+    }
+}
+
+impl SnapshotKey for ProbeId {
+    fn write(&self, w: &mut Writer) {
+        w.u32(self.0);
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(ProbeId(r.u32()?))
+    }
 }
 
 /// One probe's contiguous run of samples for one link.
@@ -180,7 +204,7 @@ struct ProbeSpan {
 struct LinkEntry {
     /// Shard-local intern id — resolved to the [`IpLink`] against the
     /// shard's epoch table at view time ([`ShardRows::link_in`]) and used
-    /// by the post-wave stamp fence ([`SampleArena::stamp_bin`]).
+    /// by the arena's post-wave stamp fence.
     local: u32,
     spans_start: u32,
     spans_len: u32,
@@ -224,102 +248,120 @@ impl<'a> LinkSlice<'a> {
     }
 }
 
-/// One scatter chunk's private output: per-shard row buffers plus the
-/// chunk-local queues of keys not yet in the persistent intern tables.
-/// Written by exactly one scatter job (no sharing, no locks), then read by
-/// the sequential merge and the per-shard gather. All buffers are reused
-/// across bins.
+/// The delay side's per-chunk staging beside the run index: a staged row
+/// is `(pack(link id, probe slot), (start, len))` with `start` addressing
+/// the chunk's per-shard `vals` pool, in record order within the chunk.
+/// One (record, link) observation is ONE run (its 1–9 differential RTTs
+/// are consecutive in `vals`), and adjacent same-key runs merge at push —
+/// so the sort that groups a shard handles ~an order of magnitude fewer
+/// elements than it would row-by-row.
 #[derive(Debug, Default)]
-pub(crate) struct DelayChunk {
-    /// Per-shard run index: `(link_local << 32 | probe_slot, start, len)`
-    /// with `start` addressing this chunk's per-shard `vals` pool, in
-    /// record order within the chunk. One (record, link) observation is
-    /// ONE run (its 1–9 differential RTTs are consecutive in `vals`), and
-    /// adjacent same-key runs merge at push — so the sort that groups a
-    /// shard handles ~an order of magnitude fewer elements than it would
-    /// row-by-row. Ids may carry [`PENDING`].
-    runs: Vec<Vec<(u64, u32, u32)>>,
+pub(crate) struct DelayStaged {
     /// Per-shard sample values, in record order (runs index into this).
     vals: Vec<Vec<f64>>,
-    /// Links first seen by this chunk, in encounter order; pending id `i`
-    /// is `new_links[i]`.
-    new_links: Vec<IpLink>,
-    /// Chunk-local dedup for `new_links`.
-    new_link_ids: FxHashMap<IpLink, u32>,
-    /// Filled by the merge: pending link id → final shard-local id.
-    link_patch: Vec<u32>,
-    /// Probes first seen by this chunk, in encounter order.
-    new_probes: Vec<ProbeId>,
-    /// Chunk-local probe dedup: probe → encoded slot (table slot, or
-    /// `PENDING | new_probes index`).
-    probe_seen: FxHashMap<ProbeId, u32>,
-    /// Every probe this chunk touched — `(encoded slot, first-seen ASN)`
-    /// in encounter order; drives per-bin ASN pinning and stamps.
-    touched_probes: Vec<(u32, Asn)>,
-    /// Filled by the merge: pending probe id → final table slot.
-    probe_patch: Vec<u32>,
     /// Scratch for near-side RTTs.
     near_rtts: Vec<f64>,
 }
 
-/// The read-only arena state a scatter job shares with every other job:
-/// the per-shard link tables and the probe table. Lookups are lock-free;
-/// known keys resolve without any insertion.
-#[derive(Clone, Copy)]
-pub(crate) struct DelayScatterView<'a> {
-    pub(crate) links: &'a [Interner<IpLink>],
-    pub(crate) probes: &'a Interner<ProbeId>,
+/// Probe slot → ASN, re-pinned each bin to the first ASN the probe
+/// reported that bin (record order) — the reference path's rule.
+#[derive(Debug, Default)]
+pub(crate) struct ProbePins {
+    asns: Vec<Asn>,
+    /// Probe slot → the bin-open count at which `asns` was last pinned.
+    pins: Vec<u64>,
+    /// Monotonic bin-open counter.
+    session: u64,
 }
 
-impl DelayChunk {
-    fn clear(&mut self) {
-        if self.runs.len() < NUM_SHARDS {
-            self.runs.resize_with(NUM_SHARDS, Vec::new);
-            self.vals.resize_with(NUM_SHARDS, Vec::new);
-        }
-        for runs in &mut self.runs {
-            runs.clear();
-        }
-        for vals in &mut self.vals {
-            vals.clear();
-        }
-        self.new_links.clear();
-        self.new_link_ids.clear();
-        self.new_probes.clear();
-        self.probe_seen.clear();
-        self.touched_probes.clear();
-        // `link_patch` / `probe_patch` are NOT cleared here: the merge
-        // owns their lifecycle — it clears and refills both before any
-        // `gather` reads them, so wiping them per wave is wasted work.
+impl ProbePins {
+    /// Probe slot → the ASN pinned for the current bin.
+    pub(crate) fn asns(&self) -> &[Asn] {
+        &self.asns
+    }
+}
+
+impl SidePayload for ProbePins {
+    type Note = Asn;
+
+    fn open_bin(&mut self) {
+        self.session += 1;
     }
 
-    /// Scatter one record chunk into this chunk's per-shard row buffers,
-    /// resolving keys against the shared persistent tables (`view`) and
-    /// queueing unknown ones chunk-locally. Pure per-chunk work: the
-    /// output depends only on `(records, table state at bin start)`, never
-    /// on the thread that ran it or on any other chunk.
-    pub(crate) fn scatter(&mut self, records: &[TracerouteRecord], view: DelayScatterView<'_>) {
+    #[inline]
+    fn pin(&mut self, slot: u32, asn: Asn) {
+        let slot = slot as usize;
+        if slot == self.asns.len() {
+            self.asns.push(asn);
+            self.pins.push(self.session);
+        } else if self.pins[slot] != self.session {
+            self.pins[slot] = self.session;
+            self.asns[slot] = asn;
+        }
+    }
+
+    fn renumber(&mut self, kept: &[u32]) {
+        for (new, &old) in kept.iter().enumerate() {
+            self.asns[new] = self.asns[old as usize];
+            self.pins[new] = self.pins[old as usize];
+        }
+        self.asns.truncate(kept.len());
+        self.pins.truncate(kept.len());
+    }
+
+    fn write(&self, w: &mut Writer) {
+        for (asn, pin) in self.asns.iter().zip(&self.pins) {
+            w.u32(asn.0);
+            w.u64(*pin);
+        }
+        w.u64(self.session);
+    }
+
+    fn read(r: &mut Reader<'_>, probes: usize) -> Result<Self, SnapshotError> {
+        let mut payload = ProbePins::default();
+        for _ in 0..probes {
+            payload.asns.push(Asn(r.u32()?));
+            payload.pins.push(r.u64()?);
+        }
+        payload.session = r.u64()?;
+        Ok(payload)
+    }
+}
+
+/// The delay side of the shared arena: IP links (sharded) × probes, with
+/// the probes' per-bin ASN pins as side payload.
+#[derive(Debug)]
+pub(crate) struct DelaySpec;
+
+/// The engine's flat, sharded, bin-reusable sample store.
+pub(crate) type SampleArena = EpochArena<DelaySpec>;
+
+impl ArenaSpec for DelaySpec {
+    type Key = IpLink;
+    type Side = ProbeId;
+    type Payload = ProbePins;
+    type Tail = (u32, u32);
+    type Staged = DelayStaged;
+    type Row = SampleRun;
+    type Rows = ShardRows;
+
+    fn reset(staged: &mut DelayStaged) {
+        staged.vals.resize_with(crate::engine::NUM_SHARDS, Vec::new);
+        for vals in &mut staged.vals {
+            vals.clear();
+        }
+    }
+
+    fn scatter(
+        chunk: &mut Chunk<Self>,
+        records: &[TracerouteRecord],
+        links: &[Interner<IpLink>],
+        probes: &Interner<ProbeId>,
+    ) {
+        let Chunk { rows, staged, ids } = chunk;
+        let DelayStaged { vals, near_rtts } = staged;
         for rec in records {
-            let probe_enc = match self.probe_seen.get(&rec.probe_id) {
-                Some(&enc) => enc,
-                None => {
-                    let enc = match view.probes.get(&rec.probe_id) {
-                        Some(slot) => slot,
-                        None => {
-                            self.new_probes.push(rec.probe_id);
-                            PENDING | (self.new_probes.len() as u32 - 1)
-                        }
-                    };
-                    self.probe_seen.insert(rec.probe_id, enc);
-                    self.touched_probes.push((enc, rec.probe_asn));
-                    enc
-                }
-            };
-            let runs = &mut self.runs;
-            let vals = &mut self.vals;
-            let new_links = &mut self.new_links;
-            let new_link_ids = &mut self.new_link_ids;
-            let near_rtts = &mut self.near_rtts;
+            let probe = ids.resolve_side(probes, rec.probe_id, rec.probe_asn);
             rec.for_each_link(|link, near_idx, far_idx| {
                 let near_hop = &rec.hops[near_idx];
                 let far_hop = &rec.hops[far_idx];
@@ -332,24 +374,10 @@ impl DelayChunk {
                 // (record, link), on the first responsive far reply.
                 let mut key: Option<(usize, u64, u32)> = None;
                 for fy in far_hop.rtts_from(link.far) {
-                    if key.is_none() {
-                        let s = shard_of(&link);
-                        let local = match view.links[s].get(&link) {
-                            Some(local) => local,
-                            None => match new_link_ids.get(&link) {
-                                Some(&pending) => pending,
-                                None => {
-                                    new_links.push(link);
-                                    let pending = PENDING | (new_links.len() as u32 - 1);
-                                    new_link_ids.insert(link, pending);
-                                    pending
-                                }
-                            },
-                        };
-                        let row_key = (u64::from(local) << 32) | u64::from(probe_enc);
-                        key = Some((s, row_key, vals[s].len() as u32));
-                    }
-                    let (s, _, _) = key.expect("just set");
+                    let (s, _, _) = *key.get_or_insert_with(|| {
+                        let (s, local) = ids.resolve_key(links, link);
+                        (s, pack(local, probe), vals[s].len() as u32)
+                    });
                     let vals = &mut vals[s];
                     for &fx in near_rtts.iter() {
                         vals.push(fy - fx);
@@ -361,20 +389,45 @@ impl DelayChunk {
                 if let Some((s, row_key, start)) = key {
                     let len = vals[s].len() as u32 - start;
                     debug_assert!(len > 0, "a resolved key implies pushed samples");
-                    match runs[s].last_mut() {
-                        Some(run) if run.0 == row_key => run.2 += len,
-                        _ => runs[s].push((row_key, start, len)),
+                    match rows[s].last_mut() {
+                        Some((last, (_, run_len))) if *last == row_key => *run_len += len,
+                        _ => rows[s].push((row_key, (start, len))),
                     }
                 }
             });
         }
     }
+
+    #[inline]
+    fn row(key: u64, chunk: u32, (start, len): (u32, u32)) -> SampleRun {
+        SampleRun {
+            key,
+            chunk,
+            start,
+            len,
+        }
+    }
+
+    #[inline]
+    fn gathered(rows: &mut ShardRows) -> &mut Vec<SampleRun> {
+        &mut rows.runs
+    }
+
+    #[inline]
+    fn finalize(rows: &mut ShardRows, shard: usize, wave: Wave<'_, Self>) {
+        rows.finalize(shard, wave.payload.asns(), wave.chunks);
+    }
+
+    #[inline]
+    fn observed(rows: &ShardRows) -> impl Iterator<Item = u32> + '_ {
+        rows.entries.iter().map(|e| e.local)
+    }
 }
 
 /// One staged (record, link) observation of a shard's bin.
 #[derive(Debug, Clone, Copy)]
-struct SampleRun {
-    /// `link_local << 32 | probe_slot` (patched — never [`PENDING`]).
+pub(crate) struct SampleRun {
+    /// `link_local << 32 | probe_slot` (patched — never a pending id).
     key: u64,
     /// Which chunk's `vals` pool the run's samples live in.
     chunk: u32,
@@ -384,12 +437,12 @@ struct SampleRun {
 }
 
 /// One shard's per-wave row workspace: the bin's rows and their grouped
-/// layout. `gather` concatenates the bin's chunk buffers in chunk order
-/// (patching pending ids); `finalize` (run by the shard's worker thread)
+/// layout. The arena's gather concatenates the bin's chunk runs into
+/// `runs` in chunk order; `finalize` (run by the shard's worker thread)
 /// sorts and groups into `pool`/`spans`/`entries`. Holds no epoch state —
-/// the shard's link intern table lives in [`SampleArena::links`] — and is
-/// consumed within one wave: its content is dead once the wave's outputs
-/// are merged and the observed entries are stamped.
+/// the shard's link intern table lives in the arena — and is consumed
+/// within one wave: its content is dead once the wave's outputs are
+/// merged and the observed entries are stamped.
 #[derive(Debug, Default)]
 pub(crate) struct ShardRows {
     /// The bin's gathered runs, sorted by `(key, chunk, start)` at
@@ -408,52 +461,12 @@ pub(crate) struct ShardRows {
 }
 
 impl ShardRows {
-    /// Concatenate this shard's runs from every chunk **in chunk order**
-    /// (= record order, whatever the chunk size), patching pending ids to
-    /// their merged table slots. Safe to run concurrently across shards:
-    /// each shard reads only its own `chunk.runs[idx]` buffers.
-    pub(crate) fn gather(&mut self, idx: usize, chunks: &[DelayChunk]) {
-        self.runs.clear();
-        for (c, chunk) in chunks.iter().enumerate() {
-            let source = &chunk.runs[idx];
-            // Steady-state fast path: a chunk that discovered no new keys
-            // wrote no pending ids anywhere — its runs are final.
-            if chunk.new_links.is_empty() && chunk.new_probes.is_empty() {
-                self.runs
-                    .extend(source.iter().map(|&(key, start, len)| SampleRun {
-                        key,
-                        chunk: c as u32,
-                        start,
-                        len,
-                    }));
-                continue;
-            }
-            for &(key, start, len) in source {
-                let mut link = (key >> 32) as u32;
-                if link & PENDING != 0 {
-                    link = chunk.link_patch[(link ^ PENDING) as usize];
-                }
-                let mut slot = key as u32;
-                if slot & PENDING != 0 {
-                    slot = chunk.probe_patch[(slot ^ PENDING) as usize];
-                }
-                self.runs.push(SampleRun {
-                    key: (u64::from(link) << 32) | u64::from(slot),
-                    chunk: c as u32,
-                    start,
-                    len,
-                });
-            }
-        }
-    }
-
     /// Sort this shard's runs and lay out the grouped pool/span/entry
     /// indexes, copying each run's samples out of its chunk's value pool.
     /// Safe to run concurrently across shards: it never touches the
-    /// epoch tables (observed links are stamped by the caller's serial
-    /// fence, [`SampleArena::stamp_bin`], from the entry list this lays
-    /// out).
-    pub(crate) fn finalize(&mut self, idx: usize, probe_asns: &[Asn], chunks: &[DelayChunk]) {
+    /// epoch tables (observed links are stamped by the arena's serial
+    /// fence from the entry list this lays out).
+    fn finalize(&mut self, idx: usize, probe_asns: &[Asn], chunks: &[Chunk<DelaySpec>]) {
         self.pool.clear();
         self.spans.clear();
         self.entries.clear();
@@ -480,7 +493,7 @@ impl ShardRows {
                 let start = self.pool.len() as u32;
                 while i < self.runs.len() && self.runs[i].key == key {
                     let run = self.runs[i];
-                    let vals = &chunks[run.chunk as usize].vals[idx];
+                    let vals = &chunks[run.chunk as usize].staged.vals[idx];
                     self.pool.extend_from_slice(
                         &vals[run.start as usize..(run.start + run.len) as usize],
                     );
@@ -547,340 +560,31 @@ impl ShardRows {
     }
 }
 
-/// The engine's flat, sharded, bin-reusable sample store, fed by the
-/// chunked parallel ingestion front-end (`crate::ingest`).
-///
-/// Per bin: scatter jobs stage each (record, link) observation as one
-/// run — its differential RTTs pushed onto a per-(chunk, shard) value
-/// pool, indexed by a 16-byte `(key, start, len)` run entry — resolving
-/// links and probes through *epoch-persistent* intern tables
-/// (steady-state bins perform zero insertions); a short sequential merge
-/// assigns dense ids to the bin's new keys in chunk order (= record
-/// order); then `ShardRows::gather` + `ShardRows::finalize` — run
-/// per shard, in parallel — concatenate each shard's runs in chunk order
-/// and group them with one composite-keyed sort over the run index
-/// (equal keys keep gather order, so the grouped pool is exactly the
-/// row-by-row layout at a fraction of the sort cost). Every buffer and
-/// every table is retained across bins, and a compaction sweep on the
-/// shared `reference_expiry_bins` clock evicts keys that stopped
-/// appearing, so neither allocation nor key churn grows with the epoch.
-#[derive(Debug)]
-pub struct SampleArena {
-    /// Epoch-persistent per-shard link → shard-local id tables, shared
-    /// read-only by every scatter job.
-    links: Vec<Interner<IpLink>>,
-    /// Per-shard per-wave row workspace (consumed within one shard wave).
-    rows: Vec<ShardRows>,
-    /// Epoch-persistent probe → slot table.
-    probes: Interner<ProbeId>,
-    /// Probe slot → ASN, re-pinned each bin to the first ASN the probe
-    /// reported that bin (record order) — the reference path's rule.
-    probe_asns: Vec<Asn>,
-    /// Probe slot → scatter session in which `probe_asns` was last pinned.
-    probe_pins: Vec<u64>,
-    /// Monotonic scatter-session counter (bumped per bin open).
-    session: u64,
-    /// The open bin's scatter chunks. The chunk buffers (run indexes,
-    /// value pools, dedup maps) are retained and recycled across bins —
-    /// a steady stream allocates nothing here.
-    chunks: ChunkPool<DelayChunk>,
-    insertions_at_bin_start: u64,
-}
-
-impl Default for SampleArena {
-    fn default() -> Self {
-        SampleArena {
-            links: (0..NUM_SHARDS).map(|_| Interner::default()).collect(),
-            rows: (0..NUM_SHARDS).map(|_| ShardRows::default()).collect(),
-            probes: Interner::default(),
-            probe_asns: Vec::new(),
-            probe_pins: Vec::new(),
-            session: 0,
-            chunks: ChunkPool::default(),
-            insertions_at_bin_start: 0,
-        }
-    }
-}
-
-/// Split borrow of an arena for the shard wave: mutable per-shard row
-/// workspaces alongside the bin's chunk outputs and the shared (read-only)
-/// intern tables, so stage construction can hand shards to workers while
-/// chunk rows, link keys, and probe id/ASN slices stay readable from every
-/// job.
-pub(crate) struct SampleArenaParts<'a> {
-    pub(crate) rows: &'a mut [ShardRows],
-    pub(crate) links: &'a [Interner<IpLink>],
-    pub(crate) chunks: &'a [DelayChunk],
-    pub(crate) probe_ids: &'a [ProbeId],
-    pub(crate) probe_asns: &'a [Asn],
-}
-
+#[cfg(test)]
 impl SampleArena {
-    /// Fresh arena (buffers grow on first use).
-    pub fn new() -> Self {
-        SampleArena::default()
+    /// Iterate every link of the current bin (after the shard wave;
+    /// arbitrary but deterministic order).
+    pub(crate) fn links(&self) -> impl Iterator<Item = LinkSlice<'_>> {
+        let wave = self.wave();
+        self.shards().flat_map(move |(shard, links)| {
+            (0..shard.link_count())
+                .map(move |j| shard.link_in(j, links, wave.sides, wave.payload.asns()))
+        })
     }
 
-    fn total_insertions(&self) -> u64 {
-        self.probes.insertions() + self.links.iter().map(Interner::insertions).sum::<u64>()
+    /// Number of links with at least one sample in the current bin.
+    pub(crate) fn link_count(&self) -> usize {
+        self.links().count()
     }
 
-    /// Interning-epoch counters for this arena (links + probes).
-    pub(crate) fn stats(&self) -> crate::ingest::IngestStats {
-        crate::ingest::IngestStats {
-            interned: self.probes.len() + self.links.iter().map(Interner::len).sum::<usize>(),
-            bin_insertions: self.total_insertions() - self.insertions_at_bin_start,
-            insertions: self.total_insertions(),
-            evictions: self.probes.evictions()
-                + self.links.iter().map(Interner::evictions).sum::<u64>(),
-        }
+    /// Total differential RTT samples in the current bin.
+    pub(crate) fn total_samples(&self) -> usize {
+        self.links().map(|l| l.sample_count()).sum()
     }
 
-    /// Serialize the epoch-persistent state: the per-shard link tables and
-    /// the probe table (keys in dense-id order — restore reproduces the
-    /// identical id assignment), the probe ASN pins, and the session
-    /// counters. Per-wave state (shard rows, scatter chunks) is scratch the
-    /// next bin rebuilds, so it is not written.
-    pub(crate) fn snapshot_into(&self, w: &mut Writer) {
-        for table in &self.links {
-            let (keys, seen, insertions, evictions) = table.snapshot_parts();
-            w.seq(keys.len());
-            for (link, bin) in keys.iter().zip(seen) {
-                w.ip(link.near);
-                w.ip(link.far);
-                w.u64(bin.0);
-            }
-            w.u64(insertions);
-            w.u64(evictions);
-        }
-        let (keys, seen, insertions, evictions) = self.probes.snapshot_parts();
-        w.seq(keys.len());
-        for (probe, bin) in keys.iter().zip(seen) {
-            w.u32(probe.0);
-            w.u64(bin.0);
-        }
-        w.u64(insertions);
-        w.u64(evictions);
-        debug_assert_eq!(self.probe_asns.len(), keys.len());
-        debug_assert_eq!(self.probe_pins.len(), keys.len());
-        for (asn, pin) in self.probe_asns.iter().zip(&self.probe_pins) {
-            w.u32(asn.0);
-            w.u64(*pin);
-        }
-        w.u64(self.session);
-        w.u64(self.insertions_at_bin_start);
-    }
-
-    /// Rebuild an arena from [`SampleArena::snapshot_into`] bytes, with
-    /// fresh (empty) per-wave scratch.
-    pub(crate) fn restore_from(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let mut arena = SampleArena::default();
-        for table in &mut arena.links {
-            let n = r.seq()?;
-            let mut keys = Vec::with_capacity(n);
-            let mut seen = Vec::with_capacity(n);
-            for _ in 0..n {
-                let near = r.ip()?;
-                let far = r.ip()?;
-                keys.push(IpLink::new(near, far));
-                seen.push(BinId(r.u64()?));
-            }
-            *table = Interner::from_parts(keys, seen, r.u64()?, r.u64()?);
-        }
-        let n = r.seq()?;
-        let mut keys = Vec::with_capacity(n);
-        let mut seen = Vec::with_capacity(n);
-        for _ in 0..n {
-            keys.push(ProbeId(r.u32()?));
-            seen.push(BinId(r.u64()?));
-        }
-        arena.probes = Interner::from_parts(keys, seen, r.u64()?, r.u64()?);
-        arena.probe_asns = Vec::with_capacity(n);
-        arena.probe_pins = Vec::with_capacity(n);
-        for _ in 0..n {
-            arena.probe_asns.push(Asn(r.u32()?));
-            arena.probe_pins.push(r.u64()?);
-        }
-        arena.session = r.u64()?;
-        arena.insertions_at_bin_start = r.u64()?;
-        Ok(arena)
-    }
-
-    /// Start a new scatter session: the next bin's chunks overwrite the
-    /// pool from the beginning and the bin-insertion counter resets.
-    pub(crate) fn begin_bin(&mut self) {
-        self.session += 1;
-        self.chunks.begin_bin();
-        self.insertions_at_bin_start = self.total_insertions();
-    }
-
-    /// Evict links and probes unseen for more than `expiry_bins` bins and
-    /// renumber the survivors. Dense ids never reach reports, so a sweep
-    /// is byte-for-byte invisible downstream. Must run between bins: after
-    /// the previous bin's shard wave (and its [`Self::stamp_bin`]) and
-    /// before the next bin's chunks scatter — renumbering under scattered
-    /// rows would corrupt their packed ids.
-    pub(crate) fn compact(&mut self, now: BinId, expiry_bins: usize) {
-        for table in &mut self.links {
-            table.compact(now, expiry_bins);
-        }
-        if let Some(kept) = self.probes.compact(now, expiry_bins) {
-            for (new, &old) in kept.iter().enumerate() {
-                self.probe_asns[new] = self.probe_asns[old as usize];
-                self.probe_pins[new] = self.probe_pins[old as usize];
-            }
-            self.probe_asns.truncate(kept.len());
-            self.probe_pins.truncate(kept.len());
-        }
-    }
-
-    /// Reserve `n` cleared chunk buffers for the current session and
-    /// return them alongside the shared scatter view. The buffers extend
-    /// the session's chunk sequence (incremental feeding appends).
-    pub(crate) fn scatter_parts(&mut self, n: usize) -> (&mut [DelayChunk], DelayScatterView<'_>) {
-        let SampleArena {
-            chunks,
-            links,
-            probes,
-            ..
-        } = self;
-        (
-            chunks.reserve(n, DelayChunk::clear),
-            DelayScatterView { links, probes },
-        )
-    }
-
-    /// The sequential chunk-ordered merge between the scatter wave and the
-    /// shard wave: assign dense ids to keys first seen this bin (chunk
-    /// order = record order, so the assignment is identical for every
-    /// chunk size and thread count), re-pin each touched probe's ASN to
-    /// its first record of the bin, and stamp probe last-seen clocks.
-    pub(crate) fn merge(&mut self, bin: BinId) {
-        let SampleArena {
-            chunks,
-            links,
-            probes,
-            probe_asns,
-            probe_pins,
-            session,
-            ..
-        } = self;
-        for chunk in chunks.active_mut() {
-            chunk.link_patch.clear();
-            for &link in &chunk.new_links {
-                let s = shard_of(&link);
-                let local = match links[s].get(&link) {
-                    Some(local) => local,
-                    None => links[s].insert(link, bin),
-                };
-                chunk.link_patch.push(local);
-            }
-            chunk.probe_patch.clear();
-            for &(enc, asn) in &chunk.touched_probes {
-                let slot = if enc & PENDING != 0 {
-                    debug_assert_eq!((enc ^ PENDING) as usize, chunk.probe_patch.len());
-                    let probe = chunk.new_probes[(enc ^ PENDING) as usize];
-                    let slot = match probes.get(&probe) {
-                        Some(slot) => slot,
-                        None => {
-                            let slot = probes.insert(probe, bin);
-                            probe_asns.push(asn);
-                            probe_pins.push(0);
-                            slot
-                        }
-                    };
-                    chunk.probe_patch.push(slot);
-                    slot
-                } else {
-                    enc
-                };
-                if probe_pins[slot as usize] != *session {
-                    probe_pins[slot as usize] = *session;
-                    probe_asns[slot as usize] = asn;
-                }
-                probes.stamp(slot, bin);
-            }
-        }
-    }
-
-    /// Stamp every link observed by the just-finished shard wave with
-    /// `bin` — the serial fence closing a bin's epoch bookkeeping. Split
-    /// out of `finalize` so shard jobs never write the epoch tables; must
-    /// run after the wave and before the next bin's compaction sweep.
-    pub(crate) fn stamp_bin(&mut self, bin: BinId) {
-        for (table, shard) in self.links.iter_mut().zip(&self.rows) {
-            for e in &shard.entries {
-                table.stamp(e.local, bin);
-            }
-        }
-    }
-
-    /// Disjoint views for the engine's shard wave (after [`Self::merge`]).
-    pub(crate) fn parts_mut(&mut self) -> SampleArenaParts<'_> {
-        let SampleArena {
-            links,
-            rows,
-            chunks,
-            probes,
-            probe_asns,
-            ..
-        } = self;
-        SampleArenaParts {
-            rows,
-            links,
-            chunks: chunks.active(),
-            probe_ids: probes.keys(),
-            probe_asns,
-        }
-    }
-
-    /// Scatter + merge + gather + finalize inline, as a single chunk (the
-    /// single-threaded convenience entry; the engine runs chunks and
-    /// shards on its workers). No compaction — callers with an expiry
-    /// policy drive `compact` themselves.
-    pub fn build(&mut self, records: &[TracerouteRecord]) {
-        let bin = BinId(0);
-        self.begin_bin();
-        {
-            let (chunks, view) = self.scatter_parts(1);
-            chunks[0].scatter(records, view);
-        }
-        self.merge(bin);
-        let parts = self.parts_mut();
-        for (i, shard) in parts.rows.iter_mut().enumerate() {
-            shard.gather(i, parts.chunks);
-            shard.finalize(i, parts.probe_asns, parts.chunks);
-        }
-        self.stamp_bin(bin);
-    }
-
-    /// Number of links with at least one sample in the current bin
-    /// (after finalize).
-    pub fn link_count(&self) -> usize {
-        self.rows.iter().map(ShardRows::link_count).sum()
-    }
-
-    /// Total differential RTT samples in the current bin (after finalize).
-    pub fn total_samples(&self) -> usize {
-        self.rows.iter().map(|s| s.pool.len()).sum()
-    }
-
-    /// View of the `i`-th link of the current bin, counting across shards
-    /// (arbitrary but deterministic order; after finalize).
-    pub fn link(&self, i: usize) -> LinkSlice<'_> {
-        let mut i = i;
-        for (s, shard) in self.rows.iter().enumerate() {
-            if i < shard.link_count() {
-                return shard.link_in(
-                    i,
-                    self.links[s].keys(),
-                    self.probes.keys(),
-                    &self.probe_asns,
-                );
-            }
-            i -= shard.link_count();
-        }
-        panic!("link index {i} out of bounds");
+    /// The `i`-th link of the current bin, counting across shards.
+    pub(crate) fn link(&self, i: usize) -> LinkSlice<'_> {
+        self.links().nth(i).expect("link index in bounds")
     }
 }
 
@@ -1003,7 +707,7 @@ mod tests {
             ),
         ];
         let reference = collect_link_samples(&recs);
-        let mut arena = SampleArena::new();
+        let mut arena = SampleArena::default();
         arena.build(&recs);
         for i in 0..arena.link_count() {
             let slice = arena.link(i);
@@ -1037,7 +741,7 @@ mod tests {
                 vec![hop(1, "10.0.0.1", &[1.0]), hop(2, "10.0.1.1", &[2.0])],
             )
         };
-        let mut arena = SampleArena::new();
+        let mut arena = SampleArena::default();
         arena.build(&[mk(100)]);
         assert_eq!(arena.link(0).probes().next().unwrap().1, Asn(100));
         arena.build(&[mk(900)]);
@@ -1129,13 +833,12 @@ mod tests {
             )
         }));
         let reference = collect_link_samples(&recs);
-        let mut arena = SampleArena::new();
+        let mut arena = SampleArena::default();
         arena.build(&recs);
         assert!(
             arena
-                .rows
-                .iter()
-                .any(|shard| shard.runs.len() >= busy as usize),
+                .shards()
+                .any(|(shard, _)| shard.runs.len() >= busy as usize),
             "no shard crossed the radix threshold"
         );
 
@@ -1171,7 +874,7 @@ mod tests {
                 vec![hop(1, "10.0.0.1", &[1.0]), hop(2, "10.0.1.1", &[rtt])],
             )
         };
-        let mut arena = SampleArena::new();
+        let mut arena = SampleArena::default();
         arena.build(&[mk(2.0), mk(3.0)]);
         assert_eq!(arena.link_count(), 1);
         assert_eq!(arena.total_samples(), 2);

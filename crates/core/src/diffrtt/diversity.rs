@@ -311,7 +311,7 @@ mod tests {
         }
         let reference = super::super::compute::collect_link_samples(&records);
         let (link, obs) = reference.iter().next().unwrap();
-        let mut arena = SampleArena::new();
+        let mut arena = SampleArena::default();
         arena.build(&records);
         let slice = (0..arena.link_count())
             .map(|i| arena.link(i))

@@ -19,12 +19,13 @@
 //! [`DelayDetector::process_bin`] is the §4–§6 hot path, so it is built as
 //! a parallel, allocation-lean engine:
 //!
-//! * samples live in a flat [`compute::SampleArena`] whose buffers are
-//!   reused across bins (no per-probe maps rebuilt each hour), fed by the
-//!   chunked parallel scatter front-end (`crate::ingest`): record chunks
-//!   scatter on the worker pool against epoch-persistent link/probe
-//!   intern tables (zero insertions in steady state), and per-shard rows
-//!   concatenate in chunk order so output never depends on the chunking;
+//! * samples live in a flat `SampleArena` — the shared
+//!   `crate::ingest::EpochArena` under `compute::DelaySpec` — whose
+//!   buffers are reused across bins (no per-probe maps rebuilt each
+//!   hour): record chunks scatter on the worker pool against
+//!   epoch-persistent link/probe intern tables (zero insertions in
+//!   steady state), and per-shard rows concatenate in chunk order so
+//!   output never depends on the chunking;
 //! * links — and their smoothed references — are sharded by a *stable*
 //!   hash of the link, and a scoped thread pool walks whole shards, so
 //!   reference mutation needs no locks;
@@ -45,17 +46,17 @@ pub mod diversity;
 pub mod reference;
 
 pub use characterize::LinkStat;
-pub use compute::{collect_link_samples, LinkSamples, SampleArena};
+pub use compute::{collect_link_samples, LinkSamples};
 pub use detect::{DelayAlarm, Direction};
 pub use reference::LinkReference;
 
 use crate::config::DetectorConfig;
-use crate::engine;
-use crate::ingest;
+use crate::engine::{self, ReferenceEntry, NUM_SHARDS};
+use crate::ingest::{self, ShardTask, Wave};
 use crate::snapshot::{Reader, SnapshotError, Writer};
-use compute::{shard_of, DelayChunk, ShardRows, NUM_SHARDS};
+use compute::{shard_of, DelaySpec, SampleArena, ShardRows};
 use pinpoint_model::records::TracerouteRecord;
-use pinpoint_model::{Asn, BinId, FxHashMap, IpLink, ProbeId};
+use pinpoint_model::{Asn, BinId, IpLink, ProbeId};
 use pinpoint_stats::rng::{derive_seed, SplitMix64};
 use std::collections::HashMap;
 
@@ -71,32 +72,8 @@ fn link_rng(cfg_seed: u64, link: &IpLink, bin: BinId) -> SplitMix64 {
     ))
 }
 
-/// One link's reference plus the last bin it was characterized in — the
-/// eviction clock (same shape as the forwarding side's `ReferenceEntry`).
-#[derive(Debug)]
-struct ReferenceEntry {
-    reference: LinkReference,
-    last_seen: BinId,
-}
-
-/// One shard's slice of detector state.
-#[derive(Debug, Default)]
-struct Shard {
-    references: FxHashMap<IpLink, ReferenceEntry>,
-}
-
-impl Shard {
-    /// Drop references whose link has not been characterized for longer
-    /// than the configured expiry. Links churn constantly in real
-    /// traceroute feeds (paths move, targets retire); without eviction the
-    /// per-shard maps grow without bound — and a link that died mid-warm-up
-    /// would hold its warm-up buffer forever. Runs once per bin per shard,
-    /// on the shard's own worker — deterministic for any thread count.
-    fn evict(&mut self, bin: BinId, cfg: &DetectorConfig) {
-        self.references
-            .retain(|_, e| !engine::reference_expired(bin, e.last_seen, cfg.reference_expiry_bins));
-    }
-}
+/// One shard's slice of detector state: its links' references.
+type Shard = engine::ReferenceShard<IpLink, LinkReference>;
 
 /// What one shard produced for one bin.
 #[derive(Debug, Default)]
@@ -111,7 +88,9 @@ struct ShardOutput {
 pub struct DelayDetector {
     cfg: DetectorConfig,
     shards: Vec<Shard>,
-    arena: SampleArena,
+    /// The intern-epoch staging store; `Analyzer` drives its bin steps
+    /// (compact → scatter → merge → stage → stamp) directly.
+    pub(crate) arena: SampleArena,
     /// Total reference warm-ups started (for Table A reporting). Under
     /// link churn this counts a link again when it reappears after its
     /// reference was evicted — tracking exact unique links forever would
@@ -125,7 +104,7 @@ impl DelayDetector {
         DelayDetector {
             cfg: cfg.clone(),
             shards: (0..NUM_SHARDS).map(|_| Shard::default()).collect(),
-            arena: SampleArena::new(),
+            arena: SampleArena::default(),
             links_seen: 0,
         }
     }
@@ -143,65 +122,17 @@ impl DelayDetector {
     ) -> (Vec<DelayAlarm>, HashMap<IpLink, LinkStat>) {
         let threads = engine::resolve_threads(self.cfg.threads);
         let chunk = ingest::resolve_chunk_for(self.cfg.ingest_chunk_records, threads);
-        self.compact_epoch(bin);
-        self.begin_bin();
-        engine::run_jobs(self.scatter_jobs(records, chunk), threads);
-        self.merge_scatter(bin);
+        self.arena.compact(bin, self.cfg.reference_expiry_bins);
+        engine::run_jobs(self.arena.scatter_jobs(records, chunk), threads);
+        self.arena.merge(bin);
         let (alarms, stats, new_links) = {
             let mut stage = self.stage(bin, threads);
             engine::run_jobs(stage.jobs(), threads);
             stage.finish()
         };
-        self.stamp_bin(bin);
+        self.arena.stamp_bin(bin);
         self.links_seen += new_links;
         (alarms, stats)
-    }
-
-    /// Compact the intern epoch on the shared expiry clock. Runs at bin
-    /// open, before the bin's chunks scatter: the sweep renumbers dense
-    /// ids, so no scattered rows may exist yet.
-    pub(crate) fn compact_epoch(&mut self, bin: BinId) {
-        self.arena.compact(bin, self.cfg.reference_expiry_bins);
-    }
-
-    /// Open one bin's scatter session. Must precede any
-    /// [`DelayDetector::scatter_jobs`] call for the bin.
-    pub(crate) fn begin_bin(&mut self) {
-        self.arena.begin_bin();
-    }
-
-    /// The serial fence after a bin's shard wave: stamp every observed
-    /// link's epoch entry. Must run before the next bin's compaction
-    /// sweep.
-    pub(crate) fn stamp_bin(&mut self, bin: BinId) {
-        self.arena.stamp_bin(bin);
-    }
-
-    /// The pre-stage: one boxed scatter job per fixed-size record chunk,
-    /// to be executed on the shared engine pool (possibly pooled with
-    /// other detectors' — or other streams' — chunk jobs). May be called
-    /// repeatedly within a bin: chunks append in call order, which is how
-    /// incremental (streaming) ingestion feeds partial bins.
-    pub(crate) fn scatter_jobs<'a>(
-        &'a mut self,
-        records: &'a [TracerouteRecord],
-        chunk_records: usize,
-    ) -> Vec<engine::Job<'a>> {
-        let n = ingest::chunk_count(records.len(), chunk_records);
-        let (chunks, view) = self.arena.scatter_parts(n);
-        ingest::chunk_jobs(
-            chunks,
-            records,
-            chunk_records,
-            view,
-            |chunk, records, view| chunk.scatter(records, view),
-        )
-    }
-
-    /// The sequential merge between the scatter wave and the shard wave:
-    /// chunk-ordered intern assignment for the bin's new links/probes.
-    pub(crate) fn merge_scatter(&mut self, bin: BinId) {
-        self.arena.merge(bin);
     }
 
     /// Interning-epoch counters (links + probes).
@@ -215,37 +146,14 @@ impl DelayDetector {
     /// [`DelayStage::jobs`] so the caller ([`DelayDetector::process_bin`]
     /// standalone, or `Analyzer::process_bin` pooling both detectors)
     /// decides which pool executes them. Callers must have run the bin's
-    /// scatter jobs and [`DelayDetector::merge_scatter`] first.
+    /// scatter jobs and the arena's merge first.
     pub(crate) fn stage<'a>(&'a mut self, bin: BinId, threads: usize) -> DelayStage<'a> {
-        let DelayDetector {
-            cfg, shards, arena, ..
-        } = self;
-        let compute::SampleArenaParts {
-            rows,
-            links,
-            chunks,
-            probe_ids,
-            probe_asns,
-        } = arena.parts_mut();
-        let bundles = engine::round_robin(
-            rows.iter_mut()
-                .enumerate()
-                .zip(shards.iter_mut())
-                .map(|((idx, rows), shard)| DelayShardTask {
-                    idx,
-                    rows,
-                    links: links[idx].keys(),
-                    shard,
-                }),
-            threads,
-        );
+        let (bundles, wave) = self.arena.deal(&mut self.shards, threads);
         DelayStage {
             inner: engine::ShardStage::new(bundles),
-            cfg,
+            cfg: &self.cfg,
             bin,
-            chunks,
-            probe_ids,
-            probe_asns,
+            wave,
         }
     }
 
@@ -297,21 +205,12 @@ impl DelayDetector {
         (alarms, stats)
     }
 
-    /// Serialize the resumable state: every shard's references (sorted by
-    /// link — shard maps iterate in hash order, which is not stable), the
+    /// Serialize the resumable state: every shard's references, the
     /// intern-epoch arena, and the warm-up counter. The config is written
     /// once at the analyzer level, not here.
     pub(crate) fn snapshot_into(&self, w: &mut Writer) {
         for shard in &self.shards {
-            let mut entries: Vec<(&IpLink, &ReferenceEntry)> = shard.references.iter().collect();
-            entries.sort_by_key(|(link, _)| **link);
-            w.seq(entries.len());
-            for (link, e) in entries {
-                w.ip(link.near);
-                w.ip(link.far);
-                w.u64(e.last_seen.0);
-                e.reference.snapshot_into(w);
-            }
+            shard.snapshot_into(w, LinkReference::snapshot_into);
         }
         self.arena.snapshot_into(w);
         w.usize(self.links_seen);
@@ -322,27 +221,9 @@ impl DelayDetector {
         r: &mut Reader<'_>,
         cfg: &DetectorConfig,
     ) -> Result<Self, SnapshotError> {
-        let mut shards: Vec<Shard> = (0..NUM_SHARDS).map(|_| Shard::default()).collect();
-        for (idx, shard) in shards.iter_mut().enumerate() {
-            let n = r.seq()?;
-            for _ in 0..n {
-                let near = r.ip()?;
-                let far = r.ip()?;
-                let link = IpLink::new(near, far);
-                if shard_of(&link) != idx {
-                    return Err(SnapshotError::Corrupt("link in wrong shard"));
-                }
-                let last_seen = BinId(r.u64()?);
-                let reference = LinkReference::restore_from(r, cfg)?;
-                shard.references.insert(
-                    link,
-                    ReferenceEntry {
-                        reference,
-                        last_seen,
-                    },
-                );
-            }
-        }
+        let shards = (0..NUM_SHARDS)
+            .map(|idx| Shard::restore_from(r, idx, |r| LinkReference::restore_from(r, cfg)))
+            .collect::<Result<_, _>>()?;
         let arena = SampleArena::restore_from(r)?;
         let links_seen = r.usize()?;
         Ok(DelayDetector {
@@ -367,17 +248,8 @@ impl DelayDetector {
     }
 }
 
-/// One shard's slice of a staged wave: its per-wave row workspace, its
-/// epoch link keys (read-only), and its detector state.
-pub(crate) struct DelayShardTask<'a> {
-    idx: usize,
-    rows: &'a mut ShardRows,
-    links: &'a [IpLink],
-    shard: &'a mut Shard,
-}
-
 /// One worker's bundle: its round-robin share of shard tasks.
-type DelayBundle<'a> = Vec<DelayShardTask<'a>>;
+type DelayBundle<'a> = Vec<ShardTask<'a, DelaySpec, Shard>>;
 
 /// A bin staged for the shared engine: an [`engine::ShardStage`] of shard
 /// bundles plus the per-bin inputs every job reads. Produce jobs with
@@ -387,24 +259,16 @@ pub(crate) struct DelayStage<'a> {
     inner: engine::ShardStage<DelayBundle<'a>, ShardOutput>,
     cfg: &'a DetectorConfig,
     bin: BinId,
-    chunks: &'a [DelayChunk],
-    probe_ids: &'a [ProbeId],
-    probe_asns: &'a [Asn],
+    wave: Wave<'a, DelaySpec>,
 }
 
 impl<'a> DelayStage<'a> {
     /// One boxed job per shard bundle, each writing into its own output
     /// slot.
     pub(crate) fn jobs<'s>(&'s mut self) -> Vec<engine::Job<'s>> {
-        let (cfg, bin, chunks, probe_ids, probe_asns) = (
-            self.cfg,
-            self.bin,
-            self.chunks,
-            self.probe_ids,
-            self.probe_asns,
-        );
+        let (cfg, bin, wave) = (self.cfg, self.bin, self.wave);
         self.inner
-            .jobs(move |bundle| run_delay_bundle(bundle, cfg, bin, chunks, probe_ids, probe_asns))
+            .jobs(move |bundle| run_delay_bundle(bundle, cfg, bin, wave))
     }
 
     /// Deterministic merge of the executed jobs' outputs:
@@ -436,8 +300,8 @@ struct BundleScratch {
     ranks: characterize::RankCache,
 }
 
-/// The per-worker shard pipeline: gather each bundled shard's chunk runs
-/// in chunk order, group them, then run steps 2–5 over the shard's links
+/// The per-worker shard pipeline: group each bundled shard's chunk runs
+/// ([`Wave::group`]), then run steps 2–5 over the shard's links
 /// as three batched passes ([`characterize_shard`]). Shard state arrives
 /// by `&mut` — no locks, no contention — and every per-link decision
 /// depends only on `(cfg, link, bin)`, so the caller's in-order merge is
@@ -447,21 +311,19 @@ fn run_delay_bundle(
     bundle: DelayBundle<'_>,
     cfg: &DetectorConfig,
     bin: BinId,
-    chunks: &[DelayChunk],
-    probe_ids: &[ProbeId],
-    probe_asns: &[Asn],
+    wave: Wave<'_, DelaySpec>,
 ) -> ShardOutput {
     let mut out = ShardOutput::default();
     let mut scratch = BundleScratch::default();
-    for DelayShardTask {
+    let (probe_ids, probe_asns) = (wave.sides, wave.payload.asns());
+    for ShardTask {
         idx,
         rows,
-        links,
-        shard,
+        keys: links,
+        state: shard,
     } in bundle
     {
-        rows.gather(idx, chunks);
-        rows.finalize(idx, probe_asns, chunks);
+        wave.group(idx, rows);
         characterize_shard(
             rows,
             links,

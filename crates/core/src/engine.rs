@@ -7,7 +7,11 @@
 //! * a fixed shard count ([`NUM_SHARDS`]) with *stable* shard assignment —
 //!   [`shard_of_u64`] for keys that pack into a word (IP links),
 //!   [`shard_of_hashed`] for arbitrary `Hash` keys (forwarding pattern
-//!   keys) via the workspace's deterministic `FxHasher`;
+//!   keys) via the workspace's deterministic `FxHasher` — and the one
+//!   [`ShardKey`] trait both sharded layers (intern tables, reference
+//!   maps) are keyed through;
+//! * the per-shard reference map with its last-seen eviction clock and
+//!   snapshot codec ([`ReferenceShard`]), generic over key and reference;
 //! * deterministic round-robin work splitting ([`round_robin`]);
 //! * a scoped-thread job pool ([`run_jobs`]) that executes boxed shard
 //!   jobs from *multiple* detectors on one set of workers, so the delay
@@ -19,8 +23,10 @@
 //! order (never completion order). Under that contract the thread count is
 //! purely a throughput knob — the engine-parity tests prove it.
 
-use pinpoint_model::BinId;
-use std::hash::{BuildHasher, BuildHasherDefault};
+use crate::config::DetectorConfig;
+use crate::snapshot::{Reader, SnapshotError, Writer};
+use pinpoint_model::{BinId, FxHashMap};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
 /// Number of state shards per detector. Fixed (not tied to the thread
 /// count) so a key lives in the same shard no matter how many workers run,
@@ -61,6 +67,97 @@ pub(crate) fn shard_of_u64(key: u64) -> usize {
 pub(crate) fn shard_of_hashed<T: std::hash::Hash>(key: &T) -> usize {
     let h = BuildHasherDefault::<pinpoint_model::hash::FxHasher>::default().hash_one(key);
     (h % NUM_SHARDS as u64) as usize
+}
+
+/// A key with one fixed snapshot layout — the single codec every table
+/// or map holding the key serializes it through.
+pub(crate) trait SnapshotKey: Copy + Eq + Hash + Send + Sync {
+    /// Append the key's bytes.
+    fn write(&self, w: &mut Writer);
+    /// Read one key back.
+    fn read(r: &mut Reader<'_>) -> Result<Self, SnapshotError>;
+}
+
+/// A snapshot key with a stable home shard: what the per-shard intern
+/// tables and the per-shard reference maps are both keyed by.
+pub(crate) trait ShardKey: SnapshotKey + Ord {
+    /// The shard this key lives in, on every run and thread count.
+    fn shard(&self) -> usize;
+}
+
+/// One key's smoothed reference plus the last bin it was observed in —
+/// the eviction clock.
+#[derive(Debug)]
+pub(crate) struct ReferenceEntry<R> {
+    pub(crate) reference: R,
+    pub(crate) last_seen: BinId,
+}
+
+/// One shard's slice of a detector's reference state.
+#[derive(Debug)]
+pub(crate) struct ReferenceShard<K, R> {
+    pub(crate) references: FxHashMap<K, ReferenceEntry<R>>,
+}
+
+impl<K, R> Default for ReferenceShard<K, R> {
+    fn default() -> Self {
+        ReferenceShard {
+            references: FxHashMap::default(),
+        }
+    }
+}
+
+impl<K: ShardKey, R> ReferenceShard<K, R> {
+    /// Drop references whose key has not been observed for longer than
+    /// the configured expiry. Keys churn constantly in real traceroute
+    /// feeds (paths move, targets retire); without eviction the per-shard
+    /// maps grow without bound — and a link that died mid-warm-up would
+    /// hold its warm-up buffer forever. Runs once per bin per shard, on
+    /// the shard's own worker — deterministic for any thread count.
+    pub(crate) fn evict(&mut self, bin: BinId, cfg: &DetectorConfig) {
+        self.references
+            .retain(|_, e| !reference_expired(bin, e.last_seen, cfg.reference_expiry_bins));
+    }
+
+    /// Serialize the shard sorted by key (the map iterates in hash
+    /// order, which is not stable): key, last-seen bin, then the
+    /// reference through `write`.
+    pub(crate) fn snapshot_into(&self, w: &mut Writer, write: impl Fn(&R, &mut Writer)) {
+        let mut entries: Vec<(&K, &ReferenceEntry<R>)> = self.references.iter().collect();
+        entries.sort_by_key(|(key, _)| **key);
+        w.seq(entries.len());
+        for (key, e) in entries {
+            key.write(w);
+            w.u64(e.last_seen.0);
+            write(&e.reference, w);
+        }
+    }
+
+    /// Rebuild shard `idx` from [`ReferenceShard::snapshot_into`] bytes,
+    /// refusing a key whose home is another shard.
+    pub(crate) fn restore_from(
+        r: &mut Reader<'_>,
+        idx: usize,
+        read: impl Fn(&mut Reader<'_>) -> Result<R, SnapshotError>,
+    ) -> Result<Self, SnapshotError> {
+        let mut shard = ReferenceShard::default();
+        for _ in 0..r.seq()? {
+            let key = K::read(r)?;
+            if key.shard() != idx {
+                return Err(SnapshotError::Corrupt("reference in wrong shard"));
+            }
+            let last_seen = BinId(r.u64()?);
+            let reference = read(r)?;
+            shard.references.insert(
+                key,
+                ReferenceEntry {
+                    reference,
+                    last_seen,
+                },
+            );
+        }
+        Ok(shard)
+    }
 }
 
 /// Deal `items` into `ways` buckets round-robin, preserving order within

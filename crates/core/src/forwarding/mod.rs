@@ -14,13 +14,14 @@
 //! Like the delay path, [`ForwardingDetector::process_bin`] runs on the
 //! shared sharded engine (`crate::engine`):
 //!
-//! * packets live in a flat [`pattern::PatternArena`] whose buffers are
-//!   reused across bins — 16-byte `(pattern, hop, packets)` rows scattered
-//!   by the chunked parallel front-end (`crate::ingest`) into per-(chunk,
-//!   shard) buffers against epoch-persistent pattern/hop intern tables
-//!   (zero insertions in steady state; identical replies within a record
-//!   collapse into one accumulated row), concatenated per shard in chunk
-//!   order so output never depends on the chunking;
+//! * packets live in a flat `PatternArena` — the shared
+//!   `crate::ingest::EpochArena` under `pattern::PatternSpec` — whose
+//!   buffers are reused across bins: 16-byte `(pattern, hop, packets)`
+//!   rows scattered into per-(chunk, shard) buffers against
+//!   epoch-persistent pattern/hop intern tables (zero insertions in
+//!   steady state; identical replies within a record collapse into one
+//!   accumulated row), concatenated per shard in chunk order so output
+//!   never depends on the chunking;
 //! * patterns — and their smoothed references — are sharded by a *stable*
 //!   `FxHash` of the [`PatternKey`], and shard workers own their shard's
 //!   reference map, so the check → alarm → reference-update pipeline needs
@@ -42,36 +43,15 @@ pub use pattern::{collect_patterns, NextHop, PatternKey};
 pub use reference::PatternReference;
 
 use crate::config::DetectorConfig;
-use crate::engine;
-use crate::ingest;
+use crate::engine::{self, ReferenceEntry};
+use crate::ingest::{self, ShardTask, Wave};
 use crate::snapshot::{Reader, SnapshotError, Writer};
-use pattern::{shard_of_pattern, PatternArena, PatternChunk, PatternShardRows};
+use pattern::{shard_of_pattern, PatternArena, PatternSpec};
 use pinpoint_model::records::TracerouteRecord;
-use pinpoint_model::{BinId, FxHashMap};
+use pinpoint_model::BinId;
 
-/// One (router, destination) reference plus the last bin it was observed
-/// in — the eviction clock.
-#[derive(Debug)]
-struct ReferenceEntry {
-    reference: PatternReference,
-    last_seen: BinId,
-}
-
-/// One shard's slice of detector state.
-#[derive(Debug, Default)]
-struct FwdShard {
-    references: FxHashMap<PatternKey, ReferenceEntry>,
-}
-
-impl FwdShard {
-    /// Drop references whose pattern has not appeared for longer than the
-    /// configured expiry. Runs once per bin per shard, on the shard's own
-    /// worker — deterministic for any thread count.
-    fn evict(&mut self, bin: BinId, cfg: &DetectorConfig) {
-        self.references
-            .retain(|_, e| !engine::reference_expired(bin, e.last_seen, cfg.reference_expiry_bins));
-    }
-}
+/// One shard's slice of detector state: its patterns' references.
+type FwdShard = engine::ReferenceShard<PatternKey, PatternReference>;
 
 /// What one shard produced for one bin.
 #[derive(Debug, Default)]
@@ -84,7 +64,9 @@ struct FwdShardOutput {
 pub struct ForwardingDetector {
     cfg: DetectorConfig,
     shards: Vec<FwdShard>,
-    arena: PatternArena,
+    /// The intern-epoch staging store; `Analyzer` drives its bin steps
+    /// (compact → scatter → merge → stage → stamp) directly.
+    pub(crate) arena: PatternArena,
 }
 
 impl ForwardingDetector {
@@ -95,26 +77,16 @@ impl ForwardingDetector {
             shards: (0..engine::NUM_SHARDS)
                 .map(|_| FwdShard::default())
                 .collect(),
-            arena: PatternArena::new(),
+            arena: PatternArena::default(),
         }
     }
 
-    /// Serialize the resumable state: every shard's references (sorted by
-    /// pattern key — shard maps iterate in hash order, which is not
-    /// stable) and the intern-epoch arena. The config is written once at
-    /// the analyzer level, not here.
+    /// Serialize the resumable state: every shard's references and the
+    /// intern-epoch arena. The config is written once at the analyzer
+    /// level, not here.
     pub(crate) fn snapshot_into(&self, w: &mut Writer) {
         for shard in &self.shards {
-            let mut entries: Vec<(&PatternKey, &ReferenceEntry)> =
-                shard.references.iter().collect();
-            entries.sort_by_key(|(key, _)| **key);
-            w.seq(entries.len());
-            for (key, e) in entries {
-                w.ip(key.router);
-                w.ip(key.dst);
-                w.u64(e.last_seen.0);
-                e.reference.snapshot_into(w);
-            }
+            shard.snapshot_into(w, PatternReference::snapshot_into);
         }
         self.arena.snapshot_into(w);
     }
@@ -124,29 +96,9 @@ impl ForwardingDetector {
         r: &mut Reader<'_>,
         cfg: &DetectorConfig,
     ) -> Result<Self, SnapshotError> {
-        let mut shards: Vec<FwdShard> = (0..engine::NUM_SHARDS)
-            .map(|_| FwdShard::default())
-            .collect();
-        for (idx, shard) in shards.iter_mut().enumerate() {
-            let n = r.seq()?;
-            for _ in 0..n {
-                let router = r.ip()?;
-                let dst = r.ip()?;
-                let key = PatternKey { router, dst };
-                if shard_of_pattern(&key) != idx {
-                    return Err(SnapshotError::Corrupt("pattern in wrong shard"));
-                }
-                let last_seen = BinId(r.u64()?);
-                let reference = PatternReference::restore_from(r, cfg)?;
-                shard.references.insert(
-                    key,
-                    ReferenceEntry {
-                        reference,
-                        last_seen,
-                    },
-                );
-            }
-        }
+        let shards = (0..engine::NUM_SHARDS)
+            .map(|idx| FwdShard::restore_from(r, idx, |r| PatternReference::restore_from(r, cfg)))
+            .collect::<Result<_, _>>()?;
         let arena = PatternArena::restore_from(r)?;
         Ok(ForwardingDetector {
             cfg: cfg.clone(),
@@ -165,58 +117,16 @@ impl ForwardingDetector {
     ) -> Vec<ForwardingAlarm> {
         let threads = engine::resolve_threads(self.cfg.threads);
         let chunk = ingest::resolve_chunk_for(self.cfg.ingest_chunk_records, threads);
-        self.compact_epoch(bin);
-        self.begin_bin();
-        engine::run_jobs(self.scatter_jobs(records, chunk), threads);
-        self.merge_scatter(bin);
+        self.arena.compact(bin, self.cfg.reference_expiry_bins);
+        engine::run_jobs(self.arena.scatter_jobs(records, chunk), threads);
+        self.arena.merge(bin);
         let alarms = {
             let mut stage = self.stage(bin, threads);
             engine::run_jobs(stage.jobs(), threads);
             stage.finish()
         };
-        self.stamp_bin(bin);
-        alarms
-    }
-
-    /// Compact the intern epoch on the shared expiry clock, at bin open —
-    /// see [`crate::diffrtt::DelayDetector::compact_epoch`].
-    pub(crate) fn compact_epoch(&mut self, bin: BinId) {
-        self.arena.compact(bin, self.cfg.reference_expiry_bins);
-    }
-
-    /// Open one bin's scatter session.
-    pub(crate) fn begin_bin(&mut self) {
-        self.arena.begin_bin();
-    }
-
-    /// The serial fence after a bin's shard wave: stamp every observed
-    /// pattern's epoch entry. Must run before the next bin's compaction
-    /// sweep.
-    pub(crate) fn stamp_bin(&mut self, bin: BinId) {
         self.arena.stamp_bin(bin);
-    }
-
-    /// The pre-stage: one boxed scatter job per fixed-size record chunk
-    /// (see [`crate::diffrtt::DelayDetector::scatter_jobs`] — the twin).
-    pub(crate) fn scatter_jobs<'a>(
-        &'a mut self,
-        records: &'a [TracerouteRecord],
-        chunk_records: usize,
-    ) -> Vec<engine::Job<'a>> {
-        let n = ingest::chunk_count(records.len(), chunk_records);
-        let (chunks, view) = self.arena.scatter_parts(n);
-        ingest::chunk_jobs(
-            chunks,
-            records,
-            chunk_records,
-            view,
-            |chunk, records, view| chunk.scatter(records, view),
-        )
-    }
-
-    /// The sequential merge between the scatter wave and the shard wave.
-    pub(crate) fn merge_scatter(&mut self, bin: BinId) {
-        self.arena.merge(bin);
+        alarms
     }
 
     /// Interning-epoch counters (patterns + next hops).
@@ -225,37 +135,16 @@ impl ForwardingDetector {
     }
 
     /// Stage one bin for the shared engine: deal the scattered-and-merged
-    /// arena shards into `threads` round-robin bundles (see
-    /// [`crate::diffrtt::DelayDetector::stage`] — the `Analyzer` pools
-    /// both detectors' jobs on one set of workers). Callers must have run
-    /// the bin's scatter jobs and [`ForwardingDetector::merge_scatter`]
-    /// first.
+    /// arena shards into `threads` round-robin bundles (the `Analyzer`
+    /// pools both detectors' jobs on one set of workers). Callers must
+    /// have run the bin's scatter jobs and the arena's merge first.
     pub(crate) fn stage<'a>(&'a mut self, bin: BinId, threads: usize) -> ForwardingStage<'a> {
-        let ForwardingDetector { cfg, shards, arena } = self;
-        let pattern::PatternArenaParts {
-            rows,
-            patterns,
-            chunks,
-            hops,
-        } = arena.parts_mut();
-        let bundles = engine::round_robin(
-            rows.iter_mut()
-                .enumerate()
-                .zip(shards.iter_mut())
-                .map(|((idx, rows), shard)| ForwardingShardTask {
-                    idx,
-                    rows,
-                    keys: patterns[idx].keys(),
-                    shard,
-                }),
-            threads,
-        );
+        let (bundles, wave) = self.arena.deal(&mut self.shards, threads);
         ForwardingStage {
             inner: engine::ShardStage::new(bundles),
-            cfg,
+            cfg: &self.cfg,
             bin,
-            chunks,
-            hops,
+            wave,
         }
     }
 
@@ -315,37 +204,26 @@ impl ForwardingDetector {
     }
 }
 
-/// One shard's slice of a staged wave: its per-wave row workspace, its
-/// epoch pattern keys (read-only), and its detector state.
-pub(crate) struct ForwardingShardTask<'a> {
-    idx: usize,
-    rows: &'a mut PatternShardRows,
-    keys: &'a [PatternKey],
-    shard: &'a mut FwdShard,
-}
-
 /// One worker's bundle: its round-robin share of shard tasks.
-type ForwardingBundle<'a> = Vec<ForwardingShardTask<'a>>;
+type ForwardingBundle<'a> = Vec<ShardTask<'a, PatternSpec, FwdShard>>;
 
-/// A bin staged for the shared engine — the forwarding twin of
-/// [`crate::diffrtt::DelayStage`]: an [`engine::ShardStage`] of shard
+/// A bin staged for the shared engine: an [`engine::ShardStage`] of shard
 /// bundles plus the per-bin inputs every job reads, merged in job order by
 /// [`ForwardingStage::finish`].
 pub(crate) struct ForwardingStage<'a> {
     inner: engine::ShardStage<ForwardingBundle<'a>, FwdShardOutput>,
     cfg: &'a DetectorConfig,
     bin: BinId,
-    chunks: &'a [PatternChunk],
-    hops: &'a [NextHop],
+    wave: Wave<'a, PatternSpec>,
 }
 
 impl<'a> ForwardingStage<'a> {
     /// One boxed job per shard bundle, each writing into its own output
     /// slot.
     pub(crate) fn jobs<'s>(&'s mut self) -> Vec<engine::Job<'s>> {
-        let (cfg, bin, chunks, hops) = (self.cfg, self.bin, self.chunks, self.hops);
+        let (cfg, bin, wave) = (self.cfg, self.bin, self.wave);
         self.inner
-            .jobs(move |bundle| run_forwarding_bundle(bundle, cfg, bin, chunks, hops))
+            .jobs(move |bundle| run_forwarding_bundle(bundle, cfg, bin, wave))
     }
 
     /// Deterministic merge of the executed jobs' outputs.
@@ -359,8 +237,8 @@ impl<'a> ForwardingStage<'a> {
     }
 }
 
-/// The per-worker shard pipeline: gather each bundled shard's chunk rows
-/// in chunk order, group them, then check → alarm → reference-update
+/// The per-worker shard pipeline: group each bundled shard's chunk rows
+/// ([`Wave::group`]), then check → alarm → reference-update
 /// every pattern, then evict expired references. Shard state arrives by
 /// `&mut` — no locks — and every per-pattern decision depends only on
 /// `(cfg, key, bin)`, so the caller's in-order merge is independent of
@@ -369,23 +247,21 @@ fn run_forwarding_bundle(
     bundle: ForwardingBundle<'_>,
     cfg: &DetectorConfig,
     bin: BinId,
-    chunks: &[PatternChunk],
-    hops: &[NextHop],
+    wave: Wave<'_, PatternSpec>,
 ) -> FwdShardOutput {
     let mut out = FwdShardOutput::default();
     // Reused across patterns: hop-alignment buffers.
     let mut scratch = detect::AlignScratch::default();
-    for ForwardingShardTask {
+    for ShardTask {
         idx,
         rows,
         keys,
-        shard,
+        state: shard,
     } in bundle
     {
-        rows.gather(idx, chunks);
-        rows.finalize();
+        wave.group(idx, rows);
         for j in 0..rows.pattern_count() {
-            let slice = rows.pattern_in(j, keys, hops);
+            let slice = rows.pattern_in(j, keys, wave.sides);
             let entry = shard
                 .references
                 .entry(slice.key)

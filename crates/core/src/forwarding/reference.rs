@@ -7,6 +7,7 @@
 
 use super::pattern::{NextHop, Pattern};
 use crate::config::DetectorConfig;
+use crate::engine::SnapshotKey;
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use pinpoint_stats::smoothing::VectorEwma;
 
@@ -58,13 +59,7 @@ impl PatternReference {
     pub(crate) fn snapshot_into(&self, w: &mut Writer) {
         w.seq(self.ewma.len());
         for (hop, count) in self.ewma.iter() {
-            match hop {
-                NextHop::Ip(ip) => {
-                    w.u8(0);
-                    w.ip(*ip);
-                }
-                NextHop::Unresponsive => w.u8(1),
-            }
+            hop.write(w);
             w.f64(count);
         }
     }
@@ -77,12 +72,7 @@ impl PatternReference {
         let n = r.seq()?;
         let mut values = Vec::with_capacity(n);
         for _ in 0..n {
-            let hop = match r.u8()? {
-                0 => NextHop::Ip(r.ip()?),
-                1 => NextHop::Unresponsive,
-                _ => return Err(SnapshotError::Corrupt("next-hop tag")),
-            };
-            values.push((hop, r.f64()?));
+            values.push((NextHop::read(r)?, r.f64()?));
         }
         Ok(PatternReference {
             ewma: VectorEwma::from_parts(cfg.alpha, values),

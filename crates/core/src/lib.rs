@@ -72,9 +72,15 @@
 //!   compaction sweep on the shared
 //!   `reference_expiry_bins` clock keeps the tables bounded under key
 //!   churn — invisibly, since dense ids never reach reports.
+//! * **One arena, two specs** — both detectors stage a bin through the
+//!   same `ingest::EpochArena` (intern epochs, chunk-local pending ids,
+//!   chunk-ordered merge and gather, stamp fence, compaction, snapshot
+//!   codec — written once); a spec supplies only its key types, its
+//!   per-record scatter body and its per-shard grouped layout
+//!   (`diffrtt::compute::DelaySpec`, `forwarding::pattern::PatternSpec`).
 //! * **Flat sample arena with run-length staging** — each (record, link)
 //!   observation lands as ONE `(key, start, len)` run over a per-shard
-//!   value pool ([`diffrtt::SampleArena`]): its 1–9 differential RTTs
+//!   value pool (the delay spec's staging): its 1–9 differential RTTs
 //!   share a key, so the per-shard grouping sort touches ~an order of
 //!   magnitude fewer elements than row-by-row staging would, and equal
 //!   keys keep record order by a (chunk, offset) tiebreak. Every buffer
@@ -86,8 +92,8 @@
 //!   locks. `DetectorConfig::threads` picks the worker count (0 = all
 //!   cores).
 //! * **Sharded forwarding engine** — the §5 detector runs the same
-//!   architecture: next-hop packets are staged as 16-byte rows in a flat
-//!   [`forwarding::pattern::PatternArena`] (bin-reused buffers), pattern
+//!   architecture: next-hop packets are staged as 16-byte rows in the
+//!   same arena under the pattern spec (bin-reused buffers), pattern
 //!   keys shard by a stable `FxHash`, and each shard worker owns its
 //!   reference map through the check → alarm → update pipeline.
 //! * **Reference eviction on both sides** — delay *and* forwarding

@@ -136,7 +136,7 @@ impl Analyzer {
         crate::session::Session::new(self).push(bin, &[records])
     }
 
-    /// Open one bin's ingestion (start scatter sessions, sanitize) and
+    /// Open one bin's ingestion (sanitize, open both arenas' bins) and
     /// return both detectors' chunk jobs for the records. The executor
     /// runs them on the shared pool — a fleet's scatter chunks all in one
     /// wave — then calls [`Analyzer::merge_scatter`]. No compaction
@@ -155,27 +155,26 @@ impl Analyzer {
             cfg,
             ..
         } = self;
-        delay.begin_bin();
-        forwarding.begin_bin();
         sanitizer.begin_bin();
         let clean = sanitizer.sanitize(records, cfg);
-        let mut jobs = delay.scatter_jobs(clean, chunk);
-        jobs.extend(forwarding.scatter_jobs(clean, chunk));
+        let mut jobs = delay.arena.scatter_jobs(clean, chunk);
+        jobs.extend(forwarding.arena.scatter_jobs(clean, chunk));
         jobs
     }
 
     /// Compact both detectors' intern epochs at `bin`. Runs at bin open,
     /// before [`Analyzer::open_scatter`].
     pub(crate) fn compact_epochs(&mut self, bin: BinId) {
-        self.delay.compact_epoch(bin);
-        self.forwarding.compact_epoch(bin);
+        let expiry = self.cfg.reference_expiry_bins;
+        self.delay.arena.compact(bin, expiry);
+        self.forwarding.arena.compact(bin, expiry);
     }
 
     /// The sequential chunk-ordered intern merge between the scatter wave
     /// and the shard wave, for both detectors.
     pub(crate) fn merge_scatter(&mut self, bin: BinId) {
-        self.delay.merge_scatter(bin);
-        self.forwarding.merge_scatter(bin);
+        self.delay.arena.merge(bin);
+        self.forwarding.arena.merge(bin);
     }
 
     /// Interning-epoch counters summed over both detectors' arenas. A
@@ -215,8 +214,8 @@ impl Analyzer {
     /// detector outputs into the analyzer's stateful trackers and
     /// aggregate them into a [`BinReport`] (§6).
     pub(crate) fn absorb(&mut self, bin: BinId, records: usize, staged: StagedBin) -> BinReport {
-        self.delay.stamp_bin(bin);
-        self.forwarding.stamp_bin(bin);
+        self.delay.arena.stamp_bin(bin);
+        self.forwarding.arena.stamp_bin(bin);
         self.delay.links_seen += staged.new_links;
         self.aggregate(
             bin,

@@ -245,47 +245,51 @@ fn session_checkpoint_resumes_through_ixp_outage() {
     assert_eq!(tail.events(), reference.events(), "events");
 }
 
+/// One bin of the two-stream fleet's feeds: a delay stream with a surge
+/// at bin 9 beside a stream that churns keys for its first four bins.
+fn fleet_feeds(bin: u64) -> Vec<Vec<TracerouteRecord>> {
+    vec![
+        delay_records(bin, bin == 9),
+        if bin < 4 {
+            churn_records(bin)
+        } else {
+            delay_records(bin, false)
+        },
+    ]
+}
+
+/// The two-stream fleet those feeds run through.
+fn fleet(cfg: &DetectorConfig) -> StreamRouter {
+    let mut router = StreamRouter::with_magnitude_window(cfg.magnitude_window_bins);
+    router.add_stream("alpha", Analyzer::new(cfg.clone(), mapper()));
+    router.add_stream("beta", Analyzer::new(cfg.clone(), mapper()));
+    router.set_threads(cfg.threads);
+    router.register_ases([Asn(64500)]);
+    router
+}
+
 /// Fleet snapshots carry every stream's label and analyzer plus the
 /// fleet-level baseline and event channel; restoring resumes the merged
 /// reports byte-identically.
 #[test]
 fn fleet_snapshot_resumes_byte_identical() {
-    let feeds = |bin: u64| -> Vec<Vec<TracerouteRecord>> {
-        vec![
-            delay_records(bin, bin == 9),
-            if bin < 4 {
-                churn_records(bin)
-            } else {
-                delay_records(bin, false)
-            },
-        ]
-    };
-    let fleet = |cfg: &DetectorConfig| -> StreamRouter {
-        let mut router = StreamRouter::with_magnitude_window(cfg.magnitude_window_bins);
-        router.add_stream("alpha", Analyzer::new(cfg.clone(), mapper()));
-        router.add_stream("beta", Analyzer::new(cfg.clone(), mapper()));
-        router.set_threads(cfg.threads);
-        router.register_ases([Asn(64500)]);
-        router
-    };
-
     let cfg = parity_config();
     let mut reference = fleet(&cfg);
     let want: Vec<FleetReport> = (0..12u64)
-        .map(|b| reference.process_bin(BinId(b), &feeds(b)))
+        .map(|b| reference.process_bin(BinId(b), &fleet_feeds(b)))
         .collect();
 
     for cut in [0usize, 1, 5, 10, 12] {
         let mut head = fleet(&cfg);
         for b in 0..cut as u64 {
-            head.process_bin(BinId(b), &feeds(b));
+            head.process_bin(BinId(b), &fleet_feeds(b));
         }
         let bytes = head.snapshot();
         let mut tail = StreamRouter::restore(&bytes).expect("fleet restore");
         assert_eq!(tail.len(), 2, "cut {cut}: stream count");
         assert_eq!(tail.label(pinpoint::core::StreamId(0)), "alpha");
         for b in cut as u64..12 {
-            let got = tail.process_bin(BinId(b), &feeds(b));
+            let got = tail.process_bin(BinId(b), &fleet_feeds(b));
             let reference = &want[b as usize];
             assert_eq!(got.bin, reference.bin, "cut {cut} bin {b}");
             assert_eq!(
@@ -299,6 +303,42 @@ fn fleet_snapshot_resumes_byte_identical() {
         }
         assert_eq!(tail.events(), reference.events(), "cut {cut}: fleet events");
     }
+}
+
+/// The wire format itself, not just self-consistency: the bytes a build
+/// writes for a fixed schedule are pinned, so a refactor of any codec
+/// (config, references, intern arenas, trackers, events) that reorders or
+/// resizes a field fails here instead of silently orphaning every
+/// checkpoint on disk. The solo schedule includes the churn bins, so
+/// compacted tables and eviction counters are in the bytes; the fleet is
+/// the two-stream router of `fleet_snapshot_resumes_byte_identical`.
+///
+/// A deliberate format change bumps `VERSION` in
+/// `crates/core/src/snapshot.rs` and these four constants together.
+#[test]
+fn snapshot_bytes_are_pinned_to_format_version_2() {
+    const SOLO: (usize, u32) = (3493, 2_121_014_078);
+    const FLEET: (usize, u32) = (7175, 2_054_407_611);
+    let pin = |bytes: &[u8]| (bytes.len(), pinpoint::core::snapshot::crc32(bytes));
+
+    let cfg = parity_config();
+    let mut analyzer = Analyzer::new(cfg.clone(), mapper());
+    for (bin, records) in schedule() {
+        analyzer.process_bin(bin, &records);
+    }
+    let solo = analyzer.snapshot();
+    assert_eq!(&solo[4..8], &2u32.to_le_bytes(), "format version");
+    assert_eq!(pin(&solo), SOLO, "solo snapshot (len, crc32)");
+
+    let mut router = fleet(&cfg);
+    for b in 0..12u64 {
+        router.process_bin(BinId(b), &fleet_feeds(b));
+    }
+    assert_eq!(
+        pin(&router.snapshot()),
+        FLEET,
+        "fleet snapshot (len, crc32)"
+    );
 }
 
 /// Corrupt or truncated snapshots must be rejected with an error — never
