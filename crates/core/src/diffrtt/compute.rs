@@ -354,48 +354,46 @@ impl ArenaSpec for DelaySpec {
 
     fn scatter(
         chunk: &mut Chunk<Self>,
-        records: &[TracerouteRecord],
+        rec: &TracerouteRecord,
         links: &[Interner<IpLink>],
         probes: &Interner<ProbeId>,
     ) {
         let Chunk { rows, staged, ids } = chunk;
         let DelayStaged { vals, near_rtts } = staged;
-        for rec in records {
-            let probe = ids.resolve_side(probes, rec.probe_id, rec.probe_asn);
-            rec.for_each_link(|link, near_idx, far_idx| {
-                let near_hop = &rec.hops[near_idx];
-                let far_hop = &rec.hops[far_idx];
-                near_rtts.clear();
-                near_rtts.extend(near_hop.rtts_from(link.near));
-                if near_rtts.is_empty() {
-                    return;
+        let probe = ids.resolve_side(probes, rec.probe_id, rec.probe_asn);
+        rec.for_each_link(|link, near_idx, far_idx| {
+            let near_hop = &rec.hops[near_idx];
+            let far_hop = &rec.hops[far_idx];
+            near_rtts.clear();
+            near_rtts.extend(near_hop.rtts_from(link.near));
+            if near_rtts.is_empty() {
+                return;
+            }
+            // (shard, row key, run start) — resolved once per
+            // (record, link), on the first responsive far reply.
+            let mut key: Option<(usize, u64, u32)> = None;
+            for fy in far_hop.rtts_from(link.far) {
+                let (s, _, _) = *key.get_or_insert_with(|| {
+                    let (s, local) = ids.resolve_key(links, link);
+                    (s, pack(local, probe), vals[s].len() as u32)
+                });
+                let vals = &mut vals[s];
+                for &fx in near_rtts.iter() {
+                    vals.push(fy - fx);
                 }
-                // (shard, row key, run start) — resolved once per
-                // (record, link), on the first responsive far reply.
-                let mut key: Option<(usize, u64, u32)> = None;
-                for fy in far_hop.rtts_from(link.far) {
-                    let (s, _, _) = *key.get_or_insert_with(|| {
-                        let (s, local) = ids.resolve_key(links, link);
-                        (s, pack(local, probe), vals[s].len() as u32)
-                    });
-                    let vals = &mut vals[s];
-                    for &fx in near_rtts.iter() {
-                        vals.push(fy - fx);
-                    }
+            }
+            // One run per observation; a same-key run ending exactly
+            // where this one starts (same probe re-tracing the link)
+            // extends in place instead.
+            if let Some((s, row_key, start)) = key {
+                let len = vals[s].len() as u32 - start;
+                debug_assert!(len > 0, "a resolved key implies pushed samples");
+                match rows[s].last_mut() {
+                    Some((last, (_, run_len))) if *last == row_key => *run_len += len,
+                    _ => rows[s].push((row_key, (start, len))),
                 }
-                // One run per observation; a same-key run ending exactly
-                // where this one starts (same probe re-tracing the link)
-                // extends in place instead.
-                if let Some((s, row_key, start)) = key {
-                    let len = vals[s].len() as u32 - start;
-                    debug_assert!(len > 0, "a resolved key implies pushed samples");
-                    match rows[s].last_mut() {
-                        Some((last, (_, run_len))) if *last == row_key => *run_len += len,
-                        _ => rows[s].push((row_key, (start, len))),
-                    }
-                }
-            });
-        }
+            }
+        });
     }
 
     #[inline]

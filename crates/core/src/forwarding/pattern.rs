@@ -228,7 +228,7 @@ impl ArenaSpec for PatternSpec {
     /// its reference still decays, exactly like the nested-map path.
     fn scatter(
         chunk: &mut Chunk<Self>,
-        records: &[TracerouteRecord],
+        rec: &TracerouteRecord,
         patterns: &[Interner<PatternKey>],
         hops: &Interner<NextHop>,
     ) {
@@ -237,37 +237,35 @@ impl ArenaSpec for PatternSpec {
             staged: acc,
             ids,
         } = chunk;
-        for rec in records {
-            for i in 0..rec.hops.len().saturating_sub(1) {
-                let Some(router) = rec.hops[i].first_responder() else {
-                    continue;
+        for i in 0..rec.hops.len().saturating_sub(1) {
+            let Some(router) = rec.hops[i].first_responder() else {
+                continue;
+            };
+            let key = PatternKey {
+                router,
+                dst: rec.dst,
+            };
+            let (s, local) = ids.resolve_key(patterns, key);
+            acc.clear();
+            for reply in &rec.hops[i + 1].replies {
+                let hop = match reply.from {
+                    Some(ip) if ip != router => NextHop::Ip(ip),
+                    // A repeated address (TTL quirk) is not a next hop.
+                    Some(_) => continue,
+                    None => NextHop::Unresponsive,
                 };
-                let key = PatternKey {
-                    router,
-                    dst: rec.dst,
-                };
-                let (s, local) = ids.resolve_key(patterns, key);
-                acc.clear();
-                for reply in &rec.hops[i + 1].replies {
-                    let hop = match reply.from {
-                        Some(ip) if ip != router => NextHop::Ip(ip),
-                        // A repeated address (TTL quirk) is not a next hop.
-                        Some(_) => continue,
-                        None => NextHop::Unresponsive,
-                    };
-                    let enc = ids.resolve_side(hops, hop, ());
-                    match acc.iter_mut().find(|(slot, _)| *slot == enc) {
-                        Some((_, packets)) => *packets += 1.0,
-                        None => acc.push((enc, 1.0)),
-                    }
+                let enc = ids.resolve_side(hops, hop, ());
+                match acc.iter_mut().find(|(slot, _)| *slot == enc) {
+                    Some((_, packets)) => *packets += 1.0,
+                    None => acc.push((enc, 1.0)),
                 }
-                let rows = &mut rows[s];
-                if acc.is_empty() {
-                    rows.push((pack(local, SENTINEL), 0.0));
-                } else {
-                    for &(slot, packets) in acc.iter() {
-                        rows.push((pack(local, slot), packets));
-                    }
+            }
+            let rows = &mut rows[s];
+            if acc.is_empty() {
+                rows.push((pack(local, SENTINEL), 0.0));
+            } else {
+                for &(slot, packets) in acc.iter() {
+                    rows.push((pack(local, slot), packets));
                 }
             }
         }

@@ -7,12 +7,15 @@
 //!
 //! * **Chunked parallel scatter.** A bin's records are split into
 //!   fixed-size chunks ([`resolve_chunk_for`]); engine workers scatter
-//!   each chunk into private per-(chunk, shard) row buffers, reading the
-//!   persistent intern tables lock-free. Per-shard rows are then
-//!   concatenated **in chunk order**, so the row sequence every shard
-//!   sorts is exactly the sequence a single-threaded scatter would have
-//!   produced — grouped output, and therefore every report, is
-//!   byte-identical across thread counts and chunk sizes.
+//!   each chunk, record by record, into private per-(chunk, shard) row
+//!   buffers, reading the persistent intern tables lock-free. A job may
+//!   skip or substitute records on the way (the sanitizer's gate does):
+//!   a chunk with fewer, or no, surviving records is still a chunk.
+//!   Per-shard rows are then concatenated **in chunk order**, so the row
+//!   sequence every shard sorts is exactly the sequence a
+//!   single-threaded scatter would have produced — grouped output, and
+//!   therefore every report, is byte-identical across thread counts and
+//!   chunk sizes.
 //! * **Persistent interning epochs.** Links, probes, pattern keys, and
 //!   next hops are interned into dense ids once and kept across bins
 //!   (`Interner`): a steady-state bin whose keys are all known performs
@@ -39,7 +42,7 @@
 //! |---|---|
 //! | per-shard primary tables + the one side table, their epoch counters | key and side types with their shard hash and byte codec |
 //! | chunk buffers, chunk-local pending-id queues, the `PENDING` patch | the per-record scatter body and its staging scratch |
-//! | bin open, one job per record chunk, chunk-ordered merge and gather | the gathered row type and the per-shard grouped layout (`finalize`) |
+//! | bin open, one writer per record chunk, chunk-ordered merge and gather | the gathered row type and the per-shard grouped layout (`finalize`) |
 //! | stamp fence, compaction, stats, the snapshot codec, inline `build` | the per-side payload hooks (`()` unless a side slot carries data) |
 
 use crate::engine::{self, ShardKey, SnapshotKey, NUM_SHARDS};
@@ -339,14 +342,14 @@ pub(crate) trait ArenaSpec: Sized + Debug + Send + Sync + 'static {
     /// Empty `staged` for a new bin (buffers keep their capacity).
     fn reset(_staged: &mut Self::Staged) {}
 
-    /// Scatter one record chunk into `chunk.rows` / `chunk.staged`,
-    /// resolving ids through `chunk.ids` against the shared read-only
-    /// tables. Pure per-chunk work: the output depends only on
-    /// `(records, table state at bin start)`, never on the thread that
-    /// ran it or on any other chunk.
+    /// Scatter one record into `chunk.rows` / `chunk.staged`, resolving
+    /// ids through `chunk.ids` against the shared read-only tables. Pure
+    /// per-chunk work: a chunk's output depends only on `(its records,
+    /// table state at bin start)`, never on the thread that ran it or on
+    /// any other chunk.
     fn scatter(
         chunk: &mut Chunk<Self>,
-        records: &[TracerouteRecord],
+        rec: &TracerouteRecord,
         keys: &[Interner<Self::Key>],
         sides: &Interner<Self::Side>,
     );
@@ -546,6 +549,28 @@ impl<S: ArenaSpec> Chunk<S> {
     }
 }
 
+/// One chunk of the open bin, as the scatter job that owns it sees it:
+/// the chunk's private buffers plus the shared read-only tables.
+pub(crate) struct ChunkWriter<'a, S: ArenaSpec> {
+    chunk: &'a mut Chunk<S>,
+    keys: &'a [Interner<S::Key>],
+    sides: &'a Interner<S::Side>,
+}
+
+impl<S: ArenaSpec> ChunkWriter<'_, S> {
+    /// Empty the chunk's buffers — the job's first step, so the clearing
+    /// runs on the worker too.
+    pub(crate) fn begin(&mut self) {
+        self.chunk.clear();
+    }
+
+    /// Scatter one record of the chunk, in record order.
+    #[inline]
+    pub(crate) fn record(&mut self, rec: &TracerouteRecord) {
+        S::scatter(self.chunk, rec, self.keys, self.sides);
+    }
+}
+
 /// What every shard job of a wave reads: the bin's chunk outputs and the
 /// side table's keys and payload, all frozen since the merge.
 #[derive(Debug)]
@@ -606,12 +631,12 @@ impl<S: ArenaSpec> Wave<'_, S> {
 /// epoch-persistent intern tables — `SampleArena` and `PatternArena` are
 /// this type under their spec.
 ///
-/// Per bin: [`EpochArena::scatter_jobs`] opens the bin and hands out one
-/// job per record chunk; each stages rows in private per-(chunk, shard)
-/// buffers, resolving keys through the intern tables (steady-state bins
-/// perform zero insertions). [`EpochArena::merge`] — short, sequential —
-/// assigns dense ids to the bin's new keys in chunk order (= record
-/// order). Then [`Wave::group`], run per shard in parallel, concatenates
+/// Per bin: [`EpochArena::open_bin`] opens the bin and hands out one
+/// [`ChunkWriter`] per record chunk; the scatter job that owns it stages
+/// rows in private per-(chunk, shard) buffers, resolving keys through the
+/// intern tables (steady-state bins perform zero insertions).
+/// [`EpochArena::merge`] — short, sequential — assigns dense ids to the
+/// bin's new keys in chunk order (= record order). Then [`Wave::group`], run per shard in parallel, concatenates
 /// each shard's rows in chunk order and groups them, and
 /// [`EpochArena::stamp_bin`] closes the bin. Every buffer and every table
 /// is retained across bins, and [`EpochArena::compact`] on the shared
@@ -717,32 +742,43 @@ impl<S: ArenaSpec> EpochArena<S> {
         }
     }
 
+    /// Open a bin of `chunks` scatter chunks and return one writer per
+    /// chunk, in chunk order — each to be owned by the one scatter job
+    /// that feeds it that chunk's records. Exactly one call per bin, also
+    /// for an empty bin (no writers, but the bin still opens: the
+    /// bin-insertion counter resets and the payload hears of it).
+    pub(crate) fn open_bin(&mut self, chunks: usize) -> impl Iterator<Item = ChunkWriter<'_, S>> {
+        self.payload.open_bin();
+        self.insertions_at_bin_start = self.total_insertions();
+        self.active = chunks;
+        if self.chunks.len() < chunks {
+            self.chunks.resize_with(chunks, Chunk::default);
+        }
+        let (keys, sides) = (&self.keys[..], &self.sides);
+        self.chunks[..chunks]
+            .iter_mut()
+            .map(move |chunk| ChunkWriter { chunk, keys, sides })
+    }
+
     /// Open a bin over `records` and return its scatter wave: one boxed
     /// job per fixed-size record chunk (chunk `i` gets records
-    /// `[i·c, (i+1)·c)`), to be executed on the shared engine pool —
-    /// possibly pooled with other arenas' chunk jobs. Exactly one call
-    /// per bin, also for an empty bin (no jobs, but the bin still opens:
-    /// the bin-insertion counter resets and the payload hears of it).
+    /// `[i·c, (i+1)·c)`), to be executed on the engine pool. This is a
+    /// detector scattering on its own; an analyzer pairs both arenas'
+    /// writers per chunk instead (`Analyzer::open_scatter`).
     pub(crate) fn scatter_jobs<'a>(
         &'a mut self,
         records: &'a [TracerouteRecord],
         chunk_records: usize,
     ) -> Vec<engine::Job<'a>> {
         let chunk_records = chunk_records.max(1);
-        self.payload.open_bin();
-        self.insertions_at_bin_start = self.total_insertions();
-        self.active = records.len().div_ceil(chunk_records);
-        if self.chunks.len() < self.active {
-            self.chunks.resize_with(self.active, Chunk::default);
-        }
-        let (keys, sides) = (&self.keys[..], &self.sides);
-        self.chunks[..self.active]
-            .iter_mut()
+        self.open_bin(records.len().div_ceil(chunk_records))
             .zip(records.chunks(chunk_records))
-            .map(|(chunk, records)| {
+            .map(|(mut writer, records)| {
                 Box::new(move || {
-                    chunk.clear();
-                    S::scatter(chunk, records, keys, sides);
+                    writer.begin();
+                    for rec in records {
+                        writer.record(rec);
+                    }
                 }) as engine::Job<'a>
             })
             .collect()
@@ -846,6 +882,12 @@ impl<S: ArenaSpec> EpochArena<S> {
         for job in self.scatter_jobs(records, chunk_records) {
             job();
         }
+        self.finish_inline(bin);
+    }
+
+    /// Everything after the scatter wave, on the calling thread: merge,
+    /// group every shard, stamp.
+    fn finish_inline(&mut self, bin: BinId) {
         self.merge(bin);
         let mut stateless = [(); NUM_SHARDS];
         let (bundles, wave) = self.deal(&mut stateless, 1);
@@ -859,8 +901,10 @@ impl<S: ArenaSpec> EpochArena<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DetectorConfig;
     use crate::diffrtt::compute::{DelaySpec, SampleArena};
     use crate::forwarding::pattern::{PatternArena, PatternSpec};
+    use crate::sanitize::{sanitize_records, Gate, Sanitizer};
     use crate::snapshot::KIND_ANALYZER;
     use pinpoint_model::records::{Hop, Reply};
     use pinpoint_model::{Asn, IpLink, MeasurementId, ProbeId, SimTime};
@@ -1103,29 +1147,115 @@ mod tests {
         (dump(arena), w.into_bytes(), arena.stats())
     }
 
-    /// The chunk-order rule for one spec: with tables warmed by `prefix`,
-    /// scattering `bin` as chunks of 1, 3 or 7 records is
-    /// indistinguishable from scattering it as one chunk, and that one
-    /// chunk is what `build` does.
+    /// Sanitize knobs tight enough that the tiny generated records trip
+    /// every check.
+    fn gate_cfg() -> DetectorConfig {
+        DetectorConfig {
+            sanitize_max_hops: 4,
+            sanitize_max_inversion_ms: 20.0,
+            ..DetectorConfig::default()
+        }
+    }
+
+    /// One record per verdict the gate can reach besides `Clean`: loop,
+    /// impossible RTT, hop overflow (three quarantines in a row — whole
+    /// chunks of them at chunk sizes 1 and 3), duplicated hop (repaired),
+    /// gross inversion.
+    fn dirty_records() -> Vec<TracerouteRecord> {
+        let looped = record(0, &[vec![1], vec![2], vec![1]]);
+        let mut bad_rtt = record(1, &[vec![1], vec![2]]);
+        bad_rtt.hops[1].replies[0].rtt_ms = Some(-1.0);
+        let too_long = record(2, &[vec![1], vec![2], vec![3], vec![4], vec![5]]);
+        let duplicated = record(3, &[vec![1, 1], vec![1], vec![2, 0]]);
+        let mut inverted = record(4, &[vec![1], vec![2]]);
+        inverted.hops[0].replies[0].rtt_ms = Some(50.0);
+        let dirty = vec![looped, bad_rtt, too_long, duplicated, inverted];
+        let mut gate = Gate::default();
+        let admitted = |rec| gate.admit(rec, &gate_cfg()).map(|r| r.hops.len());
+        let verdicts: Vec<_> = dirty.iter().map(admitted).collect();
+        assert_eq!(verdicts, [None, None, None, Some(2), None]);
+        dirty
+    }
+
+    /// The fused pass as `Analyzer::open_scatter` runs it, for one arena:
+    /// per raw chunk of `chunk_records`, every record through the chunk's
+    /// gate and the survivor into the chunk's writer; then both merges.
+    fn run_gated<S: ArenaSpec>(
+        arena: &mut EpochArena<S>,
+        sanitizer: &mut Sanitizer,
+        bin: BinId,
+        records: &[TracerouteRecord],
+        chunk_records: usize,
+    ) {
+        let (cfg, chunk_records) = (gate_cfg(), chunk_records.max(1));
+        let chunks = records.len().div_ceil(chunk_records);
+        let gated = arena.open_bin(chunks).zip(sanitizer.gates(chunks));
+        for ((mut writer, gate), records) in gated.zip(records.chunks(chunk_records)) {
+            writer.begin();
+            for rec in records {
+                if let Some(rec) = gate.admit(rec, &cfg) {
+                    writer.record(rec);
+                }
+            }
+        }
+        sanitizer.merge();
+        arena.finish_inline(bin);
+    }
+
+    /// The reference: filter the bin with the same gate, then scatter the
+    /// survivors as one chunk.
+    fn run_filtered<S: ArenaSpec>(
+        arena: &mut EpochArena<S>,
+        sanitizer: &mut Sanitizer,
+        bin: BinId,
+        records: &[TracerouteRecord],
+    ) {
+        let (clean, counts) = sanitize_records(records, &gate_cfg());
+        sanitizer.close_bin(counts);
+        arena.run_inline(bin, &clean, clean.len());
+    }
+
+    /// The chunk-order rule for one spec, sanitizer included: with tables
+    /// warmed by `prefix`, running the dirty `bin` and then the
+    /// all-quarantined `doomed` through the fused pass as raw chunks of
+    /// 1, 3, 7 or everything is indistinguishable — grouped output, arena
+    /// bytes, `IngestStats`, per-bin and cumulative `SanitizeStats` after
+    /// each bin — from filtering first and scattering the survivors as
+    /// one chunk. The warm-up bin as one chunk is what `build` does.
     fn chunk_order_is_invisible<S: ArenaSpec>(
         prefix: &[TracerouteRecord],
         bin: &[TracerouteRecord],
+        doomed: &[TracerouteRecord],
         dump: fn(&EpochArena<S>) -> Vec<String>,
         case: &str,
     ) {
-        let run = |chunk: usize| {
-            let mut arena = EpochArena::<S>::default();
+        let run = |chunk: Option<usize>| {
+            let (mut arena, mut sanitizer) = (EpochArena::<S>::default(), Sanitizer::default());
             arena.run_inline(BinId(0), prefix, prefix.len());
-            let cold = fingerprint(&arena, dump);
-            arena.run_inline(BinId(1), bin, chunk);
-            (cold, fingerprint(&arena, dump))
+            let mut seen = vec![(fingerprint(&arena, dump), sanitizer.stats())];
+            for (b, records) in [(1, bin), (2, doomed)] {
+                match chunk {
+                    Some(chunk) => run_gated(&mut arena, &mut sanitizer, BinId(b), records, chunk),
+                    None => run_filtered(&mut arena, &mut sanitizer, BinId(b), records),
+                }
+                seen.push((fingerprint(&arena, dump), sanitizer.stats()));
+            }
+            seen
         };
-        let (cold, want) = run(bin.len());
+        let want = run(None);
         let mut built = EpochArena::<S>::default();
         built.build(prefix);
-        assert_eq!(fingerprint(&built, dump), cold, "build ≠ one chunk: {case}");
-        for chunk in [1, 3, 7] {
-            assert_eq!(run(chunk).1, want, "chunk={chunk}: {case}");
+        assert_eq!(
+            fingerprint(&built, dump),
+            want[0].0,
+            "build ≠ one chunk: {case}"
+        );
+        let (after_bin, after_doomed) = (want[1].1, want[2].1);
+        assert!(after_bin.bin_quarantined >= 4 && after_bin.bin_repaired >= 1);
+        assert_eq!(after_doomed.bin_quarantined, doomed.len() as u64);
+        assert_eq!(after_doomed.records, (bin.len() + doomed.len()) as u64);
+        for chunk in [1, 3, 7, bin.len()] {
+            assert_eq!(run(Some(chunk)), want, "chunk={chunk}: {case}");
         }
     }
 
@@ -1175,10 +1305,14 @@ mod tests {
             // `hot` more records re-trace one link: enough of them and its
             // shard groups with the stable radix sort, where only gather
             // order keeps a probe's samples in record order.
-            let (prefix, mut bin) = (records(&prefix, 0), records(&bin, 2));
+            // The bin opens on the dirty records — loops, duplicated hops
+            // and more arise among the generated ones too (eight addresses)
+            // — and is followed by a bin with no survivor at all.
+            let (prefix, mut bin) = (records(&prefix, 0), [dirty_records(), records(&bin, 2)].concat());
             bin.extend((0..hot).map(|i| record(i, &[vec![1, 1], vec![5]])));
-            chunk_order_is_invisible::<DelaySpec>(&prefix, &bin, dump_links, &case);
-            chunk_order_is_invisible::<PatternSpec>(&prefix, &bin, dump_patterns, &case);
+            let doomed = vec![dirty_records().swap_remove(0); 4];
+            chunk_order_is_invisible::<DelaySpec>(&prefix, &bin, &doomed, dump_links, &case);
+            chunk_order_is_invisible::<PatternSpec>(&prefix, &bin, &doomed, dump_patterns, &case);
         }
     }
 }

@@ -37,8 +37,10 @@
 //! feeds carry measurement artifacts (loops and false links from
 //! per-flow load balancing, wrong-hop ICMP attribution, impossible
 //! RTTs), and structurally broken records are quarantined — with
-//! repairable ones fixed in place — before any detector sees them,
-//! counted per bin in [`sanitize::SanitizeStats`]
+//! repairable ones replaced by a fixed copy — before any detector sees
+//! them. The verdict runs inside the scatter wave, record by record, so
+//! a bin is read once and never copied; it is counted per bin in
+//! [`sanitize::SanitizeStats`]
 //! ([`pipeline::Analyzer::sanitize_stats`] /
 //! [`stream::StreamRouter::sanitize_stats`]).
 //!

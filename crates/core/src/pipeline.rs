@@ -21,7 +21,7 @@ use crate::config::DetectorConfig;
 use crate::diffrtt::{DelayAlarm, DelayDetector, LinkStat};
 use crate::forwarding::{ForwardingAlarm, ForwardingDetector};
 use crate::graph::AlarmGraph;
-use crate::sanitize::{SanitizeStats, Sanitizer};
+use crate::sanitize::{sanitize_records, SanitizeStats, Sanitizer};
 use crate::session::AnalyzerSet;
 use crate::snapshot::{self, Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
@@ -118,10 +118,11 @@ impl Analyzer {
     /// time.
     ///
     /// The bin runs as two waves on ONE scoped worker pool
-    /// (`crate::engine`). First the ingestion wave: both detectors' record
-    /// chunks scatter in parallel against their persistent intern tables
-    /// (`Analyzer::open_scatter`), followed by the short sequential
-    /// chunk-ordered intern merge. Then the shard wave: every worker
+    /// (`crate::engine`). First the ingestion wave: the record chunks are
+    /// sanitized and scattered for both detectors in one parallel pass
+    /// against the persistent intern tables (`Analyzer::open_scatter`),
+    /// followed by the short sequential chunk-ordered merge fence. Then
+    /// the shard wave: every worker
     /// interleaves delay-link shards and forwarding-pattern shards
     /// (§4 ∥ §5) instead of the two detectors racing on separate thread
     /// herds. The §6 aggregation joins their outputs. Output is
@@ -136,12 +137,15 @@ impl Analyzer {
         crate::session::Session::new(self).push(bin, &[records])
     }
 
-    /// Open one bin's ingestion (sanitize, open both arenas' bins) and
-    /// return both detectors' chunk jobs for the records. The executor
-    /// runs them on the shared pool — a fleet's scatter chunks all in one
-    /// wave — then calls [`Analyzer::merge_scatter`]. No compaction
-    /// happens here: the executor sweeps ([`Analyzer::compact_epochs`])
-    /// first.
+    /// Open one bin's ingestion (both arenas' bins, one sanitizer gate
+    /// per chunk) and return its scatter jobs: one per *raw* record chunk,
+    /// each taking every record of its chunk through the gate and — when
+    /// it survives — through the delay and then the forwarding scatter
+    /// body while it is hot, so no record is read twice and none is
+    /// copied unless it is repaired. The executor runs the jobs on the
+    /// shared pool — a fleet's scatter chunks all in one wave — then
+    /// calls [`Analyzer::merge_scatter`]. No compaction happens here: the
+    /// executor sweeps ([`Analyzer::compact_epochs`]) first.
     pub(crate) fn open_scatter<'a>(
         &'a mut self,
         records: &'a [TracerouteRecord],
@@ -155,11 +159,27 @@ impl Analyzer {
             cfg,
             ..
         } = self;
-        sanitizer.begin_bin();
-        let clean = sanitizer.sanitize(records, cfg);
-        let mut jobs = delay.arena.scatter_jobs(clean, chunk);
-        jobs.extend(forwarding.arena.scatter_jobs(clean, chunk));
-        jobs
+        let cfg = &*cfg;
+        let chunks = records.len().div_ceil(chunk);
+        let gates = sanitizer.gates(chunks).iter_mut();
+        let writers = delay
+            .arena
+            .open_bin(chunks)
+            .zip(forwarding.arena.open_bin(chunks));
+        (records.chunks(chunk).zip(gates).zip(writers))
+            .map(|((records, gate), (mut delay, mut forwarding))| {
+                Box::new(move || {
+                    delay.begin();
+                    forwarding.begin();
+                    for rec in records {
+                        if let Some(rec) = gate.admit(rec, cfg) {
+                            delay.record(rec);
+                            forwarding.record(rec);
+                        }
+                    }
+                }) as crate::engine::Job<'a>
+            })
+            .collect()
     }
 
     /// Compact both detectors' intern epochs at `bin`. Runs at bin open,
@@ -170,9 +190,11 @@ impl Analyzer {
         self.forwarding.arena.compact(bin, expiry);
     }
 
-    /// The sequential chunk-ordered intern merge between the scatter wave
-    /// and the shard wave, for both detectors.
+    /// The sequential chunk-ordered fence between the scatter wave and
+    /// the shard wave: the gates' counters become this bin's
+    /// [`SanitizeStats`], then both detectors' intern merges.
     pub(crate) fn merge_scatter(&mut self, bin: BinId) {
+        self.sanitizer.merge();
         self.delay.arena.merge(bin);
         self.forwarding.arena.merge(bin);
     }
@@ -226,7 +248,8 @@ impl Analyzer {
         )
     }
 
-    /// Single-threaded reference path: nested-map sample and pattern
+    /// Single-threaded reference path: filter the bin through the
+    /// sanitizer into a local vector, then nested-map sample and pattern
     /// stores, full-sort characterization, detectors run back to back.
     /// Exists so the parity tests can prove the parallel engine produces
     /// identical [`BinReport`]s.
@@ -243,10 +266,10 @@ impl Analyzer {
                 cfg,
                 ..
             } = &mut *self;
-            sanitizer.begin_bin();
-            let clean = sanitizer.sanitize(records, cfg);
-            let (delay_alarms, link_stats) = delay.process_bin_sequential(bin, clean);
-            let forwarding_alarms = forwarding.process_bin_sequential(bin, clean);
+            let (clean, counts) = sanitize_records(records, cfg);
+            sanitizer.close_bin(counts);
+            let (delay_alarms, link_stats) = delay.process_bin_sequential(bin, &clean);
+            let forwarding_alarms = forwarding.process_bin_sequential(bin, &clean);
             (delay_alarms, link_stats, forwarding_alarms)
         };
         self.aggregate(

@@ -6,17 +6,22 @@
 //! this, but structurally broken records (loops, impossible RTTs) bias
 //! link extraction itself, so they are *quarantined* — dropped before
 //! scatter — rather than passed through. Records with a benignly
-//! repairable defect (a duplicated adjacent hop) are *repaired* in place
-//! and kept.
+//! repairable defect (a duplicated adjacent hop) are *repaired* and kept.
 //!
-//! The contract, in wave-model terms: `Sanitizer::sanitize` is a pure
-//! per-record function applied **once per record slice, serially, before
-//! the scatter wave is built** — in `Analyzer::open_scatter` and the
-//! sequential reference path alike. Because the verdict for a record
-//! depends only on that record and the config, the sanitized sequence is
+//! The contract, in wave-model terms: the verdict is a pure per-record
+//! function (`inspect`) that runs **inside the scatter wave**. Every
+//! scatter job owns one raw record chunk and one `Gate`; per record it
+//! asks the gate for a verdict and hands the survivor — the record itself,
+//! or the gate's repaired scratch copy — straight to both detectors'
+//! scatter bodies, so a record crosses the cache once and a clean or
+//! quarantined one is never copied. The gates' counters are folded into
+//! [`SanitizeStats`] at the merge fence. Because the verdict for a record
+//! depends only on that record and the config, the surviving sequence is
 //! independent of thread count and chunk size; downstream byte-for-byte
 //! report parity is preserved by construction (and re-proven by
-//! `tests/robustness.rs` over hostile feeds).
+//! `tests/robustness.rs` over hostile feeds). The sequential reference
+//! path filters the bin with the same gate first ([`sanitize_records`])
+//! and feeds the survivors afterwards.
 //!
 //! What is checked, in order (first hit wins):
 //!
@@ -62,18 +67,19 @@ pub enum Quarantine {
 }
 
 /// The sanitizer's judgement on one record.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Verdict {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
     /// Structurally sound: pass through untouched.
     Clean,
-    /// Defective but repairable: the fixed copy to use instead.
-    Repaired(TracerouteRecord),
+    /// Defective but repairable: keep only the hops [`Scratch::kept`]
+    /// lists.
+    Repaired,
     /// Structurally broken: drop, with the reason.
     Quarantined(Quarantine),
 }
 
 /// Per-bin and cumulative sanitizer counters, the `IngestStats` shape:
-/// `bin_*` fields reset at every `begin_bin`, the rest accumulate over
+/// `bin_*` fields describe the most recent bin, the rest accumulate over
 /// the analyzer's lifetime. Fleet totals fold with
 /// [`SanitizeStats::merged`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -135,10 +141,22 @@ fn min_rtt(hop: &Hop) -> Option<f64> {
         })
 }
 
+/// [`inspect`]'s working memory, reused from record to record so a
+/// verdict allocates nothing once the buffers have grown to the longest
+/// record seen.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Indices of the hops that survive the duplicate-hop collapse.
+    kept: Vec<usize>,
+    /// First responders along the collapsed path (the loop check).
+    responders: Vec<Ipv4Addr>,
+}
+
 /// Judge one record against the config's sanitize knobs. Pure: the
 /// verdict depends only on `(rec, cfg)`, which is what makes sanitizing
-/// invisible to the thread/chunk/depth parity contract.
-pub(crate) fn inspect(rec: &TracerouteRecord, cfg: &DetectorConfig) -> Verdict {
+/// invisible to the thread/chunk parity contract. After a
+/// [`Verdict::Repaired`], `scratch.kept` lists the hops to keep.
+fn inspect(rec: &TracerouteRecord, cfg: &DetectorConfig, scratch: &mut Scratch) -> Verdict {
     if rec.hops.len() > cfg.sanitize_max_hops {
         return Verdict::Quarantined(Quarantine::TooManyHops);
     }
@@ -157,25 +175,23 @@ pub(crate) fn inspect(rec: &TracerouteRecord, cfg: &DetectorConfig) -> Verdict {
 
     // Collapse runs of adjacent hops answered by the same router (the
     // duplicated-hop artifact), keeping the first copy of each run.
-    let mut collapsed: Vec<usize> = Vec::with_capacity(rec.hops.len());
+    let Scratch { kept, responders } = scratch;
+    kept.clear();
     for (i, hop) in rec.hops.iter().enumerate() {
-        if let Some(&prev) = collapsed.last() {
+        if let Some(&prev) = kept.last() {
             if let (Some(a), Some(b)) = (rec.hops[prev].first_responder(), hop.first_responder()) {
                 if a == b {
                     continue;
                 }
             }
         }
-        collapsed.push(i);
+        kept.push(i);
     }
-    let removed = rec.hops.len() - collapsed.len();
 
     // Loop check on the collapsed path: any responder still appearing
     // twice is a genuine loop, not a re-announced TTL.
-    let responders: Vec<Ipv4Addr> = collapsed
-        .iter()
-        .filter_map(|&i| rec.hops[i].first_responder())
-        .collect();
+    responders.clear();
+    responders.extend(kept.iter().filter_map(|&i| rec.hops[i].first_responder()));
     for (i, a) in responders.iter().enumerate() {
         if responders[i + 1..].contains(a) {
             return Verdict::Quarantined(Quarantine::Loop);
@@ -185,7 +201,7 @@ pub(crate) fn inspect(rec: &TracerouteRecord, cfg: &DetectorConfig) -> Verdict {
     // Gross min-RTT inversion between adjacent responsive hops; an
     // unresponsive hop breaks the comparison chain.
     let mut prev_min: Option<f64> = None;
-    for &i in &collapsed {
+    for &i in kept.iter() {
         let hop = &rec.hops[i];
         if hop.is_unresponsive() {
             prev_min = None;
@@ -202,103 +218,157 @@ pub(crate) fn inspect(rec: &TracerouteRecord, cfg: &DetectorConfig) -> Verdict {
         }
     }
 
-    if removed == 0 {
-        return Verdict::Clean;
+    if kept.len() == rec.hops.len() {
+        Verdict::Clean
+    } else {
+        Verdict::Repaired
     }
-    let mut repaired = rec.clone();
-    repaired.hops = collapsed.into_iter().map(|i| rec.hops[i].clone()).collect();
-    Verdict::Repaired(repaired)
 }
 
-/// The per-analyzer sanitizer: counters plus a reusable buffer for the
-/// slow path. Lives next to the detectors inside `Analyzer` and is
-/// driven from every ingestion entry point.
+/// One scatter chunk's sanitizer: the inspection scratch, the one record
+/// a repair is materialised into, and the chunk's own counters. Used by
+/// exactly one scatter job per bin (no sharing, no locks) and reused
+/// across bins.
+#[derive(Debug, Default)]
+pub(crate) struct Gate {
+    scratch: Scratch,
+    /// The repaired copy handed out by the last [`Gate::admit`] that
+    /// needed one; its hop and reply buffers are recycled.
+    repaired: Option<TracerouteRecord>,
+    /// What this gate has judged since it was last drained — the
+    /// `bin_*` fields count the same records as the cumulative ones.
+    counts: SanitizeStats,
+}
+
+impl Gate {
+    /// Judge `rec` and count the verdict. Returns the record the
+    /// detectors should see — `rec` itself when clean (or when the
+    /// sanitizer is off), the gate's repaired copy (valid until the next
+    /// call) when repairable — or `None` when it is quarantined.
+    pub(crate) fn admit<'a>(
+        &'a mut self,
+        rec: &'a TracerouteRecord,
+        cfg: &DetectorConfig,
+    ) -> Option<&'a TracerouteRecord> {
+        let counts = &mut self.counts;
+        counts.bin_records += 1;
+        counts.records += 1;
+        if !cfg.sanitize {
+            return Some(rec);
+        }
+        match inspect(rec, cfg, &mut self.scratch) {
+            Verdict::Clean => Some(rec),
+            Verdict::Repaired => {
+                counts.bin_repaired += 1;
+                counts.repaired += 1;
+                // Rebuild the scratch record around its old hop buffers:
+                // the ~1 % of records that take this path are the only
+                // copies the sanitizer makes.
+                let mut hops = self.repaired.take().map(|r| r.hops).unwrap_or_default();
+                hops.resize_with(self.scratch.kept.len(), Hop::default);
+                for (out, &i) in hops.iter_mut().zip(&self.scratch.kept) {
+                    out.ttl = rec.hops[i].ttl;
+                    out.replies.clone_from(&rec.hops[i].replies);
+                }
+                Some(self.repaired.insert(TracerouteRecord {
+                    msm_id: rec.msm_id,
+                    probe_id: rec.probe_id,
+                    probe_asn: rec.probe_asn,
+                    dst: rec.dst,
+                    timestamp: rec.timestamp,
+                    paris_id: rec.paris_id,
+                    hops,
+                    destination_reached: rec.destination_reached,
+                }))
+            }
+            Verdict::Quarantined(reason) => {
+                counts.bin_quarantined += 1;
+                match reason {
+                    Quarantine::Loop => counts.quarantined_loops += 1,
+                    Quarantine::ImpossibleRtt => counts.quarantined_rtt += 1,
+                    Quarantine::RttInversion => counts.quarantined_inversions += 1,
+                    Quarantine::TooManyHops => counts.quarantined_hops += 1,
+                }
+                None
+            }
+        }
+    }
+}
+
+/// The per-analyzer sanitizer: the counters and one reusable [`Gate`] per
+/// scatter chunk. Lives next to the detectors inside `Analyzer`.
 #[derive(Debug, Default)]
 pub(crate) struct Sanitizer {
     stats: SanitizeStats,
-    buf: Vec<TracerouteRecord>,
+    gates: Vec<Gate>,
 }
 
 impl Sanitizer {
-    /// Reset the per-bin counters (cumulative ones persist).
-    pub(crate) fn begin_bin(&mut self) {
-        self.stats.bin_records = 0;
-        self.stats.bin_quarantined = 0;
-        self.stats.bin_repaired = 0;
-    }
-
     /// Current counters.
     pub(crate) fn stats(&self) -> SanitizeStats {
         self.stats
     }
 
-    /// Rebuild a sanitizer carrying restored cumulative counters (the
-    /// snapshot path; the record buffer is per-bin scratch).
+    /// Rebuild a sanitizer carrying restored counters (the snapshot
+    /// path; the gates are per-bin scratch).
     pub(crate) fn from_stats(stats: SanitizeStats) -> Self {
         Sanitizer {
             stats,
-            buf: Vec::new(),
+            gates: Vec::new(),
         }
     }
 
-    /// Sanitize one record slice. The fast path — every record clean,
-    /// the overwhelmingly common case on a healthy feed — returns the
-    /// input slice itself: zero copies, one read-only pass. Otherwise
-    /// the surviving records are gathered into an internal buffer that
-    /// stays valid until the next `sanitize` call (by which time the
-    /// previous slice's rows have been scattered into the arenas).
-    pub(crate) fn sanitize<'a>(
-        &'a mut self,
-        records: &'a [TracerouteRecord],
-        cfg: &DetectorConfig,
-    ) -> &'a [TracerouteRecord] {
-        self.stats.bin_records += records.len() as u64;
-        self.stats.records += records.len() as u64;
-        if !cfg.sanitize {
-            return records;
+    /// The gates of a bin of `chunks` scatter chunks, one per chunk in
+    /// chunk order.
+    pub(crate) fn gates(&mut self, chunks: usize) -> &mut [Gate] {
+        if self.gates.len() < chunks {
+            self.gates.resize_with(chunks, Gate::default);
         }
-        let Some(first) = records
-            .iter()
-            .position(|r| !matches!(inspect(r, cfg), Verdict::Clean))
-        else {
-            return records;
+        &mut self.gates[..chunks]
+    }
+
+    /// Close a bin the caller counted itself: `bin` becomes the per-bin
+    /// view and is added to the cumulative counters.
+    pub(crate) fn close_bin(&mut self, bin: SanitizeStats) {
+        let carried = SanitizeStats {
+            bin_records: 0,
+            bin_quarantined: 0,
+            bin_repaired: 0,
+            ..self.stats
         };
-        self.buf.clear();
-        self.buf.extend_from_slice(&records[..first]);
-        for rec in &records[first..] {
-            match inspect(rec, cfg) {
-                Verdict::Clean => self.buf.push(rec.clone()),
-                Verdict::Repaired(fixed) => {
-                    self.stats.bin_repaired += 1;
-                    self.stats.repaired += 1;
-                    self.buf.push(fixed);
-                }
-                Verdict::Quarantined(reason) => {
-                    self.stats.bin_quarantined += 1;
-                    match reason {
-                        Quarantine::Loop => self.stats.quarantined_loops += 1,
-                        Quarantine::ImpossibleRtt => self.stats.quarantined_rtt += 1,
-                        Quarantine::RttInversion => self.stats.quarantined_inversions += 1,
-                        Quarantine::TooManyHops => self.stats.quarantined_hops += 1,
-                    }
-                }
-            }
-        }
-        &self.buf
+        self.stats = carried.merged(bin);
+    }
+
+    /// The merge fence: drain every gate, in chunk order, and close the
+    /// bin whose scatter wave just ran (an empty one closes with zeros).
+    pub(crate) fn merge(&mut self) {
+        let drained = self
+            .gates
+            .iter_mut()
+            .map(|gate| std::mem::take(&mut gate.counts));
+        let bin = drained.fold(SanitizeStats::default(), SanitizeStats::merged);
+        self.close_bin(bin);
     }
 }
 
-/// One-shot convenience: sanitize a slice into an owned vector and
-/// return the surviving records with the counters. For harnesses and
-/// the benchmark; the analyzer itself uses the zero-copy `Sanitizer`.
+/// Sanitize a slice into an owned vector: the surviving records (one
+/// clone each, repaired ones in their repaired form) with the counters.
+/// This is the filter-then-feed reference the `process_bin_sequential`
+/// oracles use, and a convenience for harnesses and the benchmark; the
+/// engine itself never copies a bin (`Gate::admit` inside the scatter
+/// wave).
 pub fn sanitize_records(
     records: &[TracerouteRecord],
     cfg: &DetectorConfig,
 ) -> (Vec<TracerouteRecord>, SanitizeStats) {
-    let mut s = Sanitizer::default();
-    s.begin_bin();
-    let clean = s.sanitize(records, cfg).to_vec();
-    (clean, s.stats())
+    let mut gate = Gate::default();
+    let mut clean = Vec::with_capacity(records.len());
+    clean.extend(
+        records
+            .iter()
+            .filter_map(|rec| gate.admit(rec, cfg).cloned()),
+    );
+    (clean, gate.counts)
 }
 
 #[cfg(test)]
@@ -336,22 +406,48 @@ mod tests {
         ])
     }
 
+    fn verdict(rec: &TracerouteRecord, cfg: &DetectorConfig) -> Verdict {
+        inspect(rec, cfg, &mut Scratch::default())
+    }
+
     #[test]
-    fn clean_records_pass_through_zero_copy() {
+    fn clean_records_are_admitted_by_reference() {
         let cfg = DetectorConfig::default();
         let records = vec![clean_record(); 4];
+        let mut gate = Gate::default();
+        for rec in &records {
+            let out = gate.admit(rec, &cfg).expect("clean record survives");
+            assert!(std::ptr::eq(out, rec), "a clean record must not be copied");
+        }
+        assert!(gate.repaired.is_none());
+        assert_eq!(gate.counts.bin_records, 4);
+        assert_eq!(gate.counts.quarantined(), 0);
+        assert_eq!(gate.counts.repaired, 0);
+    }
+
+    #[test]
+    fn merge_replaces_the_bin_view_and_grows_the_totals() {
+        let cfg = DetectorConfig::default();
+        let looped = record(vec![
+            hop(1, "10.0.0.1", 1.0),
+            hop(2, "10.0.0.2", 5.0),
+            hop(3, "10.0.0.1", 9.0),
+        ]);
         let mut s = Sanitizer::default();
-        s.begin_bin();
-        let out = s.sanitize(&records, &cfg);
-        assert_eq!(out.len(), 4);
-        assert!(
-            std::ptr::eq(out.as_ptr(), records.as_ptr()),
-            "fast path must not copy"
-        );
-        let st = s.stats();
-        assert_eq!(st.bin_records, 4);
-        assert_eq!(st.quarantined(), 0);
-        assert_eq!(st.repaired, 0);
+        let gates = s.gates(2);
+        assert!(gates[0].admit(&clean_record(), &cfg).is_some());
+        assert!(gates[1].admit(&looped, &cfg).is_none());
+        s.merge();
+        assert_eq!(s.stats().bin_records, 2);
+        assert_eq!(s.stats().bin_quarantined, 1);
+        // An empty bin: no gate is touched, the bin view resets, the
+        // totals stay.
+        s.gates(0);
+        s.merge();
+        assert_eq!(s.stats().bin_records, 0);
+        assert_eq!(s.stats().bin_quarantined, 0);
+        assert_eq!(s.stats().records, 2);
+        assert_eq!(s.stats().quarantined_loops, 1);
     }
 
     #[test]
@@ -362,7 +458,7 @@ mod tests {
             hop(2, "10.0.0.2", 5.0),
             hop(3, "10.0.0.1", 9.0),
         ]);
-        assert_eq!(inspect(&rec, &cfg), Verdict::Quarantined(Quarantine::Loop));
+        assert_eq!(verdict(&rec, &cfg), Verdict::Quarantined(Quarantine::Loop));
     }
 
     #[test]
@@ -378,7 +474,7 @@ mod tests {
             let mut rec = clean_record();
             rec.hops[1].replies[2] = Reply::new(ip("10.0.0.2"), bad);
             assert_eq!(
-                inspect(&rec, &cfg),
+                verdict(&rec, &cfg),
                 Verdict::Quarantined(Quarantine::ImpossibleRtt),
                 "rtt {bad} must quarantine"
             );
@@ -390,14 +486,14 @@ mod tests {
         let cfg = DetectorConfig::default();
         // Mild inversion (reverse-path asymmetry): fine.
         let rec = record(vec![hop(1, "10.0.0.1", 40.0), hop(2, "10.0.0.2", 10.0)]);
-        assert_eq!(inspect(&rec, &cfg), Verdict::Clean);
+        assert_eq!(verdict(&rec, &cfg), Verdict::Clean);
         // Gross inversion: quarantined.
         let rec = record(vec![
             hop(1, "10.0.0.1", 40.0 + cfg.sanitize_max_inversion_ms * 2.0),
             hop(2, "10.0.0.2", 10.0),
         ]);
         assert_eq!(
-            inspect(&rec, &cfg),
+            verdict(&rec, &cfg),
             Verdict::Quarantined(Quarantine::RttInversion)
         );
         // An unresponsive hop breaks the comparison chain.
@@ -406,7 +502,7 @@ mod tests {
             Hop::new(2, vec![Reply::TIMEOUT; 3]),
             hop(3, "10.0.0.2", 10.0),
         ]);
-        assert_eq!(inspect(&rec, &cfg), Verdict::Clean);
+        assert_eq!(verdict(&rec, &cfg), Verdict::Clean);
     }
 
     #[test]
@@ -418,9 +514,10 @@ mod tests {
             hop(2, "10.0.0.2", 5.0),
             hop(3, "10.0.0.3", 9.0),
         ]);
-        let Verdict::Repaired(fixed) = inspect(&rec, &cfg) else {
-            panic!("expected a repair");
-        };
+        assert_eq!(verdict(&rec, &cfg), Verdict::Repaired);
+        let mut gate = Gate::default();
+        let fixed = gate.admit(&rec, &cfg).expect("a repaired record survives");
+        assert_eq!((fixed.probe_id, fixed.dst), (rec.probe_id, rec.dst));
         assert_eq!(fixed.hops.len(), 3);
         assert_eq!(fixed.hops[0].first_responder(), Some(ip("10.0.0.1")));
         assert_eq!(
@@ -429,6 +526,16 @@ mod tests {
             "keep the first copy"
         );
         assert_eq!(fixed.hops[1].first_responder(), Some(ip("10.0.0.2")));
+        // The gate's scratch record is recycled: a later, shorter repair
+        // must carry nothing over from this one.
+        let mut shorter = record(vec![hop(1, "10.0.1.1", 2.0), hop(2, "10.0.1.1", 2.5)]);
+        shorter.hops[0].replies.truncate(1);
+        shorter.probe_id = ProbeId(7);
+        let fixed = gate.admit(&shorter, &cfg).expect("repaired");
+        let mut want = shorter.clone();
+        want.hops.truncate(1);
+        assert_eq!(*fixed, want);
+        assert_eq!(gate.counts.bin_repaired, 2);
     }
 
     #[test]
@@ -447,7 +554,7 @@ mod tests {
             .collect();
         let rec = record(hops);
         assert_eq!(
-            inspect(&rec, &cfg),
+            verdict(&rec, &cfg),
             Verdict::Quarantined(Quarantine::TooManyHops)
         );
     }

@@ -205,11 +205,16 @@ pub trait AnalyzerSet {
 ///    expired on the `reference_expiry_bins` clock. The sweep renumbers
 ///    dense ids, which is safe exactly here — the previous bin's rows
 ///    are dead and this bin's are not scattered yet.
-/// 2. **Scatter wave.** Every member's scatter chunks run as one wave on
-///    the shared worker herd.
-/// 3. **Merge fence.** The members' sequential chunk-ordered intern
-///    merges, in member order — the only place intern epochs advance, so
-///    id assignment depends on `(records, tables at bin open)` alone.
+/// 2. **Scatter wave.** Every member's raw record chunks run as one wave
+///    on the shared worker herd. The sanitizer rides this wave: a chunk's
+///    job judges each record, skips a quarantined one, and scatters the
+///    survivor for both detectors in the same pass — there is no serial
+///    pre-pass and no copy of the bin.
+/// 3. **Merge fence.** The members' sequential chunk-ordered merges, in
+///    member order: the chunks' sanitize counters fold into the member's
+///    [`SanitizeStats`], then the intern merges — the only place intern
+///    epochs advance, so id assignment depends on `(records, tables at
+///    bin open)` alone.
 /// 4. **Shard wave.** Every member's delay and forwarding shard jobs run
 ///    as one wave; shard jobs never write the epoch tables.
 /// 5. **Absorb and reduce.** The members stamp their observed keys and

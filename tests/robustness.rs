@@ -10,7 +10,10 @@ mod common;
 
 use common::{assert_reports_identical, parity_config};
 use pinpoint::core::aggregate::AsMapper;
-use pinpoint::core::{AnalysisSession, Analyzer, BinReport, DetectorConfig, SanitizeStats};
+use pinpoint::core::{
+    render, AnalysisSession, Analyzer, BinReport, DetectorConfig, SanitizeStats, StreamId,
+    StreamRouter,
+};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::netsim::ArtifactModel;
@@ -134,6 +137,66 @@ fn hostile_artifacts_sanitize_identically_on_every_path() {
         stats.quarantined() > 0 && stats.repaired > 0,
         "hostile feed neither quarantined nor repaired: {stats:?}"
     );
+
+    // A fleet whose streams disagree about every record: stream 0 is fed
+    // the hostile bins, stream 1 the same bins with a loop painted into
+    // every record (nothing survives — every one of its scatter chunks is
+    // empty), except for one bin where the roles flip and stream 0 gets a
+    // wholly quarantined bin beside a clean one. The fleet session must
+    // match the filter-then-feed reference in rendered bytes and in
+    // per-stream and merged sanitizer counters after every bin.
+    let mut looped_hops = clean_bin(0, 1).remove(0).hops;
+    looped_hops.push(looped_hops[0].clone());
+    let doomed = |records: &[TracerouteRecord]| -> Vec<TracerouteRecord> {
+        let looped = |rec: &TracerouteRecord| TracerouteRecord {
+            hops: looped_hops.clone(),
+            ..rec.clone()
+        };
+        records.iter().map(looped).collect()
+    };
+    let fleet = || {
+        let mut router = StreamRouter::new();
+        router.add_stream("hostile", analyzer_with(&cfg));
+        router.add_stream("doomed", analyzer_with(&cfg));
+        router.set_threads(cfg.threads);
+        router
+    };
+    let (mut engine, mut reference) = (fleet(), fleet());
+    let mut session = engine.session(0);
+    for (b, records) in bins.iter().enumerate() {
+        let mut feeds = vec![records.clone(), doomed(records)];
+        if b == 3 {
+            feeds = vec![doomed(records), clean_bin(b as u64, 48)];
+        }
+        let bin = BinId(b as u64);
+        let got = session.push_bin(bin, &feeds).expect("every push reports");
+        let want = reference.process_bin_sequential(bin, &feeds);
+        assert_eq!(
+            render::fleet_report(&got).to_string(),
+            render::fleet_report(&want).to_string(),
+            "fleet bin {b}: rendered report"
+        );
+        let (got, want) = (session.inner(), &reference);
+        for id in [StreamId(0), StreamId(1)] {
+            assert_eq!(
+                got.analyzer(id).sanitize_stats(),
+                want.analyzer(id).sanitize_stats(),
+                "fleet bin {b}: stream {id:?} sanitize stats"
+            );
+        }
+        assert_eq!(got.sanitize_stats(), want.sanitize_stats(), "fleet bin {b}");
+        let doomed_stream = got.analyzer(StreamId(usize::from(b != 3))).sanitize_stats();
+        assert_eq!(doomed_stream.bin_records, 48, "fleet bin {b}");
+        assert_eq!(doomed_stream.bin_quarantined, 48, "fleet bin {b}");
+        if b == 3 {
+            let clean_stream = got.analyzer(StreamId(1)).sanitize_stats();
+            assert_eq!(
+                (clean_stream.bin_quarantined, clean_stream.bin_repaired),
+                (0, 0),
+                "fleet bin {b}: the clean stream"
+            );
+        }
+    }
 }
 
 fn base_record() -> TracerouteRecord {
