@@ -47,7 +47,7 @@ impl Platform {
 
     /// Corrupt every emitted record with the given
     /// [`ArtifactModel`] (`None` restores a clean feed). Corruption is a
-    /// pure function of the record's identity, so batch, chunked, and
+    /// pure function of the record's identity, so batch, filtered, and
     /// streamed collection of the same bin keep emitting identical
     /// records — only *dirtier* ones.
     pub fn set_artifact_model(&mut self, model: Option<ArtifactModel>) {
@@ -166,25 +166,6 @@ impl Platform {
         records
     }
 
-    /// Like [`Platform::collect_bin`], but the bin arrives as a sequence
-    /// of record chunks of (at most) `chunk_records` each, preserving the
-    /// bin's timestamp order across the concatenation — the shape the
-    /// streaming Atlas API delivers results in, and the unit the chunked
-    /// ingestion front-end consumes (a session's `ingest`, one chunk at
-    /// a time). Chunking is pure
-    /// partitioning: concatenating the chunks yields exactly
-    /// [`Platform::collect_bin`]'s output.
-    pub fn collect_bin_chunked(
-        &self,
-        bin: BinId,
-        chunk_records: usize,
-    ) -> Vec<Vec<TracerouteRecord>> {
-        self.collect_bin(bin)
-            .chunks(chunk_records.max(1))
-            .map(<[TracerouteRecord]>::to_vec)
-            .collect()
-    }
-
     /// Iterate bins `[first, last)` lazily — the streaming interface.
     pub fn stream(
         &self,
@@ -203,21 +184,6 @@ impl Platform {
     /// it re-enters the simulator between bins.)
     pub fn collect_bins(&self, first: BinId, last: BinId) -> Vec<(BinId, Vec<TracerouteRecord>)> {
         self.stream(first, last).collect()
-    }
-
-    /// Iterate bins `[first, last)` as chunked record slices — the
-    /// near-real-time interface: each bin arrives as arrival-ordered
-    /// chunks ready for incremental ingestion.
-    pub fn stream_chunked(
-        &self,
-        first: BinId,
-        last: BinId,
-        chunk_records: usize,
-    ) -> impl Iterator<Item = (BinId, Vec<Vec<TracerouteRecord>>)> + '_ {
-        (first.0..last.0).map(move |b| {
-            let bin = BinId(b);
-            (bin, self.collect_bin_chunked(bin, chunk_records))
-        })
     }
 }
 
@@ -373,37 +339,6 @@ mod tests {
         let lazy: Vec<_> = p.stream(BinId(1), BinId(4)).collect();
         assert_eq!(window, lazy);
         assert!(window.iter().all(|(_, records)| !records.is_empty()));
-    }
-
-    #[test]
-    fn chunked_collection_is_a_pure_partition() {
-        let p = platform();
-        let full = p.collect_bin(BinId(1));
-        for chunk_records in [1usize, 7, 100, full.len(), full.len() + 50] {
-            let chunks = p.collect_bin_chunked(BinId(1), chunk_records);
-            assert!(
-                chunks.iter().all(|c| !c.is_empty()),
-                "chunk_records={chunk_records}: empty chunk emitted"
-            );
-            assert!(
-                chunks.iter().all(|c| c.len() <= chunk_records),
-                "chunk_records={chunk_records}: oversized chunk"
-            );
-            let merged: Vec<_> = chunks.into_iter().flatten().collect();
-            assert_eq!(merged, full, "chunk_records={chunk_records}");
-        }
-        // Degenerate chunk size clamps to 1.
-        let singles = p.collect_bin_chunked(BinId(1), 0);
-        assert_eq!(singles.len(), full.len());
-        // And the chunked stream covers the same window.
-        let bins: Vec<BinId> = p
-            .stream_chunked(BinId(2), BinId(4), 32)
-            .map(|(b, chunks)| {
-                assert!(!chunks.is_empty());
-                b
-            })
-            .collect();
-        assert_eq!(bins, vec![BinId(2), BinId(3)]);
     }
 
     #[test]

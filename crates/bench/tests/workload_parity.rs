@@ -4,7 +4,9 @@
 //! nested-map reference) — identical alarms and link statistics on every
 //! shape. The scenario-fed parity suites under `tests/` never reach these
 //! volumes (hundreds of diversity-passing links, ~1k samples per link,
-//! ~900 sort keys per shard); this file is where they are checked.
+//! ~900 sort keys per shard, dozens of auto scatter chunks per bin); this
+//! file is where they are checked. The CI parity matrix re-runs it under
+//! `PINPOINT_THREADS` ∈ {1, 2, 4, 8}, exactly like the root parity suites.
 
 use pinpoint_bench::workload::{
     forwarding_bin, grouping_bin, ingest_bin, mixed_bin, multi_stream_feeds, synthetic_bin,
@@ -16,6 +18,34 @@ use pinpoint_model::BinId;
 use pinpoint_netsim::ArtifactModel;
 
 const SEED: u64 = 2015;
+
+/// Worker-thread count under test — the `tests/common` contract of the
+/// root parity suites: `PINPOINT_THREADS` unset means 0 ("all cores"),
+/// any other value must parse as a non-negative integer, and a value that
+/// does not is a harness misconfiguration that fails loudly.
+fn threads_from_env() -> usize {
+    match std::env::var("PINPOINT_THREADS") {
+        Ok(v) => v.trim().parse().unwrap_or_else(|_| {
+            panic!(
+                "PINPOINT_THREADS={v:?} is not a valid thread count: set PINPOINT_THREADS \
+                 to 0 (use all cores) or a positive integer, e.g. \
+                 `PINPOINT_THREADS=4 cargo test`"
+            )
+        }),
+        Err(std::env::VarError::NotPresent) => 0,
+        Err(std::env::VarError::NotUnicode(v)) => {
+            panic!("PINPOINT_THREADS={v:?} is not valid unicode — cannot be a thread count")
+        }
+    }
+}
+
+/// The engine-side config: defaults at the matrix-selected thread count.
+fn engine_config() -> DetectorConfig {
+    DetectorConfig {
+        threads: threads_from_env(),
+        ..DetectorConfig::default()
+    }
+}
 
 fn assert_reports_match(name: &str, a: &BinReport, b: &BinReport) {
     assert_eq!(a.delay_alarms, b.delay_alarms, "{name}: delay alarms");
@@ -29,7 +59,7 @@ fn assert_reports_match(name: &str, a: &BinReport, b: &BinReport) {
 /// Warm both paths on `bin(0)`, compare them on `bin(1)`, and hand back
 /// the engine-side analyzer so the caller can read its per-bin counters.
 fn check_shape(name: &str, bin: impl Fn(u64) -> Vec<TracerouteRecord>) -> Analyzer {
-    let mut engine = Analyzer::new(DetectorConfig::default(), synthetic_mapper());
+    let mut engine = Analyzer::new(engine_config(), synthetic_mapper());
     let mut reference = Analyzer::new(DetectorConfig::default(), synthetic_mapper());
     let warm = bin(0);
     engine.process_bin(BinId(0), &warm);
@@ -103,13 +133,15 @@ fn artifact_heavy_quarantines_on_both_paths() {
 #[test]
 fn multi_stream_fleet() {
     let fleet = || {
+        let cfg = engine_config();
         let mut router = StreamRouter::new();
         for i in 0..3 {
             router.add_stream(
                 format!("stream-{i}"),
-                Analyzer::new(DetectorConfig::default(), synthetic_mapper()),
+                Analyzer::new(cfg.clone(), synthetic_mapper()),
             );
         }
+        router.set_threads(cfg.threads);
         router
     };
     let (mut engine, mut reference) = (fleet(), fleet());

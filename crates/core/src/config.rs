@@ -43,13 +43,6 @@ pub struct DetectorConfig {
     pub magnitude_window_bins: usize,
     /// Seed for the (rare) random choices, e.g. entropy rebalancing.
     pub seed: u64,
-    /// Records per scatter chunk for the chunked parallel ingestion
-    /// front-end: each bin's records are split into chunks of this size,
-    /// scattered in parallel on the engine pool, and re-concatenated in
-    /// chunk order — so this is purely a throughput/latency knob; output
-    /// is byte-identical for any value. `0` (the default) picks
-    /// `ingest::DEFAULT_CHUNK_RECORDS`.
-    pub ingest_chunk_records: usize,
     /// Worker threads for the per-bin link engine: `0` means "use all
     /// available cores". Results are byte-identical for any value — the
     /// engine's randomness is derived per (seed, link, bin) and its output
@@ -111,7 +104,6 @@ impl Default for DetectorConfig {
             reference_expiry_bins: 7 * 24,
             magnitude_window_bins: 7 * 24,
             seed: 0xF0_07,
-            ingest_chunk_records: 0,
             threads: 0,
             sanitize: true,
             sanitize_max_rtt_ms: 10_000.0,
@@ -135,13 +127,15 @@ impl DetectorConfig {
         }
     }
 
-    /// Serialize every field in declaration order — with one exception:
-    /// the two throughput knobs (`threads`, `ingest_chunk_records`) are
-    /// written as `0` ("auto"). They never affect output bytes, only
-    /// scheduling, so normalizing them is what makes snapshots
-    /// byte-identical across the whole thread × chunk matrix.
-    /// Callers who want pinned knobs after a restore set them on the
-    /// restored config.
+    /// Serialize every field in declaration order — with two
+    /// exceptions. The throughput knob `threads` is written as `0`
+    /// ("auto"): it never affects output bytes, only scheduling, so
+    /// normalizing it is what makes snapshots byte-identical across
+    /// every thread count (callers who want a pinned count after a
+    /// restore set it on the restored config). And the slot before it is
+    /// reserved: it held a retired chunk-size knob, is always written as
+    /// `0` so the version-2 layout does not move, and must read back as
+    /// `0`.
     pub(crate) fn snapshot_into(&self, w: &mut Writer) {
         w.u64(self.bin_secs);
         w.f64(self.wilson_z);
@@ -155,7 +149,7 @@ impl DetectorConfig {
         w.usize(self.reference_expiry_bins);
         w.usize(self.magnitude_window_bins);
         w.u64(self.seed);
-        w.usize(0); // ingest_chunk_records: throughput knob, normalized
+        w.usize(0); // reserved: the retired `ingest_chunk_records` slot
         w.usize(0); // threads: throughput knob, normalized
         w.bool(self.sanitize);
         w.f64(self.sanitize_max_rtt_ms);
@@ -166,7 +160,9 @@ impl DetectorConfig {
         w.usize(self.empathy_min_shared);
     }
 
-    /// Rebuild a config from [`DetectorConfig::snapshot_into`] bytes.
+    /// Rebuild a config from [`DetectorConfig::snapshot_into`] bytes; a
+    /// non-zero reserved slot is corruption — no writer ever put one
+    /// there.
     pub(crate) fn restore_from(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok(DetectorConfig {
             bin_secs: r.u64()?,
@@ -181,8 +177,13 @@ impl DetectorConfig {
             reference_expiry_bins: r.usize()?,
             magnitude_window_bins: r.usize()?,
             seed: r.u64()?,
-            ingest_chunk_records: r.usize()?,
-            threads: r.usize()?,
+            threads: {
+                // The reserved slot precedes `threads`.
+                if r.usize()? != 0 {
+                    return Err(SnapshotError::Corrupt("reserved config slot"));
+                }
+                r.usize()?
+            },
             sanitize: r.bool()?,
             sanitize_max_rtt_ms: r.f64()?,
             sanitize_max_inversion_ms: r.f64()?,
@@ -200,8 +201,8 @@ impl DetectorConfig {
     /// parameter fails loudly at construction instead of silently
     /// producing garbage (a `reference_expiry_bins` of 0 would evict
     /// every reference every bin; a NaN threshold never fires). The
-    /// throughput knobs (`threads`, `ingest_chunk_records`) accept 0 —
-    /// that is their documented "auto" value. Called by `Analyzer::new`.
+    /// throughput knob `threads` accepts 0 — its documented "auto"
+    /// value. Called by `Analyzer::new`.
     pub fn validate(&self) -> Result<(), String> {
         fn finite_in(name: &str, v: f64, lo: f64, hi: f64) -> Result<(), String> {
             if !v.is_finite() || v < lo || v > hi {
@@ -319,7 +320,6 @@ mod tests {
         assert_eq!(c.magnitude_window_bins, 168);
         assert_eq!(c.warmup_bins, 3);
         assert_eq!(c.threads, 0, "default engine uses every core");
-        assert_eq!(c.ingest_chunk_records, 0, "default chunk size is auto");
         assert!(c.sanitize, "sanitizer on by default");
         assert_eq!(c.sanitize_max_hops, 64);
         assert_eq!(c.event_threshold, 4.0);
@@ -472,10 +472,9 @@ mod tests {
 
     #[test]
     fn auto_throughput_knobs_are_accepted() {
-        // 0 is the documented "auto" for every throughput knob.
+        // 0 is the documented "auto" thread count.
         let cfg = DetectorConfig {
             threads: 0,
-            ingest_chunk_records: 0,
             ..Default::default()
         };
         cfg.validate().unwrap();

@@ -121,7 +121,7 @@ impl DelayDetector {
         records: &[TracerouteRecord],
     ) -> (Vec<DelayAlarm>, HashMap<IpLink, LinkStat>) {
         let threads = engine::resolve_threads(self.cfg.threads);
-        let chunk = ingest::resolve_chunk_for(self.cfg.ingest_chunk_records, threads);
+        let chunk = ingest::resolve_chunk_for(threads);
         self.arena.compact(bin, self.cfg.reference_expiry_bins);
         engine::run_jobs(self.arena.scatter_jobs(records, chunk), threads);
         self.arena.merge(bin);

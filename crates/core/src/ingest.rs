@@ -52,9 +52,9 @@ use pinpoint_model::{BinId, FxHashMap};
 use std::fmt::Debug;
 use std::hash::Hash;
 
-/// Records per scatter chunk when `DetectorConfig::ingest_chunk_records`
-/// is 0 ("auto"). Small enough that a realistic bin yields more chunks
-/// than workers, large enough that per-chunk bookkeeping stays noise.
+/// Records per scatter chunk on a multi-worker pool. Small enough that a
+/// realistic bin yields more chunks than workers, large enough that
+/// per-chunk bookkeeping stays noise.
 pub const DEFAULT_CHUNK_RECORDS: usize = 512;
 
 /// Auto chunk size when the pool has a single worker. With no cores to
@@ -67,20 +67,19 @@ pub const DEFAULT_CHUNK_RECORDS: usize = 512;
 /// the cache).
 pub const SINGLE_WORKER_CHUNK_RECORDS: usize = 128;
 
-/// Resolve the `ingest_chunk_records` knob into a chunk size, with the
-/// worker count in hand: auto (`0`) is [`DEFAULT_CHUNK_RECORDS`], except
-/// on a single-worker pool — where `engine::run_jobs` already takes its
-/// no-thread inline path, no scoped workers spawned — where chunks
+/// The scatter chunk size for a pool of `threads` resolved workers — the
+/// one cut of a bin, derived by the engine alone: [`DEFAULT_CHUNK_RECORDS`],
+/// except on a single-worker pool — where `engine::run_jobs` already takes
+/// its no-thread inline path, no scoped workers spawned — where chunks
 /// shrink to the cache-blocking size ([`SINGLE_WORKER_CHUNK_RECORDS`]).
-/// An explicitly pinned chunk size is always honored, so the parity
-/// matrix's pathological chunkings still exercise the same machinery on
-/// any machine. Purely a throughput knob: output is byte-identical for
-/// every chunking.
-pub fn resolve_chunk_for(chunk_records: usize, threads: usize) -> usize {
-    match chunk_records {
-        0 if threads <= 1 => SINGLE_WORKER_CHUNK_RECORDS,
-        0 => DEFAULT_CHUNK_RECORDS,
-        pinned => pinned,
+/// Output is byte-identical for every chunking (the chunk-order rule,
+/// proven by `prop_chunk_order_is_invisible_for_both_specs`), so the cut
+/// only moves throughput.
+pub fn resolve_chunk_for(threads: usize) -> usize {
+    if threads <= 1 {
+        SINGLE_WORKER_CHUNK_RECORDS
+    } else {
+        DEFAULT_CHUNK_RECORDS
     }
 }
 
@@ -957,13 +956,9 @@ mod tests {
 
     #[test]
     fn single_worker_auto_chunk_shrinks_to_cache_blocks() {
-        // Auto chunking on one worker: the cache-blocking size.
-        assert_eq!(resolve_chunk_for(0, 1), SINGLE_WORKER_CHUNK_RECORDS);
-        // Multi-worker auto keeps the default; pinned sizes are honored
-        // everywhere (the parity matrix depends on it).
-        assert_eq!(resolve_chunk_for(0, 4), DEFAULT_CHUNK_RECORDS);
-        assert_eq!(resolve_chunk_for(7, 1), 7);
-        assert_eq!(resolve_chunk_for(7, 4), 7);
+        // One worker: the cache-blocking size; more: the default.
+        assert_eq!(resolve_chunk_for(1), SINGLE_WORKER_CHUNK_RECORDS);
+        assert_eq!(resolve_chunk_for(4), DEFAULT_CHUNK_RECORDS);
     }
 
     #[test]

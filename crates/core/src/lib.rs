@@ -60,13 +60,13 @@
 //! (the paper's system must keep pace with the full Atlas stream, §8):
 //!
 //! * **Chunked parallel ingestion** — the record→row scatter pass (the
-//!   front door of every bin) splits records into fixed-size chunks and
-//!   scatters them on the engine pool into per-(chunk, shard) row
-//!   buffers, concatenated per shard **in chunk order** so grouped
-//!   output is byte-identical for any chunk size or thread count
-//!   ([`ingest`]). Bins can also be fed incrementally as slices arrive
-//!   ([`session::AnalysisSession::begin_bin`] / `ingest` / `finish_bin`)
-//!   with the identical result.
+//!   front door of every bin) splits records into fixed-size chunks —
+//!   one cut per bin, derived from the worker count alone
+//!   ([`ingest::resolve_chunk_for`]) — and scatters them on the engine
+//!   pool into per-(chunk, shard) row buffers, concatenated per shard
+//!   **in chunk order** so grouped output is byte-identical for any
+//!   chunk size or thread count ([`ingest`]). A bin enters whole
+//!   ([`session::AnalysisSession::push_bin`]).
 //! * **Persistent interning epochs** — links, probes, pattern keys, and
 //!   next hops intern into dense ids once and stay interned across bins:
 //!   steady-state bins perform zero intern-table insertions (counted by
@@ -159,9 +159,9 @@
 //!   `tests/engine_parity.rs` + `tests/forwarding_parity.rs` +
 //!   `tests/stream_parity.rs` + `tests/ingest_parity.rs` +
 //!   `tests/pipeline_overlap_parity.rs` prove equivalence across
-//!   scenarios, seeds, thread counts, and chunk sizes (re-run in CI
-//!   under a `PINPOINT_THREADS` ∈ {1, 2, 4, 8} × `PINPOINT_CHUNK` ∈
-//!   {3, default} matrix on a multi-core runner).
+//!   scenarios, seeds, thread counts, and the chunk cuts they derive
+//!   (re-run in CI under a `PINPOINT_THREADS` ∈ {1, 2, 4, 8} matrix on
+//!   a multi-core runner).
 //!
 //! Performance is measured in one place: the benchmark declared by
 //! `BENCHMARK.json` at the repo root (its own workspace in `benchmark/`),

@@ -8,10 +8,8 @@
 //!
 //! [`Analyzer::process_bin`] is the one-bin call; continuous streams run
 //! through [`Analyzer::session`], the one bin executor
-//! ([`crate::session::Session`]): whole bins or incrementally arriving
-//! slices in, each bin's report out of the push that fed it. See
-//! `examples/chunked_ingest.rs` and the executor section in
-//! `src/README.md`.
+//! ([`crate::session::Session`]): whole bins in, each bin's report out of
+//! the push that fed it. See the executor section in `src/README.md`.
 
 use crate::aggregate::{
     delay_severity, forwarding_severity, AsMagnitude, AsMapper, EmpathyExtractor, FleetEvent,
@@ -127,7 +125,7 @@ impl Analyzer {
     /// (§4 ∥ §5) instead of the two detectors racing on separate thread
     /// herds. The §6 aggregation joins their outputs. Output is
     /// byte-identical to the sequential ordering, for any thread count
-    /// and any chunk size.
+    /// (and so any chunk cut).
     ///
     /// A fleet of analyzers shares one pool the same way: see
     /// [`crate::stream::StreamRouter`], whose session pools every
@@ -151,7 +149,7 @@ impl Analyzer {
         records: &'a [TracerouteRecord],
         threads: usize,
     ) -> Vec<crate::engine::Job<'a>> {
-        let chunk = crate::ingest::resolve_chunk_for(self.cfg.ingest_chunk_records, threads);
+        let chunk = crate::ingest::resolve_chunk_for(threads);
         let Analyzer {
             delay,
             forwarding,
@@ -316,7 +314,7 @@ impl Analyzer {
     }
 
     /// The [`crate::session::AnalysisSession`] over this analyzer — the
-    /// one executor behind batch and incremental use (see the
+    /// one executor behind batch and streaming use (see the
     /// [`crate::session`] docs). `depth` is vestigial: it is accepted and
     /// selects nothing, there is one schedule.
     pub fn session(&mut self, _depth: usize) -> crate::session::AnalyzerSession<'_> {
@@ -328,9 +326,8 @@ impl Analyzer {
     ///
     /// The snapshot determinism rule (see [`crate::snapshot`]): the same
     /// analytic state always yields the same bytes, regardless of how
-    /// many threads or what chunk size produced it — the two throughput
-    /// knobs are normalized out, and every map is serialized in sorted
-    /// or dense-id order. Restoring and feeding the remaining bins
+    /// many threads produced it — the `threads` knob is normalized out,
+    /// and every map is serialized in sorted or dense-id order. Restoring and feeding the remaining bins
     /// yields reports byte-identical to the uninterrupted run.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::with_header(snapshot::KIND_ANALYZER);
@@ -378,9 +375,9 @@ impl Analyzer {
     }
 
     /// [`Analyzer::restore`] with a configuration hook, for re-pinning
-    /// the throughput knobs (`threads`, `ingest_chunk_records`) that
-    /// snapshots normalize to "auto". Analytic knobs can also be inspected here, but changing
-    /// them mid-stream voids the byte-parity contract.
+    /// the throughput knob `threads` that snapshots normalize to "auto".
+    /// Analytic knobs can also be inspected here, but changing them
+    /// mid-stream voids the byte-parity contract.
     pub fn restore_with(
         bytes: &[u8],
         tune: impl FnOnce(&mut DetectorConfig),
@@ -557,7 +554,6 @@ pub(crate) struct StagedBin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::AnalysisSession;
     use pinpoint_model::records::{Hop, Reply};
     use pinpoint_model::{MeasurementId, ProbeId, SimTime};
     use std::net::Ipv4Addr;
@@ -733,33 +729,5 @@ mod tests {
         assert_eq!(stats.bin_records, 7);
         assert_eq!(stats.quarantined_loops, 1);
         assert_eq!(stats.bin_quarantined, 1);
-    }
-
-    #[test]
-    fn sanitize_stats_agree_across_batch_and_incremental_paths() {
-        let mut looped = records(0, 2.0, false)[0].clone();
-        looped.hops = vec![
-            Hop::new(1, vec![Reply::new(ip("10.0.9.1"), 1.0); 3]),
-            Hop::new(2, vec![Reply::new(ip("10.0.9.2"), 5.0); 3]),
-            Hop::new(3, vec![Reply::new(ip("10.0.9.1"), 9.0); 3]),
-        ];
-        let mut batch = records(0, 2.0, false);
-        batch.push(looped);
-
-        let mut a = Analyzer::new(DetectorConfig::fast_test(), mapper());
-        a.process_bin(BinId(0), &batch);
-
-        let mut b = Analyzer::new(DetectorConfig::fast_test(), mapper());
-        {
-            let mut session = b.session(1);
-            session.begin_bin(BinId(0));
-            for chunk in batch.chunks(2) {
-                session.ingest(chunk);
-            }
-            session.finish_bin();
-        }
-
-        assert_eq!(a.sanitize_stats(), b.sanitize_stats());
-        assert_eq!(a.sanitize_stats().quarantined(), 1);
     }
 }

@@ -9,10 +9,11 @@
 //! many streams therefore reach the report funnel through the same code.
 //!
 //! * [`AnalysisSession`] — one open-ended run over consecutive bins.
-//!   [`AnalysisSession::push_bin`] feeds a whole bin at once (zero-copy);
-//!   `begin_bin` / `ingest` / `finish_bin` stage a bin's slices in a
-//!   reused buffer as they arrive and push it on `finish_bin`. A bin's
-//!   report leaves the push that fed it: nothing is ever left in flight.
+//!   [`AnalysisSession::push_bin`] feeds one whole bin (zero-copy) and
+//!   is the only way in: a streaming source hands over whole bins, and
+//!   the engine alone decides how a bin is cut into scatter chunks
+//!   ([`crate::ingest::resolve_chunk_for`]). A bin's report leaves the
+//!   push that fed it: nothing is ever left in flight.
 //! * [`BinSource`] — anything that yields `(BinId, feed)` pairs in
 //!   increasing bin order. Every `Iterator<Item = (BinId, F)>` is a
 //!   `BinSource` for free, so `platform.stream(..)`, a `Vec` of
@@ -27,7 +28,8 @@
 //! [`AnalyzerSession`] (from [`Analyzer::session`]) and [`FleetSession`]
 //! (from [`StreamRouter::session`]) are aliases of [`Session`]. For a
 //! fixed record sequence the emitted reports are byte-identical across
-//! every thread count and chunk size.
+//! every thread count, and so across every chunk cut the engine derives
+//! from it.
 
 use crate::aggregate::FleetEvent;
 use crate::engine;
@@ -75,32 +77,11 @@ pub trait AnalysisSession {
     /// What a finished bin produces.
     type Report;
 
-    /// Open the next bin for incremental ingestion.
+    /// Feed one whole bin, zero-copy: the input slice goes straight to
+    /// the executor. Always `Some`: the pushed bin's report.
     ///
     /// # Panics
-    /// When a bin is already open, or `bin` does not increase.
-    fn begin_bin(&mut self, bin: BinId);
-
-    /// Feed one slice of the open bin's records, in arrival order.
-    ///
-    /// # Panics
-    /// Without an open bin.
-    fn ingest(&mut self, input: &Self::Input);
-
-    /// Close the open bin and analyze it. Always `Some`: the closed
-    /// bin's report.
-    ///
-    /// # Panics
-    /// Without an open bin.
-    fn finish_bin(&mut self) -> Option<Self::Report>;
-
-    /// Feed one whole bin at once. Equivalent to `begin_bin` + `ingest` +
-    /// `finish_bin` but zero-copy: the input slice goes straight to the
-    /// executor without touching the session's staging buffer. Always
-    /// `Some`: the pushed bin's report.
-    ///
-    /// # Panics
-    /// When a bin is open, or `bin` does not increase.
+    /// When `bin` does not increase.
     fn push_bin(&mut self, bin: BinId, input: &Self::Input) -> Option<Self::Report>;
 
     /// Vestigial: every report already left its own push, so there is
@@ -128,9 +109,6 @@ pub trait AnalysisSession {
     /// Between pushes every pushed bin is fully analyzed, so the
     /// snapshot covers them all and taking it never disturbs the
     /// schedule; the session keeps running afterwards.
-    ///
-    /// # Panics
-    /// When a bin is still open (`finish_bin` first).
     fn checkpoint(&mut self) -> Vec<u8>;
 }
 
@@ -227,12 +205,6 @@ pub struct Session<'a, S: AnalyzerSet> {
     threads: usize,
     /// Last bin pushed — enforces the increasing-order contract.
     last: Option<BinId>,
-    /// The incrementally-open bin, if any.
-    open: Option<BinId>,
-    /// Per-member staging buffers for incremental ingestion (sized at
-    /// the first `begin_bin`, reused across bins; never allocated in
-    /// pure `push_bin` use).
-    buffers: Vec<Vec<TracerouteRecord>>,
 }
 
 /// A solo-analyzer session (create with [`Analyzer::session`]).
@@ -252,8 +224,6 @@ impl<'a, S: AnalyzerSet> Session<'a, S> {
             set,
             threads,
             last: None,
-            open: None,
-            buffers: Vec::new(),
         }
     }
 
@@ -265,18 +235,14 @@ impl<'a, S: AnalyzerSet> Session<'a, S> {
         self.set
     }
 
-    fn assert_increasing(&self, bin: BinId) {
+    /// The schedule (see the type docs): one bin in, its report out.
+    pub(crate) fn push(&mut self, bin: BinId, feeds: &[&[TracerouteRecord]]) -> S::Report {
         if let Some(last) = self.last {
             assert!(
                 bin.0 > last.0,
                 "bins must be fed in increasing order ({bin:?} after {last:?})"
             );
         }
-    }
-
-    /// The schedule (see the type docs): one bin in, its report out.
-    pub(crate) fn push(&mut self, bin: BinId, feeds: &[&[TracerouteRecord]]) -> S::Report {
-        self.assert_increasing(bin);
         self.last = Some(bin);
         let threads = self.threads;
         let reports = {
@@ -314,44 +280,7 @@ impl<S: AnalyzerSet> AnalysisSession for Session<'_, S> {
     type Input = S::Input;
     type Report = S::Report;
 
-    fn begin_bin(&mut self, bin: BinId) {
-        assert!(
-            self.open.is_none(),
-            "begin_bin called while a bin is already open (finish_bin first)"
-        );
-        self.assert_increasing(bin);
-        self.open = Some(bin);
-        let members = self.set.members().len();
-        self.buffers.resize_with(members, Vec::new);
-    }
-
-    fn ingest(&mut self, input: &S::Input) {
-        assert!(self.open.is_some(), "ingest called without begin_bin");
-        for (buffer, feed) in self.buffers.iter_mut().zip(self.set.feeds(input)) {
-            buffer.extend_from_slice(feed);
-        }
-    }
-
-    fn finish_bin(&mut self) -> Option<S::Report> {
-        let bin = self
-            .open
-            .take()
-            .expect("finish_bin called without begin_bin");
-        let mut buffers = std::mem::take(&mut self.buffers);
-        let feeds: Vec<&[TracerouteRecord]> = buffers.iter().map(Vec::as_slice).collect();
-        let report = self.push(bin, &feeds);
-        for buffer in &mut buffers {
-            buffer.clear();
-        }
-        self.buffers = buffers;
-        Some(report)
-    }
-
     fn push_bin(&mut self, bin: BinId, input: &S::Input) -> Option<S::Report> {
-        assert!(
-            self.open.is_none(),
-            "push_bin called while a bin is open (finish_bin first)"
-        );
         let feeds = self.set.feeds(input);
         Some(self.push(bin, &feeds))
     }
@@ -361,10 +290,6 @@ impl<S: AnalyzerSet> AnalysisSession for Session<'_, S> {
     }
 
     fn checkpoint(&mut self) -> Vec<u8> {
-        assert!(
-            self.open.is_none(),
-            "checkpoint called while a bin is open (finish_bin first)"
-        );
         self.set.snapshot()
     }
 }
@@ -426,17 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_slices_report_on_finish_bin() {
-        let mut a = analyzer(2);
-        let mut session = a.session(0);
-        session.begin_bin(BinId(0));
-        session.ingest(&[]);
-        session.ingest(&[]);
-        assert_eq!(session.finish_bin().unwrap().bin, BinId(0));
-        assert_eq!(session.push_bin(BinId(1), &[]).unwrap().bin, BinId(1));
-    }
-
-    #[test]
     fn drive_exhausts_a_source_in_order() {
         let mut a = analyzer(2);
         let bins: Vec<(BinId, Vec<TracerouteRecord>)> =
@@ -445,14 +359,5 @@ mod tests {
         let mut session = a.session(0);
         drive(&mut session, bins.into_iter(), |r| seen.push(r.bin));
         assert_eq!(seen, vec![BinId(0), BinId(1), BinId(2), BinId(3)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint called while a bin is open")]
-    fn checkpoint_with_open_bin_panics() {
-        let mut a = analyzer(2);
-        let mut session = a.session(0);
-        session.begin_bin(BinId(0));
-        session.checkpoint();
     }
 }

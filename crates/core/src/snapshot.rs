@@ -15,16 +15,18 @@
 //!
 //! 1. **Byte-stable across the execution matrix.** The snapshot of an
 //!    analyzer at bin *k* is byte-identical regardless of thread count
-//!    or scatter chunk size. Hash maps serialize in sorted key order; intern tables serialize in dense-id
+//!    (and so of the chunk cut the engine derives from it). Hash maps
+//!    serialize in sorted key order; intern tables serialize in dense-id
 //!    (insertion) order, which *is* deterministic by the chunk-order
-//!    merge rule; throughput knobs (`threads`, `ingest_chunk_records`)
-//!    are normalized to 0 ("auto") inside the serialized config, so
-//!    machines with different pinned knobs produce the same bytes.
+//!    merge rule; the throughput knob `threads` is normalized to 0
+//!    ("auto") inside the serialized config, so machines with different
+//!    pinned thread counts produce the same bytes. The config slot of a
+//!    retired chunk-size knob stays in the layout as a reserved `0`.
 //! 2. **Resume parity.** Snapshot at bin *k*, restore into a fresh
-//!    process (possibly with different throughput knobs), feed bins
+//!    process (possibly with a different thread count), feed bins
 //!    *k+1..n*: every report is byte-identical to the uninterrupted run.
 //!    `tests/snapshot_parity.rs` proves both properties across the CI
-//!    thread × chunk matrix.
+//!    thread matrix.
 //!
 //! ## Wire format
 //!

@@ -14,7 +14,7 @@
 //! exactly the faults it would have faced before the crash.
 //! [`FaultyFeed`] applies it as an iterator adapter over any
 //! `(BinId, Vec<R>)` source, which makes it a `BinSource` at the analysis
-//! boundary (every iterator of bin pairs is one) — so batch, incremental,
+//! boundary (every iterator of bin pairs is one) — so batch, streamed,
 //! and service entry paths all see the *same* faulty feed.
 //!
 //! Fault classes split by visibility:

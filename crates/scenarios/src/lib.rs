@@ -32,5 +32,5 @@ pub mod runner;
 pub mod steady;
 pub mod world;
 
-pub use runner::{run, run_streamed, CaseStudy, RunSummary};
+pub use runner::{run, CaseStudy, RunSummary};
 pub use world::{Landmarks, Scale, World};

@@ -9,7 +9,7 @@ use crate::world::{Landmarks, Scale, World};
 use pinpoint_atlas::{deploy_probes, Platform};
 use pinpoint_core::aggregate::AsMapper;
 use pinpoint_core::pipeline::{Analyzer, BinReport};
-use pinpoint_core::session::{drive, AnalysisSession};
+use pinpoint_core::session::drive;
 use pinpoint_core::DetectorConfig;
 use pinpoint_model::{Asn, BinId};
 use pinpoint_netsim::{EventSchedule, Network};
@@ -120,61 +120,18 @@ pub fn run(
             &mut session,
             case.platform.stream(case.start_bin, case.end_bin),
             |report| {
-                fold_report(&mut summary, &report);
+                summary.bins += 1;
+                summary.records += report.records;
+                summary.delay_alarms += report.delay_alarms.len();
+                summary.forwarding_alarms += report.forwarding_alarms.len();
                 observer(&report);
             },
         );
     }
-    close_summary(&mut summary, analyzer);
-    summary
-}
-
-/// Run the full pipeline over the case study's window in streaming mode:
-/// each bin's records arrive as arrival-ordered chunks of `chunk_records`
-/// ([`Platform::collect_bin_chunked`]) and are fed incrementally through
-/// the session's `begin_bin` / `ingest` / `finish_bin` — the §8
-/// deployment shape, where results trickle in from the Atlas stream
-/// instead of materializing per bin. The session pushes the slices in
-/// arrival order, so the reports (and so the summary) are byte-identical
-/// to [`run`] for any chunk size.
-pub fn run_streamed(
-    case: &CaseStudy,
-    analyzer: &mut Analyzer,
-    chunk_records: usize,
-    mut observer: impl FnMut(&BinReport),
-) -> RunSummary {
-    let mut summary = RunSummary::default();
-    {
-        let mut session = analyzer.session(0);
-        for (bin, chunks) in
-            case.platform
-                .stream_chunked(case.start_bin, case.end_bin, chunk_records)
-        {
-            session.begin_bin(bin);
-            for chunk in &chunks {
-                session.ingest(chunk);
-            }
-            if let Some(report) = session.finish_bin() {
-                fold_report(&mut summary, &report);
-                observer(&report);
-            }
-        }
-    }
-    close_summary(&mut summary, analyzer);
-    summary
-}
-
-fn fold_report(summary: &mut RunSummary, report: &BinReport) {
-    summary.bins += 1;
-    summary.records += report.records;
-    summary.delay_alarms += report.delay_alarms.len();
-    summary.forwarding_alarms += report.forwarding_alarms.len();
-}
-
-fn close_summary(summary: &mut RunSummary, analyzer: &Analyzer) {
     summary.tracked_links = analyzer.tracked_links();
     summary.tracked_patterns = analyzer.tracked_patterns();
     summary.mean_next_hops = analyzer.mean_next_hops();
+    summary
 }
 
 /// Convenience: the ASes whose magnitudes the figures plot.
@@ -218,29 +175,6 @@ mod tests {
             summary.tracked_links
         );
         assert!(summary.tracked_patterns > 10);
-    }
-
-    #[test]
-    fn streamed_run_matches_batch_run() {
-        // Chunked incremental ingestion must be invisible: same alarms,
-        // same tracked state, same summary as the batch path, for any
-        // chunk size — including one smaller than a single bin's feed.
-        let case = CaseStudy::assemble(
-            5,
-            Scale::Small,
-            EventSchedule::new(),
-            DetectorConfig::fast_test(),
-            (0, 2),
-            "test-epoch",
-            4,
-        );
-        let mut batch = case.analyzer();
-        let want = run(&case, &mut batch, |_| {});
-        for chunk_records in [17usize, 1000] {
-            let mut streamed = case.analyzer();
-            let got = run_streamed(&case, &mut streamed, chunk_records, |_| {});
-            assert_eq!(got, want, "chunk_records={chunk_records}");
-        }
     }
 
     #[test]

@@ -98,15 +98,11 @@ fn main() {
         "act 2: restored {} snapshot bytes covering bins ≤ {last_bin}",
         snapshot.len()
     );
-    // Snapshots normalize the throughput knobs (threads, chunking) to
-    // zero — re-pin them for the new process. They change wall-clock
-    // behaviour only, never report bytes.
-    let knobs = case.cfg.clone();
-    let restored = Analyzer::restore_with(&snapshot, |c| {
-        c.threads = knobs.threads;
-        c.ingest_chunk_records = knobs.ingest_chunk_records;
-    })
-    .expect("frame verified, snapshot decodes");
+    // Snapshots normalize the throughput knob `threads` to zero —
+    // re-pin it for the new process. It changes wall-clock behaviour
+    // only, never report bytes.
+    let restored = Analyzer::restore_with(&snapshot, |c| c.threads = case.cfg.threads)
+        .expect("frame verified, snapshot decodes");
 
     // Resume: replay the feed from one bin BEFORE the checkpoint — the
     // collector's monotonicity rule rejects the overlap, proving a

@@ -197,8 +197,8 @@ fn run_offline(args: &Args, case: CaseStudy) -> i32 {
 fn run_live(args: &Args, case: CaseStudy) -> i32 {
     // Resume: restore the newest valid checkpoint and start the feed
     // just past the last bin it covers. Snapshots normalize the
-    // throughput knobs, so re-pin them from the case config — they
-    // change wall-clock behaviour only, never report bytes.
+    // throughput knob `threads`, so re-pin it from the case config — it
+    // changes wall-clock behaviour only, never report bytes.
     let mut resume_from = None;
     let analyzer: Analyzer = if args.resume {
         let Some(dir) = args.checkpoint_dir.as_deref() else {
@@ -207,11 +207,7 @@ fn run_live(args: &Args, case: CaseStudy) -> i32 {
         };
         match CheckpointStore::new(dir).load_latest() {
             Some((last_bin, snapshot)) => {
-                let knobs = case.cfg.clone();
-                match Analyzer::restore_with(&snapshot, |c| {
-                    c.threads = knobs.threads;
-                    c.ingest_chunk_records = knobs.ingest_chunk_records;
-                }) {
+                match Analyzer::restore_with(&snapshot, |c| c.threads = case.cfg.threads) {
                     Ok(analyzer) => {
                         eprintln!("pinpointd: resumed from checkpoint at bin {last_bin}");
                         resume_from = Some(last_bin);

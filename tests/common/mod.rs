@@ -1,13 +1,14 @@
 //! Helpers shared by the engine-parity integration tests.
 
+use pinpoint::core::ingest::DEFAULT_CHUNK_RECORDS;
 use pinpoint::core::{BinReport, DetectorConfig};
+use pinpoint::model::records::TracerouteRecord;
 
 /// Parse a parity-matrix environment variable.
 ///
-/// Contract (shared by `PINPOINT_THREADS` and `PINPOINT_CHUNK`): unset
-/// means `0` — "let the engine decide" (all cores / the default chunk
-/// size); any other value must parse as a non-negative integer, and the
-/// engine's output must be byte-for-byte identical for every value. A
+/// Contract: unset means `0` — "let the engine decide" (all cores); any
+/// other value must parse as a non-negative integer, and the engine's
+/// output must be byte-for-byte identical for every value. A
 /// value that does not parse is a harness misconfiguration (a typo'd CI
 /// matrix would silently test nothing), so it fails loudly with the
 /// contract instead of a bare `parse` panic.
@@ -27,12 +28,8 @@ fn matrix_var(name: &str, meaning: &str) -> usize {
 pub fn parse_matrix_var(name: &str, value: &str, meaning: &str) -> usize {
     value.trim().parse().unwrap_or_else(|_| {
         panic!(
-            "{name}={value:?} is not a valid {meaning}: set {name} to 0 ({}) \
-             or a positive integer, e.g. `{name}=4 cargo test`",
-            match name {
-                "PINPOINT_THREADS" => "use all cores",
-                _ => "use the engine default",
-            }
+            "{name}={value:?} is not a valid {meaning}: set {name} to 0 (use all cores) \
+             or a positive integer, e.g. `{name}=4 cargo test`"
         )
     })
 }
@@ -44,21 +41,23 @@ pub fn threads_from_env() -> usize {
     matrix_var("PINPOINT_THREADS", "thread count")
 }
 
-/// Scatter chunk size under test: `PINPOINT_CHUNK` when set (the CI
-/// matrix pairs a pathological tiny chunk with the default), otherwise 0
-/// (`DetectorConfig::ingest_chunk_records` auto). Byte-for-byte parity
-/// must hold for every value — chunking is pure partitioning.
-pub fn chunk_from_env() -> usize {
-    matrix_var("PINPOINT_CHUNK", "scatter chunk size (records)")
-}
-
-/// The parity config: `fast_test` with the matrix-selected thread count
-/// and scatter chunk size.
+/// The parity config: `fast_test` with the matrix-selected thread count.
 pub fn parity_config() -> DetectorConfig {
     let mut cfg = DetectorConfig::fast_test();
     cfg.threads = threads_from_env();
-    cfg.ingest_chunk_records = chunk_from_env();
     cfg
+}
+
+/// Repeat `records` cyclically past two multi-worker chunks, so the bin
+/// spans several auto chunks on every thread count (3 at 512 records, 9
+/// at the one-worker 128). An empty bin stays empty.
+pub fn padded(records: &[TracerouteRecord]) -> Vec<TracerouteRecord> {
+    records
+        .iter()
+        .cycle()
+        .take(2 * DEFAULT_CHUNK_RECORDS + 1)
+        .cloned()
+        .collect()
 }
 
 /// Demand two bin reports be byte-for-byte identical — same alarms in the

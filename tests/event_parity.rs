@@ -1,15 +1,14 @@
 //! Incremental event-channel parity: the fleet event deltas emitted per
 //! bin by the empathy extractor — through `Analyzer::aggregate` and
 //! `StreamRouter::merge`, the two funnels every execution path shares —
-//! must be *byte-for-byte* identical for any thread count and any scatter
-//! chunk size; the fold of those deltas must equal the post-hoc
+//! must be *byte-for-byte* identical for any thread count (and so for
+//! both auto chunk cuts); the fold of those deltas must equal the post-hoc
 //! extraction over the same evidence; and the channel must survive
 //! mid-stream intern compaction unchanged.
 //!
 //! Like the other parity suites, the CI matrix re-runs this file under
-//! `PINPOINT_THREADS` × `PINPOINT_CHUNK` via `common::parity_config`; the
-//! tests additionally sweep threads and chunks locally, so every matrix
-//! point proves several schedules.
+//! `PINPOINT_THREADS` via `common::parity_config`; the tests additionally
+//! sweep threads locally, so every matrix point proves several schedules.
 
 #[allow(dead_code)]
 mod common;
@@ -78,8 +77,8 @@ fn drive_sequential(cfg: DetectorConfig) -> (Vec<String>, String) {
 }
 
 /// The incremental event channel through the AMS-IX outage must emit the
-/// identical bytes for the env-selected matrix point and a local thread /
-/// chunk sweep.
+/// identical bytes for the env-selected matrix point and a local thread
+/// sweep.
 #[test]
 fn fleet_event_deltas_are_byte_identical_across_schedules() {
     let (want_bins, want_listing) = drive(DetectorConfig::fast_test());
@@ -93,20 +92,15 @@ fn fleet_event_deltas_are_byte_identical_across_schedules() {
     assert_eq!(got_bins, want_bins, "deltas diverged at the matrix point");
     assert_eq!(got_listing, want_listing);
 
-    // A local sweep including a thread count that doesn't divide the
-    // shard count and a pathological 3-record chunk.
-    for threads in [1usize, 3] {
-        for chunk in [0usize, 3] {
-            let mut cfg = DetectorConfig::fast_test();
-            cfg.threads = threads;
-            cfg.ingest_chunk_records = chunk;
-            let (got_bins, got_listing) = drive(cfg);
-            assert_eq!(
-                got_bins, want_bins,
-                "deltas diverged at threads {threads} chunk {chunk}"
-            );
-            assert_eq!(got_listing, want_listing);
-        }
+    // A local sweep over both auto chunk cuts (one worker: 128 records;
+    // more: 512), including a thread count that doesn't divide the shard
+    // count.
+    for threads in [1usize, 2, 3] {
+        let mut cfg = DetectorConfig::fast_test();
+        cfg.threads = threads;
+        let (got_bins, got_listing) = drive(cfg);
+        assert_eq!(got_bins, want_bins, "deltas diverged at threads {threads}");
+        assert_eq!(got_listing, want_listing);
     }
 }
 

@@ -1,18 +1,22 @@
 //! Ingestion-parity tests: the chunked, parallel, epoch-interned scatter
 //! front-end must be *byte-for-byte* equivalent to the single-threaded
-//! nested-map reference path — for any chunk size, any thread count, any
-//! feed slicing, and through intern-table compaction under key churn.
+//! nested-map reference path — for any thread count, for both chunk cuts
+//! the engine derives from it (one worker: 128 records; more: 512), and
+//! through intern-table compaction under key churn. Bins here are sized
+//! so those cuts really split them: several chunks per bin, asserted.
 //!
 //! The CI matrix re-runs this file with `PINPOINT_THREADS` ∈ {1, 2, 4, 8}
-//! × `PINPOINT_CHUNK` ∈ {3 records, default} on a multi-core runner; the
-//! tests below additionally sweep chunk sizes internally, so every matrix
-//! point proves parity for several chunkings.
+//! on a multi-core runner; the tests below additionally sweep thread
+//! counts internally, so every matrix point proves parity for both cuts.
+//! Arbitrary chunk sizes (1, 3, 7, one chunk) are proven where the cut is
+//! made: `ingest.rs::prop_chunk_order_is_invisible_for_both_specs`.
 
 mod common;
 
-use common::{assert_reports_identical, parity_config};
+use common::{assert_reports_identical, padded, parity_config};
 use pinpoint::core::aggregate::AsMapper;
-use pinpoint::core::{AnalysisSession, Analyzer, DetectorConfig};
+use pinpoint::core::ingest::{resolve_chunk_for, DEFAULT_CHUNK_RECORDS};
+use pinpoint::core::{Analyzer, DetectorConfig};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{steady, Scale};
@@ -66,12 +70,9 @@ fn record_from_spec(probe: u32, asn: u32, dst: u32, hops: &[Vec<u32>]) -> Tracer
     }
 }
 
-/// An analyzer on the matrix-selected thread count with an explicit
-/// scatter chunk size.
-fn chunked_analyzer(chunk_records: usize) -> Analyzer {
-    let mut cfg = parity_config();
-    cfg.ingest_chunk_records = chunk_records;
-    Analyzer::new(cfg, mapper())
+/// The auto chunk count of a `records`-long bin on `threads` workers.
+fn auto_chunks(records: usize, threads: usize) -> usize {
+    records.div_ceil(resolve_chunk_for(threads))
 }
 
 proptest! {
@@ -80,9 +81,10 @@ proptest! {
     /// Chunked parallel scatter == monolithic scatter == the nested-map
     /// reference path, for both arenas at once, on arbitrary record sets
     /// — bin over bin, so the persistent intern epoch (ids assigned in
-    /// earlier bins, per-bin probe-ASN re-pinning) is exercised too.
-    /// Chunk size 1 puts every record in its own scatter job; the
-    /// `usize::MAX` entry is the monolithic single-chunk scatter.
+    /// earlier bins, per-bin probe-ASN re-pinning) is exercised too. Bin
+    /// 0 is the generated set itself (fewer records than any cut: one
+    /// monolithic chunk); bins 1 and 2 repeat it past two chunks, so on
+    /// every swept thread count they scatter as several chunks.
     #[test]
     fn prop_chunked_scatter_matches_monolithic_and_reference(
         probes in prop::collection::vec(0u32..7, 1..9),
@@ -105,71 +107,43 @@ proptest! {
                 )
             })
             .collect();
-        let chunk_sizes = [1usize, 2, 3, usize::MAX];
+        let bins = [records.clone(), padded(&records), padded(&records)];
+        let thread_counts = [1usize, 2, 3];
         let mut sequential = Analyzer::new(DetectorConfig::fast_test(), mapper());
-        let mut engines: Vec<Analyzer> =
-            chunk_sizes.iter().map(|&c| chunked_analyzer(c)).collect();
-        for bin in 0..3u64 {
-            let want = sequential.process_bin_sequential(BinId(bin), &records);
-            for (engine, &chunk) in engines.iter_mut().zip(&chunk_sizes) {
-                let got = engine.process_bin(BinId(bin), &records);
-                assert_reports_identical(&got, &want, &format!("bin {bin} chunk {chunk}"));
+        for threads in thread_counts {
+            prop_assert_eq!(auto_chunks(bins[0].len(), threads), 1);
+            prop_assert!(auto_chunks(bins[1].len(), threads) >= 3);
+        }
+        let mut engines: Vec<Analyzer> = thread_counts
+            .iter()
+            .map(|&threads| {
+                let cfg = DetectorConfig {
+                    threads,
+                    ..DetectorConfig::fast_test()
+                };
+                Analyzer::new(cfg, mapper())
+            })
+            .collect();
+        for (bin, records) in bins.iter().enumerate() {
+            let want = sequential.process_bin_sequential(BinId(bin as u64), records);
+            for (engine, &threads) in engines.iter_mut().zip(&thread_counts) {
+                let got = engine.process_bin(BinId(bin as u64), records);
+                assert_reports_identical(&got, &want, &format!("bin {bin} threads {threads}"));
             }
         }
-        // Steady state: bins 2+ replayed the same keys — zero insertions.
-        for (engine, &chunk) in engines.iter_mut().zip(&chunk_sizes) {
-            prop_assert_eq!(engine.ingest_stats().bin_insertions, 0, "chunk {}", chunk);
-        }
-    }
-
-    /// Incremental ingestion — the bin fed as arbitrary successive slices
-    /// through a session's `begin_bin` / `ingest` / `finish_bin` (at the
-    /// matrix-selected depth) — produces the exact report of a batch
-    /// `process_bin` over the concatenation.
-    #[test]
-    fn prop_incremental_ingest_matches_batch(
-        cut_a in 0u32..12,
-        cut_b in 0u32..12,
-        hop_specs in prop::collection::vec(
-            prop::collection::vec(prop::collection::vec(0u32..9, 0..5), 0..5),
-            1..12,
-        ),
-    ) {
-        let records: Vec<TracerouteRecord> = hop_specs
-            .iter()
-            .enumerate()
-            .map(|(i, hops)| record_from_spec(i as u32, i as u32 / 2, i as u32 / 3, hops))
-            .collect();
-        let mut cuts = [
-            (cut_a as usize) % (records.len() + 1),
-            (cut_b as usize) % (records.len() + 1),
-        ];
-        cuts.sort_unstable();
-        let mut batch = chunked_analyzer(2);
-        let mut streamed = chunked_analyzer(2);
-        let mut session = streamed.session(0);
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        for bin in 0..2u64 {
-            want.push(batch.process_bin(BinId(bin), &records));
-            session.begin_bin(BinId(bin));
-            session.ingest(&records[..cuts[0]]);
-            session.ingest(&records[cuts[0]..cuts[1]]);
-            session.ingest(&records[cuts[1]..]);
-            got.extend(session.finish_bin());
-        }
-        prop_assert_eq!(got.len(), want.len());
-        for (got, want) in got.iter().zip(&want) {
-            assert_reports_identical(got, want, &format!("bin {:?} cuts {cuts:?}", want.bin));
+        // Steady state: bins 1+ replayed bin 0's keys — zero insertions.
+        for (engine, &threads) in engines.iter_mut().zip(&thread_counts) {
+            prop_assert_eq!(engine.ingest_stats().bin_insertions, 0, "threads {}", threads);
         }
     }
 }
 
-/// The full thread-count × chunk-size cross on a faithful simulator
-/// stream: every point must reproduce the sequential reference bytes.
-/// 3 and 5 threads don't divide the 32-shard count (uneven round-robin
-/// bundles); chunk 1 maximizes chunk count, chunk 7 leaves a ragged tail,
-/// chunk 0 is the auto default (one chunk for these small bins — the
-/// monolithic scatter).
+/// The full thread-count cross on a faithful simulator stream: every
+/// point must reproduce the sequential reference bytes. 3 and 5 threads
+/// don't divide the 32-shard count (uneven round-robin bundles). A steady
+/// Small bin carries ~3 000 records (3 080 at seed 2015: 7 chunks at 512
+/// records, 25 at the one-worker 128), so every bin spans several auto
+/// chunks at every point — asserted below.
 #[test]
 fn parity_across_thread_and_chunk_cross() {
     let case = steady::case_study(11, Scale::Small);
@@ -183,19 +157,14 @@ fn parity_across_thread_and_chunk_cross() {
         .map(|(b, records)| sequential.process_bin_sequential(BinId(b as u64), records))
         .collect();
     for threads in [1usize, 2, 3, 4, 5, 8] {
-        for chunk in [1usize, 7, 64, 0] {
-            let mut cfg = DetectorConfig::fast_test();
-            cfg.threads = threads;
-            cfg.ingest_chunk_records = chunk;
-            let mut engine = Analyzer::new(cfg, case.mapper.clone());
-            for (b, records) in bins.iter().enumerate() {
-                let got = engine.process_bin(BinId(b as u64), records);
-                assert_reports_identical(
-                    &got,
-                    &want[b],
-                    &format!("threads={threads} chunk={chunk} bin={b}"),
-                );
-            }
+        let mut cfg = DetectorConfig::fast_test();
+        cfg.threads = threads;
+        let mut engine = Analyzer::new(cfg, case.mapper.clone());
+        for (b, records) in bins.iter().enumerate() {
+            let chunks = auto_chunks(records.len(), threads);
+            assert!(chunks >= 2, "threads={threads} bin={b}: {chunks} chunk(s)");
+            let got = engine.process_bin(BinId(b as u64), records);
+            assert_reports_identical(&got, &want[b], &format!("threads={threads} bin={b}"));
         }
     }
 }
@@ -237,6 +206,9 @@ fn steady_state_bins_perform_zero_intern_insertions() {
 fn intern_tables_stay_bounded_under_churn_and_compaction_is_invisible() {
     // Three probes in distinct ASes traverse a per-cohort link towards a
     // per-cohort destination; cohorts rotate every bin.
+    // Each cohort's three records repeat past two chunks (`padded`), so
+    // every bin's new keys are met by several chunks and merged across
+    // them.
     fn churn_bin(bin: u64) -> Vec<TracerouteRecord> {
         let cohort = (bin % 50) as u8;
         let near = Ipv4Addr::new(10, 1, cohort, 1);
@@ -258,11 +230,10 @@ fn intern_tables_stay_bounded_under_churn_and_compaction_is_invisible() {
                 destination_reached: true,
             });
         }
-        out
+        padded(&out)
     }
 
     let mut cfg = parity_config();
-    cfg.ingest_chunk_records = 2; // several chunks per bin
     cfg.reference_expiry_bins = 3;
     let mut engine = Analyzer::new(cfg.clone(), mapper());
     let mut seq_cfg = DetectorConfig::fast_test();
@@ -272,6 +243,8 @@ fn intern_tables_stay_bounded_under_churn_and_compaction_is_invisible() {
     let mut peak_interned = 0usize;
     for bin in 0..40u64 {
         let records = churn_bin(bin);
+        // Several chunks on any worker count: the largest cut is 512.
+        assert!(records.len() > 2 * DEFAULT_CHUNK_RECORDS);
         let got = engine.process_bin(BinId(bin), &records);
         let want = sequential.process_bin_sequential(BinId(bin), &records);
         assert_reports_identical(&got, &want, &format!("churn bin {bin}"));
@@ -298,11 +271,11 @@ fn intern_tables_stay_bounded_under_churn_and_compaction_is_invisible() {
     );
 }
 
-/// `PINPOINT_THREADS`/`PINPOINT_CHUNK` misconfiguration must fail with an
-/// actionable message, not a bare parse panic (satellite regression).
+/// `PINPOINT_THREADS` misconfiguration must fail with an actionable
+/// message, not a bare parse panic (satellite regression).
 #[test]
 fn matrix_env_misconfiguration_panics_with_contract() {
-    for (name, value) in [("PINPOINT_THREADS", "many"), ("PINPOINT_CHUNK", "1k")] {
+    for (name, value) in [("PINPOINT_THREADS", "many"), ("PINPOINT_THREADS", "4x")] {
         let result =
             std::panic::catch_unwind(|| common::parse_matrix_var(name, value, "thread count"));
         let err = result.expect_err("garbage matrix value must panic");
@@ -317,5 +290,5 @@ fn matrix_env_misconfiguration_panics_with_contract() {
     }
     // Valid values parse, including surrounding whitespace.
     assert_eq!(common::parse_matrix_var("PINPOINT_THREADS", " 4 ", "x"), 4);
-    assert_eq!(common::parse_matrix_var("PINPOINT_CHUNK", "0", "x"), 0);
+    assert_eq!(common::parse_matrix_var("PINPOINT_THREADS", "0", "x"), 0);
 }

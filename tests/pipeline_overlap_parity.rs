@@ -1,24 +1,24 @@
 //! Bin-executor parity tests: the one schedule of `session(..)` — compaction
 //! sweep, scatter wave, merge fence, shard wave, absorb — must be
 //! *byte-for-byte* equivalent to the nested-map sequential reference
-//! (`process_bin_sequential`) for any thread count and any scatter chunk
-//! size, for a solo [`Analyzer`] and for a multi-stream [`StreamRouter`]
-//! fleet alike, and must agree with itself on the intern-epoch and
-//! sanitizer counters across that matrix. The sweeps here cover
-//! alarm-firing event bins (the AMS-IX outage; a delay surge; a route
+//! (`process_bin_sequential`) for any thread count and the chunk cut the
+//! engine derives from it, for a solo [`Analyzer`] and for a multi-stream
+//! [`StreamRouter`] fleet alike, and must agree with itself on the
+//! intern-epoch and sanitizer counters across that matrix. The sweeps here
+//! cover alarm-firing event bins (the AMS-IX outage; a delay surge; a route
 //! flip), empty bins, and epoch-compaction bins mid-stream. The file also
 //! pins the session's bin-clock contract.
 //!
 //! Like the other parity suites, the CI matrix re-runs this file under
-//! `PINPOINT_THREADS` × `PINPOINT_CHUNK`; the tests additionally sweep
-//! threads and chunks internally, so every matrix point proves several
-//! schedules. (The file keeps its historical name: the test ids are
-//! pinned by the tier-1 floor list.)
+//! `PINPOINT_THREADS`; the tests additionally sweep threads internally, so
+//! every matrix point proves several schedules. (The file keeps its
+//! historical name: the test ids are pinned by the tier-1 floor list.)
 
 mod common;
 
-use common::{assert_reports_identical, parity_config};
+use common::{assert_reports_identical, padded, parity_config};
 use pinpoint::core::aggregate::AsMapper;
+use pinpoint::core::ingest::resolve_chunk_for;
 use pinpoint::core::{
     AnalysisSession, Analyzer, BinReport, DetectorConfig, FleetReport, StreamRouter,
 };
@@ -164,7 +164,7 @@ fn pipelined_analyzer_matches_serial_through_ixp_outage() {
         "the outage fired no alarms — parity would only be proven on quiet bins"
     );
 
-    // The CI PINPOINT_THREADS × PINPOINT_CHUNK axes land exactly here.
+    // The CI PINPOINT_THREADS axis lands exactly here.
     let mut engine = Analyzer::new(parity_config(), case.mapper.clone());
     let got = drive(&mut engine, &bins);
     assert_streams_identical(&got, &want, "ixp");
@@ -324,14 +324,19 @@ fn pipelined_fleet_matches_serial() {
     );
 }
 
-/// The session must stay byte-identical across *local* thread and chunk
-/// sweeps too — including counts that don't divide the shard count and a
-/// pathological 3-record chunk — so parity holds even on matrix points
-/// the CI grid never visits, and every point must land on the same
-/// intern-epoch and sanitizer counters.
+/// The session must stay byte-identical across a *local* thread sweep
+/// too — both auto chunk cuts, and counts that don't divide the shard
+/// count — so parity holds even on matrix points the CI grid never
+/// visits, and every point must land on the same intern-epoch and
+/// sanitizer counters. The churn schedule's records repeat past two
+/// chunks, so every non-empty bin (and every churn key) crosses several
+/// chunks at every swept point.
 #[test]
 fn pipelined_parity_across_local_thread_and_chunk_sweep() {
-    let bins = churn_schedule();
+    let bins: Vec<(BinId, Vec<TracerouteRecord>)> = churn_schedule()
+        .into_iter()
+        .map(|(bin, records)| (bin, padded(&records)))
+        .collect();
     let mut sequential_cfg = DetectorConfig::fast_test();
     sequential_cfg.reference_expiry_bins = 2;
     let mut sequential = Analyzer::new(sequential_cfg, mapper());
@@ -341,24 +346,28 @@ fn pipelined_parity_across_local_thread_and_chunk_sweep() {
         .collect();
 
     let mut ingest_stats = None;
-    for threads in [1usize, 3, 5] {
-        for chunk in [0usize, 3] {
-            let ctx = format!("threads {threads} chunk {chunk}");
-            let mut cfg = DetectorConfig::fast_test();
-            cfg.reference_expiry_bins = 2;
-            cfg.threads = threads;
-            cfg.ingest_chunk_records = chunk;
-            let mut engine = Analyzer::new(cfg, mapper());
-            let got = drive(&mut engine, &bins);
-            assert_streams_identical(&got, &want, &ctx);
-            assert_eq!(
-                engine.sanitize_stats(),
-                sequential.sanitize_stats(),
-                "{ctx}"
+    for threads in [1usize, 2, 3, 5] {
+        let ctx = format!("threads {threads}");
+        for (bin, records) in &bins {
+            let chunks = records.len().div_ceil(resolve_chunk_for(threads));
+            assert!(
+                records.is_empty() || chunks >= 2,
+                "{ctx} {bin:?}: {chunks} chunk(s)"
             );
-            let stats = engine.ingest_stats();
-            assert_eq!(*ingest_stats.get_or_insert(stats), stats, "{ctx}");
         }
+        let mut cfg = DetectorConfig::fast_test();
+        cfg.reference_expiry_bins = 2;
+        cfg.threads = threads;
+        let mut engine = Analyzer::new(cfg, mapper());
+        let got = drive(&mut engine, &bins);
+        assert_streams_identical(&got, &want, &ctx);
+        assert_eq!(
+            engine.sanitize_stats(),
+            sequential.sanitize_stats(),
+            "{ctx}"
+        );
+        let stats = engine.ingest_stats();
+        assert_eq!(*ingest_stats.get_or_insert(stats), stats, "{ctx}");
     }
 }
 
@@ -398,8 +407,8 @@ fn assert_each_rewind_panics(cases: Vec<RewindCase>) -> ! {
 
 /// The increasing-order contract holds although no bin is ever pending:
 /// a regressed or repeated bin clock must panic, not silently rewind the
-/// references — on a solo session (`push_bin` and `begin_bin`) and on a
-/// fleet session alike.
+/// references — on a solo session (a rewound and a repeated bin) and on
+/// a fleet session alike.
 #[test]
 #[should_panic(expected = "increasing order")]
 fn regressed_bin_clock_panics_even_at_depth_1() {
@@ -414,12 +423,12 @@ fn regressed_bin_clock_panics_even_at_depth_1() {
             }),
         ),
         (
-            "solo repeated bin via begin_bin",
+            "solo repeated bin",
             Box::new(|| {
                 let (mut analyzer, _) = two_worker_pair();
                 let mut session = analyzer.session(0);
                 session.push_bin(BinId(5), &delay_records(5, false));
-                session.begin_bin(BinId(5));
+                session.push_bin(BinId(5), &delay_records(5, false));
             }),
         ),
         (
@@ -457,7 +466,7 @@ fn regressed_bin_clock_panics_after_finish() {
                 let mut session = analyzer.session(0);
                 session.push_bin(BinId(5), &delay_records(5, false));
                 session.checkpoint();
-                session.begin_bin(BinId(4));
+                session.push_bin(BinId(4), &delay_records(4, false));
             }),
         ),
         (

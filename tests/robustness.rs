@@ -1,15 +1,16 @@
 //! Failure-injection and adversarial-input integration tests: the detector
 //! must never panic on malformed, hostile, or degenerate measurement data —
-//! real Atlas feeds contain all of it — and every ingestion path (batch,
-//! chunked incremental, whole-bin session) must sanitize it identically:
-//! the CI matrix re-runs this file under `PINPOINT_THREADS` ×
-//! `PINPOINT_CHUNK` like the parity suites.
+//! real Atlas feeds contain all of it — and the session must sanitize it
+//! exactly as the filter-then-feed sequential reference does, on both auto
+//! chunk cuts: the CI matrix re-runs this file under `PINPOINT_THREADS`
+//! like the parity suites.
 
 #[allow(dead_code)]
 mod common;
 
 use common::{assert_reports_identical, parity_config};
 use pinpoint::core::aggregate::AsMapper;
+use pinpoint::core::ingest::resolve_chunk_for;
 use pinpoint::core::{
     render, AnalysisSession, Analyzer, BinReport, DetectorConfig, SanitizeStats, StreamId,
     StreamRouter,
@@ -34,8 +35,18 @@ fn analyzer_with(cfg: &DetectorConfig) -> Analyzer {
     )
 }
 
-/// Feed a bin stream through `process_bin` — the reference schedule.
-fn run_batch(
+/// The worker counts every stream is swept over: one worker cuts a bin
+/// into 128-record chunks, two and three into 512-record chunks (three
+/// also leaves the shard bundles uneven).
+const SWEPT_THREADS: [usize; 3] = [1, 2, 3];
+
+/// Records per hostile bin: past 512, so every swept thread count — both
+/// auto cuts — scatters each bin as several chunks.
+const HOSTILE_BIN: usize = 640;
+
+/// Feed a bin stream through `process_bin_sequential` — the
+/// filter-then-feed reference.
+fn run_sequential(
     cfg: &DetectorConfig,
     bins: &[Vec<TracerouteRecord>],
 ) -> (Vec<BinReport>, SanitizeStats) {
@@ -43,48 +54,39 @@ fn run_batch(
     let reports = bins
         .iter()
         .enumerate()
-        .map(|(i, records)| a.process_bin(BinId(i as u64), records))
+        .map(|(i, records)| a.process_bin_sequential(BinId(i as u64), records))
         .collect();
     (reports, a.sanitize_stats())
 }
 
-/// Feed the same stream through a session: whole bins via `push_bin`
-/// when `slice` is 0, otherwise incrementally, `slice` records per
-/// `ingest` call.
+/// Feed the same stream through a session, whole bins via `push_bin`.
 fn run_session(
     cfg: &DetectorConfig,
     bins: &[Vec<TracerouteRecord>],
-    slice: usize,
 ) -> (Vec<BinReport>, SanitizeStats) {
     let mut a = analyzer_with(cfg);
     let mut reports = Vec::new();
     {
         let mut session = a.session(0);
         for (i, records) in bins.iter().enumerate() {
-            let bin = BinId(i as u64);
-            if slice == 0 {
-                reports.extend(session.push_bin(bin, records));
-                continue;
-            }
-            session.begin_bin(bin);
-            for part in records.chunks(slice) {
-                session.ingest(part);
-            }
-            reports.extend(session.finish_bin());
+            reports.extend(session.push_bin(BinId(i as u64), records));
         }
     }
     (reports, a.sanitize_stats())
 }
 
-/// Every ingestion path must produce byte-identical reports AND identical
-/// cumulative sanitizer counters for the same record stream.
+/// The session, at every swept thread count, must produce byte-identical
+/// reports AND identical cumulative sanitizer counters to the sequential
+/// reference for the same record stream.
 fn assert_all_paths_agree(cfg: &DetectorConfig, bins: &[Vec<TracerouteRecord>], ctx: &str) {
-    let (want, want_stats) = run_batch(cfg, bins);
-    for (label, (got, got_stats)) in [
-        ("chunked(1)", run_session(cfg, bins, 1)),
-        ("chunked(7)", run_session(cfg, bins, 7)),
-        ("whole-bin", run_session(cfg, bins, 0)),
-    ] {
+    let (want, want_stats) = run_sequential(cfg, bins);
+    for threads in SWEPT_THREADS {
+        let label = format!("threads {threads}");
+        let swept = DetectorConfig {
+            threads,
+            ..cfg.clone()
+        };
+        let (got, got_stats) = run_session(&swept, bins);
         assert_eq!(got.len(), want.len(), "{ctx}/{label}: report count");
         for (a, b) in got.iter().zip(&want) {
             assert_reports_identical(a, b, &format!("{ctx}/{label} bin {:?}", a.bin));
@@ -118,9 +120,13 @@ fn clean_bin(bin: u64, records: usize) -> Vec<TracerouteRecord> {
 #[test]
 fn hostile_artifacts_sanitize_identically_on_every_path() {
     let model = ArtifactModel::hostile(0x5EED);
+    for threads in SWEPT_THREADS {
+        let chunks = HOSTILE_BIN.div_ceil(resolve_chunk_for(threads));
+        assert!(chunks >= 2, "threads {threads}: {chunks} chunk(s) per bin");
+    }
     let bins: Vec<Vec<TracerouteRecord>> = (0..6u64)
         .map(|b| {
-            let mut records = clean_bin(b, 48);
+            let mut records = clean_bin(b, HOSTILE_BIN);
             for rec in &mut records {
                 model.corrupt(rec);
             }
@@ -132,7 +138,7 @@ fn hostile_artifacts_sanitize_identically_on_every_path() {
 
     // The corruption must actually have exercised the sanitizer — a
     // parity proof over a no-op pass would be vacuous.
-    let (_, stats) = run_batch(&cfg, &bins);
+    let (_, stats) = run_sequential(&cfg, &bins);
     assert!(
         stats.quarantined() > 0 && stats.repaired > 0,
         "hostile feed neither quarantined nor repaired: {stats:?}"
@@ -166,7 +172,7 @@ fn hostile_artifacts_sanitize_identically_on_every_path() {
     for (b, records) in bins.iter().enumerate() {
         let mut feeds = vec![records.clone(), doomed(records)];
         if b == 3 {
-            feeds = vec![doomed(records), clean_bin(b as u64, 48)];
+            feeds = vec![doomed(records), clean_bin(b as u64, HOSTILE_BIN)];
         }
         let bin = BinId(b as u64);
         let got = session.push_bin(bin, &feeds).expect("every push reports");
@@ -186,8 +192,12 @@ fn hostile_artifacts_sanitize_identically_on_every_path() {
         }
         assert_eq!(got.sanitize_stats(), want.sanitize_stats(), "fleet bin {b}");
         let doomed_stream = got.analyzer(StreamId(usize::from(b != 3))).sanitize_stats();
-        assert_eq!(doomed_stream.bin_records, 48, "fleet bin {b}");
-        assert_eq!(doomed_stream.bin_quarantined, 48, "fleet bin {b}");
+        let all = HOSTILE_BIN as u64;
+        assert_eq!(
+            (doomed_stream.bin_records, doomed_stream.bin_quarantined),
+            (all, all),
+            "fleet bin {b}: every record quarantined"
+        );
         if b == 3 {
             let clean_stream = got.analyzer(StreamId(1)).sanitize_stats();
             assert_eq!(
@@ -379,8 +389,8 @@ proptest! {
     }
 
     /// Arbitrary records — further mangled by the artifact model — reach
-    /// the same verdicts and reports on every ingestion path: batch,
-    /// chunked incremental, and whole-bin session feeding.
+    /// the same verdicts and reports through the session, at every swept
+    /// thread count, as through the sequential reference.
     #[test]
     fn prop_ingestion_paths_agree_on_arbitrary_artifacts(
         seed in 0u64..500,

@@ -5,7 +5,7 @@
 //! published (with `/stats` describing that same bin) before the next bin
 //! arrives, its queues must stay bounded under a stalled consumer, and a
 //! graceful shutdown must drain every collected bin. The CI matrix
-//! re-runs this file under `PINPOINT_THREADS` × `PINPOINT_CHUNK` via
+//! re-runs this file under `PINPOINT_THREADS` via
 //! `common::parity_config`.
 
 #[allow(dead_code)]

@@ -316,16 +316,12 @@ fn checkpoint_resume_reports_are_byte_identical() {
     daemon.join().expect("clean join");
 
     // Phase 2: restore from bytes on disk ONLY (a new process would hold
-    // nothing else), re-pinning the normalized throughput knobs.
+    // nothing else), re-pinning the normalized thread count.
     let store = CheckpointStore::new(&dir);
     let (last_bin, snapshot) = store.load_latest().expect("a valid checkpoint on disk");
     assert!(last_bin < cut);
-    let knobs = case.cfg.clone();
-    let restored = Analyzer::restore_with(&snapshot, |c| {
-        c.threads = knobs.threads;
-        c.ingest_chunk_records = knobs.ingest_chunk_records;
-    })
-    .expect("checkpoint restores");
+    let restored = Analyzer::restore_with(&snapshot, |c| c.threads = case.cfg.threads)
+        .expect("checkpoint restores");
 
     let cfg = ServiceConfig {
         resume_from: Some(last_bin),

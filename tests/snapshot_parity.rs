@@ -2,11 +2,10 @@
 //! an arbitrary bin cut and restoring it — in the same process or from
 //! bytes alone, as a fresh process would — must leave the remaining bins
 //! byte-identical to the uninterrupted run. Like the other parity
-//! suites, the CI matrix re-runs this file under `PINPOINT_THREADS` ×
-//! `PINPOINT_CHUNK`; the snapshot determinism rule (throughput knobs
-//! normalized out, maps in sorted or dense-id order — see
-//! `pinpoint_core::snapshot`) makes the bytes themselves stable across
-//! that matrix too.
+//! suites, the CI matrix re-runs this file under `PINPOINT_THREADS`; the
+//! snapshot determinism rule (the thread count normalized out, maps in
+//! sorted or dense-id order — see `pinpoint_core::snapshot`) makes the
+//! bytes themselves stable across that matrix too.
 
 #[allow(dead_code)]
 mod common;
@@ -120,8 +119,8 @@ fn uninterrupted(cfg: &DetectorConfig, bins: &[(BinId, Vec<TracerouteRecord>)]) 
 
 /// Snapshot-at-cut + restore + remaining bins must reproduce the
 /// uninterrupted reports byte for byte — at every cut point, on the
-/// matrix-selected configuration, restoring both with auto knobs
-/// (`Analyzer::restore`) and with the matrix knobs re-pinned
+/// matrix-selected configuration, restoring both with the auto thread
+/// count (`Analyzer::restore`) and with the matrix thread count re-pinned
 /// (`Analyzer::restore_with`).
 #[test]
 fn restore_at_every_cut_resumes_byte_identical() {
@@ -147,12 +146,9 @@ fn restore_at_every_cut_resumes_byte_identical() {
             assert_reports_identical(&got, reference, &format!("cut {cut} bin {bin:?}"));
         }
 
-        // Restore with the matrix throughput knobs re-pinned.
-        let mut pinned = Analyzer::restore_with(&bytes, |c| {
-            c.threads = cfg.threads;
-            c.ingest_chunk_records = cfg.ingest_chunk_records;
-        })
-        .expect("restore_with");
+        // Restore with the matrix thread count re-pinned.
+        let mut pinned =
+            Analyzer::restore_with(&bytes, |c| c.threads = cfg.threads).expect("restore_with");
         for ((bin, records), reference) in bins[cut..].iter().zip(&want[cut..]) {
             let got = pinned.process_bin(*bin, records);
             assert_reports_identical(&got, reference, &format!("pinned cut {cut} bin {bin:?}"));
@@ -161,17 +157,16 @@ fn restore_at_every_cut_resumes_byte_identical() {
 }
 
 /// The snapshot determinism rule: the same analytic state must yield the
-/// same bytes no matter which thread count or chunk size produced it —
-/// and re-snapshotting a restored analyzer reproduces the bytes exactly
-/// (the codec round-trips losslessly).
+/// same bytes no matter which thread count (and so which chunk cut)
+/// produced it — and re-snapshotting a restored analyzer reproduces the
+/// bytes exactly (the codec round-trips losslessly).
 #[test]
 fn snapshot_bytes_are_identical_across_the_scheduling_matrix() {
     let bins = schedule();
     let mut reference_bytes: Option<Vec<u8>> = None;
-    for (threads, chunk) in [(1usize, 0usize), (2, 3), (3, 1), (5, 7), (0, 0)] {
+    for threads in [1usize, 2, 3, 5, 0] {
         let mut cfg = DetectorConfig::fast_test();
         cfg.threads = threads;
-        cfg.ingest_chunk_records = chunk;
         let mut analyzer = Analyzer::new(cfg, mapper());
         let mut session = analyzer.session(0);
         for (bin, records) in &bins {
@@ -180,10 +175,7 @@ fn snapshot_bytes_are_identical_across_the_scheduling_matrix() {
         let bytes = session.checkpoint();
         match &reference_bytes {
             None => reference_bytes = Some(bytes),
-            Some(want) => assert_eq!(
-                &bytes, want,
-                "snapshot bytes diverged at threads={threads} chunk={chunk}"
-            ),
+            Some(want) => assert_eq!(&bytes, want, "snapshot bytes diverged at threads={threads}"),
         }
     }
     // Lossless round-trip: restore + re-snapshot reproduces the bytes.
@@ -228,11 +220,7 @@ fn session_checkpoint_resumes_through_ixp_outage() {
         }
         session.checkpoint()
     };
-    let mut tail = Analyzer::restore_with(&bytes, |c| {
-        c.threads = cfg.threads;
-        c.ingest_chunk_records = cfg.ingest_chunk_records;
-    })
-    .expect("restore");
+    let mut tail = Analyzer::restore_with(&bytes, |c| c.threads = cfg.threads).expect("restore");
     let mut session = tail.session(0);
     for (bin, records) in &bins[cut..] {
         got.extend(session.push_bin(*bin, records));
@@ -374,6 +362,43 @@ fn truncated_and_corrupt_snapshots_are_rejected_not_panics() {
     let mut flipped = bytes.clone();
     flipped[0] ^= 0xFF;
     assert!(Analyzer::restore(&flipped).is_err(), "bad magic accepted");
+}
+
+/// The config block keeps the slot of a retired chunk-size knob as a
+/// reserved `0` (so the version-2 layout does not move). Every writer
+/// since the slot was normalized has written 0 there, so anything else is
+/// corruption, refused rather than silently restored.
+#[test]
+fn nonzero_reserved_config_slot_is_corrupt() {
+    // Header (magic 4 + version 4 + kind 1), then twelve 8-byte config
+    // fields — the last one `seed` — then the reserved slot.
+    const SEED_AT: usize = 9 + 11 * 8;
+    const RESERVED_AT: usize = SEED_AT + 8;
+    let cfg = DetectorConfig::fast_test();
+    let mut analyzer = Analyzer::new(cfg.clone(), mapper());
+    for (bin, records) in schedule() {
+        analyzer.process_bin(bin, &records);
+    }
+    let bytes = analyzer.snapshot();
+    assert_eq!(
+        bytes[SEED_AT..RESERVED_AT],
+        cfg.seed.to_le_bytes(),
+        "layout"
+    );
+    assert_eq!(bytes[RESERVED_AT..RESERVED_AT + 8], [0; 8], "writers put 0");
+    assert!(Analyzer::restore(&bytes).is_ok());
+
+    for value in [1u64, 3, 512, u64::MAX] {
+        let mut crafted = bytes.clone();
+        crafted[RESERVED_AT..RESERVED_AT + 8].copy_from_slice(&value.to_le_bytes());
+        assert!(
+            matches!(
+                Analyzer::restore(&crafted),
+                Err(pinpoint::core::SnapshotError::Corrupt(_))
+            ),
+            "reserved slot {value} was not refused as corrupt"
+        );
+    }
 }
 
 /// Decode a generated spec into a traceroute record (same tiny address

@@ -8,6 +8,7 @@
 //! Like the other parity suites, the CI thread matrix re-runs this file
 //! with `PINPOINT_THREADS` ∈ {1, 2, 4, 8} on a multi-core runner.
 
+#[allow(dead_code)]
 mod common;
 
 use common::{assert_reports_identical, parity_config, threads_from_env};
