@@ -6,6 +6,7 @@
 //! destroyed by outliers (Fig. 3).
 
 use crate::config::DetectorConfig;
+use pinpoint_model::FxHashMap;
 use pinpoint_stats::wilson::{
     median_ci_select, median_ci_select_ranks, median_ci_sorted, wilson_rank_bounds,
     ConfidenceInterval,
@@ -32,11 +33,14 @@ impl LinkStat {
 /// engine's batched shard pass computes each count's ranks once and
 /// replays them from this table — the transcendental work (sqrt inside
 /// the Wilson score) drops out of the per-link loop. `z` is a config
-/// constant in practice; the cache resets if it ever changes.
+/// constant in practice; the cache resets if it ever changes. Keyed by
+/// the counts actually met, not indexed by count: every shard keeps its
+/// own memo across bins, and a dense table would hold a slot for every
+/// count up to the shard's largest link in each of them.
 #[derive(Debug, Default)]
 pub struct RankCache {
     z: f64,
-    by_n: Vec<Option<(u32, u32)>>,
+    by_n: FxHashMap<usize, (u32, u32)>,
 }
 
 impl RankCache {
@@ -47,10 +51,7 @@ impl RankCache {
             self.z = z;
             self.by_n.clear();
         }
-        if n >= self.by_n.len() {
-            self.by_n.resize(n + 1, None);
-        }
-        let (li, ui) = *self.by_n[n].get_or_insert_with(|| {
+        let (li, ui) = *self.by_n.entry(n).or_insert_with(|| {
             let (li, ui) = wilson_rank_bounds(n, z);
             (li as u32, ui as u32)
         });

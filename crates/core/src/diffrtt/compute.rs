@@ -434,13 +434,14 @@ pub(crate) struct SampleRun {
     len: u32,
 }
 
-/// One shard's per-wave row workspace: the bin's rows and their grouped
-/// layout. The arena's gather concatenates the bin's chunk runs into
-/// `runs` in chunk order; `finalize` (run by the shard's worker thread)
-/// sorts and groups into `pool`/`spans`/`entries`. Holds no epoch state —
-/// the shard's link intern table lives in the arena — and is consumed
-/// within one wave: its content is dead once the wave's outputs are
-/// merged and the observed entries are stamped.
+/// One shard's row workspace: the bin's rows and their grouped layout,
+/// plus the shard job's steps 2–5 buffers (`work`). The arena's gather
+/// concatenates the bin's chunk runs into `runs` in chunk order;
+/// `finalize` (run in the shard's job) sorts and groups into
+/// `pool`/`spans`/`entries`. Holds no epoch state — the shard's link
+/// intern table lives in the arena — and its content is dead once the
+/// wave's outputs are merged and the observed entries are stamped; only
+/// the capacity carries over to the next bin.
 #[derive(Debug, Default)]
 pub(crate) struct ShardRows {
     /// The bin's gathered runs, sorted by `(key, chunk, start)` at
@@ -456,6 +457,8 @@ pub(crate) struct ShardRows {
     /// Radix ping-pong buffer, recycled across bins so steady-state
     /// finalize passes allocate nothing.
     sort_scratch: Vec<SampleRun>,
+    /// The shard job's scratch and output, reused bin after bin.
+    pub(super) work: super::ShardWork,
 }
 
 impl ShardRows {

@@ -27,8 +27,8 @@
 //!   steady state), and per-shard rows concatenate in chunk order so
 //!   output never depends on the chunking;
 //! * links — and their smoothed references — are sharded by a *stable*
-//!   hash of the link, and a scoped thread pool walks whole shards, so
-//!   reference mutation needs no locks;
+//!   hash of the link, and each shard is one engine job that owns its
+//!   references by `&mut`, so reference mutation needs no locks;
 //! * references track the last bin their link was characterized in and are
 //!   evicted once unseen for `cfg.reference_expiry_bins` (the same clock
 //!   the forwarding side uses), so link churn cannot grow the per-shard
@@ -83,6 +83,20 @@ struct ShardOutput {
     new_links: usize,
 }
 
+/// One shard's steps 2–5 buffers, kept in its row workspace
+/// (`ShardRows::work`) so they live as long as the shard and a steady bin
+/// regrows none of them: surviving samples, diversity scratch, the
+/// batched passes' decision rows, the Wilson rank memo, and the shard's
+/// output, which the stage drains in shard order.
+#[derive(Debug, Default)]
+pub(crate) struct ShardWork {
+    surviving: Vec<f64>,
+    diversity: diversity::Scratch,
+    decisions: Vec<diversity::Keep>,
+    ranks: characterize::RankCache,
+    out: ShardOutput,
+}
+
 /// Stateful delay-change detector (one instance per analysis stream).
 #[derive(Debug)]
 pub struct DelayDetector {
@@ -126,7 +140,7 @@ impl DelayDetector {
         engine::run_jobs(self.arena.scatter_jobs(records, chunk), threads);
         self.arena.merge(bin);
         let (alarms, stats, new_links) = {
-            let mut stage = self.stage(bin, threads);
+            let mut stage = self.stage(bin);
             engine::run_jobs(stage.jobs(), threads);
             stage.finish()
         };
@@ -140,17 +154,17 @@ impl DelayDetector {
         self.arena.stats()
     }
 
-    /// Stage one bin for the shared engine: deal the scattered-and-merged
-    /// arena shards into `threads` round-robin bundles. The returned
-    /// [`DelayStage`] hands out one boxed job per bundle via
-    /// [`DelayStage::jobs`] so the caller ([`DelayDetector::process_bin`]
-    /// standalone, or `Analyzer::process_bin` pooling both detectors)
-    /// decides which pool executes them. Callers must have run the bin's
-    /// scatter jobs and the arena's merge first.
-    pub(crate) fn stage<'a>(&'a mut self, bin: BinId, threads: usize) -> DelayStage<'a> {
-        let (bundles, wave) = self.arena.deal(&mut self.shards, threads);
+    /// Stage one bin for the shared engine: one task per arena shard of
+    /// the scattered-and-merged bin. The returned [`DelayStage`] hands out
+    /// one boxed job per shard via [`DelayStage::jobs`] so the caller
+    /// ([`DelayDetector::process_bin`] standalone, or the session pooling
+    /// every member's detectors) decides which pool executes them.
+    /// Callers must have run the bin's scatter jobs and the arena's merge
+    /// first.
+    pub(crate) fn stage(&mut self, bin: BinId) -> DelayStage<'_> {
+        let (tasks, wave) = self.arena.tasks(&mut self.shards);
         DelayStage {
-            inner: engine::ShardStage::new(bundles),
+            inner: engine::ShardStage::new(tasks),
             cfg: &self.cfg,
             bin,
             wave,
@@ -248,96 +262,81 @@ impl DelayDetector {
     }
 }
 
-/// One worker's bundle: its round-robin share of shard tasks.
-type DelayBundle<'a> = Vec<ShardTask<'a, DelaySpec, Shard>>;
+/// One shard's slice of a staged bin, for one job.
+type DelayTask<'a> = ShardTask<'a, DelaySpec, Shard>;
 
 /// A bin staged for the shared engine: an [`engine::ShardStage`] of shard
-/// bundles plus the per-bin inputs every job reads. Produce jobs with
+/// tasks plus the per-bin inputs every job reads. Produce jobs with
 /// [`DelayStage::jobs`], execute them on any pool ([`engine::run_jobs`]),
 /// then collect with [`DelayStage::finish`].
 pub(crate) struct DelayStage<'a> {
-    inner: engine::ShardStage<DelayBundle<'a>, ShardOutput>,
+    inner: engine::ShardStage<DelayTask<'a>, &'a mut ShardOutput>,
     cfg: &'a DetectorConfig,
     bin: BinId,
     wave: Wave<'a, DelaySpec>,
 }
 
 impl<'a> DelayStage<'a> {
-    /// One boxed job per shard bundle, each writing into its own output
-    /// slot.
+    /// One boxed job per shard, each writing into its own output slot.
     pub(crate) fn jobs<'s>(&'s mut self) -> Vec<engine::Job<'s>> {
         let (cfg, bin, wave) = (self.cfg, self.bin, self.wave);
         self.inner
-            .jobs(move |bundle| run_delay_bundle(bundle, cfg, bin, wave))
+            .jobs(move |task| run_delay_shard(task, cfg, bin, wave))
     }
 
-    /// Deterministic merge of the executed jobs' outputs:
+    /// Deterministic merge of the executed jobs' outputs, drained in shard
+    /// order (the buffers keep their capacity for the next bin):
     /// `(alarms, stats, newly seen links)`.
     pub(crate) fn finish(self) -> (Vec<DelayAlarm>, HashMap<IpLink, LinkStat>, usize) {
-        let mut alarms = Vec::new();
-        let mut stats = HashMap::new();
+        let outputs: Vec<&mut ShardOutput> = self.inner.into_outputs().collect();
+        let mut alarms = Vec::with_capacity(outputs.iter().map(|o| o.alarms.len()).sum());
+        let mut stats = HashMap::with_capacity(outputs.iter().map(|o| o.stats.len()).sum());
         let mut new_links = 0;
-        for out in self.inner.into_outputs() {
+        for out in outputs {
             new_links += out.new_links;
-            alarms.extend(out.alarms);
-            stats.extend(out.stats);
+            alarms.append(&mut out.alarms);
+            stats.extend(out.stats.drain(..));
         }
         sort_alarms(&mut alarms);
         (alarms, stats, new_links)
     }
 }
 
-/// Per-worker buffers reused across a bundle's shards (and, since the
-/// executor reuses jobs per wave, across bins): surviving samples,
-/// diversity scratch, the batched passes' decision/stat rows, and the
-/// Wilson rank memo.
-#[derive(Default)]
-struct BundleScratch {
-    surviving: Vec<f64>,
-    diversity: diversity::Scratch,
-    decisions: Vec<diversity::Keep>,
-    stats: Vec<Option<LinkStat>>,
-    ranks: characterize::RankCache,
-}
-
-/// The per-worker shard pipeline: group each bundled shard's chunk runs
-/// ([`Wave::group`]), then run steps 2–5 over the shard's links
-/// as three batched passes ([`characterize_shard`]). Shard state arrives
-/// by `&mut` — no locks, no contention — and every per-link decision
-/// depends only on `(cfg, link, bin)`, so the caller's in-order merge is
-/// independent of the thread count. Nothing here writes the epoch tables
-/// (stamping is the caller's post-wave fence).
-fn run_delay_bundle(
-    bundle: DelayBundle<'_>,
+/// One shard's job: group its chunk runs ([`Wave::group`]), run steps 2–5
+/// over its links as three batched passes ([`characterize_shard`]), then
+/// evict expired references. Shard state arrives by `&mut` — no locks —
+/// and every per-link decision depends only on `(cfg, link, bin)`, so the
+/// output left in the shard's workspace is the same whichever worker
+/// claimed the job. Nothing here writes the epoch tables (stamping is the
+/// caller's post-wave fence).
+fn run_delay_shard<'a>(
+    task: DelayTask<'a>,
     cfg: &DetectorConfig,
     bin: BinId,
     wave: Wave<'_, DelaySpec>,
-) -> ShardOutput {
-    let mut out = ShardOutput::default();
-    let mut scratch = BundleScratch::default();
-    let (probe_ids, probe_asns) = (wave.sides, wave.payload.asns());
-    for ShardTask {
+) -> &'a mut ShardOutput {
+    let ShardTask {
         idx,
         rows,
         keys: links,
         state: shard,
-    } in bundle
-    {
-        wave.group(idx, rows);
-        characterize_shard(
-            rows,
-            links,
-            shard,
-            cfg,
-            bin,
-            probe_ids,
-            probe_asns,
-            &mut scratch,
-            &mut out,
-        );
-        shard.evict(bin, cfg);
-    }
-    out
+    } = task;
+    wave.group(idx, rows);
+    // Lent out for the passes, which also borrow the grouped layout.
+    let mut work = std::mem::take(&mut rows.work);
+    characterize_shard(
+        rows,
+        links,
+        shard,
+        cfg,
+        bin,
+        wave.sides,
+        wave.payload.asns(),
+        &mut work,
+    );
+    shard.evict(bin, cfg);
+    rows.work = work;
+    &mut rows.work.out
 }
 
 /// Steps 2–5 for one finalized shard, batched into three link-order
@@ -365,9 +364,12 @@ fn characterize_shard(
     bin: BinId,
     probe_ids: &[ProbeId],
     probe_asns: &[Asn],
-    scratch: &mut BundleScratch,
-    out: &mut ShardOutput,
+    scratch: &mut ShardWork,
 ) {
+    let out = &mut scratch.out;
+    out.alarms.clear();
+    out.stats.clear();
+    out.new_links = 0;
     let n = rows.link_count();
     // Pass A: probe-diversity verdicts (step 2).
     scratch.decisions.clear();
@@ -379,9 +381,10 @@ fn characterize_shard(
     }
     // Pass B: robust characterization (step 3) — zero-copy for balanced
     // links (permuting the link's contiguous pool region in place),
-    // copying only the survivors of a rebalanced link.
-    scratch.stats.clear();
+    // copying only the survivors of a rebalanced link. Characterized
+    // links land straight in the output rows, in entry order.
     for j in 0..n {
+        let link = rows.link_in(j, links, probe_ids, probe_asns).link;
         let stat = match &scratch.decisions[j] {
             diversity::Keep::Discard => None,
             diversity::Keep::All => {
@@ -408,14 +411,12 @@ fn characterize_shard(
                 )
             }
         };
-        scratch.stats.push(stat);
+        if let Some(stat) = stat {
+            out.stats.push((link, stat));
+        }
     }
     // Pass C: detection + reference update (steps 4 + 5), in entry order.
-    for j in 0..n {
-        let Some(stat) = scratch.stats[j] else {
-            continue;
-        };
-        let link = rows.link_in(j, links, probe_ids, probe_asns).link;
+    for &(link, stat) in &out.stats {
         let entry = shard.references.entry(link).or_insert_with(|| {
             out.new_links += 1;
             ReferenceEntry {
@@ -428,7 +429,6 @@ fn characterize_shard(
         }
         entry.reference.update(&stat);
         entry.last_seen = bin;
-        out.stats.push((link, stat));
     }
 }
 

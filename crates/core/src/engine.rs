@@ -12,21 +12,26 @@
 //!   maps) are keyed through;
 //! * the per-shard reference map with its last-seen eviction clock and
 //!   snapshot codec ([`ReferenceShard`]), generic over key and reference;
-//! * deterministic round-robin work splitting ([`round_robin`]);
-//! * a scoped-thread job pool ([`run_jobs`]) that executes boxed shard
-//!   jobs from *multiple* detectors on one set of workers, so the delay
-//!   and forwarding shards of a bin interleave on the same cores instead
-//!   of running as two separate thread herds.
+//! * one staged job per shard task with one output slot per job
+//!   ([`ShardStage`]);
+//! * a scoped-thread job pool ([`run_jobs`]) that executes boxed jobs
+//!   from *multiple* detectors on one set of workers — the calling thread
+//!   among them — each claiming the next job from one atomic index, so
+//!   the delay and forwarding shards of a bin interleave on the same cores
+//!   and a wave ends when its work does.
 //!
 //! Determinism contract: a job must depend only on the state it owns plus
 //! `(cfg, bin)`-derived inputs, and callers must merge job outputs in job
-//! order (never completion order). Under that contract the thread count is
-//! purely a throughput knob — the engine-parity tests prove it.
+//! order (never completion order). Placement is then invisible — which
+//! worker claims a job never reaches the output — and the thread count is
+//! purely a throughput knob; the engine-parity tests prove it.
 
 use crate::config::DetectorConfig;
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use pinpoint_model::{BinId, FxHashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Number of state shards per detector. Fixed (not tied to the thread
 /// count) so a key lives in the same shard no matter how many workers run,
@@ -112,8 +117,8 @@ impl<K: ShardKey, R> ReferenceShard<K, R> {
     /// the configured expiry. Keys churn constantly in real traceroute
     /// feeds (paths move, targets retire); without eviction the per-shard
     /// maps grow without bound — and a link that died mid-warm-up would
-    /// hold its warm-up buffer forever. Runs once per bin per shard, on
-    /// the shard's own worker — deterministic for any thread count.
+    /// hold its warm-up buffer forever. Runs once per bin per shard, in
+    /// the shard's own job — deterministic for any thread count.
     pub(crate) fn evict(&mut self, bin: BinId, cfg: &DetectorConfig) {
         self.references
             .retain(|_, e| !reference_expired(bin, e.last_seen, cfg.reference_expiry_bins));
@@ -160,57 +165,47 @@ impl<K: ShardKey, R> ReferenceShard<K, R> {
     }
 }
 
-/// Deal `items` into `ways` buckets round-robin, preserving order within
-/// each bucket. Deterministic: bucket `w` gets items `w, w+ways, …`.
-pub(crate) fn round_robin<T>(items: impl IntoIterator<Item = T>, ways: usize) -> Vec<Vec<T>> {
-    let ways = ways.max(1);
-    let mut out: Vec<Vec<T>> = (0..ways).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        out[i % ways].push(item);
-    }
-    out
-}
-
 /// One unit of shard work: owns its slice of detector state (handed out by
 /// `&mut` — no locks) and writes its result into a caller-provided slot.
 pub(crate) type Job<'a> = Box<dyn FnOnce() + Send + 'a>;
 
-/// The bundles-and-slots skeleton every staged detector shares: per-worker
-/// shard bundles going in, one output slot per bundle coming back. Holds
-/// the two invariants of the determinism contract in one place — each
-/// bundle becomes exactly one job ([`ShardStage::jobs`] consumes the
-/// bundles, so it runs at most once per stage), and outputs are read back
-/// in job order, never completion order ([`ShardStage::into_outputs`]).
-pub(crate) struct ShardStage<B, O> {
-    bundles: Vec<B>,
+/// The tasks-and-slots skeleton every staged detector shares: one shard
+/// task per job going in, one output slot per job coming back. Holds the
+/// two invariants of the determinism contract in one place — each task
+/// becomes exactly one job ([`ShardStage::jobs`] consumes the tasks, so it
+/// runs at most once per stage), and outputs are read back in job order,
+/// never completion order ([`ShardStage::into_outputs`]). Which worker
+/// claims which job therefore never reaches the output.
+pub(crate) struct ShardStage<T, O> {
+    tasks: Vec<T>,
     outputs: Vec<Option<O>>,
 }
 
-impl<B, O> ShardStage<B, O> {
-    /// Stage the dealt bundles.
-    pub(crate) fn new(bundles: Vec<B>) -> Self {
+impl<T, O> ShardStage<T, O> {
+    /// Stage one task per job.
+    pub(crate) fn new(tasks: Vec<T>) -> Self {
         ShardStage {
-            bundles,
+            tasks,
             outputs: Vec::new(),
         }
     }
 
-    /// One boxed job per bundle, each running `run` and writing into its
+    /// One boxed job per task, each running `run` and writing into its
     /// own output slot.
     pub(crate) fn jobs<'s, F>(&'s mut self, run: F) -> Vec<Job<'s>>
     where
-        B: Send + 's,
+        T: Send + 's,
         O: Send + 's,
-        F: Fn(B) -> O + Copy + Send + 's,
+        F: Fn(T) -> O + Copy + Send + 's,
     {
-        let bundles = std::mem::take(&mut self.bundles);
-        self.outputs = (0..bundles.len()).map(|_| None).collect();
-        bundles
+        let tasks = std::mem::take(&mut self.tasks);
+        self.outputs = (0..tasks.len()).map(|_| None).collect();
+        tasks
             .into_iter()
             .zip(self.outputs.iter_mut())
-            .map(|(bundle, slot)| {
+            .map(|(task, slot)| {
                 Box::new(move || {
-                    *slot = Some(run(bundle));
+                    *slot = Some(run(task));
                 }) as Job<'s>
             })
             .collect()
@@ -222,55 +217,119 @@ impl<B, O> ShardStage<B, O> {
     }
 }
 
-/// Run `jobs` on `threads` scoped workers.
+/// Run `jobs` on up to `threads` workers: the calling thread and
+/// `min(threads, jobs) − 1` scoped helpers, all claiming jobs from one
+/// atomic index over the job vector until it runs out.
 ///
-/// Jobs are dealt to workers round-robin by index and each worker runs its
-/// share *in order*, so which OS thread executes a job is a pure function
-/// of `(job index, thread count)` — nothing is work-stolen, nothing races.
-/// With `threads <= 1` everything runs inline on the caller's thread (no
-/// spawn overhead, identical results); with fewer jobs than workers only
-/// `jobs.len()` threads are spawned (an empty round-robin queue is a
-/// spawn+join for nothing).
+/// A worker that finishes early claims the next job instead of idling
+/// while a slower one works through a fixed share, so a wave lasts as
+/// long as its work, and the calling thread — already awake — starts at
+/// once. Which thread runs a job is a race, and it is invisible: every
+/// job writes only its own slot, and callers read the slots in job order
+/// ([`ShardStage::into_outputs`]; the scatter merge walks chunks in chunk
+/// order). With one worker, or at most one job, every job runs inline on
+/// the calling thread in job order and nothing is spawned. A panicking
+/// job makes `run_jobs` panic once every worker has stopped claiming —
+/// the service's per-stage `catch_unwind` supervision relies on that.
 pub(crate) fn run_jobs(jobs: Vec<Job<'_>>, threads: usize) {
-    if threads <= 1 || jobs.len() <= 1 {
+    let workers = threads.min(jobs.len());
+    if workers <= 1 {
         for job in jobs {
             job();
         }
         return;
     }
-    let workers = threads.min(jobs.len());
-    let queues = round_robin(jobs, workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = queues
-            .into_iter()
-            .map(|queue| {
-                scope.spawn(move || {
-                    for job in queue {
-                        job();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("engine worker panicked");
+    #[cfg(test)]
+    let order = claim_order::current();
+    // A claimed index is owned by exactly one worker, so its slot's lock
+    // is never contended; it only makes the hand-over safe.
+    let slots: Vec<Mutex<Option<Job<'_>>>> =
+        jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        // Relaxed: the index publishes no data. A job reaches its worker
+        // through the slot's mutex, and its output reaches the caller
+        // through the scope's join.
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        let i = order.job(i, slots.len());
+        let slot = slots.get(i)?;
+        let job = slot.lock().expect("a claim slot is never poisoned").take();
+        Some(job.expect("every index is claimed once"))
+    };
+    let work = || {
+        while let Some(job) = claim() {
+            job();
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        #[cfg(test)]
+        order.stall(&next, slots.len());
+        work();
     });
+}
+
+/// Test-only adversarial claim orders. `run_jobs` reads the calling
+/// thread's order once per call; production always claims naturally.
+#[cfg(test)]
+pub(crate) mod claim_order {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// How the claims of one `run_jobs` call map to jobs.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum ClaimOrder {
+        /// Claim `i` runs job `i`.
+        Natural,
+        /// Claim `i` runs job `n − 1 − i`: the last job starts first.
+        Reversed,
+        /// The calling thread makes no claim until the helpers have
+        /// claimed half the wave.
+        Stalled,
+    }
+
+    thread_local! {
+        static ORDER: Cell<ClaimOrder> = const { Cell::new(ClaimOrder::Natural) };
+    }
+
+    /// Run `f` with the calling thread's claim order set to `order`.
+    pub(crate) fn with<R>(order: ClaimOrder, f: impl FnOnce() -> R) -> R {
+        let outer = ORDER.replace(order);
+        let out = f();
+        ORDER.set(outer);
+        out
+    }
+
+    pub(super) fn current() -> ClaimOrder {
+        ORDER.get()
+    }
+
+    impl ClaimOrder {
+        /// The job claim `claim` of `n` runs (past the end stays past it).
+        pub(super) fn job(self, claim: usize, n: usize) -> usize {
+            match self {
+                ClaimOrder::Reversed if claim < n => n - 1 - claim,
+                _ => claim,
+            }
+        }
+
+        /// The calling thread's wait before its first claim.
+        pub(super) fn stall(self, next: &AtomicUsize, n: usize) {
+            if self == ClaimOrder::Stalled {
+                while next.load(Ordering::Relaxed) < n.div_ceil(2) {
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_is_deterministic_and_complete() {
-        let buckets = round_robin(0..10, 3);
-        assert_eq!(buckets.len(), 3);
-        assert_eq!(buckets[0], vec![0, 3, 6, 9]);
-        assert_eq!(buckets[1], vec![1, 4, 7]);
-        assert_eq!(buckets[2], vec![2, 5, 8]);
-        // Degenerate ways.
-        assert_eq!(round_robin(0..3, 0).len(), 1);
-    }
 
     #[test]
     fn shard_assignments_are_stable_and_in_range() {
@@ -284,18 +343,50 @@ mod tests {
         assert!(shard_of_hashed(&key) < NUM_SHARDS);
     }
 
+    /// Counting jobs: job `i` bumps `counts[i]`; job `panic_at` panics.
+    fn counting_jobs(counts: &[AtomicUsize], panic_at: Option<usize>) -> Vec<Job<'_>> {
+        counts
+            .iter()
+            .enumerate()
+            .map(|(i, count)| {
+                Box::new(move || {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    assert_ne!(Some(i), panic_at, "job {i} panics");
+                }) as Job
+            })
+            .collect()
+    }
+
     #[test]
-    fn run_jobs_executes_everything_once_per_thread_count() {
+    fn run_jobs_runs_every_job_exactly_once() {
         for threads in [1usize, 2, 3, 8] {
-            let slots: Vec<std::sync::Mutex<usize>> =
-                (0..10).map(|_| std::sync::Mutex::new(0)).collect();
-            let jobs: Vec<Job> = slots
-                .iter()
-                .map(|slot| Box::new(move || *slot.lock().unwrap() += 1) as Job)
-                .collect();
-            run_jobs(jobs, threads);
-            for slot in &slots {
-                assert_eq!(*slot.lock().unwrap(), 1, "threads={threads}");
+            for n in [0usize, 1, 2, 5, 64] {
+                let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                run_jobs(counting_jobs(&counts, None), threads);
+                for (i, count) in counts.iter().enumerate() {
+                    let runs = count.load(Ordering::Relaxed);
+                    assert_eq!(runs, 1, "threads={threads} jobs={n}: job {i} ran {runs}×");
+                }
+            }
+        }
+    }
+
+    /// A job's panic must reach the caller at every thread count — on the
+    /// first job (the calling thread's usual first claim) and on the last
+    /// (a helper's, whenever helpers run).
+    #[test]
+    fn run_jobs_propagates_a_job_panic() {
+        for threads in [1usize, 2, 3, 8] {
+            for panic_at in [0usize, 4] {
+                let counts: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
+                let jobs = counting_jobs(&counts, Some(panic_at));
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_jobs(jobs, threads)
+                }));
+                assert!(
+                    outcome.is_err(),
+                    "threads={threads}: job {panic_at} panicked, run_jobs returned"
+                );
             }
         }
     }

@@ -96,7 +96,7 @@ impl ObservedPattern for PatternSlice<'_> {
     }
 }
 
-/// Reusable alignment buffers: one per engine worker, so steady-state bins
+/// Reusable alignment buffers: one per engine shard, so steady-state bins
 /// run the check loop without allocating.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
@@ -163,7 +163,7 @@ pub fn check(
 }
 
 /// [`check`] with caller-owned alignment buffers (the engine keeps one
-/// [`AlignScratch`] per worker). Produces bit-identical results — the
+/// [`AlignScratch`] per shard). Produces bit-identical results — the
 /// scratch only recycles allocations.
 pub fn check_with(
     scratch: &mut AlignScratch,

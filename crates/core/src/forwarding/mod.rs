@@ -23,9 +23,9 @@
 //!   accumulated row), concatenated per shard in chunk order so output
 //!   never depends on the chunking;
 //! * patterns — and their smoothed references — are sharded by a *stable*
-//!   `FxHash` of the [`PatternKey`], and shard workers own their shard's
-//!   reference map, so the check → alarm → reference-update pipeline needs
-//!   no locks;
+//!   `FxHash` of the [`PatternKey`], and each shard is one engine job that
+//!   owns its shard's reference map, so the check → alarm →
+//!   reference-update pipeline needs no locks;
 //! * references track the last bin their pattern appeared in and are
 //!   evicted once unseen for `cfg.reference_expiry_bins`, so churned
 //!   (router, destination) pairs cannot grow the maps without bound;
@@ -53,9 +53,13 @@ use pinpoint_model::BinId;
 /// One shard's slice of detector state: its patterns' references.
 type FwdShard = engine::ReferenceShard<PatternKey, PatternReference>;
 
-/// What one shard produced for one bin.
+/// One shard's check buffers and output, kept in its row workspace
+/// (`PatternShardRows::work`) so they live as long as the shard and a
+/// steady bin regrows neither: the hop-alignment scratch and the shard's
+/// alarms, which the stage drains in shard order.
 #[derive(Debug, Default)]
-struct FwdShardOutput {
+pub(crate) struct FwdShardWork {
+    align: detect::AlignScratch,
     alarms: Vec<ForwardingAlarm>,
 }
 
@@ -121,7 +125,7 @@ impl ForwardingDetector {
         engine::run_jobs(self.arena.scatter_jobs(records, chunk), threads);
         self.arena.merge(bin);
         let alarms = {
-            let mut stage = self.stage(bin, threads);
+            let mut stage = self.stage(bin);
             engine::run_jobs(stage.jobs(), threads);
             stage.finish()
         };
@@ -134,14 +138,14 @@ impl ForwardingDetector {
         self.arena.stats()
     }
 
-    /// Stage one bin for the shared engine: deal the scattered-and-merged
-    /// arena shards into `threads` round-robin bundles (the `Analyzer`
-    /// pools both detectors' jobs on one set of workers). Callers must
-    /// have run the bin's scatter jobs and the arena's merge first.
-    pub(crate) fn stage<'a>(&'a mut self, bin: BinId, threads: usize) -> ForwardingStage<'a> {
-        let (bundles, wave) = self.arena.deal(&mut self.shards, threads);
+    /// Stage one bin for the shared engine: one task per arena shard of
+    /// the scattered-and-merged bin (the session pools both detectors'
+    /// jobs on one set of workers). Callers must have run the bin's
+    /// scatter jobs and the arena's merge first.
+    pub(crate) fn stage(&mut self, bin: BinId) -> ForwardingStage<'_> {
+        let (tasks, wave) = self.arena.tasks(&mut self.shards);
         ForwardingStage {
-            inner: engine::ShardStage::new(bundles),
+            inner: engine::ShardStage::new(tasks),
             cfg: &self.cfg,
             bin,
             wave,
@@ -204,82 +208,85 @@ impl ForwardingDetector {
     }
 }
 
-/// One worker's bundle: its round-robin share of shard tasks.
-type ForwardingBundle<'a> = Vec<ShardTask<'a, PatternSpec, FwdShard>>;
+/// One shard's slice of a staged bin, for one job.
+type FwdTask<'a> = ShardTask<'a, PatternSpec, FwdShard>;
 
 /// A bin staged for the shared engine: an [`engine::ShardStage`] of shard
-/// bundles plus the per-bin inputs every job reads, merged in job order by
+/// tasks plus the per-bin inputs every job reads, merged in job order by
 /// [`ForwardingStage::finish`].
 pub(crate) struct ForwardingStage<'a> {
-    inner: engine::ShardStage<ForwardingBundle<'a>, FwdShardOutput>,
+    inner: engine::ShardStage<FwdTask<'a>, &'a mut Vec<ForwardingAlarm>>,
     cfg: &'a DetectorConfig,
     bin: BinId,
     wave: Wave<'a, PatternSpec>,
 }
 
 impl<'a> ForwardingStage<'a> {
-    /// One boxed job per shard bundle, each writing into its own output
-    /// slot.
+    /// One boxed job per shard, each writing into its own output slot.
     pub(crate) fn jobs<'s>(&'s mut self) -> Vec<engine::Job<'s>> {
         let (cfg, bin, wave) = (self.cfg, self.bin, self.wave);
         self.inner
-            .jobs(move |bundle| run_forwarding_bundle(bundle, cfg, bin, wave))
+            .jobs(move |task| run_forwarding_shard(task, cfg, bin, wave))
     }
 
-    /// Deterministic merge of the executed jobs' outputs.
+    /// Deterministic merge of the executed jobs' outputs, drained in shard
+    /// order (the buffers keep their capacity for the next bin).
     pub(crate) fn finish(self) -> Vec<ForwardingAlarm> {
         let mut alarms = Vec::new();
         for out in self.inner.into_outputs() {
-            alarms.extend(out.alarms);
+            alarms.append(out);
         }
         sort_alarms(&mut alarms);
         alarms
     }
 }
 
-/// The per-worker shard pipeline: group each bundled shard's chunk rows
-/// ([`Wave::group`]), then check → alarm → reference-update
-/// every pattern, then evict expired references. Shard state arrives by
-/// `&mut` — no locks — and every per-pattern decision depends only on
-/// `(cfg, key, bin)`, so the caller's in-order merge is independent of
-/// the thread count.
-fn run_forwarding_bundle(
-    bundle: ForwardingBundle<'_>,
+/// One shard's job: group its chunk rows ([`Wave::group`]), then check →
+/// alarm → reference-update every pattern, then evict expired references.
+/// Shard state arrives by `&mut` — no locks — and every per-pattern
+/// decision depends only on `(cfg, key, bin)`, so the alarms left in the
+/// shard's workspace are the same whichever worker claimed the job.
+fn run_forwarding_shard<'a>(
+    task: FwdTask<'a>,
     cfg: &DetectorConfig,
     bin: BinId,
     wave: Wave<'_, PatternSpec>,
-) -> FwdShardOutput {
-    let mut out = FwdShardOutput::default();
-    // Reused across patterns: hop-alignment buffers.
-    let mut scratch = detect::AlignScratch::default();
-    for ShardTask {
+) -> &'a mut Vec<ForwardingAlarm> {
+    let ShardTask {
         idx,
         rows,
         keys,
         state: shard,
-    } in bundle
-    {
-        wave.group(idx, rows);
-        for j in 0..rows.pattern_count() {
-            let slice = rows.pattern_in(j, keys, wave.sides);
-            let entry = shard
-                .references
-                .entry(slice.key)
-                .or_insert_with(|| ReferenceEntry {
-                    reference: PatternReference::new(cfg),
-                    last_seen: bin,
-                });
-            if let Some(alarm) =
-                detect::check_with(&mut scratch, &slice.key, bin, &slice, &entry.reference, cfg)
-            {
-                out.alarms.push(alarm);
-            }
-            entry.reference.update_from(slice.iter());
-            entry.last_seen = bin;
+    } = task;
+    wave.group(idx, rows);
+    // Lent out for the loop, which also borrows the grouped layout.
+    let mut work = std::mem::take(&mut rows.work);
+    work.alarms.clear();
+    for j in 0..rows.pattern_count() {
+        let slice = rows.pattern_in(j, keys, wave.sides);
+        let entry = shard
+            .references
+            .entry(slice.key)
+            .or_insert_with(|| ReferenceEntry {
+                reference: PatternReference::new(cfg),
+                last_seen: bin,
+            });
+        if let Some(alarm) = detect::check_with(
+            &mut work.align,
+            &slice.key,
+            bin,
+            &slice,
+            &entry.reference,
+            cfg,
+        ) {
+            work.alarms.push(alarm);
         }
-        shard.evict(bin, cfg);
+        entry.reference.update_from(slice.iter());
+        entry.last_seen = bin;
     }
-    out
+    shard.evict(bin, cfg);
+    rows.work = work;
+    &mut rows.work.alarms
 }
 
 /// Most anti-correlated first; ties broken totally so output order is

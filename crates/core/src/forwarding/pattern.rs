@@ -292,11 +292,12 @@ impl ArenaSpec for PatternSpec {
     }
 }
 
-/// One shard's per-wave row workspace: the bin's pattern rows and their
-/// grouped layout. The arena's gather concatenates the bin's chunk rows
-/// into `rows` in chunk order; `finalize` (run by the shard's worker
-/// thread) sorts and groups into `pool`/`entries`. Holds no epoch state —
-/// the shard's pattern intern table lives in the arena.
+/// One shard's row workspace: the bin's pattern rows and their grouped
+/// layout, plus the shard job's check buffers (`work`). The arena's
+/// gather concatenates the bin's chunk rows into `rows` in chunk order;
+/// `finalize` (run in the shard's job) sorts and groups into
+/// `pool`/`entries`. Holds no epoch state — the shard's pattern intern
+/// table lives in the arena.
 #[derive(Debug, Default)]
 pub(crate) struct PatternShardRows {
     /// `(pattern_local << 32 | hop_slot, packets)` — 16 bytes, sorted by
@@ -311,6 +312,8 @@ pub(crate) struct PatternShardRows {
     /// Radix ping-pong buffer, recycled across bins so steady-state
     /// finalize passes allocate nothing.
     sort_scratch: Vec<(u64, f64)>,
+    /// The shard job's scratch and output, reused bin after bin.
+    pub(super) work: super::FwdShardWork,
 }
 
 impl PatternShardRows {

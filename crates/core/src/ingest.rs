@@ -31,8 +31,8 @@
 //!   never visible in reports, which makes compaction byte-for-byte
 //!   invisible — `tests/ingest_parity.rs` proves it.
 //!
-//! The two-wave protocol per bin (scatter-chunk jobs, then shard jobs)
-//! is what `engine::run_jobs` executes: one worker herd serves the
+//! The two-wave protocol per bin (scatter-chunk jobs, then one job per
+//! shard) is what `engine::run_jobs` executes: one worker herd claims the
 //! scatter chunks of *every* detector — and, in a fleet, every stream —
 //! at once, then every shard job.
 //!
@@ -335,7 +335,9 @@ pub(crate) trait ArenaSpec: Sized + Debug + Send + Sync + 'static {
     /// A gathered row: key (patched), tail, and whatever of the chunk
     /// index the grouping needs.
     type Row: Copy + Send;
-    /// One shard's per-wave workspace: gathered rows + grouped layout.
+    /// One shard's workspace: gathered rows + grouped layout, plus the
+    /// scratch and output buffers the detector's shard job reuses bin
+    /// after bin.
     type Rows: Default + Debug + Send;
 
     /// Empty `staged` for a new bin (buffers keep their capacity).
@@ -359,8 +361,8 @@ pub(crate) trait ArenaSpec: Sized + Debug + Send + Sync + 'static {
     /// The buffer a shard's rows gather into.
     fn gathered(rows: &mut Self::Rows) -> &mut Vec<Self::Row>;
 
-    /// Sort shard `shard`'s gathered rows and lay out its groups. Runs on
-    /// the shard's worker; must not touch the epoch tables.
+    /// Sort shard `shard`'s gathered rows and lay out its groups. Runs in
+    /// the shard's job; must not touch the epoch tables.
     fn finalize(rows: &mut Self::Rows, shard: usize, wave: Wave<'_, Self>);
 
     /// Shard-local ids of the primary keys `finalize` found this bin.
@@ -587,9 +589,11 @@ impl<S: ArenaSpec> Clone for Wave<'_, S> {
 
 impl<S: ArenaSpec> Copy for Wave<'_, S> {}
 
-/// One shard's slice of a staged wave: its per-wave row workspace, its
-/// epoch keys (read-only, dense-id order), and the detector's state for
-/// the shard — handed to exactly one job by `&mut`, so no locks.
+/// One shard's slice of a staged wave: its row workspace (which also
+/// holds the shard's scratch and output buffers, so they live as long as
+/// the shard), its epoch keys (read-only, dense-id order), and the
+/// detector's state for the shard — handed to exactly one job by `&mut`,
+/// so no locks.
 pub(crate) struct ShardTask<'a, S: ArenaSpec, D> {
     pub(crate) idx: usize,
     pub(crate) rows: &'a mut S::Rows,
@@ -814,29 +818,28 @@ impl<S: ArenaSpec> EpochArena<S> {
         }
     }
 
-    /// Stage the shard wave (after [`Self::merge`]): pair every shard's
-    /// row workspace and key table with its slice `state[shard]` of the
-    /// detector's own state and deal the tasks into `ways` round-robin
-    /// bundles, alongside the [`Wave`] every job reads.
-    pub(crate) fn deal<'a, D>(
+    /// Stage the shard wave (after [`Self::merge`]): one [`ShardTask`] per
+    /// shard — its row workspace and key table paired with its slice
+    /// `state[shard]` of the detector's own state — in shard order, each
+    /// to become one engine job, alongside the [`Wave`] every job reads.
+    pub(crate) fn tasks<'a, D>(
         &'a mut self,
         state: &'a mut [D],
-        ways: usize,
-    ) -> (Vec<Vec<ShardTask<'a, S, D>>>, Wave<'a, S>) {
+    ) -> (Vec<ShardTask<'a, S, D>>, Wave<'a, S>) {
         let wave = Wave {
             chunks: &self.chunks[..self.active],
             sides: self.sides.keys(),
             payload: &self.payload,
         };
-        let tasks = (self.rows.iter_mut().zip(&self.keys).zip(state).enumerate()).map(
-            |(idx, ((rows, keys), state))| ShardTask {
+        let tasks = (self.rows.iter_mut().zip(&self.keys).zip(state).enumerate())
+            .map(|(idx, ((rows, keys), state))| ShardTask {
                 idx,
                 rows,
                 keys: keys.keys(),
                 state,
-            },
-        );
-        (engine::round_robin(tasks, ways), wave)
+            })
+            .collect();
+        (tasks, wave)
     }
 
     /// A finished bin shard by shard: its grouped rows and the shard's
@@ -889,8 +892,8 @@ impl<S: ArenaSpec> EpochArena<S> {
     fn finish_inline(&mut self, bin: BinId) {
         self.merge(bin);
         let mut stateless = [(); NUM_SHARDS];
-        let (bundles, wave) = self.deal(&mut stateless, 1);
-        for task in bundles.into_iter().flatten() {
+        let (tasks, wave) = self.tasks(&mut stateless);
+        for task in tasks {
             wave.group(task.idx, task.rows);
         }
         self.stamp_bin(bin);

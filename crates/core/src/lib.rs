@@ -104,11 +104,12 @@
 //!   (router, destination) pairs cannot grow the maps without bound
 //!   (and links that die mid-warm-up release their warm-up buffers).
 //! * **One worker pool for both detectors** — the shared engine module
-//!   boxes per-shard jobs from *both* detectors and deals them
-//!   round-robin onto one scoped pool inside
-//!   [`pipeline::Analyzer::process_bin`], so delay-link shards and
-//!   forwarding-pattern shards interleave on the same cores (§4 ∥ §5)
-//!   instead of racing as two thread herds.
+//!   boxes one job per shard of *both* detectors, and inside
+//!   [`pipeline::Analyzer::process_bin`] the calling thread and its
+//!   scoped helpers claim them from one atomic index, so delay-link
+//!   shards and forwarding-pattern shards interleave on the same cores
+//!   (§4 ∥ §5) instead of racing as two thread herds, and a wave ends
+//!   when its work does.
 //! * **One worker pool for a whole fleet** — a [`stream::StreamRouter`]
 //!   session stages every member analyzer's bin first, then runs ALL
 //!   streams' shard jobs on one pool: stream A's delay shards interleave with

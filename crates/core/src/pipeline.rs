@@ -120,12 +120,11 @@ impl Analyzer {
     /// sanitized and scattered for both detectors in one parallel pass
     /// against the persistent intern tables (`Analyzer::open_scatter`),
     /// followed by the short sequential chunk-ordered merge fence. Then
-    /// the shard wave: every worker
-    /// interleaves delay-link shards and forwarding-pattern shards
-    /// (§4 ∥ §5) instead of the two detectors racing on separate thread
-    /// herds. The §6 aggregation joins their outputs. Output is
-    /// byte-identical to the sequential ordering, for any thread count
-    /// (and so any chunk cut).
+    /// the shard wave: one job per delay-link shard and per
+    /// forwarding-pattern shard (§4 ∥ §5), claimed by the same workers
+    /// instead of the two detectors racing on separate thread herds. The
+    /// §6 aggregation joins their outputs. Output is byte-identical to the
+    /// sequential ordering, for any thread count (and so any chunk cut).
     ///
     /// A fleet of analyzers shares one pool the same way: see
     /// [`crate::stream::StreamRouter`], whose session pools every
@@ -218,13 +217,13 @@ impl Analyzer {
     /// executor pools the jobs of every member into one wave, then
     /// collects with [`AnalyzerStage::finish`] and hands the result back
     /// through [`Analyzer::absorb`].
-    pub(crate) fn stage<'a>(&'a mut self, bin: BinId, threads: usize) -> AnalyzerStage<'a> {
+    pub(crate) fn stage(&mut self, bin: BinId) -> AnalyzerStage<'_> {
         let Analyzer {
             delay, forwarding, ..
         } = self;
         AnalyzerStage {
-            delay: delay.stage(bin, threads),
-            forwarding: forwarding.stage(bin, threads),
+            delay: delay.stage(bin),
+            forwarding: forwarding.stage(bin),
         }
     }
 
@@ -522,9 +521,9 @@ pub(crate) struct AnalyzerStage<'a> {
 }
 
 impl<'a> AnalyzerStage<'a> {
-    /// All shard jobs of this analyzer's bin (delay first, then
-    /// forwarding — the engine's round-robin dealing interleaves them
-    /// across workers either way).
+    /// All shard jobs of this analyzer's bin, one per shard: delay first,
+    /// then forwarding, all claimed from the one wave by whichever worker
+    /// is free.
     pub(crate) fn jobs<'s>(&'s mut self) -> Vec<crate::engine::Job<'s>> {
         let mut jobs = self.delay.jobs();
         jobs.extend(self.forwarding.jobs());

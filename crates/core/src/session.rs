@@ -259,7 +259,7 @@ impl<'a, S: AnalyzerSet> Session<'a, S> {
             let staged: Vec<_> = {
                 let mut stages: Vec<_> = members
                     .iter_mut()
-                    .map(|analyzer| analyzer.stage(bin, threads))
+                    .map(|analyzer| analyzer.stage(bin))
                     .collect();
                 let shards = stages.iter_mut().flat_map(AnalyzerStage::jobs).collect();
                 engine::run_jobs(shards, threads);
@@ -347,6 +347,143 @@ mod tests {
         for depth in [0usize, 1, 2, 7] {
             assert_eq!(analyzer(2).session(depth).depth(), 1, "solo depth={depth}");
             assert_eq!(fleet(2).session(depth).depth(), 1, "fleet depth={depth}");
+        }
+    }
+
+    /// One stream's feed over `LANES` lanes (`near → far → dst`, three
+    /// probes in three ASes, two traceroutes each) starting at lane
+    /// `first`: 1 200 records, so a bin scatters as three 512-record chunks
+    /// and its lanes spread over every shard. In the surge bin every fifth
+    /// lane gains 30 ms on its `near → far` link (delay alarms) and every
+    /// seventh lane's far hop goes dark (forwarding alarms).
+    fn lanes(stream: u8, first: usize, bin: u64, surge: bool) -> Vec<TracerouteRecord> {
+        use pinpoint_model::records::{Hop, Reply};
+        use pinpoint_model::{Asn, MeasurementId, ProbeId, SimTime};
+        use std::net::Ipv4Addr;
+        const LANES: usize = 200;
+        let mut out = Vec::new();
+        for lane in first..first + LANES {
+            let (hi, lo) = ((lane / 250) as u8, (lane % 250) as u8);
+            let near = Ipv4Addr::new(10, 1 + stream, hi, lo);
+            let far = Ipv4Addr::new(10, 101 + stream, hi, lo);
+            let dst = Ipv4Addr::new(198, 51, 100 + stream, lo);
+            let delay = if surge && lane % 5 == 0 { 32.0 } else { 2.0 };
+            let dark = surge && lane % 7 == 0;
+            for (probe, asn, eps) in [(1u32, 100u32, 0.4), (2, 200, -0.8), (3, 300, 1.3)] {
+                for shot in 0..2 {
+                    let base = 10.0 + eps + (lane % 11) as f64 * 0.1;
+                    let replies = |at: Ipv4Addr, rtt: f64| {
+                        (0..3)
+                            .map(|k| Reply::new(at, rtt + 0.01 * f64::from(k)))
+                            .collect()
+                    };
+                    let far_replies = if dark {
+                        vec![Reply::TIMEOUT; 3]
+                    } else {
+                        replies(far, base + delay)
+                    };
+                    out.push(TracerouteRecord {
+                        msm_id: MeasurementId(u32::from(stream)),
+                        probe_id: ProbeId(probe),
+                        probe_asn: Asn(asn),
+                        dst,
+                        timestamp: SimTime(bin * 3600 + shot * 1800),
+                        paris_id: 0,
+                        hops: vec![
+                            Hop::new(1, replies(near, base)),
+                            Hop::new(2, far_replies),
+                            Hop::new(3, replies(dst, base + delay + 2.0)),
+                        ],
+                        destination_reached: true,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// The bins the placement test pushes: six quiet warm-up bins, a surge
+    /// bin with alarms, an empty bin, then two churn bins whose lanes are
+    /// half new — and, with a 2-bin expiry, whose second bin compacts the
+    /// lanes last seen in the surge bin away.
+    fn placement_bins(stream: u8) -> Vec<Vec<TracerouteRecord>> {
+        let mut bins: Vec<_> = (0..6).map(|b| lanes(stream, 0, b, false)).collect();
+        bins.push(lanes(stream, 0, 6, true));
+        bins.push(Vec::new());
+        bins.extend((8..10).map(|b| lanes(stream, 100, b, false)));
+        bins
+    }
+
+    /// Everything a push schedule could leak into: every report's bytes,
+    /// the cumulative event listing and the snapshot, for a solo analyzer
+    /// and a 2-stream fleet on `threads` workers.
+    fn placement_run(threads: usize) -> (Vec<String>, Vec<String>, Vec<u8>) {
+        use crate::render;
+        let cfg = DetectorConfig {
+            threads,
+            reference_expiry_bins: 2,
+            ..DetectorConfig::fast_test()
+        };
+        let mapper = || {
+            AsMapper::from_prefixes([
+                ("10.0.0.0/8".parse().unwrap(), pinpoint_model::Asn(64500)),
+                ("198.51.0.0/16".parse().unwrap(), pinpoint_model::Asn(64501)),
+            ])
+        };
+        let (solo_bins, other_bins) = (placement_bins(0), placement_bins(1));
+        let mut solo = Analyzer::new(cfg.clone(), mapper());
+        let mut fleet = StreamRouter::with_magnitude_window(24);
+        fleet.add_stream("a", Analyzer::new(cfg.clone(), mapper()));
+        fleet.add_stream("b", Analyzer::new(cfg, mapper()));
+        fleet.set_threads(threads);
+        let (mut reports, mut events, mut snapshots) = (Vec::new(), Vec::new(), Vec::new());
+        {
+            let (mut solo, mut fleet) = (solo.session(0), fleet.session(0));
+            for (b, (mine, other)) in solo_bins.iter().zip(&other_bins).enumerate() {
+                let bin = BinId(b as u64);
+                let report = solo.push_bin(bin, mine).expect("every push reports");
+                reports.push(render::bin_report(&report).to_string());
+                let feeds = vec![mine.clone(), other.clone()];
+                let report = fleet.push_bin(bin, &feeds).expect("every push reports");
+                reports.push(render::fleet_report(&report).to_string());
+            }
+            for events_of in [solo.events(), fleet.events()] {
+                events.push(render::events(&events_of).to_string());
+            }
+            snapshots.extend(solo.checkpoint());
+            snapshots.extend(fleet.checkpoint());
+        }
+        (reports, events, snapshots)
+    }
+
+    /// Placement is invisible: with the workers' claims natural, reversed
+    /// (the last job of every wave starts first) or with the calling
+    /// thread stalled until the helpers claimed half of each wave, every
+    /// report, the event listing and the snapshot bytes equal the inline
+    /// one-worker run's — through alarms, an empty bin and key churn.
+    #[test]
+    fn placement_is_invisible() {
+        use crate::engine::claim_order::{self, ClaimOrder};
+        let want = placement_run(1);
+        let surge = &want.0[2 * 6];
+        assert!(
+            surge.contains("\"delay_alarms\":[{"),
+            "the surge bin must raise delay alarms"
+        );
+        assert!(
+            surge.contains("\"forwarding_alarms\":[{"),
+            "the surge bin must raise forwarding alarms"
+        );
+        assert!(want.1.iter().all(|e| e != "[]"), "events must open");
+        for order in [
+            ClaimOrder::Natural,
+            ClaimOrder::Reversed,
+            ClaimOrder::Stalled,
+        ] {
+            for threads in [2usize, 3, 4] {
+                let got = claim_order::with(order, || placement_run(threads));
+                assert!(got == want, "{order:?} threads={threads}");
+            }
         }
     }
 

@@ -11,9 +11,9 @@
 //! scatter-chunk jobs — stream A's record→row scatter overlaps stream
 //! B's on the same workers, against each stream's own persistent intern
 //! epoch. The shard wave pools every stream's delay-link shards and
-//! forwarding-pattern shards, dealt round-robin onto the same workers, so
-//! stream A's delay shards interleave with stream B's forwarding shards
-//! instead of each stream spinning up its own thread herd.
+//! forwarding-pattern shards, one job each, claimed by the same workers,
+//! so stream A's delay shards interleave with stream B's forwarding
+//! shards instead of each stream spinning up its own thread herd.
 //!
 //! ## Determinism contract
 //!
@@ -155,9 +155,9 @@ impl StreamRouter {
     /// (stream A's ingestion overlaps stream B's on the same workers),
     /// then — after the per-stream chunk-ordered intern merges, done in
     /// stream order — every stream's delay and forwarding shard jobs.
-    /// The engine deals each wave's jobs round-robin onto one set of
-    /// scoped workers, so the fleet runs as one thread herd; the streams
-    /// then aggregate in stream order and merge.
+    /// The calling thread and the engine's scoped helpers claim each
+    /// wave's jobs from one index, so the fleet runs as one thread herd;
+    /// the streams then aggregate in stream order and merge.
     ///
     /// # Panics
     /// When `feeds.len()` differs from the number of streams.

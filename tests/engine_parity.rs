@@ -60,8 +60,9 @@ fn parity_holds_for_any_thread_count() {
     // 1, 2, and many workers must all match the sequential path — the
     // engine's determinism cannot depend on the core count of the machine
     // that happens to run it. 3 and 5 stay in the list because they do
-    // NOT divide the 32-shard count: they exercise uneven round-robin
-    // bundles the CI matrix points {1, 2, 4, 8} never produce.
+    // NOT divide a wave's job count (64 shard jobs per analyzer): the
+    // claim race ends ragged, with workers running unequal job counts —
+    // a placement the CI matrix points {1, 2, 4, 8} rarely produce.
     let case = steady::case_study(42, Scale::Small);
     let records = case.platform.collect_bin(BinId(0));
     let mut reference = Analyzer::new(DetectorConfig::fast_test(), case.mapper.clone());

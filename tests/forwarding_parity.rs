@@ -63,8 +63,8 @@ fn route_change_parity_across_thread_counts() {
     assert!(!want.is_empty(), "route change must alarm");
     assert!(want[0].rho < -0.25);
 
-    // 3 and 5 don't divide the 32-shard count: they cover the uneven
-    // round-robin bundles the CI matrix points {1, 2, 4, 8} never hit.
+    // 3 and 5 don't divide the 32 shard jobs of a wave: the claim race
+    // ends ragged, a placement the CI matrix points {1, 2, 4, 8} rarely hit.
     for threads in [1usize, 2, 3, 4, 5, 8] {
         let mut cfg = DetectorConfig::fast_test();
         cfg.threads = threads;

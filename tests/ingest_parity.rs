@@ -140,7 +140,8 @@ proptest! {
 
 /// The full thread-count cross on a faithful simulator stream: every
 /// point must reproduce the sequential reference bytes. 3 and 5 threads
-/// don't divide the 32-shard count (uneven round-robin bundles). A steady
+/// don't divide a wave's job count (64 shard jobs; 7 scatter chunks), so
+/// the claim race ends ragged. A steady
 /// Small bin carries ~3 000 records (3 080 at seed 2015: 7 chunks at 512
 /// records, 25 at the one-worker 128), so every bin spans several auto
 /// chunks at every point — asserted below.

@@ -37,7 +37,7 @@ fn analyzer_with(cfg: &DetectorConfig) -> Analyzer {
 
 /// The worker counts every stream is swept over: one worker cuts a bin
 /// into 128-record chunks, two and three into 512-record chunks (three
-/// also leaves the shard bundles uneven).
+/// also does not divide the 64 shard jobs of a wave).
 const SWEPT_THREADS: [usize; 3] = [1, 2, 3];
 
 /// Records per hostile bin: past 512, so every swept thread count — both
