@@ -69,9 +69,15 @@ pub(crate) fn shard_of_u64(key: u64) -> usize {
 
 /// Stable shard assignment for arbitrary hashable keys, via the
 /// workspace's deterministic [`FxHasher`](pinpoint_model::hash::FxHasher).
+///
+/// Reads the hasher's *pre-finish* state: `FxHasher::finish` rotates the
+/// state left by 26 bits so hash tables index on mixed bits, and this
+/// rotates it back. Two reasons: every key stays in the shard snapshot
+/// format 2 pinned it to, and a shard's own intern table then indexes on
+/// bits other than the five that chose the shard.
 pub(crate) fn shard_of_hashed<T: std::hash::Hash>(key: &T) -> usize {
-    let h = BuildHasherDefault::<pinpoint_model::hash::FxHasher>::default().hash_one(key);
-    (h % NUM_SHARDS as u64) as usize
+    let finished = BuildHasherDefault::<pinpoint_model::hash::FxHasher>::default().hash_one(key);
+    (finished.rotate_right(26) % NUM_SHARDS as u64) as usize
 }
 
 /// A key with one fixed snapshot layout — the single codec every table
@@ -341,6 +347,25 @@ mod tests {
         let key = ("10.0.0.1".parse::<std::net::Ipv4Addr>().unwrap(), 7u32);
         assert_eq!(shard_of_hashed(&key), shard_of_hashed(&key));
         assert!(shard_of_hashed(&key) < NUM_SHARDS);
+    }
+
+    /// Pattern keys live in the shard snapshot format 2 pinned them to: a
+    /// restored snapshot refuses a key found in another shard, so moving
+    /// one is a format change. The expected shards are those of the
+    /// unrotated FxHash state that format 2 was written with.
+    #[test]
+    fn pattern_key_shards_are_pinned() {
+        use crate::forwarding::PatternKey;
+        use std::net::Ipv4Addr;
+        const PINNED: [usize; 16] = [2, 25, 2, 25, 18, 20, 17, 23, 15, 18, 15, 18, 31, 1, 13, 16];
+        for (i, want) in PINNED.into_iter().enumerate() {
+            let (hi, lo) = ((i / 4) as u8, (i * 37 % 250) as u8);
+            let key = PatternKey {
+                router: Ipv4Addr::new(10, hi, lo, 1 + (i % 2) as u8),
+                dst: Ipv4Addr::new(198, 51 + hi, lo, 1),
+            };
+            assert_eq!(shard_of_hashed(&key), want, "{key:?} left its shard");
+        }
     }
 
     /// Counting jobs: job `i` bumps `counts[i]`; job `panic_at` panics.

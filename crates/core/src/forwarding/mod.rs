@@ -19,11 +19,13 @@
 //!   buffers are reused across bins: 16-byte `(pattern, hop, packets)`
 //!   rows scattered into per-(chunk, shard) buffers against
 //!   epoch-persistent pattern/hop intern tables (zero insertions in
-//!   steady state; identical replies within a record collapse into one
-//!   accumulated row), concatenated per shard in chunk order so output
-//!   never depends on the chunking;
+//!   steady state; a record's replies are counted by next hop first, so
+//!   each distinct next hop is resolved once and becomes one accumulated
+//!   row), concatenated per shard in chunk order so output never depends
+//!   on the chunking;
 //! * patterns — and their smoothed references — are sharded by a *stable*
-//!   `FxHash` of the [`PatternKey`], and each shard is one engine job that
+//!   `FxHash` of the [`PatternKey`] (its pre-finish state, so shards never
+//!   moved when `finish` began to rotate), and each shard is one engine job that
 //!   owns its shard's reference map, so the check → alarm →
 //!   reference-update pipeline needs no locks;
 //! * references track the last bin their pattern appeared in and are

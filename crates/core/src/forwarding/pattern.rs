@@ -213,19 +213,24 @@ impl ArenaSpec for PatternSpec {
     type Side = NextHop;
     type Payload = ();
     type Tail = f64;
-    /// Per-(record, router-hop) accumulation scratch: identical
-    /// `(pattern, hop)` packets collapse into one row before pushing.
-    type Staged = Vec<(u32, f64)>;
+    /// Per-(record, router-hop) accumulation scratch: the observation's
+    /// packets counted by next-hop value, in first-touch order, before
+    /// any id is resolved.
+    type Staged = Vec<(NextHop, f64)>;
     type Row = (u64, f64);
     type Rows = PatternShardRows;
 
     /// Replies landing on the same next hop within one (record, router)
-    /// observation are accumulated into a single `(key, n)` row before
-    /// pushing — reply-heavy hops produce one row per *distinct* next hop
-    /// instead of one per packet. A router observed with no next-hop
-    /// packets at all (empty or all-repeated successor replies) pushes one
-    /// [`SENTINEL`] presence row, so the pattern still exists this bin and
-    /// its reference still decays, exactly like the nested-map path.
+    /// observation are counted by value first, and only then resolved:
+    /// one `resolve_side` per *distinct* next hop and one `(key, n)` row
+    /// for it, instead of one lookup per packet. Distinct hops are
+    /// resolved in first-touch order — the order the per-reply resolve
+    /// met them — so pending ids, the merge's interning order and the
+    /// rows are the same as resolving every reply. A router observed with
+    /// no next-hop packets at all (empty or all-repeated successor
+    /// replies) pushes one [`SENTINEL`] presence row, so the pattern
+    /// still exists this bin and its reference still decays, exactly like
+    /// the nested-map path.
     fn scatter(
         chunk: &mut Chunk<Self>,
         rec: &TracerouteRecord,
@@ -254,18 +259,17 @@ impl ArenaSpec for PatternSpec {
                     Some(_) => continue,
                     None => NextHop::Unresponsive,
                 };
-                let enc = ids.resolve_side(hops, hop, ());
-                match acc.iter_mut().find(|(slot, _)| *slot == enc) {
+                match acc.iter_mut().find(|(seen, _)| *seen == hop) {
                     Some((_, packets)) => *packets += 1.0,
-                    None => acc.push((enc, 1.0)),
+                    None => acc.push((hop, 1.0)),
                 }
             }
             let rows = &mut rows[s];
             if acc.is_empty() {
                 rows.push((pack(local, SENTINEL), 0.0));
             } else {
-                for &(slot, packets) in acc.iter() {
-                    rows.push((pack(local, slot), packets));
+                for &(hop, packets) in acc.iter() {
+                    rows.push((pack(local, ids.resolve_side(hops, hop, ())), packets));
                 }
             }
         }
@@ -412,7 +416,7 @@ pub fn collect_patterns_sharded(records: &[TracerouteRecord]) -> FxHashMap<Patte
 mod tests {
     use super::*;
     use pinpoint_model::records::{Hop, Reply};
-    use pinpoint_model::{Asn, MeasurementId, ProbeId, SimTime};
+    use pinpoint_model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
@@ -666,6 +670,140 @@ mod tests {
         };
         assert_eq!(sharded[&key].get(&NextHop::Ip(ip("10.0.1.1"))), 5.0);
         assert_eq!(sharded[&key].get(&NextHop::Unresponsive), 2.0);
+    }
+
+    /// [`PatternSpec`] with the scatter that resolves every reply's next
+    /// hop before counting it — the reference for resolving each
+    /// distinct next hop once.
+    #[derive(Debug)]
+    struct PerReplySpec;
+
+    impl ArenaSpec for PerReplySpec {
+        type Key = PatternKey;
+        type Side = NextHop;
+        type Payload = ();
+        type Tail = f64;
+        type Staged = Vec<(u32, f64)>;
+        type Row = (u64, f64);
+        type Rows = PatternShardRows;
+
+        fn scatter(
+            chunk: &mut Chunk<Self>,
+            rec: &TracerouteRecord,
+            patterns: &[Interner<PatternKey>],
+            hops: &Interner<NextHop>,
+        ) {
+            let Chunk {
+                rows,
+                staged: acc,
+                ids,
+            } = chunk;
+            for i in 0..rec.hops.len().saturating_sub(1) {
+                let Some(router) = rec.hops[i].first_responder() else {
+                    continue;
+                };
+                let key = PatternKey {
+                    router,
+                    dst: rec.dst,
+                };
+                let (s, local) = ids.resolve_key(patterns, key);
+                acc.clear();
+                for reply in &rec.hops[i + 1].replies {
+                    let hop = match reply.from {
+                        Some(ip) if ip != router => NextHop::Ip(ip),
+                        Some(_) => continue,
+                        None => NextHop::Unresponsive,
+                    };
+                    let enc = ids.resolve_side(hops, hop, ());
+                    match acc.iter_mut().find(|(slot, _)| *slot == enc) {
+                        Some((_, packets)) => *packets += 1.0,
+                        None => acc.push((enc, 1.0)),
+                    }
+                }
+                if acc.is_empty() {
+                    rows[s].push((pack(local, SENTINEL), 0.0));
+                }
+                for &(slot, packets) in acc.iter() {
+                    rows[s].push((pack(local, slot), packets));
+                }
+            }
+        }
+
+        fn row(key: u64, chunk: u32, packets: f64) -> (u64, f64) {
+            PatternSpec::row(key, chunk, packets)
+        }
+
+        fn gathered(rows: &mut PatternShardRows) -> &mut Vec<(u64, f64)> {
+            &mut rows.rows
+        }
+
+        fn finalize(rows: &mut PatternShardRows, _shard: usize, _wave: Wave<'_, Self>) {
+            rows.finalize();
+        }
+
+        fn observed(rows: &PatternShardRows) -> impl Iterator<Item = u32> + '_ {
+            rows.entries.iter().map(|&(local, _, _)| local)
+        }
+    }
+
+    #[test]
+    fn one_resolve_per_distinct_next_hop_matches_per_reply_resolve() {
+        let (a, b) = (Some("10.0.1.1"), Some("10.0.1.2"));
+        // Bin 1 interns B (and its router's pattern); bin 2's replies
+        // arrive as A, B, A, *, B: A and * are new, B is a table slot, so
+        // first-touch order decides the pending ids and the merge's slots.
+        let known = rec(
+            "198.51.100.1",
+            vec![hop(1, &[Some("10.0.0.1"); 3]), hop(2, &[b; 3])],
+        );
+        let mixed = rec(
+            "198.51.100.1",
+            vec![
+                hop(1, &[Some("10.0.0.1"); 3]),
+                hop(2, &[a, b, a, None, b]),
+                hop(3, &[Some("10.0.2.1"), None, Some("10.0.2.1")]),
+            ],
+        );
+
+        // One chunk, scattered against the tables bin 1 left behind.
+        let mut hops = Interner::default();
+        hops.insert(NextHop::Ip(ip("10.0.1.2")), BinId(0));
+        let patterns: Vec<Interner<PatternKey>> = (0..engine::NUM_SHARDS)
+            .map(|_| Interner::default())
+            .collect();
+        let mut once = Chunk::<PatternSpec>::default();
+        let mut per_reply = Chunk::<PerReplySpec>::default();
+        once.rows = vec![Vec::new(); engine::NUM_SHARDS];
+        per_reply.rows = vec![Vec::new(); engine::NUM_SHARDS];
+        PatternSpec::scatter(&mut once, &mixed, &patterns, &hops);
+        PerReplySpec::scatter(&mut per_reply, &mixed, &patterns, &hops);
+        assert_eq!(once.rows, per_reply.rows);
+        assert_eq!(once.ids.pending(), per_reply.ids.pending());
+        let (_, new_sides, touched) = once.ids.pending();
+        assert_eq!(
+            new_sides,
+            [
+                NextHop::Ip(ip("10.0.1.1")),
+                NextHop::Unresponsive,
+                NextHop::Ip(ip("10.0.2.1"))
+            ]
+        );
+        assert_eq!(touched.len(), 4, "A, B, *, C: each touched once");
+
+        // Whole bins through both arenas: same groups, same epoch bytes.
+        let mut once = PatternArena::default();
+        let mut per_reply = EpochArena::<PerReplySpec>::default();
+        for bin in [vec![known], vec![mixed]] {
+            once.build(&bin);
+            per_reply.build(&bin);
+            for ((x, x_keys), (y, y_keys)) in once.shards().zip(per_reply.shards()) {
+                assert_eq!((&x.pool, &x.entries, x_keys), (&y.pool, &y.entries, y_keys));
+            }
+        }
+        let (mut x, mut y) = (Writer::default(), Writer::default());
+        once.snapshot_into(&mut x);
+        per_reply.snapshot_into(&mut y);
+        assert_eq!(x.into_bytes(), y.into_bytes());
     }
 
     #[test]

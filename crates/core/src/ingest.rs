@@ -493,6 +493,20 @@ impl<S: ArenaSpec> ChunkIds<S> {
         enc
     }
 
+    /// The pending queues as the merge will read them: new keys, new
+    /// sides, and every touched side in first-touch order.
+    #[cfg(test)]
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn pending(
+        &self,
+    ) -> (
+        &[S::Key],
+        &[S::Side],
+        &[(u32, <S::Payload as SidePayload>::Note)],
+    ) {
+        (&self.new_keys, &self.new_sides, &self.touched_sides)
+    }
+
     /// Whether this chunk wrote no pending id anywhere.
     fn nothing_new(&self) -> bool {
         self.new_keys.is_empty() && self.new_sides.is_empty()

@@ -93,63 +93,79 @@ impl Value {
 }
 
 impl fmt::Display for Value {
+    /// Writes the document straight into the formatter's sink: nodes
+    /// recurse through `write_value`, never back through `write!`, and no
+    /// intermediate buffer is built.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Number(n) => {
-                if n.is_finite() {
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        write!(f, "{}", *n as i64)
-                    } else {
-                        write!(f, "{n}")
-                    }
+        write_value(f, self)
+    }
+}
+
+fn write_value<W: fmt::Write>(out: &mut W, v: &Value) -> fmt::Result {
+    match v {
+        Value::Null => out.write_str("null"),
+        Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+        Value::Number(n) => {
+            if n.is_finite() {
+                if n.fract() == 0.0 && n.abs() < 1e15 {
+                    write!(out, "{}", *n as i64)
                 } else {
-                    // JSON has no NaN/Inf; emit null like most encoders.
-                    f.write_str("null")
+                    write!(out, "{n}")
                 }
+            } else {
+                // JSON has no NaN/Inf; emit null like most encoders.
+                out.write_str("null")
             }
-            Value::String(s) => write_escaped(f, s),
-            Value::Array(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
+        }
+        Value::String(s) => write_escaped(out, s),
+        Value::Array(items) => {
+            out.write_char('[')?;
+            for (i, v) in items.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
                 }
-                f.write_str("]")
+                write_value(out, v)?;
             }
-            Value::Object(map) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
+            out.write_char(']')
+        }
+        Value::Object(map) => {
+            out.write_char('{')?;
+            for (i, (k, v)) in map.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
                 }
-                f.write_str("}")
+                write_escaped(out, k)?;
+                out.write_char(':')?;
+                write_value(out, v)?;
             }
+            out.write_char('}')
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// A quoted JSON string. Runs of bytes that need no escape are written
+/// with one `write_str`; every byte that does is ASCII, so a run never
+/// splits a multi-byte character.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// Error produced by [`parse`].
@@ -176,6 +192,7 @@ impl std::error::Error for ParseError {}
 /// Parse a JSON document.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -189,6 +206,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -339,12 +357,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, and the run starts where
+                    // the previous token ended, so both ends fall on
+                    // character boundaries of the input `str`.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = self
+                        .text
+                        .get(start..self.pos)
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -588,6 +613,98 @@ mod tests {
     fn decode_rejects_missing_fields() {
         let v = parse(r#"{"msm_id":1}"#).unwrap();
         assert!(record_from_json(&v).is_err());
+    }
+
+    /// The exact bytes the writer emits, for every escape class, for
+    /// multi-byte UTF-8 next to escapes, for nesting, and for each number
+    /// form. Reports are compared byte for byte, so this must never move.
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let doc = Value::object(vec![
+            ("quote\"key", Value::String("say \"hi\"".into())),
+            ("back\\slash", Value::String("C:\\dir\\".into())),
+            (
+                "controls",
+                Value::String("\u{1}\u{8}\u{c}\u{1f}\n\r\t\u{7f}".into()),
+            ),
+            ("utf8", Value::String("é→中😀\"é\\".into())),
+            (
+                "numbers",
+                Value::Array(vec![
+                    Value::Number(0.0),
+                    Value::Number(-0.0),
+                    Value::Number(42.0),
+                    Value::Number(-7.0),
+                    Value::Number(999_999_999_999_999.0),
+                    Value::Number(1e15),
+                    Value::Number(0.1),
+                    Value::Number(-2.5),
+                    Value::Number(1e-7),
+                    Value::Number(f64::NAN),
+                    Value::Number(f64::INFINITY),
+                ]),
+            ),
+            (
+                "nested",
+                Value::Array(vec![
+                    Value::Array(vec![]),
+                    Value::object(vec![]),
+                    Value::object(vec![("b", Value::Bool(true)), ("a", Value::Null)]),
+                    Value::Array(vec![Value::Bool(false), Value::String(String::new())]),
+                ]),
+            ),
+        ]);
+        let expected = concat!(
+            r#"{"back\\slash":"C:\\dir\\","#,
+            r#""controls":"\u0001\u0008\u000c\u001f\n\r\t"#,
+            "\u{7f}\",",
+            r#""nested":[[],{},{"a":null,"b":true},[false,""]],"#,
+            r#""numbers":[0,0,42,-7,999999999999999,1000000000000000,0.1,-2.5,0.0000001,null,null],"#,
+            r#""quote\"key":"say \"hi\"","#,
+            r#""utf8":"é→中😀\"é\\"}"#,
+        );
+        assert_eq!(doc.to_string(), expected);
+        assert_eq!(format!("{doc}"), expected);
+    }
+
+    /// Non-ASCII text between escapes survives a write → parse round
+    /// trip, and the parser copies raw runs of any length.
+    #[test]
+    fn non_ascii_and_escapes_round_trip() {
+        let long = "ü".repeat(1000);
+        for text in [
+            "",
+            "plain",
+            "é",
+            "中文\"引号\"",
+            "😀\\😀\n",
+            "\u{1}é\u{1f}中\t",
+            &long,
+        ] {
+            let v = Value::String(text.to_string());
+            assert_eq!(parse(&v.to_string()).unwrap(), v, "{text:?}");
+        }
+        let v = parse(r#"{"é":["a\u00e9b","\u4e2d\"x\\"]}"#).unwrap();
+        let arr = v.get("é").unwrap().as_array().unwrap();
+        assert_eq!(arr[0].as_str(), Some("aéb"));
+        assert_eq!(arr[1].as_str(), Some("中\"x\\"));
+    }
+
+    /// Byte offsets of parse errors, as the parser has always reported
+    /// them.
+    #[test]
+    fn parse_error_offsets_are_pinned() {
+        let offset = |doc: &str| parse(doc).unwrap_err().offset;
+        assert_eq!(offset(""), 0);
+        assert_eq!(offset(r#""abc"#), 4);
+        assert_eq!(offset(r#""é中"#), 6);
+        assert_eq!(offset(r#""ab\q""#), 4);
+        assert_eq!(offset(r#""é\u12""#), 4);
+        assert_eq!(offset(r#"["é" x]"#), 6);
+        assert_eq!(offset(r#"{"é":1,}"#), 8);
+        assert_eq!(offset("[1,]"), 3);
+        assert_eq!(offset("1 2"), 2);
+        assert_eq!(offset(r#""ok" é"#), 5);
     }
 
     #[test]
