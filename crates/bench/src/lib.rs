@@ -1,7 +1,8 @@
 //! # pinpoint-bench
 //!
 //! The evaluation harness: one binary per figure/table of the paper,
-//! plus the synthetic Atlas-scale workload generators ([`workload`]).
+//! plus the synthetic Atlas-scale workload generators ([`workload`]) and
+//! the paper-literal reference the engine is checked against ([`oracle`]).
 //!
 //! Every `fig*` binary accepts:
 //!
@@ -16,6 +17,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod oracle;
 pub mod workload;
 
 use pinpoint_scenarios::Scale;

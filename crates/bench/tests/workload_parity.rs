@@ -1,13 +1,15 @@
 //! Engine parity on the Atlas-scale synthetic shapes of
 //! `pinpoint_bench::workload`: one warm bin, then one work bin, through
-//! `process_bin` (the sharded engine) and `process_bin_sequential` (the
-//! nested-map reference) — identical alarms and link statistics on every
-//! shape. The scenario-fed parity suites under `tests/` never reach these
+//! `process_bin` (the sharded engine) and `pinpoint_bench::oracle` (the
+//! paper-literal reference) — whole reports identical on every shape:
+//! alarms, link statistics, record counts, AS magnitudes and event
+//! deltas. The scenario-fed parity suites under `tests/` never reach these
 //! volumes (hundreds of diversity-passing links, ~1k samples per link,
 //! ~900 sort keys per shard, dozens of auto scatter chunks per bin); this
 //! file is where they are checked. The CI parity matrix re-runs it under
 //! `PINPOINT_THREADS` ∈ {1, 2, 4, 8}, exactly like the root parity suites.
 
+use pinpoint_bench::oracle::{FleetOracle, Oracle};
 use pinpoint_bench::workload::{
     forwarding_bin, grouping_bin, ingest_bin, mixed_bin, multi_stream_feeds, synthetic_bin,
     synthetic_mapper, ForwardingSpec, GroupingSpec, IngestSpec, WorkloadSpec,
@@ -48,26 +50,35 @@ fn engine_config() -> DetectorConfig {
 }
 
 fn assert_reports_match(name: &str, a: &BinReport, b: &BinReport) {
+    assert_eq!(a.bin, b.bin, "{name}: bin");
+    assert_eq!(a.records, b.records, "{name}: records");
     assert_eq!(a.delay_alarms, b.delay_alarms, "{name}: delay alarms");
     assert_eq!(
         a.forwarding_alarms, b.forwarding_alarms,
         "{name}: forwarding alarms"
     );
     assert_eq!(a.link_stats, b.link_stats, "{name}: link stats");
+    assert_eq!(a.magnitudes, b.magnitudes, "{name}: magnitudes");
+    assert_eq!(a.events, b.events, "{name}: event deltas");
 }
 
-/// Warm both paths on `bin(0)`, compare them on `bin(1)`, and hand back
-/// the engine-side analyzer so the caller can read its per-bin counters.
+/// Warm the engine and the oracle on `bin(0)`, compare them on `bin(1)`,
+/// and hand back the engine-side analyzer so the caller can read its
+/// per-bin counters.
 fn check_shape(name: &str, bin: impl Fn(u64) -> Vec<TracerouteRecord>) -> Analyzer {
     let mut engine = Analyzer::new(engine_config(), synthetic_mapper());
-    let mut reference = Analyzer::new(DetectorConfig::default(), synthetic_mapper());
+    let mut oracle = Oracle::new(DetectorConfig::default(), synthetic_mapper());
     let warm = bin(0);
-    engine.process_bin(BinId(0), &warm);
-    reference.process_bin_sequential(BinId(0), &warm);
+    assert_reports_match(
+        &format!("{name} warm"),
+        &engine.process_bin(BinId(0), &warm),
+        &oracle.process_bin(BinId(0), &warm),
+    );
     let work = bin(1);
     let a = engine.process_bin(BinId(1), &work);
-    let b = reference.process_bin_sequential(BinId(1), &work);
+    let b = oracle.process_bin(BinId(1), &work);
     assert_reports_match(name, &a, &b);
+    assert_eq!(engine.sanitize_stats(), oracle.sanitize_stats(), "{name}");
     engine
 }
 
@@ -112,7 +123,7 @@ fn characterize_heavy() {
 
 /// The mixed bin plus the long ingest paths (loops and false links need
 /// middle hops to land on), every record run through a hostile
-/// `ArtifactModel`: both paths must sanitize identically, and the
+/// `ArtifactModel`: the engine must sanitize as the oracle does, and the
 /// sanitizer must actually have something to quarantine.
 #[test]
 fn artifact_heavy_quarantines_on_both_paths() {
@@ -132,28 +143,29 @@ fn artifact_heavy_quarantines_on_both_paths() {
 
 #[test]
 fn multi_stream_fleet() {
-    let fleet = || {
-        let cfg = engine_config();
-        let mut router = StreamRouter::new();
-        for i in 0..3 {
-            router.add_stream(
-                format!("stream-{i}"),
-                Analyzer::new(cfg.clone(), synthetic_mapper()),
-            );
-        }
-        router.set_threads(cfg.threads);
-        router
-    };
-    let (mut engine, mut reference) = (fleet(), fleet());
-    let warm = multi_stream_feeds(3, SEED, 0);
-    engine.process_bin(BinId(0), &warm);
-    reference.process_bin_sequential(BinId(0), &warm);
-    let work = multi_stream_feeds(3, SEED, 1);
-    let a = engine.process_bin(BinId(1), &work);
-    let b = reference.process_bin_sequential(BinId(1), &work);
-    assert_eq!(a.streams.len(), b.streams.len());
-    for (i, (ra, rb)) in a.streams.iter().zip(&b.streams).enumerate() {
-        assert_reports_match(&format!("multi_stream[{i}]"), ra, rb);
+    let cfg = engine_config();
+    let mut engine = StreamRouter::new();
+    let mut oracle = FleetOracle::new(DetectorConfig::default().magnitude_window_bins);
+    for i in 0..3 {
+        engine.add_stream(
+            format!("stream-{i}"),
+            Analyzer::new(cfg.clone(), synthetic_mapper()),
+        );
+        oracle.add_stream(Oracle::new(DetectorConfig::default(), synthetic_mapper()));
     }
-    assert_eq!(a.magnitudes, b.magnitudes, "multi_stream: magnitudes");
+    engine.set_threads(cfg.threads);
+    for b in 0..2 {
+        let feeds = multi_stream_feeds(3, SEED, b);
+        let a = engine.process_bin(BinId(b), &feeds);
+        let o = oracle.process_bin(BinId(b), &feeds);
+        assert_eq!(a.streams.len(), o.streams.len());
+        for (i, (ra, ro)) in a.streams.iter().zip(&o.streams).enumerate() {
+            assert_reports_match(&format!("multi_stream[{i}] bin {b}"), ra, ro);
+        }
+        assert_eq!(
+            a.magnitudes, o.magnitudes,
+            "multi_stream bin {b}: magnitudes"
+        );
+        assert_eq!(a.events, o.events, "multi_stream bin {b}: event deltas");
+    }
 }

@@ -1,8 +1,9 @@
 //! Engine-parity tests: the sharded, parallel, allocation-lean bin engine
-//! must be *byte-for-byte* equivalent to the single-threaded nested-map
-//! reference path — same alarms in the same order, same link statistics,
-//! same AS magnitudes — across scenarios and seeds. This is the contract
-//! that lets every future scaling PR treat the engine as a drop-in.
+//! must be *byte-for-byte* equivalent to the paper-literal oracle
+//! (`pinpoint_bench::oracle`) — same alarms in the same order, same link
+//! statistics, same AS magnitudes — across scenarios and seeds. This is
+//! the contract that lets every future scaling PR treat the engine as a
+//! drop-in.
 //!
 //! The CI thread matrix re-runs this file with `PINPOINT_THREADS` ∈
 //! {1, 2, 4, 8} on a multi-core runner — the only place real interleavings
@@ -15,27 +16,28 @@ use common::{assert_reports_identical, parity_config};
 use pinpoint::core::{Analyzer, DetectorConfig};
 use pinpoint::model::BinId;
 use pinpoint::scenarios::{steady, Scale};
+use pinpoint_bench::oracle::Oracle;
 
-/// Drive two analyzers — parallel engine vs sequential reference — over the
-/// same scenario stream and demand identical reports every bin.
+/// Drive the parallel engine and the oracle over the same scenario stream
+/// and demand identical reports every bin.
 fn parity_over_scenario(seed: u64, bins: u64) {
     let case = steady::case_study(seed, Scale::Small);
     let mut parallel = Analyzer::new(parity_config(), case.mapper.clone());
-    let mut sequential = Analyzer::new(DetectorConfig::fast_test(), case.mapper.clone());
+    let mut oracle = Oracle::new(DetectorConfig::fast_test(), case.mapper.clone());
     for bin in 0..bins {
         let records = case.platform.collect_bin(BinId(bin));
         let a = parallel.process_bin(BinId(bin), &records);
-        let b = sequential.process_bin_sequential(BinId(bin), &records);
+        let b = oracle.process_bin(BinId(bin), &records);
         assert_reports_identical(&a, &b, &format!("seed {seed} bin {bin}"));
     }
     assert_eq!(
         parallel.tracked_links(),
-        sequential.tracked_links(),
+        oracle.tracked_links(),
         "seed {seed}: tracked links diverged"
     );
     assert_eq!(
         parallel.tracked_patterns(),
-        sequential.tracked_patterns(),
+        oracle.tracked_patterns(),
         "seed {seed}: tracked patterns diverged"
     );
 }
@@ -57,7 +59,7 @@ fn parallel_engine_matches_sequential_seed_2015() {
 
 #[test]
 fn parity_holds_for_any_thread_count() {
-    // 1, 2, and many workers must all match the sequential path — the
+    // 1, 2, and many workers must all match the oracle — the
     // engine's determinism cannot depend on the core count of the machine
     // that happens to run it. 3 and 5 stay in the list because they do
     // NOT divide a wave's job count (64 shard jobs per analyzer): the
@@ -65,8 +67,8 @@ fn parity_holds_for_any_thread_count() {
     // a placement the CI matrix points {1, 2, 4, 8} rarely produce.
     let case = steady::case_study(42, Scale::Small);
     let records = case.platform.collect_bin(BinId(0));
-    let mut reference = Analyzer::new(DetectorConfig::fast_test(), case.mapper.clone());
-    let want = reference.process_bin_sequential(BinId(0), &records);
+    let mut oracle = Oracle::new(DetectorConfig::fast_test(), case.mapper.clone());
+    let want = oracle.process_bin(BinId(0), &records);
     for threads in [1usize, 2, 3, 4, 5, 8] {
         let mut cfg = DetectorConfig::fast_test();
         cfg.threads = threads;
@@ -129,16 +131,16 @@ fn parity_through_a_delay_event() {
         Asn(64500),
     )]);
     let mut parallel = Analyzer::new(parity_config(), mapper.clone());
-    let mut sequential = Analyzer::new(DetectorConfig::fast_test(), mapper);
+    let mut oracle = Oracle::new(DetectorConfig::fast_test(), mapper);
     for b in 0..24u64 {
         let recs = records(b, 2.0);
         let a = parallel.process_bin(BinId(b), &recs);
-        let r = sequential.process_bin_sequential(BinId(b), &recs);
+        let r = oracle.process_bin(BinId(b), &recs);
         assert_reports_identical(&a, &r, &format!("warmup bin {b}"));
     }
     let recs = records(24, 32.0);
     let a = parallel.process_bin(BinId(24), &recs);
-    let r = sequential.process_bin_sequential(BinId(24), &recs);
+    let r = oracle.process_bin(BinId(24), &recs);
     assert!(!a.delay_alarms.is_empty(), "surge must alarm");
     assert_reports_identical(&a, &r, "surge bin");
 }

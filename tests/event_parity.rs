@@ -20,6 +20,7 @@ use pinpoint::model::json::Value;
 use pinpoint::model::records::TracerouteRecord;
 use pinpoint::model::BinId;
 use pinpoint::scenarios::{ixp, multi, Scale};
+use pinpoint_bench::oracle::FleetOracle;
 
 /// Render one bin's event deltas the way the service does — the byte
 /// sequence under test.
@@ -66,14 +67,12 @@ fn drive(cfg: DetectorConfig) -> (Vec<String>, String) {
     })
 }
 
-/// The same window through the nested-map sequential reference, which
-/// has no intern tables to compact.
-fn drive_sequential(cfg: DetectorConfig) -> (Vec<String>, String) {
+/// The same window through the oracle fleet, which has no intern tables
+/// to compact.
+fn drive_oracle(cfg: DetectorConfig) -> (Vec<String>, String) {
     let case = fresh_case(cfg);
-    let mut router = case.router();
-    fold_window(&case, |bin, feeds| {
-        router.process_bin_sequential(bin, feeds)
-    })
+    let mut oracle = FleetOracle::for_case(&case);
+    fold_window(&case, |bin, feeds| oracle.process_bin(bin, feeds))
 }
 
 /// The incremental event channel through the AMS-IX outage must emit the
@@ -152,13 +151,13 @@ fn delta_fold_equals_post_hoc_extraction() {
 
 /// The channel must survive intern compaction: with a short reference
 /// expiry the intern tables compact mid-stream, and the deltas must still
-/// match the sequential reference — which interns nothing — byte for byte.
+/// match the oracle — which interns nothing — byte for byte.
 #[test]
 fn event_channel_survives_compaction_drain_fence() {
     let mut cfg = parity_config();
     cfg.reference_expiry_bins = 3;
 
-    let (want_bins, want_listing) = drive_sequential(cfg.clone());
+    let (want_bins, want_listing) = drive_oracle(cfg.clone());
     assert!(
         want_bins.iter().any(|b| b != "[]"),
         "no deltas through the compaction schedule"

@@ -1,9 +1,9 @@
 //! Forwarding-engine parity tests: the sharded pattern engine must be
-//! *byte-for-byte* equivalent to the single-threaded nested-map reference
-//! path — same alarms in the same order, same tracked references, same
-//! evictions — on quiet bins, through a route change that actually fires
-//! alarms, through the AMS-IX outage scenario, and (by property) on
-//! arbitrary record sets.
+//! *byte-for-byte* equivalent to the paper-literal oracle
+//! (`pinpoint_bench::oracle`) — same alarms in the same order, same
+//! tracked references, same evictions — on quiet bins, through a route
+//! change that actually fires alarms, through the AMS-IX outage scenario,
+//! and (by property) on arbitrary record sets.
 //!
 //! Like `engine_parity.rs`, the CI thread matrix re-runs this file with
 //! `PINPOINT_THREADS` ∈ {1, 2, 4, 8} on a multi-core runner.
@@ -12,11 +12,12 @@
 mod common;
 
 use common::{assert_reports_identical, parity_config};
-use pinpoint::core::forwarding::pattern::{collect_patterns, collect_patterns_sharded};
+use pinpoint::core::aggregate::AsMapper;
 use pinpoint::core::{Analyzer, DetectorConfig, ForwardingDetector};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{ixp, Scale};
+use pinpoint_bench::oracle::Oracle;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -53,13 +54,13 @@ fn route_change_parity_across_thread_counts() {
     // The flip bin must fire a real forwarding alarm — parity on quiet
     // bins alone would never exercise alarm construction and ordering —
     // and every thread count must produce the identical alarm bytes.
-    let mut sequential = ForwardingDetector::new(&DetectorConfig::fast_test());
+    let mut oracle = Oracle::new(DetectorConfig::fast_test(), AsMapper::new());
     for b in 0..8u64 {
-        assert!(sequential
-            .process_bin_sequential(BinId(b), &route_change_records(b, false))
+        assert!(oracle
+            .forwarding_bin(BinId(b), &route_change_records(b, false))
             .is_empty());
     }
-    let want = sequential.process_bin_sequential(BinId(8), &route_change_records(8, true));
+    let want = oracle.forwarding_bin(BinId(8), &route_change_records(8, true));
     assert!(!want.is_empty(), "route change must alarm");
     assert!(want[0].rho < -0.25);
 
@@ -75,7 +76,7 @@ fn route_change_parity_across_thread_counts() {
         }
         let got = engine.process_bin(BinId(8), &route_change_records(8, true));
         assert_eq!(got, want, "threads={threads}");
-        assert_eq!(engine.tracked_patterns(), sequential.tracked_patterns());
+        assert_eq!(engine.tracked_patterns(), oracle.tracked_patterns());
     }
 }
 
@@ -86,7 +87,7 @@ fn route_change_parity_across_thread_counts() {
 fn ixp_outage_parity(seed: u64) {
     let case = ixp::case_study(seed, Scale::Small);
     let mut parallel = Analyzer::new(parity_config(), case.mapper.clone());
-    let mut sequential = Analyzer::new(DetectorConfig::fast_test(), case.mapper.clone());
+    let mut oracle = Oracle::new(DetectorConfig::fast_test(), case.mapper.clone());
     // Zoom into the outage (10:20–12:00 on day 5): a few warm bins, the
     // outage bins themselves, and the recovery.
     let (outage_start, outage_end) = ixp::outage_bins();
@@ -94,7 +95,7 @@ fn ixp_outage_parity(seed: u64) {
     for bin in outage_start - 4..outage_end + 2 {
         let records = case.platform.collect_bin(BinId(bin));
         let a = parallel.process_bin(BinId(bin), &records);
-        let b = sequential.process_bin_sequential(BinId(bin), &records);
+        let b = oracle.process_bin(BinId(bin), &records);
         assert_reports_identical(&a, &b, &format!("ixp seed {seed} bin {bin}"));
         forwarding_alarms += a.forwarding_alarms.len();
     }
@@ -104,7 +105,7 @@ fn ixp_outage_parity(seed: u64) {
     );
     assert_eq!(
         parallel.tracked_patterns(),
-        sequential.tracked_patterns(),
+        oracle.tracked_patterns(),
         "seed {seed}: tracked patterns diverged"
     );
 }
@@ -161,9 +162,10 @@ fn record_from_spec(dst: u32, hops: &[Vec<u32>]) -> TracerouteRecord {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The sharded arena and the nested-map path must build identical
-    /// pattern sets for arbitrary record sets — including degenerate ones
-    /// (all-timeout hops, empty reply lists, repeated addresses).
+    /// The engine and the oracle must agree bin over bin on arbitrary
+    /// record sets — including degenerate ones (all-timeout hops, empty
+    /// reply lists, repeated addresses, next hop == router): same alarms
+    /// and the same number of tracked patterns.
     #[test]
     fn prop_sharded_patterns_match_nested_maps(
         dsts in prop::collection::vec(0u32..4, 1..8),
@@ -177,19 +179,14 @@ proptest! {
             .zip(hop_specs.iter())
             .map(|(&dst, hops)| record_from_spec(dst, hops))
             .collect();
-        prop_assert_eq!(
-            collect_patterns_sharded(&records),
-            collect_patterns(&records)
-        );
-        // And the stateful detectors agree bin over bin on the same feed.
         let cfg = DetectorConfig::fast_test();
         let mut engine = ForwardingDetector::new(&cfg);
-        let mut sequential = ForwardingDetector::new(&cfg);
+        let mut oracle = Oracle::new(cfg, AsMapper::new());
         for b in 0..2u64 {
             let a = engine.process_bin(BinId(b), &records);
-            let s = sequential.process_bin_sequential(BinId(b), &records);
+            let s = oracle.forwarding_bin(BinId(b), &records);
             prop_assert_eq!(a, s);
-            prop_assert_eq!(engine.tracked_patterns(), sequential.tracked_patterns());
+            prop_assert_eq!(engine.tracked_patterns(), oracle.tracked_patterns());
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Ingestion-parity tests: the chunked, parallel, epoch-interned scatter
-//! front-end must be *byte-for-byte* equivalent to the single-threaded
-//! nested-map reference path — for any thread count, for both chunk cuts
+//! front-end must be *byte-for-byte* equivalent to the paper-literal
+//! oracle (`pinpoint_bench::oracle`) — for any thread count, for both chunk cuts
 //! the engine derives from it (one worker: 128 records; more: 512), and
 //! through intern-table compaction under key churn. Bins here are sized
 //! so those cuts really split them: several chunks per bin, asserted.
@@ -20,6 +20,7 @@ use pinpoint::core::{Analyzer, DetectorConfig};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{steady, Scale};
+use pinpoint_bench::oracle::Oracle;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -78,9 +79,8 @@ fn auto_chunks(records: usize, threads: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Chunked parallel scatter == monolithic scatter == the nested-map
-    /// reference path, for both arenas at once, on arbitrary record sets
-    /// — bin over bin, so the persistent intern epoch (ids assigned in
+    /// Chunked parallel scatter == monolithic scatter == the oracle, for
+    /// both arenas at once, on arbitrary record sets — bin over bin, so the persistent intern epoch (ids assigned in
     /// earlier bins, per-bin probe-ASN re-pinning) is exercised too. Bin
     /// 0 is the generated set itself (fewer records than any cut: one
     /// monolithic chunk); bins 1 and 2 repeat it past two chunks, so on
@@ -109,7 +109,7 @@ proptest! {
             .collect();
         let bins = [records.clone(), padded(&records), padded(&records)];
         let thread_counts = [1usize, 2, 3];
-        let mut sequential = Analyzer::new(DetectorConfig::fast_test(), mapper());
+        let mut oracle = Oracle::new(DetectorConfig::fast_test(), mapper());
         for threads in thread_counts {
             prop_assert_eq!(auto_chunks(bins[0].len(), threads), 1);
             prop_assert!(auto_chunks(bins[1].len(), threads) >= 3);
@@ -125,7 +125,7 @@ proptest! {
             })
             .collect();
         for (bin, records) in bins.iter().enumerate() {
-            let want = sequential.process_bin_sequential(BinId(bin as u64), records);
+            let want = oracle.process_bin(BinId(bin as u64), records);
             for (engine, &threads) in engines.iter_mut().zip(&thread_counts) {
                 let got = engine.process_bin(BinId(bin as u64), records);
                 assert_reports_identical(&got, &want, &format!("bin {bin} threads {threads}"));
@@ -139,7 +139,7 @@ proptest! {
 }
 
 /// The full thread-count cross on a faithful simulator stream: every
-/// point must reproduce the sequential reference bytes. 3 and 5 threads
+/// point must reproduce the oracle's bytes. 3 and 5 threads
 /// don't divide a wave's job count (64 shard jobs; 7 scatter chunks), so
 /// the claim race ends ragged. A steady
 /// Small bin carries ~3 000 records (3 080 at seed 2015: 7 chunks at 512
@@ -151,11 +151,11 @@ fn parity_across_thread_and_chunk_cross() {
     let bins: Vec<Vec<TracerouteRecord>> = (0..3)
         .map(|b| case.platform.collect_bin(BinId(b)))
         .collect();
-    let mut sequential = Analyzer::new(DetectorConfig::fast_test(), case.mapper.clone());
+    let mut oracle = Oracle::new(DetectorConfig::fast_test(), case.mapper.clone());
     let want: Vec<_> = bins
         .iter()
         .enumerate()
-        .map(|(b, records)| sequential.process_bin_sequential(BinId(b as u64), records))
+        .map(|(b, records)| oracle.process_bin(BinId(b as u64), records))
         .collect();
     for threads in [1usize, 2, 3, 4, 5, 8] {
         let mut cfg = DetectorConfig::fast_test();
@@ -201,8 +201,8 @@ fn steady_state_bins_perform_zero_intern_insertions() {
 /// of links/patterns and introduces a new one. The tables must stay
 /// bounded (compaction on the `reference_expiry_bins` clock), evictions
 /// must actually happen, and — the real contract — compaction must be
-/// byte-for-byte invisible in the reports, proven against the sequential
-/// reference path every single bin.
+/// byte-for-byte invisible in the reports, proven against the oracle
+/// every single bin.
 #[test]
 fn intern_tables_stay_bounded_under_churn_and_compaction_is_invisible() {
     // Three probes in distinct ASes traverse a per-cohort link towards a
@@ -237,9 +237,9 @@ fn intern_tables_stay_bounded_under_churn_and_compaction_is_invisible() {
     let mut cfg = parity_config();
     cfg.reference_expiry_bins = 3;
     let mut engine = Analyzer::new(cfg.clone(), mapper());
-    let mut seq_cfg = DetectorConfig::fast_test();
-    seq_cfg.reference_expiry_bins = 3;
-    let mut sequential = Analyzer::new(seq_cfg, mapper());
+    let mut oracle_cfg = DetectorConfig::fast_test();
+    oracle_cfg.reference_expiry_bins = 3;
+    let mut oracle = Oracle::new(oracle_cfg, mapper());
 
     let mut peak_interned = 0usize;
     for bin in 0..40u64 {
@@ -247,7 +247,7 @@ fn intern_tables_stay_bounded_under_churn_and_compaction_is_invisible() {
         // Several chunks on any worker count: the largest cut is 512.
         assert!(records.len() > 2 * DEFAULT_CHUNK_RECORDS);
         let got = engine.process_bin(BinId(bin), &records);
-        let want = sequential.process_bin_sequential(BinId(bin), &records);
+        let want = oracle.process_bin(BinId(bin), &records);
         assert_reports_identical(&got, &want, &format!("churn bin {bin}"));
         peak_interned = peak_interned.max(engine.ingest_stats().interned);
     }

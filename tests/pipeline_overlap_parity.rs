@@ -1,7 +1,7 @@
 //! Bin-executor parity tests: the one schedule of `session(..)` — compaction
 //! sweep, scatter wave, merge fence, shard wave, absorb — must be
-//! *byte-for-byte* equivalent to the nested-map sequential reference
-//! (`process_bin_sequential`) for any thread count and the chunk cut the
+//! *byte-for-byte* equivalent to the paper-literal oracle
+//! (`pinpoint_bench::oracle`) for any thread count and the chunk cut the
 //! engine derives from it, for a solo [`Analyzer`] and for a multi-stream
 //! [`StreamRouter`] fleet alike, and must agree with itself on the
 //! intern-epoch and sanitizer counters across that matrix. The sweeps here
@@ -25,6 +25,7 @@ use pinpoint::core::{
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{ixp, Scale};
+use pinpoint_bench::oracle::{FleetOracle, Oracle};
 use std::net::Ipv4Addr;
 
 fn mapper() -> AsMapper {
@@ -143,7 +144,7 @@ fn forwarding_records(stream: u8, bin: u64, flipped: bool) -> Vec<TracerouteReco
 
 /// Full-pipeline parity through the AMS-IX outage: the scenario where
 /// real forwarding alarms fire. The session at the env-selected matrix
-/// point must reproduce the sequential reference path byte for byte,
+/// point must reproduce the oracle byte for byte,
 /// report by report, in bin order.
 #[test]
 fn pipelined_analyzer_matches_serial_through_ixp_outage() {
@@ -153,10 +154,10 @@ fn pipelined_analyzer_matches_serial_through_ixp_outage() {
         .map(|b| (BinId(b), case.platform.collect_bin(BinId(b))))
         .collect();
 
-    let mut sequential = Analyzer::new(DetectorConfig::fast_test(), case.mapper.clone());
+    let mut oracle = Oracle::new(DetectorConfig::fast_test(), case.mapper.clone());
     let want: Vec<BinReport> = bins
         .iter()
-        .map(|(bin, records)| sequential.process_bin_sequential(*bin, records))
+        .map(|(bin, records)| oracle.process_bin(*bin, records))
         .collect();
     let fired: usize = want.iter().map(|r| r.forwarding_alarms.len()).sum();
     assert!(
@@ -168,9 +169,9 @@ fn pipelined_analyzer_matches_serial_through_ixp_outage() {
     let mut engine = Analyzer::new(parity_config(), case.mapper.clone());
     let got = drive(&mut engine, &bins);
     assert_streams_identical(&got, &want, "ixp");
-    assert_eq!(engine.tracked_links(), sequential.tracked_links());
-    assert_eq!(engine.tracked_patterns(), sequential.tracked_patterns());
-    assert_eq!(engine.sanitize_stats(), sequential.sanitize_stats());
+    assert_eq!(engine.tracked_links(), oracle.tracked_links());
+    assert_eq!(engine.tracked_patterns(), oracle.tracked_patterns());
+    assert_eq!(engine.sanitize_stats(), oracle.sanitize_stats());
 }
 
 /// The bin schedule of the churn sweep: steady delay traffic + per-bin
@@ -195,20 +196,20 @@ fn churn_schedule() -> Vec<(BinId, Vec<TracerouteRecord>)> {
 /// Epoch-compaction bins mid-stream: with a 2-bin expiry the churn keys of
 /// bins 0–3 die while the stream is still flowing, so the sweep at bin
 /// open renumbers dense ids under a live stream — and the session must
-/// stay byte-identical to the sequential path (which interns nothing),
+/// stay byte-identical to the oracle (which interns nothing),
 /// including the delay surge fired *after* the sweeps.
 #[test]
 fn pipelined_compaction_fence_mid_stream_parity() {
     let mut cfg = parity_config();
     cfg.reference_expiry_bins = 2;
-    let mut sequential_cfg = DetectorConfig::fast_test();
-    sequential_cfg.reference_expiry_bins = 2;
+    let mut oracle_cfg = DetectorConfig::fast_test();
+    oracle_cfg.reference_expiry_bins = 2;
     let bins = churn_schedule();
 
-    let mut sequential = Analyzer::new(sequential_cfg.clone(), mapper());
+    let mut oracle = Oracle::new(oracle_cfg.clone(), mapper());
     let want: Vec<BinReport> = bins
         .iter()
-        .map(|(bin, records)| sequential.process_bin_sequential(*bin, records))
+        .map(|(bin, records)| oracle.process_bin(*bin, records))
         .collect();
     assert!(
         want.iter().any(|r| !r.delay_alarms.is_empty()),
@@ -222,12 +223,12 @@ fn pipelined_compaction_fence_mid_stream_parity() {
         engine.ingest_stats().evictions > 0,
         "no compaction sweep ran — the schedule never exercised one"
     );
-    assert_eq!(engine.tracked_links(), sequential.tracked_links());
-    assert_eq!(engine.sanitize_stats(), sequential.sanitize_stats());
+    assert_eq!(engine.tracked_links(), oracle.tracked_links());
+    assert_eq!(engine.sanitize_stats(), oracle.sanitize_stats());
 
     // The same keys must die on every schedule: the intern-epoch counters
     // of the matrix point equal those of the one-worker, auto-chunk run.
-    let mut one_worker_cfg = sequential_cfg;
+    let mut one_worker_cfg = oracle_cfg;
     one_worker_cfg.threads = 1;
     let mut one_worker = Analyzer::new(one_worker_cfg, mapper());
     drive(&mut one_worker, &bins);
@@ -277,21 +278,25 @@ fn fleet(cfg: &DetectorConfig) -> StreamRouter {
 
 /// Fleet parity: a 3-stream [`StreamRouter`] driven through a fleet
 /// session — each wave carrying every stream's jobs — must match the
-/// sequential fleet path byte for byte through an alarm-firing event bin,
+/// oracle fleet byte for byte through an alarm-firing event bin,
 /// an empty bin, and a churn stream whose keys compact mid-stream.
 #[test]
 fn pipelined_fleet_matches_serial() {
     let mut cfg = parity_config();
     cfg.reference_expiry_bins = 3;
-    let mut sequential_cfg = DetectorConfig::fast_test();
-    sequential_cfg.reference_expiry_bins = 3;
+    let mut oracle_cfg = DetectorConfig::fast_test();
+    oracle_cfg.reference_expiry_bins = 3;
     let bins: Vec<(BinId, Vec<Vec<TracerouteRecord>>)> =
         (0..12u64).map(|b| (BinId(b), fleet_feeds(b))).collect();
 
-    let mut sequential = fleet(&sequential_cfg);
+    let mut oracle = FleetOracle::new(oracle_cfg.magnitude_window_bins);
+    for _ in 0..3 {
+        oracle.add_stream(Oracle::new(oracle_cfg.clone(), mapper()));
+    }
+    oracle.register_ases([Asn(64500)]);
     let want: Vec<FleetReport> = bins
         .iter()
-        .map(|(bin, feeds)| sequential.process_bin_sequential(*bin, feeds))
+        .map(|(bin, feeds)| oracle.process_bin(*bin, feeds))
         .collect();
     assert!(
         want.iter().any(|r| r.delay_alarms() > 0),
@@ -315,9 +320,9 @@ fn pipelined_fleet_matches_serial() {
     for (a, b) in got.iter().zip(&want) {
         assert_fleets_identical(a, b, &format!("fleet bin {:?}", a.bin));
     }
-    assert_eq!(router.tracked_links(), sequential.tracked_links());
-    assert_eq!(router.tracked_patterns(), sequential.tracked_patterns());
-    assert_eq!(router.sanitize_stats(), sequential.sanitize_stats());
+    assert_eq!(router.tracked_links(), oracle.tracked_links());
+    assert_eq!(router.tracked_patterns(), oracle.tracked_patterns());
+    assert_eq!(router.sanitize_stats(), oracle.sanitize_stats());
     assert!(
         router.ingest_stats().evictions > 0,
         "no fleet compaction sweep was ever exercised"
@@ -337,12 +342,12 @@ fn pipelined_parity_across_local_thread_and_chunk_sweep() {
         .into_iter()
         .map(|(bin, records)| (bin, padded(&records)))
         .collect();
-    let mut sequential_cfg = DetectorConfig::fast_test();
-    sequential_cfg.reference_expiry_bins = 2;
-    let mut sequential = Analyzer::new(sequential_cfg, mapper());
+    let mut oracle_cfg = DetectorConfig::fast_test();
+    oracle_cfg.reference_expiry_bins = 2;
+    let mut oracle = Oracle::new(oracle_cfg, mapper());
     let want: Vec<BinReport> = bins
         .iter()
-        .map(|(bin, records)| sequential.process_bin_sequential(*bin, records))
+        .map(|(bin, records)| oracle.process_bin(*bin, records))
         .collect();
 
     let mut ingest_stats = None;
@@ -361,11 +366,7 @@ fn pipelined_parity_across_local_thread_and_chunk_sweep() {
         let mut engine = Analyzer::new(cfg, mapper());
         let got = drive(&mut engine, &bins);
         assert_streams_identical(&got, &want, &ctx);
-        assert_eq!(
-            engine.sanitize_stats(),
-            sequential.sanitize_stats(),
-            "{ctx}"
-        );
+        assert_eq!(engine.sanitize_stats(), oracle.sanitize_stats(), "{ctx}");
         let stats = engine.ingest_stats();
         assert_eq!(*ingest_stats.get_or_insert(stats), stats, "{ctx}");
     }

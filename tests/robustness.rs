@@ -1,7 +1,8 @@
 //! Failure-injection and adversarial-input integration tests: the detector
 //! must never panic on malformed, hostile, or degenerate measurement data —
 //! real Atlas feeds contain all of it — and the session must sanitize it
-//! exactly as the filter-then-feed sequential reference does, on both auto
+//! exactly as the filter-then-feed oracle (`pinpoint_bench::oracle`)
+//! does, on both auto
 //! chunk cuts: the CI matrix re-runs this file under `PINPOINT_THREADS`
 //! like the parity suites.
 
@@ -18,21 +19,20 @@ use pinpoint::core::{
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::netsim::ArtifactModel;
+use pinpoint_bench::oracle::{FleetOracle, Oracle};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
+fn mapper() -> AsMapper {
+    AsMapper::from_prefixes([("10.0.0.0/8".parse().unwrap(), Asn(64500))])
+}
+
 fn analyzer() -> Analyzer {
-    Analyzer::new(
-        DetectorConfig::fast_test(),
-        AsMapper::from_prefixes([("10.0.0.0/8".parse().unwrap(), Asn(64500))]),
-    )
+    Analyzer::new(DetectorConfig::fast_test(), mapper())
 }
 
 fn analyzer_with(cfg: &DetectorConfig) -> Analyzer {
-    Analyzer::new(
-        cfg.clone(),
-        AsMapper::from_prefixes([("10.0.0.0/8".parse().unwrap(), Asn(64500))]),
-    )
+    Analyzer::new(cfg.clone(), mapper())
 }
 
 /// The worker counts every stream is swept over: one worker cuts a bin
@@ -44,19 +44,19 @@ const SWEPT_THREADS: [usize; 3] = [1, 2, 3];
 /// auto cuts — scatters each bin as several chunks.
 const HOSTILE_BIN: usize = 640;
 
-/// Feed a bin stream through `process_bin_sequential` — the
-/// filter-then-feed reference.
-fn run_sequential(
+/// Feed a bin stream through the oracle — the filter-then-feed
+/// reference.
+fn run_oracle(
     cfg: &DetectorConfig,
     bins: &[Vec<TracerouteRecord>],
 ) -> (Vec<BinReport>, SanitizeStats) {
-    let mut a = analyzer_with(cfg);
+    let mut oracle = Oracle::new(cfg.clone(), mapper());
     let reports = bins
         .iter()
         .enumerate()
-        .map(|(i, records)| a.process_bin_sequential(BinId(i as u64), records))
+        .map(|(i, records)| oracle.process_bin(BinId(i as u64), records))
         .collect();
-    (reports, a.sanitize_stats())
+    (reports, oracle.sanitize_stats())
 }
 
 /// Feed the same stream through a session, whole bins via `push_bin`.
@@ -76,10 +76,10 @@ fn run_session(
 }
 
 /// The session, at every swept thread count, must produce byte-identical
-/// reports AND identical cumulative sanitizer counters to the sequential
-/// reference for the same record stream.
+/// reports AND identical cumulative sanitizer counters to the oracle for
+/// the same record stream.
 fn assert_all_paths_agree(cfg: &DetectorConfig, bins: &[Vec<TracerouteRecord>], ctx: &str) {
-    let (want, want_stats) = run_sequential(cfg, bins);
+    let (want, want_stats) = run_oracle(cfg, bins);
     for threads in SWEPT_THREADS {
         let label = format!("threads {threads}");
         let swept = DetectorConfig {
@@ -138,7 +138,7 @@ fn hostile_artifacts_sanitize_identically_on_every_path() {
 
     // The corruption must actually have exercised the sanitizer — a
     // parity proof over a no-op pass would be vacuous.
-    let (_, stats) = run_sequential(&cfg, &bins);
+    let (_, stats) = run_oracle(&cfg, &bins);
     assert!(
         stats.quarantined() > 0 && stats.repaired > 0,
         "hostile feed neither quarantined nor repaired: {stats:?}"
@@ -149,7 +149,7 @@ fn hostile_artifacts_sanitize_identically_on_every_path() {
     // every record (nothing survives — every one of its scatter chunks is
     // empty), except for one bin where the roles flip and stream 0 gets a
     // wholly quarantined bin beside a clean one. The fleet session must
-    // match the filter-then-feed reference in rendered bytes and in
+    // match the oracle fleet in rendered bytes and in
     // per-stream and merged sanitizer counters after every bin.
     let mut looped_hops = clean_bin(0, 1).remove(0).hops;
     looped_hops.push(looped_hops[0].clone());
@@ -160,14 +160,13 @@ fn hostile_artifacts_sanitize_identically_on_every_path() {
         };
         records.iter().map(looped).collect()
     };
-    let fleet = || {
-        let mut router = StreamRouter::new();
-        router.add_stream("hostile", analyzer_with(&cfg));
-        router.add_stream("doomed", analyzer_with(&cfg));
-        router.set_threads(cfg.threads);
-        router
-    };
-    let (mut engine, mut reference) = (fleet(), fleet());
+    let mut engine = StreamRouter::new();
+    engine.add_stream("hostile", analyzer_with(&cfg));
+    engine.add_stream("doomed", analyzer_with(&cfg));
+    engine.set_threads(cfg.threads);
+    let mut oracle = FleetOracle::new(DetectorConfig::default().magnitude_window_bins);
+    oracle.add_stream(Oracle::new(cfg.clone(), mapper()));
+    oracle.add_stream(Oracle::new(cfg.clone(), mapper()));
     let mut session = engine.session(0);
     for (b, records) in bins.iter().enumerate() {
         let mut feeds = vec![records.clone(), doomed(records)];
@@ -176,17 +175,17 @@ fn hostile_artifacts_sanitize_identically_on_every_path() {
         }
         let bin = BinId(b as u64);
         let got = session.push_bin(bin, &feeds).expect("every push reports");
-        let want = reference.process_bin_sequential(bin, &feeds);
+        let want = oracle.process_bin(bin, &feeds);
         assert_eq!(
             render::fleet_report(&got).to_string(),
             render::fleet_report(&want).to_string(),
             "fleet bin {b}: rendered report"
         );
-        let (got, want) = (session.inner(), &reference);
+        let (got, want) = (session.inner(), &oracle);
         for id in [StreamId(0), StreamId(1)] {
             assert_eq!(
                 got.analyzer(id).sanitize_stats(),
-                want.analyzer(id).sanitize_stats(),
+                want.stream(id.0).sanitize_stats(),
                 "fleet bin {b}: stream {id:?} sanitize stats"
             );
         }
@@ -390,7 +389,7 @@ proptest! {
 
     /// Arbitrary records — further mangled by the artifact model — reach
     /// the same verdicts and reports through the session, at every swept
-    /// thread count, as through the sequential reference.
+    /// thread count, as through the oracle.
     #[test]
     fn prop_ingestion_paths_agree_on_arbitrary_artifacts(
         seed in 0u64..500,

@@ -1,9 +1,9 @@
 //! Fleet parity tests: a [`StreamRouter`] fleet on the shared engine pool
-//! must be *byte-for-byte* equivalent to the single-threaded sequential
-//! path for any thread count, its merge must be lossless (a fleet over
-//! disjoint streams equals running each analyzer alone), and the delay
-//! side's reference eviction must agree between the engine and sequential
-//! paths under link churn.
+//! must be *byte-for-byte* equivalent to the paper-literal oracle fleet
+//! (`pinpoint_bench::oracle`) for any thread count, its merge must be
+//! lossless (a fleet over disjoint streams equals running each analyzer
+//! alone), and the delay side's reference eviction must agree between the
+//! engine and the oracle under link churn.
 //!
 //! Like the other parity suites, the CI thread matrix re-runs this file
 //! with `PINPOINT_THREADS` ∈ {1, 2, 4, 8} on a multi-core runner.
@@ -19,6 +19,7 @@ use pinpoint::core::{
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{ixp, multi, Scale};
+use pinpoint_bench::oracle::{FleetOracle, Oracle};
 use std::net::Ipv4Addr;
 
 fn mapper() -> AsMapper {
@@ -133,12 +134,16 @@ fn fleet_parity_across_thread_counts() {
     // only on quiet bins would never exercise alarm ordering or the merged
     // severity math.
     let cfg = DetectorConfig::fast_test();
-    let mut sequential = fleet(&cfg, 1);
+    let mut oracle = FleetOracle::new(cfg.magnitude_window_bins);
+    for _ in 0..3 {
+        oracle.add_stream(Oracle::new(cfg.clone(), mapper()));
+    }
+    oracle.register_ases([Asn(64500), Asn(64501)]);
     let mut want = Vec::new();
     for b in 0..10u64 {
-        want.push(sequential.process_bin_sequential(BinId(b), &fleet_feeds(b, false)));
+        want.push(oracle.process_bin(BinId(b), &fleet_feeds(b, false)));
     }
-    let final_want = sequential.process_bin_sequential(BinId(10), &fleet_feeds(10, true));
+    let final_want = oracle.process_bin(BinId(10), &fleet_feeds(10, true));
     assert!(final_want.delay_alarms() >= 2, "delay surge must alarm");
     assert!(final_want.forwarding_alarms() >= 1, "route flip must alarm");
 
@@ -153,8 +158,8 @@ fn fleet_parity_across_thread_counts() {
         }
         let got = engine.process_bin(BinId(10), &fleet_feeds(10, true));
         assert_fleets_identical(&got, &final_want, &format!("threads={threads} event bin"));
-        assert_eq!(engine.tracked_links(), sequential.tracked_links());
-        assert_eq!(engine.tracked_patterns(), sequential.tracked_patterns());
+        assert_eq!(engine.tracked_links(), oracle.tracked_links());
+        assert_eq!(engine.tracked_patterns(), oracle.tracked_patterns());
     }
 }
 
@@ -262,16 +267,16 @@ fn delay_reference_eviction_parity_under_churn() {
     cfg.reference_expiry_bins = 3;
     cfg.threads = threads_from_env();
     let mut engine = Analyzer::new(cfg.clone(), mapper());
-    let mut sequential = Analyzer::new(cfg.clone(), mapper());
+    let mut oracle = Oracle::new(cfg.clone(), mapper());
     let mut peak = 0usize;
     for b in 0..20u64 {
         let records = churn_feed(b);
         let a = engine.process_bin(BinId(b), &records);
-        let s = sequential.process_bin_sequential(BinId(b), &records);
+        let s = oracle.process_bin(BinId(b), &records);
         assert_reports_identical(&a, &s, &format!("churn bin {b}"));
         assert_eq!(
             engine.tracked_links(),
-            sequential.tracked_links(),
+            oracle.tracked_links(),
             "tracked links diverged at bin {b}"
         );
         peak = peak.max(engine.tracked_links());
@@ -312,21 +317,20 @@ fn delay_eviction_frees_midwarmup_links() {
 }
 
 /// Full-scenario fleet parity through the AMS-IX outage: the pooled
-/// engine and the sequential path must agree on every stream AND the
+/// engine and the oracle fleet must agree on every stream AND the
 /// merged view, with real forwarding alarms firing.
 #[test]
 fn multi_scenario_fleet_parity_through_the_outage() {
     let mut case = multi::case_study(2015, Scale::Small);
     case.cfg = parity_config();
     let mut engine = case.router();
-    case.cfg.threads = 1;
-    let mut sequential = case.router();
+    let mut oracle = FleetOracle::for_case(&case);
     let (outage_start, outage_end) = ixp::outage_bins();
     let mut forwarding_alarms = 0usize;
     for bin in outage_start - 4..outage_end + 2 {
         let feeds = case.collect_bin(BinId(bin));
         let a = engine.process_bin(BinId(bin), &feeds);
-        let s = sequential.process_bin_sequential(BinId(bin), &feeds);
+        let s = oracle.process_bin(BinId(bin), &feeds);
         assert_fleets_identical(&a, &s, &format!("ixp fleet bin {bin}"));
         forwarding_alarms += a.forwarding_alarms();
     }
@@ -334,6 +338,6 @@ fn multi_scenario_fleet_parity_through_the_outage() {
         forwarding_alarms > 0,
         "the outage fired no forwarding alarms — parity was only proven on quiet bins"
     );
-    assert_eq!(engine.tracked_links(), sequential.tracked_links());
-    assert_eq!(engine.tracked_patterns(), sequential.tracked_patterns());
+    assert_eq!(engine.tracked_links(), oracle.tracked_links());
+    assert_eq!(engine.tracked_patterns(), oracle.tracked_patterns());
 }
