@@ -11,12 +11,49 @@
 //! 4. **τ sweep** — looser (higher) correlation thresholds multiply
 //!    forwarding alarms; the paper's −0.25 sits at the distribution knee.
 
+use pinpoint_bench::oracle::link_samples;
 use pinpoint_bench::{header, opts_from_args, verdict};
-use pinpoint_core::baseline::MeanDetector;
-use pinpoint_core::diffrtt::compute::collect_link_samples;
 use pinpoint_core::DetectorConfig;
-use pinpoint_model::BinId;
+use pinpoint_model::{BinId, IpLink};
 use pinpoint_scenarios::{ixp, leak, steady, Scale};
+use pinpoint_stats::descriptive::Summary;
+use pinpoint_stats::smoothing::Ewma;
+use std::collections::HashMap;
+
+/// The classical-CLT delay detector the paper argues against (Fig. 3b):
+/// a smoothed reference of each link's arithmetic mean, and an alarm when
+/// the bin's mean misses it by more than z·σ/√n and by at least
+/// `min_median_gap_ms`.
+struct MeanDetector {
+    cfg: DetectorConfig,
+    references: HashMap<IpLink, Ewma>,
+}
+
+impl MeanDetector {
+    fn new(cfg: &DetectorConfig) -> Self {
+        MeanDetector {
+            cfg: cfg.clone(),
+            references: HashMap::new(),
+        }
+    }
+
+    /// Score one link's samples for one bin; `true` when it alarms.
+    fn alarms(&mut self, link: IpLink, samples: &[f64]) -> bool {
+        if samples.is_empty() {
+            return false;
+        }
+        let s = Summary::from_slice(samples);
+        let mean = s.mean();
+        let half_width = self.cfg.wilson_z * s.std_dev() / (s.count() as f64).sqrt();
+        let reference = self
+            .references
+            .entry(link)
+            .or_insert_with(|| Ewma::with_initial(self.cfg.alpha, mean));
+        let gap = (mean - reference.value().unwrap_or(mean)).abs();
+        reference.update(mean);
+        gap > half_width && gap >= self.cfg.min_median_gap_ms
+    }
+}
 
 fn ablation_mean_vs_median(seed: u64) -> (usize, usize) {
     // Event-free fortnight: every alarm on ANY link is a false alarm.
@@ -32,14 +69,15 @@ fn ablation_mean_vs_median(seed: u64) -> (usize, usize) {
         median_alarms += report.delay_alarms.len();
         // Mean baseline on the same per-link samples (same diversity gate:
         // only links the paper detector characterized are scored).
-        for (link, samples) in collect_link_samples(&records) {
+        for (link, probes) in link_samples(&records) {
             if !report.link_stats.contains_key(&link) {
                 continue;
             }
-            if mean_det
-                .check_link(link, bin, &samples.all_samples())
-                .is_some()
-            {
+            let samples: Vec<f64> = probes
+                .values()
+                .flat_map(|(_, s)| s.iter().copied())
+                .collect();
+            if mean_det.alarms(link, &samples) {
                 mean_alarms += 1;
             }
         }

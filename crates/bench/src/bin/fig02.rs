@@ -5,8 +5,8 @@
 //! and the Wilson CIs intersect the normal reference throughout — zero
 //! alarms in two quiet weeks.
 
+use pinpoint_bench::oracle::link_samples;
 use pinpoint_bench::{header, opts_from_args, print_series, verdict};
-use pinpoint_core::diffrtt::compute::collect_link_samples;
 use pinpoint_scenarios::runner::run;
 use pinpoint_scenarios::steady;
 use pinpoint_stats::descriptive::Summary;
@@ -30,8 +30,8 @@ fn main() {
 
     // Raw sample statistics from one representative bin.
     let raw_records = case.platform.collect_bin(case.start_bin);
-    if let Some(samples) = collect_link_samples(&raw_records).get(&link) {
-        for s in samples.all_samples() {
+    if let Some(probes) = link_samples(&raw_records).get(&link) {
+        for &s in probes.values().flat_map(|(_, samples)| samples) {
             raw.push(s);
         }
     }

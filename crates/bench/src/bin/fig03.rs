@@ -5,8 +5,8 @@
 //! *means* do not — ~125 gross outliers spread across the fortnight destroy
 //! them (Fig. 3b). This is the empirical license for the median-CLT.
 
+use pinpoint_bench::oracle::link_samples;
 use pinpoint_bench::{header, opts_from_args, verdict};
-use pinpoint_core::diffrtt::compute::collect_link_samples;
 use pinpoint_scenarios::steady;
 use pinpoint_scenarios::Scale;
 use pinpoint_stats::descriptive::Summary;
@@ -31,8 +31,11 @@ fn main() {
     let mut means = Vec::new();
     for b in 0..bins {
         let records = case.platform.collect_bin(pinpoint_model::BinId(b));
-        if let Some(samples) = collect_link_samples(&records).get(&link) {
-            let all = samples.all_samples();
+        if let Some(probes) = link_samples(&records).get(&link) {
+            let all: Vec<f64> = probes
+                .values()
+                .flat_map(|(_, s)| s.iter().copied())
+                .collect();
             if let Some(m) = median(&all) {
                 medians.push(m);
             }

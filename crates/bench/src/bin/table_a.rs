@@ -6,8 +6,8 @@
 //! and delay magnitudes below 1 for 97 % of AS-hours. Our world is smaller
 //! by construction; the *ratios* are the reproduction target.
 
+use pinpoint_bench::oracle::link_samples;
 use pinpoint_bench::{header, opts_from_args, verdict};
-use pinpoint_core::diffrtt::compute::collect_link_samples;
 use pinpoint_scenarios::full;
 use pinpoint_scenarios::runner::run;
 use pinpoint_stats::ecdf::Ecdf;
@@ -29,8 +29,8 @@ fn main() {
 
     // Probe coverage from a representative bin (cheap; coverage is stable).
     let coverage_records = case.platform.collect_bin(case.start_bin);
-    for (link, samples) in collect_link_samples(&coverage_records) {
-        for probe in samples.per_probe().keys() {
+    for (link, probes) in link_samples(&coverage_records) {
+        for probe in probes.keys() {
             probes_per_link.entry(link).or_default().insert(probe.0);
         }
     }

@@ -648,3 +648,287 @@ impl FleetOracle {
             .fold(SanitizeStats::default(), SanitizeStats::merged)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pinpoint_model::records::{Hop, Reply};
+    use pinpoint_model::{MeasurementId, SimTime};
+    use std::net::Ipv4Addr;
+
+    fn ip(s: &str) -> Ipv4Addr {
+        s.parse().unwrap()
+    }
+
+    fn ci(l: f64, m: f64, u: f64) -> ConfidenceInterval {
+        ConfidenceInterval::new(l, m, u, 50)
+    }
+
+    fn link() -> IpLink {
+        IpLink::new(ip("10.0.0.1"), ip("10.0.1.1"))
+    }
+
+    fn deviation(observed: ConfidenceInterval, reference: ConfidenceInterval) -> Option<f64> {
+        let stat = LinkStat { ci: observed };
+        let cfg = DetectorConfig::default();
+        delay_alarm(link(), BinId(5), &stat, &reference, &cfg).map(|a| a.deviation)
+    }
+
+    #[test]
+    fn eq6_divides_the_gap_by_the_reference_arm_on_its_side() {
+        // Above: d = (Δ(l) − Δ̄(u)) / (Δ̄(u) − Δ̄(m)) = (20 − 6) / (6 − 5).
+        assert_eq!(
+            deviation(ci(20.0, 25.0, 30.0), ci(4.0, 5.0, 6.0)),
+            Some(14.0)
+        );
+        // Below: d = (Δ̄(l) − Δ(u)) / (Δ̄(m) − Δ̄(l)) = (10 − 3) / (11 − 10).
+        assert_eq!(
+            deviation(ci(1.0, 2.0, 3.0), ci(10.0, 11.0, 12.0)),
+            Some(7.0)
+        );
+        // Asymmetric references pin which arm divides: (20 − 8) / (8 − 5)
+        // and (7 − 3) / (11 − 7) — not the CI's full width.
+        assert_eq!(
+            deviation(ci(20.0, 25.0, 30.0), ci(4.0, 5.0, 8.0)),
+            Some(4.0)
+        );
+        assert_eq!(deviation(ci(1.0, 2.0, 3.0), ci(7.0, 11.0, 12.0)), Some(1.0));
+        // A zero-width reference arm is floored at 0.1 ms: 5 / 0.1.
+        let d = deviation(ci(10.0, 11.0, 12.0), ci(5.0, 5.0, 5.0)).unwrap();
+        assert!((d - 50.0).abs() < 1e-9, "{d}");
+    }
+
+    #[test]
+    fn eq6_needs_disjoint_intervals_and_a_one_ms_gap() {
+        // Overlapping and touching intervals never alarm.
+        assert_eq!(deviation(ci(5.5, 6.5, 7.5), ci(4.0, 5.0, 6.0)), None);
+        assert_eq!(deviation(ci(6.0, 7.0, 8.0), ci(4.0, 5.0, 6.0)), None);
+        // Disjoint but |5.80 − 5.01| < 1 ms.
+        assert_eq!(deviation(ci(5.75, 5.80, 5.85), ci(5.00, 5.01, 5.02)), None);
+        let stat = LinkStat {
+            ci: ci(1.0, 2.0, 3.0),
+        };
+        let alarm = delay_alarm(
+            link(),
+            BinId(1),
+            &stat,
+            &ci(10.0, 11.0, 12.0),
+            &DetectorConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(alarm.direction, Direction::Decrease);
+        assert_eq!(alarm.median_shift_ms(), 9.0);
+    }
+
+    #[test]
+    fn eq7_warms_up_on_the_median_of_the_first_bins_then_smooths() {
+        let cfg = DetectorConfig::default();
+        let mut r = LinkReference::default();
+        for (i, bin) in [ci(4.0, 5.0, 6.0), ci(4.4, 5.4, 6.4), ci(4.2, 5.2, 6.2)]
+            .into_iter()
+            .enumerate()
+        {
+            assert!(r.interval().is_none(), "ready after {i} bins");
+            r.update(bin, &cfg);
+        }
+        assert_eq!(
+            r.interval(),
+            Some(ConfidenceInterval::new(4.2, 5.2, 6.2, 0))
+        );
+        // m̄ ← α m + (1 − α) m̄ with α = 0.01.
+        r.update(ci(100.0, 150.0, 200.0), &cfg);
+        let m = r.interval().unwrap().median;
+        assert_eq!(m, 0.01 * 150.0 + 0.99 * 5.2);
+        // One anomalous warm-up bin does not poison the median.
+        let mut r = LinkReference::default();
+        for bin in [
+            ci(4.0, 5.0, 6.0),
+            ci(200.0, 250.0, 300.0),
+            ci(4.2, 5.1, 6.1),
+        ] {
+            r.update(bin, &cfg);
+        }
+        assert_eq!(r.interval().unwrap().median, 5.1);
+        // A zero-bin warm-up takes one bin.
+        let zero = DetectorConfig {
+            warmup_bins: 0,
+            ..cfg
+        };
+        let mut r = LinkReference::default();
+        r.update(ci(1.0, 2.0, 3.0), &zero);
+        assert_eq!(r.interval().unwrap().median, 2.0);
+    }
+
+    /// One link seen by probes `(probe, asn)`, one sample each.
+    fn probes(spec: &[(u32, u32)]) -> LinkSamples {
+        spec.iter()
+            .map(|&(p, a)| (ProbeId(p), (Asn(a), vec![f64::from(p)])))
+            .collect()
+    }
+
+    #[test]
+    fn section_4_3_paper_example_rebalances_the_dominant_as() {
+        // 98 probes in 5 ASes, 90 of them in AS 100: H = 0.246 ≤ 0.5. The
+        // dominant AS loses probes until its count n gives H > 0.5, which
+        // first holds at n = 30 (H = 0.5011) — so 30 + 4 × 2 probes stay.
+        let mut spec: Vec<(u32, u32)> = (0..90).map(|p| (p, 100)).collect();
+        for (i, asn) in [200, 300, 400, 500].into_iter().enumerate() {
+            spec.push((100 + 2 * i as u32, asn));
+            spec.push((101 + 2 * i as u32, asn));
+        }
+        let cfg = DetectorConfig::default();
+        let kept = diverse_samples(&probes(&spec), &cfg, &mut SplitMix64::new(5)).unwrap();
+        assert_eq!(kept.len(), 38);
+        assert_eq!(kept.iter().filter(|&&s| s >= 100.0).count(), 8);
+        // Fewer than three ASes: discarded. Balanced: everything stays.
+        let two = probes(&[(1, 100), (2, 100), (3, 200)]);
+        assert_eq!(diverse_samples(&two, &cfg, &mut SplitMix64::new(1)), None);
+        let three = probes(&[(1, 100), (2, 200), (3, 300)]);
+        assert_eq!(
+            diverse_samples(&three, &cfg, &mut SplitMix64::new(1)),
+            Some(vec![1.0, 2.0, 3.0])
+        );
+    }
+
+    fn pattern(spec: &[(Option<&str>, f64)]) -> Pattern {
+        spec.iter()
+            .map(|&(hop, n)| (hop.map_or(NextHop::Unresponsive, |a| NextHop::Ip(ip(a))), n))
+            .collect()
+    }
+
+    #[test]
+    fn eq8_smooths_over_the_union_of_next_hops() {
+        let cfg = DetectorConfig {
+            alpha: 0.5,
+            ..DetectorConfig::default()
+        };
+        let mut r = PatternReference::default();
+        // The first pattern is the first reference.
+        r.update(&pattern(&[(Some("10.0.0.1"), 100.0)]), &cfg);
+        assert_eq!(r.smoothed(), &pattern(&[(Some("10.0.0.1"), 100.0)]));
+        // An unseen hop decays from its count, a new one enters from 0.
+        r.update(&pattern(&[(Some("10.0.0.2"), 40.0)]), &cfg);
+        assert_eq!(
+            r.smoothed(),
+            &pattern(&[(Some("10.0.0.1"), 50.0), (Some("10.0.0.2"), 20.0)])
+        );
+        // A hop decayed below 0.05 packets is dropped.
+        let mut r = PatternReference::default();
+        r.update(
+            &pattern(&[(Some("10.0.0.1"), 1.0), (Some("10.0.0.2"), 50.0)]),
+            &cfg,
+        );
+        for n in 1..=5 {
+            r.update(&pattern(&[(Some("10.0.0.2"), 50.0)]), &cfg);
+            let a = count(r.smoothed(), &NextHop::Ip(ip("10.0.0.1")));
+            assert_eq!(a, if n < 5 { 0.5f64.powi(n) } else { 0.0 }, "after {n}");
+        }
+    }
+
+    fn key() -> PatternKey {
+        PatternKey {
+            router: ip("10.0.0.1"),
+            dst: ip("198.51.100.1"),
+        }
+    }
+
+    #[test]
+    fn eq9_attributes_the_figure_4_route_change() {
+        // Reference A = 10, B = 100, Z = 5; the bin moves B's traffic to a
+        // new hop C: A = 10, C = 50, Z = 15. Over [A, B, C, Z]:
+        // F = [10, 0, 50, 15], F̄ = [10, 100, 0, 5]; the centred cross
+        // product is −1981.25, the sums of squares 1418.75 and 6818.75,
+        // and Σ|pⱼ − p̄ⱼ| = 160.
+        let (a, b, c) = ("10.0.1.1", "10.0.1.2", "10.0.1.3");
+        let reference = pattern(&[(Some(a), 10.0), (Some(b), 100.0), (None, 5.0)]);
+        let observed = pattern(&[(Some(a), 10.0), (Some(c), 50.0), (None, 15.0)]);
+        let cfg = DetectorConfig::default();
+        let alarm = forwarding_alarm(key(), BinId(2), &observed, &reference, &cfg).unwrap();
+        let rho = -1981.25 / (1418.75f64 * 6818.75).sqrt();
+        assert!((alarm.rho - rho).abs() < 1e-12, "ρ = {}", alarm.rho);
+        let want = [
+            (NextHop::Ip(ip(b)), -rho * -100.0 / 160.0),
+            (NextHop::Ip(ip(a)), 0.0),
+            (NextHop::Unresponsive, -rho * 10.0 / 160.0),
+            (NextHop::Ip(ip(c)), -rho * 50.0 / 160.0),
+        ];
+        assert_eq!(alarm.responsibilities.len(), want.len());
+        for ((hop, r), (want_hop, want_r)) in alarm.responsibilities.iter().zip(want) {
+            assert_eq!(*hop, want_hop);
+            assert!((r - want_r).abs() < 1e-12, "{hop}: {r} vs {want_r}");
+        }
+    }
+
+    #[test]
+    fn eq9_alarms_only_below_tau_with_enough_packets() {
+        let (a, b) = ("10.0.1.1", "10.0.1.2");
+        let cfg = DetectorConfig::default();
+        let reference = pattern(&[(Some(a), 60.0), (Some(b), 40.0)]);
+        // Swapped shares: ρ = −1 < τ.
+        let swapped = pattern(&[(Some(a), 40.0), (Some(b), 60.0)]);
+        let alarm = forwarding_alarm(key(), BinId(1), &swapped, &reference, &cfg).unwrap();
+        assert!((alarm.rho + 1.0).abs() < 1e-12, "ρ = {}", alarm.rho);
+        // A mild shift keeps ρ = +1 ≥ τ.
+        let mild = pattern(&[(Some(a), 55.0), (Some(b), 45.0)]);
+        assert!(forwarding_alarm(key(), BinId(1), &mild, &reference, &cfg).is_none());
+        // Entirely flipped, but 3 packets < min_pattern_packets.
+        let few = pattern(&[(Some("10.0.1.9"), 3.0)]);
+        assert!(forwarding_alarm(key(), BinId(1), &few, &reference, &cfg).is_none());
+        // No reference yet: no alarm.
+        assert!(forwarding_alarm(key(), BinId(0), &swapped, &Pattern::new(), &cfg).is_none());
+    }
+
+    fn record(probe: u32, asn: u32, hops: Vec<Hop>) -> TracerouteRecord {
+        TracerouteRecord {
+            msm_id: MeasurementId(1),
+            probe_id: ProbeId(probe),
+            probe_asn: Asn(asn),
+            dst: ip("198.51.100.1"),
+            timestamp: SimTime(0),
+            paris_id: 0,
+            hops,
+            destination_reached: true,
+        }
+    }
+
+    fn hop(ttl: u8, replies: &[(Option<&str>, f64)]) -> Hop {
+        Hop::new(
+            ttl,
+            replies
+                .iter()
+                .map(|&(from, rtt)| from.map_or(Reply::TIMEOUT, |a| Reply::new(ip(a), rtt)))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn collectors_follow_sections_4_2_1_and_5_1() {
+        let (x, y) = (Some("10.0.0.1"), Some("10.0.1.1"));
+        let records = [
+            // Every Y − X: 2 × 2 samples, one negative.
+            record(
+                1,
+                100,
+                vec![hop(1, &[(x, 1.0), (x, 3.0)]), hop(2, &[(y, 2.0), (y, 5.0)])],
+            ),
+            // The same probe under another AS stays in AS 100; the router
+            // repeating itself is not a next hop, a timeout counts for Z.
+            record(
+                1,
+                200,
+                vec![
+                    hop(1, &[(x, 1.0)]),
+                    hop(2, &[(y, 4.0), (x, 9.0), (None, 0.0)]),
+                ],
+            ),
+        ];
+        let samples = link_samples(&records);
+        let mut got = samples[&link()][&ProbeId(1)].clone();
+        got.1.sort_by(f64::total_cmp);
+        assert_eq!(got, (Asn(100), vec![-1.0, 1.0, 2.0, 3.0, 4.0]));
+        assert_eq!(
+            patterns(&records),
+            BTreeMap::from([(key(), pattern(&[(y, 3.0), (None, 1.0)]))])
+        );
+    }
+}

@@ -7,10 +7,7 @@
 
 use crate::config::DetectorConfig;
 use pinpoint_model::FxHashMap;
-use pinpoint_stats::wilson::{
-    median_ci_select, median_ci_select_ranks, median_ci_sorted, wilson_rank_bounds,
-    ConfidenceInterval,
-};
+use pinpoint_stats::wilson::{median_ci_select_ranks, wilson_rank_bounds, ConfidenceInterval};
 
 /// Robust summary of one link in one bin.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,8 +56,9 @@ impl RankCache {
     }
 }
 
-/// Shared tail of the cached paths: filter already done, `buf` holds the
-/// finite samples. Bit-identical to `median_ci_select(buf, cfg.wilson_z)`.
+/// Shared tail of the three characterizers: filter already done, `buf`
+/// holds the finite samples. Order-statistic selection — expected O(n),
+/// no full sort. Bit-identical to `median_ci_select(buf, cfg.wilson_z)`.
 fn finish_cached(buf: &mut [f64], cfg: &DetectorConfig, cache: &mut RankCache) -> Option<LinkStat> {
     if buf.is_empty() {
         return None;
@@ -70,7 +68,10 @@ fn finish_cached(buf: &mut [f64], cfg: &DetectorConfig, cache: &mut RankCache) -
     Some(LinkStat { ci })
 }
 
-/// [`characterize_into`] with the Wilson ranks memoized in `cache`.
+/// Characterize a copy of `samples`: the finite ones are copied into
+/// `scratch` (cleared first) and selected there, so `samples` is left
+/// untouched and no allocation happens once `scratch` has grown to bin
+/// size. `None` when no sample is finite.
 pub fn characterize_into_cached(
     samples: &[f64],
     scratch: &mut Vec<f64>,
@@ -82,7 +83,10 @@ pub fn characterize_into_cached(
     finish_cached(scratch, cfg, cache)
 }
 
-/// [`characterize_in_place`] with the Wilson ranks memoized in `cache`.
+/// Characterize `buf` itself: non-finite values are dropped in place,
+/// then `buf` is permuted by the selection. The engine hands in a
+/// rebalanced link's surviving samples, so they are characterized with
+/// no further copy.
 pub fn characterize_in_place_cached(
     buf: &mut Vec<f64>,
     cfg: &DetectorConfig,
@@ -92,10 +96,13 @@ pub fn characterize_in_place_cached(
     finish_cached(buf, cfg, cache)
 }
 
-/// [`characterize_region`] with the Wilson ranks memoized in `cache`:
-/// the engine's hot path for balanced links. Non-finite samples still
-/// fall back to the copying path (dropping them in place would disturb
-/// the pool layout).
+/// Characterize a link by permuting its *contiguous shard-pool region* in
+/// place — the engine's hot path for balanced links. After `finalize` a
+/// link's samples sit back to back in the shard pool, so a link the
+/// diversity filter keeps whole never has its samples copied. Non-finite
+/// samples are the rare exception (they must be dropped before selection,
+/// and dropping would disturb the pool layout), so that case falls back
+/// to the copying [`characterize_into_cached`] through `scratch`.
 pub fn characterize_region_cached(
     region: &mut [f64],
     scratch: &mut Vec<f64>,
@@ -108,87 +115,15 @@ pub fn characterize_region_cached(
     finish_cached(region, cfg, cache)
 }
 
-/// Characterize filtered samples; `None` when empty or non-finite.
-pub fn characterize(samples: &[f64], cfg: &DetectorConfig) -> Option<LinkStat> {
-    let mut scratch = Vec::new();
-    characterize_into(samples, &mut scratch, cfg)
-}
-
-/// Engine variant of [`characterize`]: the finite samples are copied into
-/// `scratch` (cleared first) and characterized via order-statistic
-/// selection — expected O(n), no full sort, no allocation once `scratch`
-/// has grown to bin size. Bit-identical to [`characterize`] and
-/// [`characterize_full_sort`].
-pub fn characterize_into(
-    samples: &[f64],
-    scratch: &mut Vec<f64>,
-    cfg: &DetectorConfig,
-) -> Option<LinkStat> {
-    scratch.clear();
-    scratch.extend(samples.iter().copied().filter(|x| x.is_finite()));
-    if scratch.is_empty() {
-        return None;
-    }
-    let ci = median_ci_select(scratch, cfg.wilson_z)?;
-    Some(LinkStat { ci })
-}
-
-/// Zero-copy engine variant: drops non-finite values from `buf` in place,
-/// then characterizes by permuting `buf` itself. The hot path hands in the
-/// diversity filter's surviving-samples buffer, so a link is characterized
-/// with no copies at all. Bit-identical to [`characterize_full_sort`].
-pub fn characterize_in_place(buf: &mut Vec<f64>, cfg: &DetectorConfig) -> Option<LinkStat> {
-    buf.retain(|x| x.is_finite());
-    if buf.is_empty() {
-        return None;
-    }
-    let ci = median_ci_select(buf, cfg.wilson_z)?;
-    Some(LinkStat { ci })
-}
-
-/// Zero-copy arena variant: characterize a link by quickselect-permuting
-/// its *contiguous shard-pool region* in place. After `finalize` a link's
-/// samples sit back to back in the shard pool (span order), so a balanced
-/// link — one the diversity filter keeps whole — never needs its samples
-/// copied into a scratch buffer at all. Non-finite samples are the rare
-/// exception (they must be dropped before selection, and dropping would
-/// disturb the pool layout), so that case falls back to the copying path
-/// through `scratch`. Bit-identical to [`characterize_in_place`] on a
-/// copy of the region: the region holds the same sample sequence the copy
-/// would, and `median_ci_select` returns exact order statistics either
-/// way.
-pub fn characterize_region(
-    region: &mut [f64],
-    scratch: &mut Vec<f64>,
-    cfg: &DetectorConfig,
-) -> Option<LinkStat> {
-    if region.iter().any(|x| !x.is_finite()) {
-        return characterize_into(region, scratch, cfg);
-    }
-    if region.is_empty() {
-        return None;
-    }
-    let ci = median_ci_select(region, cfg.wilson_z)?;
-    Some(LinkStat { ci })
-}
-
-/// The original full-sort implementation, retained as the reference the
-/// engine-parity tests (and the sequential baseline bench) compare against.
-pub fn characterize_full_sort(samples: &[f64], cfg: &DetectorConfig) -> Option<LinkStat> {
-    let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
-    if sorted.is_empty() {
-        return None;
-    }
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let ci = median_ci_sorted(&sorted, cfg.wilson_z)?;
-    Some(LinkStat { ci })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pinpoint_stats::distributions::{LogNormal, Normal};
     use pinpoint_stats::rng::SplitMix64;
+
+    fn characterize(samples: &[f64], cfg: &DetectorConfig) -> Option<LinkStat> {
+        characterize_into_cached(samples, &mut Vec::new(), cfg, &mut RankCache::default())
+    }
 
     #[test]
     fn characterization_brackets_median() {
@@ -203,116 +138,13 @@ mod tests {
     #[test]
     fn empty_or_nan_yields_none() {
         let cfg = DetectorConfig::default();
+        let mut cache = RankCache::default();
+        let mut scratch = Vec::new();
         assert!(characterize(&[], &cfg).is_none());
         assert!(characterize(&[f64::NAN, f64::INFINITY], &cfg).is_none());
-    }
-
-    #[test]
-    fn select_path_matches_full_sort() {
-        let cfg = DetectorConfig::default();
-        let mut rng = SplitMix64::new(99);
-        let mut scratch = Vec::new();
-        for n in [1usize, 2, 3, 10, 101, 500] {
-            let samples: Vec<f64> = (0..n).map(|_| rng.next_f64() * 50.0 - 10.0).collect();
-            assert_eq!(
-                characterize_into(&samples, &mut scratch, &cfg),
-                characterize_full_sort(&samples, &cfg),
-                "n={n}"
-            );
-        }
-        // NaN/∞ filtering matches too.
-        let weird = [1.0, f64::NAN, 3.0, f64::INFINITY, 2.0, -1.0];
-        assert_eq!(
-            characterize_into(&weird, &mut scratch, &cfg),
-            characterize_full_sort(&weird, &cfg)
-        );
-    }
-
-    #[test]
-    fn region_path_matches_copy_paths() {
-        let cfg = DetectorConfig::default();
-        let mut rng = SplitMix64::new(41);
-        let mut scratch = Vec::new();
-        for n in [1usize, 2, 5, 64, 257] {
-            let samples: Vec<f64> = (0..n).map(|_| rng.next_f64() * 40.0 - 15.0).collect();
-            let mut region = samples.clone();
-            assert_eq!(
-                characterize_region(&mut region, &mut scratch, &cfg),
-                characterize_full_sort(&samples, &cfg),
-                "n={n}"
-            );
-            // The in-place path only permutes: same multiset afterwards.
-            let mut got = region;
-            let mut want = samples;
-            got.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            want.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            assert_eq!(got, want, "n={n}");
-        }
-        // Non-finite samples fall back to the copying path and agree.
-        let weird = [2.0, f64::NAN, 1.0, f64::INFINITY, 0.5];
-        let mut region = weird.to_vec();
-        assert_eq!(
-            characterize_region(&mut region, &mut scratch, &cfg),
-            characterize_full_sort(&weird, &cfg)
-        );
-        assert!(characterize_region(&mut [], &mut scratch, &cfg).is_none());
-    }
-
-    #[test]
-    fn cached_paths_match_uncached_and_full_sort() {
-        // One shared cache across links of many sizes — including repeat
-        // sizes (the memo-hit case) and non-finite injections (the
-        // region fallback case) — must stay bit-identical to the direct
-        // and full-sort paths.
-        let cfg = DetectorConfig::default();
-        let mut rng = SplitMix64::new(4242);
-        let mut cache = RankCache::default();
-        let mut scratch = Vec::new();
-        for n in [1usize, 2, 3, 7, 24, 24, 100, 7, 313, 100] {
-            let mut samples: Vec<f64> = (0..n).map(|_| rng.next_f64() * 60.0 - 20.0).collect();
-            // Every third round poisons a sample to force the fallback.
-            if n > 2 && n % 3 == 1 {
-                let k = (rng.next_raw() as usize) % n;
-                samples[k] = if n % 2 == 0 { f64::NAN } else { f64::INFINITY };
-            }
-            let want = characterize_full_sort(&samples, &cfg);
-            let mut region = samples.clone();
-            assert_eq!(
-                characterize_region_cached(&mut region, &mut scratch, &cfg, &mut cache),
-                want,
-                "region n={n}"
-            );
-            assert_eq!(
-                characterize_into_cached(&samples, &mut scratch, &cfg, &mut cache),
-                want,
-                "into n={n}"
-            );
-            let mut buf = samples.clone();
-            assert_eq!(
-                characterize_in_place_cached(&mut buf, &cfg, &mut cache),
-                want,
-                "in_place n={n}"
-            );
-        }
-        // All-non-finite and empty inputs yield None through the cache too.
-        assert!(characterize_into_cached(&[f64::NAN; 4], &mut scratch, &cfg, &mut cache).is_none());
+        let mut nan = vec![f64::NAN; 4];
+        assert!(characterize_in_place_cached(&mut nan, &cfg, &mut cache).is_none());
         assert!(characterize_region_cached(&mut [], &mut scratch, &cfg, &mut cache).is_none());
-    }
-
-    #[test]
-    fn rank_cache_survives_z_change() {
-        let mut a = DetectorConfig::default();
-        let mut cache = RankCache::default();
-        let mut scratch = Vec::new();
-        let samples: Vec<f64> = (0..50).map(|i| f64::from(i) * 0.3).collect();
-        for z in [1.96, 0.0, 3.0, 1.96] {
-            a.wilson_z = z;
-            assert_eq!(
-                characterize_into_cached(&samples, &mut scratch, &a, &mut cache),
-                characterize_full_sort(&samples, &a),
-                "z={z}"
-            );
-        }
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //!   maps without bound;
 //! * per-link randomness comes from a `(seed, link, bin)`-derived RNG and
 //!   alarms get a final total-order sort, so the output is byte-for-byte
-//!   identical for any thread count — including the sequential reference
-//!   path [`DelayDetector::process_bin_sequential`], which the parity
-//!   tests compare against.
+//!   identical for any thread count. The parity tests compare it with a
+//!   paper-literal oracle kept outside this crate
+//!   (`pinpoint_bench::oracle`).
 
 pub mod characterize;
 pub mod compute;
@@ -46,7 +46,6 @@ pub mod diversity;
 pub mod reference;
 
 pub use characterize::LinkStat;
-pub use compute::{collect_link_samples, LinkSamples};
 pub use detect::{DelayAlarm, Direction};
 pub use reference::LinkReference;
 
@@ -169,54 +168,6 @@ impl DelayDetector {
             bin,
             wave,
         }
-    }
-
-    /// The original single-threaded, nested-map, full-sort path — kept as
-    /// the reference implementation the engine-parity tests compare the
-    /// parallel engine against. Mutates the same sharded state, so a
-    /// detector driven exclusively through this method is a valid (slow)
-    /// analysis stream.
-    pub fn process_bin_sequential(
-        &mut self,
-        bin: BinId,
-        records: &[TracerouteRecord],
-    ) -> (Vec<DelayAlarm>, HashMap<IpLink, LinkStat>) {
-        // Step 1: differential RTT samples per link.
-        let samples = collect_link_samples(records);
-        let mut alarms = Vec::new();
-        let mut stats = HashMap::new();
-
-        for (link, obs) in samples {
-            // Step 2: probe-diversity filter.
-            let mut rng = link_rng(self.cfg.seed, &link, bin);
-            let Some(filtered) = diversity::filter(&obs, &self.cfg, &mut rng) else {
-                continue;
-            };
-            // Step 3: robust characterization (full sort).
-            let Some(stat) = characterize::characterize_full_sort(&filtered, &self.cfg) else {
-                continue;
-            };
-            // Steps 4 + 5 against the running reference.
-            let shard = &mut self.shards[shard_of(&link)];
-            let entry = shard.references.entry(link).or_insert_with(|| {
-                self.links_seen += 1;
-                ReferenceEntry {
-                    reference: LinkReference::new(&self.cfg),
-                    last_seen: bin,
-                }
-            });
-            if let Some(alarm) = detect::check(link, bin, &stat, &entry.reference, &self.cfg) {
-                alarms.push(alarm);
-            }
-            entry.reference.update(&stat);
-            entry.last_seen = bin;
-            stats.insert(link, stat);
-        }
-        for shard in &mut self.shards {
-            shard.evict(bin, &self.cfg);
-        }
-        sort_alarms(&mut alarms);
-        (alarms, stats)
     }
 
     /// Serialize the resumable state: every shard's references, the

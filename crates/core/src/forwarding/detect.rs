@@ -10,8 +10,12 @@
 //!
 //! positive rᵢ → hop newly receiving traffic; negative rᵢ → hop starved of
 //! its usual packets (or dropping them).
+//!
+//! [`check_with`] reads a bin's pattern straight from the engine's arena
+//! ([`PatternSlice`]); the oracle in `pinpoint-bench` recomputes the same
+//! alarms from its own ordered maps.
 
-use super::pattern::{NextHop, Pattern, PatternKey, PatternSlice};
+use super::pattern::{NextHop, PatternKey, PatternSlice};
 use super::reference::PatternReference;
 use crate::config::DetectorConfig;
 use pinpoint_model::BinId;
@@ -55,47 +59,6 @@ impl fmt::Display for ForwardingAlarm {
     }
 }
 
-/// An observed bin pattern, abstracted over its storage: the nested-map
-/// [`Pattern`] of the reference path and the engine's flat
-/// [`PatternSlice`] compare against references through the same code, so
-/// the two paths cannot drift.
-pub trait ObservedPattern {
-    /// Packet count for a hop (0 if absent).
-    fn packets(&self, hop: &NextHop) -> f64;
-    /// Total packets.
-    fn total_packets(&self) -> f64;
-    /// Append every hop present to `out`.
-    fn push_hops(&self, out: &mut Vec<NextHop>);
-}
-
-impl ObservedPattern for Pattern {
-    fn packets(&self, hop: &NextHop) -> f64 {
-        self.get(hop)
-    }
-
-    fn total_packets(&self) -> f64 {
-        self.total()
-    }
-
-    fn push_hops(&self, out: &mut Vec<NextHop>) {
-        out.extend(self.iter().map(|(h, _)| *h));
-    }
-}
-
-impl ObservedPattern for PatternSlice<'_> {
-    fn packets(&self, hop: &NextHop) -> f64 {
-        self.get(hop)
-    }
-
-    fn total_packets(&self) -> f64 {
-        self.total()
-    }
-
-    fn push_hops(&self, out: &mut Vec<NextHop>) {
-        out.extend(self.iter().map(|(h, _)| h));
-    }
-}
-
 /// Reusable alignment buffers: one per engine shard, so steady-state bins
 /// run the check loop without allocating.
 #[derive(Debug, Default)]
@@ -109,16 +72,16 @@ impl AlignScratch {
     /// Align observed and reference over the sorted union of their hops.
     /// Sort + dedup of a `Vec` produces the identical hop order the
     /// original `BTreeSet` alignment did (ascending by `Ord`).
-    fn align(&mut self, observed: &impl ObservedPattern, reference: &PatternReference) {
+    fn align(&mut self, observed: &PatternSlice<'_>, reference: &PatternReference) {
         self.hops.clear();
-        observed.push_hops(&mut self.hops);
+        self.hops.extend(observed.iter().map(|(h, _)| h));
         self.hops.extend(reference.iter().map(|(h, _)| *h));
         self.hops.sort_unstable();
         self.hops.dedup();
         self.f.clear();
         self.fbar.clear();
         for h in &self.hops {
-            self.f.push(observed.packets(h));
+            self.f.push(observed.get(h));
             self.fbar.push(reference.get(h));
         }
     }
@@ -144,39 +107,21 @@ pub fn responsibilities(
     out
 }
 
-/// Compare one bin's pattern against its reference.
-pub fn check(
-    key: &PatternKey,
-    bin: BinId,
-    observed: &impl ObservedPattern,
-    reference: &PatternReference,
-    cfg: &DetectorConfig,
-) -> Option<ForwardingAlarm> {
-    check_with(
-        &mut AlignScratch::default(),
-        key,
-        bin,
-        observed,
-        reference,
-        cfg,
-    )
-}
-
-/// [`check`] with caller-owned alignment buffers (the engine keeps one
-/// [`AlignScratch`] per shard). Produces bit-identical results — the
-/// scratch only recycles allocations.
+/// Compare one bin's pattern against its reference, in caller-owned
+/// alignment buffers (the engine keeps one [`AlignScratch`] per shard,
+/// so a steady bin allocates nothing here).
 pub fn check_with(
     scratch: &mut AlignScratch,
     key: &PatternKey,
     bin: BinId,
-    observed: &impl ObservedPattern,
+    observed: &PatternSlice<'_>,
     reference: &PatternReference,
     cfg: &DetectorConfig,
 ) -> Option<ForwardingAlarm> {
     if !reference.is_ready() {
         return None;
     }
-    if observed.total_packets() < cfg.min_pattern_packets {
+    if observed.total() < cfg.min_pattern_packets {
         return None;
     }
     scratch.align(observed, reference);
@@ -206,6 +151,24 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// A hand-made bin pattern, viewed as the engine's [`PatternSlice`].
+    #[derive(Default)]
+    struct Pattern {
+        hops: Vec<NextHop>,
+        counts: Vec<(u32, f64)>,
+    }
+
+    impl Pattern {
+        fn add(&mut self, hop: NextHop, packets: f64) {
+            self.counts.push((self.hops.len() as u32, packets));
+            self.hops.push(hop);
+        }
+
+        fn slice(&self) -> PatternSlice<'_> {
+            PatternSlice::from_parts(key(), &self.counts, &self.hops)
+        }
+    }
+
     fn pattern(spec: &[(&str, f64)], unresp: f64) -> Pattern {
         let mut p = Pattern::default();
         for (a, c) in spec {
@@ -219,7 +182,7 @@ mod tests {
 
     fn reference(spec: &[(&str, f64)], unresp: f64) -> PatternReference {
         let mut r = PatternReference::new(&DetectorConfig::default());
-        r.update(&pattern(spec, unresp));
+        r.update_from(pattern(spec, unresp).slice().iter());
         r
     }
 
@@ -228,6 +191,17 @@ mod tests {
             router: ip("10.0.0.1"),
             dst: ip("198.51.100.1"),
         }
+    }
+
+    fn check(
+        key: &PatternKey,
+        bin: BinId,
+        observed: &Pattern,
+        reference: &PatternReference,
+        cfg: &DetectorConfig,
+    ) -> Option<ForwardingAlarm> {
+        let mut scratch = AlignScratch::default();
+        check_with(&mut scratch, key, bin, &observed.slice(), reference, cfg)
     }
 
     #[test]

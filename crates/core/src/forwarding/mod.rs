@@ -32,23 +32,23 @@
 //!   evicted once unseen for `cfg.reference_expiry_bins`, so churned
 //!   (router, destination) pairs cannot grow the maps without bound;
 //! * alarms get a final total-order sort, so the output is byte-for-byte
-//!   identical for any thread count — including the sequential reference
-//!   path [`ForwardingDetector::process_bin_sequential`], which the parity
-//!   tests compare against.
+//!   identical for any thread count. The parity tests compare it with a
+//!   paper-literal oracle kept outside this crate
+//!   (`pinpoint_bench::oracle`).
 
 pub mod detect;
 pub mod pattern;
 pub mod reference;
 
 pub use detect::ForwardingAlarm;
-pub use pattern::{collect_patterns, NextHop, PatternKey};
+pub use pattern::{NextHop, PatternKey};
 pub use reference::PatternReference;
 
 use crate::config::DetectorConfig;
 use crate::engine::{self, ReferenceEntry};
 use crate::ingest::{self, ShardTask, Wave};
 use crate::snapshot::{Reader, SnapshotError, Writer};
-use pattern::{shard_of_pattern, PatternArena, PatternSpec};
+use pattern::{PatternArena, PatternSpec};
 use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::BinId;
 
@@ -152,40 +152,6 @@ impl ForwardingDetector {
             bin,
             wave,
         }
-    }
-
-    /// The original single-threaded, nested-map path — kept as the
-    /// reference implementation the engine-parity tests compare the
-    /// parallel engine against. Mutates the same sharded state (including
-    /// last-seen eviction), so a detector driven exclusively through this
-    /// method is a valid (slow) analysis stream.
-    pub fn process_bin_sequential(
-        &mut self,
-        bin: BinId,
-        records: &[TracerouteRecord],
-    ) -> Vec<ForwardingAlarm> {
-        let patterns = collect_patterns(records);
-        let mut alarms = Vec::new();
-        for (key, observed) in patterns {
-            let shard = &mut self.shards[shard_of_pattern(&key)];
-            let entry = shard
-                .references
-                .entry(key)
-                .or_insert_with(|| ReferenceEntry {
-                    reference: PatternReference::new(&self.cfg),
-                    last_seen: bin,
-                });
-            if let Some(alarm) = detect::check(&key, bin, &observed, &entry.reference, &self.cfg) {
-                alarms.push(alarm);
-            }
-            entry.reference.update(&observed);
-            entry.last_seen = bin;
-        }
-        for shard in &mut self.shards {
-            shard.evict(bin, &self.cfg);
-        }
-        sort_alarms(&mut alarms);
-        alarms
     }
 
     /// Number of (router, destination) patterns tracked.
@@ -331,25 +297,31 @@ mod tests {
     }
 
     #[test]
-    fn route_change_fires_one_alarm_in_both_paths() {
+    fn route_change_fires_one_alarm() {
         let cfg = DetectorConfig::fast_test();
-        let mut engine_path = ForwardingDetector::new(&cfg);
-        let mut reference_path = ForwardingDetector::new(&cfg);
+        let mut detector = ForwardingDetector::new(&cfg);
         for b in 0..6 {
-            assert!(engine_path
+            assert!(detector
                 .process_bin(BinId(b), &[rec("10.0.1.1")])
                 .is_empty());
-            assert!(reference_path
-                .process_bin_sequential(BinId(b), &[rec("10.0.1.1")])
-                .is_empty());
         }
-        // All packets move to a new next hop.
-        let a = engine_path.process_bin(BinId(6), &[rec("10.0.9.9")]);
-        let b = reference_path.process_bin_sequential(BinId(6), &[rec("10.0.9.9")]);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 1);
-        assert!(a[0].rho < -0.25);
-        assert_eq!(a[0].router, ip("10.0.0.1"));
+        // All 12 packets move from B to a new next hop C. Aligned over
+        // [B, C]: F = [0, 12] against F̄ = [12, 0], so ρ = −1, and Eq. 9
+        // splits the 24 moved packets: r_B = −0.5, r_C = +0.5.
+        let alarms = detector.process_bin(BinId(6), &[rec("10.0.9.9")]);
+        assert_eq!(
+            alarms,
+            [ForwardingAlarm {
+                router: ip("10.0.0.1"),
+                dst: ip("198.51.100.1"),
+                bin: BinId(6),
+                rho: -1.0,
+                responsibilities: vec![
+                    (NextHop::Ip(ip("10.0.1.1")), -0.5),
+                    (NextHop::Ip(ip("10.0.9.9")), 0.5),
+                ],
+            }]
+        );
     }
 
     #[test]
@@ -367,36 +339,6 @@ mod tests {
         // …and is evicted one bin past it.
         detector.process_bin(BinId(5), &[]);
         assert_eq!(detector.tracked_patterns(), 0);
-    }
-
-    #[test]
-    fn eviction_is_identical_in_the_sequential_path() {
-        let mut cfg = DetectorConfig::fast_test();
-        cfg.reference_expiry_bins = 2;
-        let mut engine_path = ForwardingDetector::new(&cfg);
-        let mut reference_path = ForwardingDetector::new(&cfg);
-        for (b, records) in [
-            vec![rec("10.0.1.1")],
-            vec![],
-            vec![],
-            vec![],
-            vec![rec("10.0.9.9")],
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let a = engine_path.process_bin(BinId(b as u64), &records);
-            let s = reference_path.process_bin_sequential(BinId(b as u64), &records);
-            assert_eq!(a, s, "bin {b}");
-            assert_eq!(
-                engine_path.tracked_patterns(),
-                reference_path.tracked_patterns(),
-                "bin {b}"
-            );
-        }
-        // The reference was evicted before the route change, so bin 4 sees
-        // a fresh (unwarmed) reference: no alarm, one tracked pattern.
-        assert_eq!(engine_path.tracked_patterns(), 1);
     }
 
     #[test]

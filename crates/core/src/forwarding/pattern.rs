@@ -12,7 +12,6 @@ use crate::engine::{self, ShardKey, SnapshotKey};
 use crate::ingest::{pack, ArenaSpec, Chunk, EpochArena, Interner, Wave, SENTINEL};
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
-use pinpoint_model::FxHashMap;
 use std::net::Ipv4Addr;
 
 /// A next-hop slot in a forwarding pattern.
@@ -42,77 +41,6 @@ pub struct PatternKey {
     pub dst: Ipv4Addr,
 }
 
-/// Observed packet counts per next hop in one bin.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Pattern {
-    counts: FxHashMap<NextHop, f64>,
-}
-
-impl Pattern {
-    /// Packet count for a hop (0 if absent).
-    pub fn get(&self, hop: &NextHop) -> f64 {
-        self.counts.get(hop).copied().unwrap_or(0.0)
-    }
-
-    /// Add packets to a hop's count.
-    pub fn add(&mut self, hop: NextHop, packets: f64) {
-        *self.counts.entry(hop).or_insert(0.0) += packets;
-    }
-
-    /// Iterate `(hop, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&NextHop, f64)> {
-        self.counts.iter().map(|(k, v)| (k, *v))
-    }
-
-    /// Number of distinct next hops (including Z if present).
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether no packets were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Total packets.
-    pub fn total(&self) -> f64 {
-        self.counts.values().sum()
-    }
-}
-
-/// Build forwarding patterns from one bin of traceroutes (reference path;
-/// the engine stages through `PatternArena`).
-pub fn collect_patterns(records: &[TracerouteRecord]) -> FxHashMap<PatternKey, Pattern> {
-    let mut out: FxHashMap<PatternKey, Pattern> = FxHashMap::default();
-    for rec in records {
-        for i in 0..rec.hops.len().saturating_sub(1) {
-            let Some(router) = rec.hops[i].first_responder() else {
-                continue;
-            };
-            let key = PatternKey {
-                router,
-                dst: rec.dst,
-            };
-            let pattern = out.entry(key).or_default();
-            for reply in &rec.hops[i + 1].replies {
-                match reply.from {
-                    Some(ip) if ip != router => pattern.add(NextHop::Ip(ip), 1.0),
-                    // A repeated address (TTL quirk) is not a next hop.
-                    Some(_) => {}
-                    None => pattern.add(NextHop::Unresponsive, 1.0),
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Stable shard assignment for a pattern key (FxHash — see
-/// [`crate::engine`] for the determinism contract).
-pub(crate) fn shard_of_pattern(key: &PatternKey) -> usize {
-    engine::shard_of_hashed(key)
-}
-
 impl SnapshotKey for PatternKey {
     fn write(&self, w: &mut Writer) {
         w.ip(self.router);
@@ -127,10 +55,12 @@ impl SnapshotKey for PatternKey {
     }
 }
 
+/// Stable shard assignment for a pattern key (FxHash — see
+/// [`crate::engine`] for the determinism contract).
 impl ShardKey for PatternKey {
     #[inline]
     fn shard(&self) -> usize {
-        shard_of_pattern(self)
+        engine::shard_of_hashed(self)
     }
 }
 
@@ -229,8 +159,7 @@ impl ArenaSpec for PatternSpec {
     /// rows are the same as resolving every reply. A router observed with
     /// no next-hop packets at all (empty or all-repeated successor
     /// replies) pushes one [`SENTINEL`] presence row, so the pattern
-    /// still exists this bin and its reference still decays, exactly like
-    /// the nested-map path.
+    /// still exists this bin and its reference still decays.
     fn scatter(
         chunk: &mut Chunk<Self>,
         rec: &TracerouteRecord,
@@ -324,8 +253,8 @@ impl PatternShardRows {
     /// Sort this shard's rows and lay out the grouped pool/entry indexes.
     /// Every pattern with at least one row this bin gets an entry —
     /// including presence-only ones (a hop whose successor sent no
-    /// packets), whose empty observation must still decay its reference
-    /// exactly as the nested-map path does. Safe to run concurrently
+    /// packets), whose empty observation must still decay its reference.
+    /// Safe to run concurrently
     /// across shards: observed patterns are stamped by the arena's
     /// serial fence from the entry list this lays out.
     fn finalize(&mut self) {
@@ -383,40 +312,34 @@ impl PatternShardRows {
     }
 }
 
-impl PatternArena {
-    /// Iterate every pattern of the current bin (after the shard wave;
-    /// arbitrary but deterministic order).
-    pub(crate) fn patterns(&self) -> impl Iterator<Item = PatternSlice<'_>> {
-        let hops = self.wave().sides;
-        self.shards().flat_map(move |(shard, keys)| {
-            (0..shard.pattern_count()).map(move |j| shard.pattern_in(j, keys, hops))
-        })
-    }
-}
-
-/// Build one bin's patterns through the sharded arena and return them in
-/// the reference path's nested-map representation. Exists so tests (and
-/// the proptest in `tests/forwarding_parity.rs`) can demand equality with
-/// [`collect_patterns`] on arbitrary record sets.
-pub fn collect_patterns_sharded(records: &[TracerouteRecord]) -> FxHashMap<PatternKey, Pattern> {
-    let mut arena = PatternArena::default();
-    arena.build(records);
-    let mut out = FxHashMap::default();
-    for slice in arena.patterns() {
-        let mut pattern = Pattern::default();
-        for (hop, packets) in slice.iter() {
-            pattern.add(hop, packets);
-        }
-        out.insert(slice.key, pattern);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pinpoint_model::records::{Hop, Reply};
     use pinpoint_model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
+    use std::collections::BTreeMap;
+
+    impl<'a> PatternSlice<'a> {
+        /// A slice over hand-made rows: each count's slot indexes `hops`.
+        pub(crate) fn from_parts(
+            key: PatternKey,
+            counts: &'a [(u32, f64)],
+            hops: &'a [NextHop],
+        ) -> Self {
+            PatternSlice { key, counts, hops }
+        }
+    }
+
+    impl PatternArena {
+        /// Iterate every pattern of the current bin (after the shard wave;
+        /// arbitrary but deterministic order).
+        pub(crate) fn patterns(&self) -> impl Iterator<Item = PatternSlice<'_>> {
+            let hops = self.wave().sides;
+            self.shards().flat_map(move |(shard, keys)| {
+                (0..shard.pattern_count()).map(move |j| shard.pattern_in(j, keys, hops))
+            })
+        }
+    }
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
@@ -448,6 +371,37 @@ mod tests {
         )
     }
 
+    /// One bin through a fresh arena, as `key → (next hop → packets)`.
+    fn arena_patterns(
+        records: &[TracerouteRecord],
+    ) -> BTreeMap<PatternKey, BTreeMap<NextHop, f64>> {
+        let mut arena = PatternArena::default();
+        arena.build(records);
+        arena
+            .patterns()
+            .map(|slice| (slice.key, slice.iter().collect()))
+            .collect()
+    }
+
+    fn key(router: &str, dst: &str) -> PatternKey {
+        PatternKey {
+            router: ip(router),
+            dst: ip(dst),
+        }
+    }
+
+    /// Packets per next hop; `None` is the unresponsive bucket Z.
+    fn counts(spec: &[(Option<&str>, f64)]) -> BTreeMap<NextHop, f64> {
+        spec.iter()
+            .map(|&(hop, packets)| {
+                (
+                    hop.map_or(NextHop::Unresponsive, |a| NextHop::Ip(ip(a))),
+                    packets,
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn counts_responsive_and_unresponsive_packets() {
         // Router R forwards 3 packets: two reach B, one is lost.
@@ -458,15 +412,13 @@ mod tests {
                 hop(2, &[Some("10.0.1.1"), Some("10.0.1.1"), None]),
             ],
         );
-        let patterns = collect_patterns(&[r]);
-        let key = PatternKey {
-            router: ip("10.0.0.1"),
-            dst: ip("198.51.100.1"),
-        };
-        let p = &patterns[&key];
-        assert_eq!(p.get(&NextHop::Ip(ip("10.0.1.1"))), 2.0);
-        assert_eq!(p.get(&NextHop::Unresponsive), 1.0);
-        assert_eq!(p.total(), 3.0);
+        assert_eq!(
+            arena_patterns(&[r]),
+            BTreeMap::from([(
+                key("10.0.0.1", "198.51.100.1"),
+                counts(&[(Some("10.0.1.1"), 2.0), (None, 1.0)])
+            )])
+        );
     }
 
     #[test]
@@ -479,14 +431,19 @@ mod tests {
             "198.51.100.2",
             vec![hop(1, &[Some("10.0.0.1")]), hop(2, &[Some("10.0.2.1")])],
         );
-        let patterns = collect_patterns(&[r1, r2]);
-        assert_eq!(patterns.len(), 2);
-        let k1 = PatternKey {
-            router: ip("10.0.0.1"),
-            dst: ip("198.51.100.1"),
-        };
-        assert_eq!(patterns[&k1].get(&NextHop::Ip(ip("10.0.1.1"))), 1.0);
-        assert_eq!(patterns[&k1].get(&NextHop::Ip(ip("10.0.2.1"))), 0.0);
+        assert_eq!(
+            arena_patterns(&[r1, r2]),
+            BTreeMap::from([
+                (
+                    key("10.0.0.1", "198.51.100.1"),
+                    counts(&[(Some("10.0.1.1"), 1.0)])
+                ),
+                (
+                    key("10.0.0.1", "198.51.100.2"),
+                    counts(&[(Some("10.0.2.1"), 1.0)])
+                ),
+            ])
+        );
     }
 
     #[test]
@@ -501,13 +458,10 @@ mod tests {
                 hop(3, &[Some("10.0.2.1"); 3]),
             ],
         );
-        let patterns = collect_patterns(&[r]);
-        assert_eq!(patterns.len(), 1);
-        let key = PatternKey {
-            router: ip("10.0.0.1"),
-            dst: ip("198.51.100.1"),
-        };
-        assert_eq!(patterns[&key].get(&NextHop::Unresponsive), 3.0);
+        assert_eq!(
+            arena_patterns(&[r]),
+            BTreeMap::from([(key("10.0.0.1", "198.51.100.1"), counts(&[(None, 3.0)]))])
+        );
     }
 
     #[test]
@@ -521,29 +475,30 @@ mod tests {
                 ],
             )
         };
-        let patterns = collect_patterns(&[mk(), mk()]);
-        let key = PatternKey {
-            router: ip("10.0.0.1"),
-            dst: ip("198.51.100.1"),
-        };
-        assert_eq!(patterns[&key].get(&NextHop::Ip(ip("10.0.1.1"))), 6.0);
+        assert_eq!(
+            arena_patterns(&[mk(), mk()]),
+            BTreeMap::from([(
+                key("10.0.0.1", "198.51.100.1"),
+                counts(&[(Some("10.0.1.1"), 6.0)])
+            )])
+        );
     }
 
     #[test]
     fn last_hop_has_no_pattern() {
         let r = rec("198.51.100.1", vec![hop(1, &[Some("10.0.0.1"); 3])]);
-        assert!(collect_patterns(&[r]).is_empty());
+        assert!(arena_patterns(&[r]).is_empty());
     }
 
     #[test]
-    fn arena_matches_reference_collection() {
+    fn arena_groups_interleaved_records_exactly() {
         // Interleaved records across several routers, destinations, and
-        // reply mixes (responsive, unresponsive, repeated-address quirks):
-        // the arena must regroup them identically to the nested-map path.
-        // Those shards stay below `RADIX_MIN_KEYS` rows (comparison sort);
-        // the fan-out appended below gives ONE (router, destination)
-        // pattern more distinct next hops than the threshold, so its
-        // shard takes the radix sort.
+        // reply mixes (responsive, unresponsive, repeated-address quirks)
+        // must regroup into the hand-counted patterns. Those shards stay
+        // below `RADIX_MIN_KEYS` rows (comparison sort); the fan-out
+        // appended below gives ONE (router, destination) pattern more
+        // distinct next hops than the threshold, so its shard takes the
+        // radix sort.
         let mut recs = vec![
             rec(
                 "198.51.100.1",
@@ -569,18 +524,43 @@ mod tests {
                 ],
             ),
         ];
+        let fan_out = pinpoint_stats::RADIX_MIN_KEYS + 6;
         // Descending next hops, so the packed row keys arrive unsorted.
-        recs.extend((0..pinpoint_stats::RADIX_MIN_KEYS + 6).rev().map(|k| {
-            let next = format!("10.0.6.{k}");
+        let next = |k: usize| format!("10.0.6.{k}");
+        recs.extend((0..fan_out).rev().map(|k| {
             rec(
                 "198.51.100.9",
                 vec![
                     hop(1, &[Some("10.0.5.1"); 3]),
-                    hop(2, &[Some(next.as_str()); 3]),
+                    hop(2, &[Some(next(k).as_str()); 3]),
                 ],
             )
         }));
-        assert_eq!(collect_patterns_sharded(&recs), collect_patterns(&recs));
+        let mut want = BTreeMap::from([
+            (
+                key("10.0.0.1", "198.51.100.1"),
+                counts(&[
+                    (Some("10.0.1.1"), 3.0),
+                    (Some("10.0.1.2"), 1.0),
+                    (None, 1.0),
+                ]),
+            ),
+            (
+                key("10.0.1.1", "198.51.100.1"),
+                counts(&[(Some("10.0.2.1"), 3.0)]),
+            ),
+            (
+                key("10.0.0.1", "198.51.100.2"),
+                counts(&[(Some("10.0.1.9"), 1.0), (None, 1.0)]),
+            ),
+        ]);
+        want.insert(
+            key("10.0.5.1", "198.51.100.9"),
+            (0..fan_out)
+                .map(|k| (NextHop::Ip(ip(&next(k))), 3.0))
+                .collect(),
+        );
+        assert_eq!(arena_patterns(&recs), want);
         let mut arena = PatternArena::default();
         arena.build(&recs);
         assert!(
@@ -594,21 +574,16 @@ mod tests {
     #[test]
     fn arena_keeps_packet_less_patterns() {
         // Hop 2 exists but its replies resolve to no next-hop packets at
-        // all (empty reply list). Both paths must still produce the empty
+        // all (empty reply list). The arena must still produce the empty
         // pattern — its reference decays on empty observations.
         let r = rec(
             "198.51.100.1",
             vec![hop(1, &[Some("10.0.0.1"); 3]), Hop::new(2, Vec::new())],
         );
-        let reference = collect_patterns(std::slice::from_ref(&r));
-        let sharded = collect_patterns_sharded(&[r]);
-        assert_eq!(sharded, reference);
-        assert_eq!(sharded.len(), 1);
-        let key = PatternKey {
-            router: ip("10.0.0.1"),
-            dst: ip("198.51.100.1"),
-        };
-        assert!(sharded[&key].is_empty());
+        assert_eq!(
+            arena_patterns(&[r]),
+            BTreeMap::from([(key("10.0.0.1", "198.51.100.1"), BTreeMap::new())])
+        );
     }
 
     #[test]
@@ -641,8 +616,7 @@ mod tests {
     #[test]
     fn replies_to_one_hop_collapse_into_one_row_with_exact_counts() {
         // 5 replies to the same next hop + 2 timeouts: the scatter-time
-        // accumulation must produce the same packet counts the per-reply
-        // reference path does.
+        // accumulation must count each packet exactly once.
         let r = rec(
             "198.51.100.1",
             vec![
@@ -661,15 +635,13 @@ mod tests {
                 ),
             ],
         );
-        let reference = collect_patterns(std::slice::from_ref(&r));
-        let sharded = collect_patterns_sharded(&[r]);
-        assert_eq!(sharded, reference);
-        let key = PatternKey {
-            router: ip("10.0.0.1"),
-            dst: ip("198.51.100.1"),
-        };
-        assert_eq!(sharded[&key].get(&NextHop::Ip(ip("10.0.1.1"))), 5.0);
-        assert_eq!(sharded[&key].get(&NextHop::Unresponsive), 2.0);
+        assert_eq!(
+            arena_patterns(&[r]),
+            BTreeMap::from([(
+                key("10.0.0.1", "198.51.100.1"),
+                counts(&[(Some("10.0.1.1"), 5.0), (None, 2.0)])
+            )])
+        );
     }
 
     /// [`PatternSpec`] with the scatter that resolves every reply's next

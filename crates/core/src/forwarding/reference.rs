@@ -5,7 +5,7 @@
 //! hops are pruned below a small floor so long-gone next hops don't bloat
 //! the model (the paper reports ~4 next hops per model on average).
 
-use super::pattern::{NextHop, Pattern};
+use super::pattern::NextHop;
 use crate::config::DetectorConfig;
 use crate::engine::SnapshotKey;
 use crate::snapshot::{Reader, SnapshotError, Writer};
@@ -79,16 +79,10 @@ impl PatternReference {
         })
     }
 
-    /// Fold an observed bin pattern into the reference.
-    pub fn update(&mut self, observed: &Pattern) {
-        self.update_from(observed.iter().map(|(h, c)| (*h, c)));
-    }
-
-    /// Fold an observed `(hop, packets)` vector into the reference — the
-    /// engine path's entry point, fed straight from a
-    /// [`PatternSlice`](super::pattern::PatternSlice) without building a
-    /// map. The smoother collects into a `BTreeMap` internally, so the
-    /// result is independent of iteration order.
+    /// Fold an observed `(hop, packets)` vector into the reference, fed
+    /// straight from a [`PatternSlice`](super::pattern::PatternSlice)
+    /// without building a map. The smoother collects into a `BTreeMap`
+    /// internally, so the result is independent of iteration order.
     pub fn update_from<I: IntoIterator<Item = (NextHop, f64)>>(&mut self, observed: I) {
         self.ewma.update(observed, PRUNE_BELOW);
     }
@@ -103,13 +97,11 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn pattern(spec: &[(&str, f64)], unresp: f64) -> Pattern {
-        let mut p = Pattern::default();
-        for (a, c) in spec {
-            p.add(NextHop::Ip(ip(a)), *c);
-        }
+    fn pattern(spec: &[(&str, f64)], unresp: f64) -> Vec<(NextHop, f64)> {
+        let mut p: Vec<(NextHop, f64)> =
+            spec.iter().map(|(a, c)| (NextHop::Ip(ip(a)), *c)).collect();
         if unresp > 0.0 {
-            p.add(NextHop::Unresponsive, unresp);
+            p.push((NextHop::Unresponsive, unresp));
         }
         p
     }
@@ -122,7 +114,7 @@ mod tests {
     fn first_observation_becomes_reference() {
         let mut r = PatternReference::new(&cfg());
         assert!(!r.is_ready());
-        r.update(&pattern(&[("10.0.0.1", 10.0), ("10.0.0.2", 100.0)], 5.0));
+        r.update_from(pattern(&[("10.0.0.1", 10.0), ("10.0.0.2", 100.0)], 5.0));
         assert!(r.is_ready());
         assert_eq!(r.get(&NextHop::Ip(ip("10.0.0.1"))), 10.0);
         assert_eq!(r.get(&NextHop::Unresponsive), 5.0);
@@ -134,8 +126,8 @@ mod tests {
         let mut c = cfg();
         c.alpha = 0.5;
         let mut r = PatternReference::new(&c);
-        r.update(&pattern(&[("10.0.0.1", 100.0)], 0.0));
-        r.update(&pattern(&[("10.0.0.2", 40.0)], 0.0));
+        r.update_from(pattern(&[("10.0.0.1", 100.0)], 0.0));
+        r.update_from(pattern(&[("10.0.0.2", 40.0)], 0.0));
         assert_eq!(r.get(&NextHop::Ip(ip("10.0.0.1"))), 50.0);
         assert_eq!(r.get(&NextHop::Ip(ip("10.0.0.2"))), 20.0);
     }
@@ -145,9 +137,9 @@ mod tests {
         let mut c = cfg();
         c.alpha = 0.5;
         let mut r = PatternReference::new(&c);
-        r.update(&pattern(&[("10.0.0.1", 1.0), ("10.0.0.2", 50.0)], 0.0));
+        r.update_from(pattern(&[("10.0.0.1", 1.0), ("10.0.0.2", 50.0)], 0.0));
         for _ in 0..30 {
-            r.update(&pattern(&[("10.0.0.2", 50.0)], 0.0));
+            r.update_from(pattern(&[("10.0.0.2", 50.0)], 0.0));
         }
         assert_eq!(r.get(&NextHop::Ip(ip("10.0.0.1"))), 0.0);
         assert_eq!(r.len(), 1);
@@ -156,9 +148,9 @@ mod tests {
     #[test]
     fn small_alpha_resists_transient_shift() {
         let mut r = PatternReference::new(&cfg());
-        r.update(&pattern(&[("10.0.0.1", 100.0)], 0.0));
+        r.update_from(pattern(&[("10.0.0.1", 100.0)], 0.0));
         // One anomalous bin: everything shifted to a new hop.
-        r.update(&pattern(&[("10.0.0.9", 100.0)], 0.0));
+        r.update_from(pattern(&[("10.0.0.9", 100.0)], 0.0));
         // Reference still overwhelmingly favours the original hop.
         assert!(r.get(&NextHop::Ip(ip("10.0.0.1"))) > 90.0);
         assert!(r.get(&NextHop::Ip(ip("10.0.0.9"))) < 2.0);

@@ -856,21 +856,6 @@ impl<S: ArenaSpec> EpochArena<S> {
         (tasks, wave)
     }
 
-    /// A finished bin shard by shard: its grouped rows and the shard's
-    /// keys (dense-id order).
-    pub(crate) fn shards(&self) -> impl Iterator<Item = (&S::Rows, &[S::Key])> {
-        (self.rows.iter().zip(&self.keys)).map(|(rows, keys)| (rows, keys.keys()))
-    }
-
-    /// The side keys and payload a finished bin's rows resolve against.
-    pub(crate) fn wave(&self) -> Wave<'_, S> {
-        Wave {
-            chunks: &self.chunks[..self.active],
-            sides: self.sides.keys(),
-            payload: &self.payload,
-        }
-    }
-
     /// Stamp every primary key observed by the just-finished shard wave
     /// with `bin` — the serial fence closing a bin's epoch bookkeeping.
     /// Split out of `finalize` so shard jobs never write the epoch
@@ -882,35 +867,6 @@ impl<S: ArenaSpec> EpochArena<S> {
                 table.stamp(id, bin);
             }
         }
-    }
-
-    /// Scatter + merge + group inline, as a single chunk (the
-    /// single-threaded convenience entry; the engine runs chunks and
-    /// shards on its workers). No compaction — callers with an expiry
-    /// policy drive `compact` themselves.
-    pub(crate) fn build(&mut self, records: &[TracerouteRecord]) {
-        self.run_inline(BinId(0), records, records.len());
-    }
-
-    /// One bin through every step on the calling thread, scattered as
-    /// chunks of `chunk_records`.
-    fn run_inline(&mut self, bin: BinId, records: &[TracerouteRecord], chunk_records: usize) {
-        for job in self.scatter_jobs(records, chunk_records) {
-            job();
-        }
-        self.finish_inline(bin);
-    }
-
-    /// Everything after the scatter wave, on the calling thread: merge,
-    /// group every shard, stamp.
-    fn finish_inline(&mut self, bin: BinId) {
-        self.merge(bin);
-        let mut stateless = [(); NUM_SHARDS];
-        let (tasks, wave) = self.tasks(&mut stateless);
-        for task in tasks {
-            wave.group(task.idx, task.rows);
-        }
-        self.stamp_bin(bin);
     }
 }
 
@@ -926,6 +882,52 @@ mod tests {
     use pinpoint_model::{Asn, IpLink, MeasurementId, ProbeId, SimTime};
     use proptest::prelude::*;
     use std::net::Ipv4Addr;
+
+    impl<S: ArenaSpec> EpochArena<S> {
+        /// A finished bin shard by shard: its grouped rows and the shard's
+        /// keys (dense-id order).
+        pub(crate) fn shards(&self) -> impl Iterator<Item = (&S::Rows, &[S::Key])> {
+            (self.rows.iter().zip(&self.keys)).map(|(rows, keys)| (rows, keys.keys()))
+        }
+
+        /// The side keys and payload a finished bin's rows resolve against.
+        pub(crate) fn wave(&self) -> Wave<'_, S> {
+            Wave {
+                chunks: &self.chunks[..self.active],
+                sides: self.sides.keys(),
+                payload: &self.payload,
+            }
+        }
+
+        /// Scatter + merge + group inline, as a single chunk (the
+        /// single-threaded convenience entry; the engine runs chunks and
+        /// shards on its workers). No compaction — callers with an expiry
+        /// policy drive `compact` themselves.
+        pub(crate) fn build(&mut self, records: &[TracerouteRecord]) {
+            self.run_inline(BinId(0), records, records.len());
+        }
+
+        /// One bin through every step on the calling thread, scattered as
+        /// chunks of `chunk_records`.
+        fn run_inline(&mut self, bin: BinId, records: &[TracerouteRecord], chunk_records: usize) {
+            for job in self.scatter_jobs(records, chunk_records) {
+                job();
+            }
+            self.finish_inline(bin);
+        }
+
+        /// Everything after the scatter wave, on the calling thread: merge,
+        /// group every shard, stamp.
+        fn finish_inline(&mut self, bin: BinId) {
+            self.merge(bin);
+            let mut stateless = [(); NUM_SHARDS];
+            let (tasks, wave) = self.tasks(&mut stateless);
+            for task in tasks {
+                wave.group(task.idx, task.rows);
+            }
+            self.stamp_bin(bin);
+        }
+    }
 
     #[test]
     fn interner_assigns_dense_ids_in_insert_order() {

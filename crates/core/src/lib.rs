@@ -51,8 +51,7 @@
 //! cross-stream reporting. Both run bins through the one executor in
 //! [`session`] ([`pipeline::Analyzer::session`] /
 //! [`stream::StreamRouter::session`]); `process_bin` is one push of
-//! it. The [`baseline`] module carries the non-robust
-//! comparison detectors used by the ablation benches.
+//! it.
 //!
 //! ## Performance
 //!
@@ -153,16 +152,16 @@
 //!   completion order), alarms get a final total-order sort, ingestion
 //!   follows the chunk-order rule, and intern epochs advance only at
 //!   the merge fence, so output is byte-for-byte identical for any
-//!   thread count and any scatter chunk size. The
-//!   original single-threaded paths are kept behind
-//!   [`pipeline::Analyzer::process_bin_sequential`] /
-//!   [`stream::StreamRouter::process_bin_sequential`], and
-//!   `tests/engine_parity.rs` + `tests/forwarding_parity.rs` +
-//!   `tests/stream_parity.rs` + `tests/ingest_parity.rs` +
-//!   `tests/pipeline_overlap_parity.rs` prove equivalence across
-//!   scenarios, seeds, thread counts, and the chunk cuts they derive
-//!   (re-run in CI under a `PINPOINT_THREADS` ∈ {1, 2, 4, 8} matrix on
-//!   a multi-core runner).
+//!   thread count and any scatter chunk size. This crate holds no second
+//!   copy of the detectors: the reference lives outside it, in
+//!   `pinpoint_bench::oracle`, which recomputes each report from the
+//!   paper's formulas with ordered maps. `tests/engine_parity.rs` +
+//!   `tests/forwarding_parity.rs` + `tests/stream_parity.rs` +
+//!   `tests/ingest_parity.rs` + `tests/pipeline_overlap_parity.rs`
+//!   compare the engine with it across scenarios, seeds, thread counts,
+//!   and the chunk cuts they derive (re-run in CI under a
+//!   `PINPOINT_THREADS` ∈ {1, 2, 4, 8} matrix on a multi-core runner),
+//!   and `tests/golden.rs` pins the report bytes themselves.
 //!
 //! Performance is measured in one place: the benchmark declared by
 //! `BENCHMARK.json` at the repo root (its own workspace in `benchmark/`),
@@ -173,7 +172,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod baseline;
 pub mod config;
 pub mod diffrtt;
 pub(crate) mod engine;

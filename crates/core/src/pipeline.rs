@@ -19,7 +19,7 @@ use crate::config::DetectorConfig;
 use crate::diffrtt::{DelayAlarm, DelayDetector, LinkStat};
 use crate::forwarding::{ForwardingAlarm, ForwardingDetector};
 use crate::graph::AlarmGraph;
-use crate::sanitize::{sanitize_records, SanitizeStats, Sanitizer};
+use crate::sanitize::{SanitizeStats, Sanitizer};
 use crate::session::AnalyzerSet;
 use crate::snapshot::{self, Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
@@ -123,8 +123,8 @@ impl Analyzer {
     /// the shard wave: one job per delay-link shard and per
     /// forwarding-pattern shard (§4 ∥ §5), claimed by the same workers
     /// instead of the two detectors racing on separate thread herds. The
-    /// §6 aggregation joins their outputs. Output is byte-identical to the
-    /// sequential ordering, for any thread count (and so any chunk cut).
+    /// §6 aggregation joins their outputs. Output is byte-identical for
+    /// any thread count (and so any chunk cut).
     ///
     /// A fleet of analyzers shares one pool the same way: see
     /// [`crate::stream::StreamRouter`], whose session pools every
@@ -245,39 +245,6 @@ impl Analyzer {
         )
     }
 
-    /// Single-threaded reference path: filter the bin through the
-    /// sanitizer into a local vector, then nested-map sample and pattern
-    /// stores, full-sort characterization, detectors run back to back.
-    /// Exists so the parity tests can prove the parallel engine produces
-    /// identical [`BinReport`]s.
-    pub fn process_bin_sequential(
-        &mut self,
-        bin: BinId,
-        records: &[TracerouteRecord],
-    ) -> BinReport {
-        let (delay_alarms, link_stats, forwarding_alarms) = {
-            let Analyzer {
-                delay,
-                forwarding,
-                sanitizer,
-                cfg,
-                ..
-            } = &mut *self;
-            let (clean, counts) = sanitize_records(records, cfg);
-            sanitizer.close_bin(counts);
-            let (delay_alarms, link_stats) = delay.process_bin_sequential(bin, &clean);
-            let forwarding_alarms = forwarding.process_bin_sequential(bin, &clean);
-            (delay_alarms, link_stats, forwarding_alarms)
-        };
-        self.aggregate(
-            bin,
-            records.len(),
-            delay_alarms,
-            link_stats,
-            forwarding_alarms,
-        )
-    }
-
     fn aggregate(
         &mut self,
         bin: BinId,
@@ -289,9 +256,8 @@ impl Analyzer {
         let dsev = delay_severity(&delay_alarms, &self.mapper);
         let fsev = forwarding_severity(&forwarding_alarms, &self.mapper);
         let magnitudes = self.magnitudes.score_bin(&dsev, &fsev);
-        // The event channel updates here — the single funnel every
-        // execution path (the session and the sequential reference)
-        // flows through, so the deltas are deterministic by construction.
+        // The event channel updates here, once per bin, in bin order — so
+        // the deltas are deterministic by construction.
         let events = self.events.observe(
             bin,
             &[StreamEvidence {

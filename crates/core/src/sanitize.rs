@@ -19,9 +19,9 @@
 //! depends only on that record and the config, the surviving sequence is
 //! independent of thread count and chunk size; downstream byte-for-byte
 //! report parity is preserved by construction (and re-proven by
-//! `tests/robustness.rs` over hostile feeds). The sequential reference
-//! path filters the bin with the same gate first ([`sanitize_records`])
-//! and feeds the survivors afterwards.
+//! `tests/robustness.rs` over hostile feeds). The oracle in
+//! `pinpoint-bench` filters the bin with the same gate first
+//! ([`sanitize_records`]) and feeds the survivors afterwards.
 //!
 //! What is checked, in order (first hit wins):
 //!
@@ -353,10 +353,9 @@ impl Sanitizer {
 
 /// Sanitize a slice into an owned vector: the surviving records (one
 /// clone each, repaired ones in their repaired form) with the counters.
-/// This is the filter-then-feed reference the `process_bin_sequential`
-/// oracles use, and a convenience for harnesses and the benchmark; the
-/// engine itself never copies a bin (`Gate::admit` inside the scatter
-/// wave).
+/// Its callers are outside the engine: the filter-then-feed oracle in
+/// `pinpoint-bench`, and the benchmark. The engine itself never copies a
+/// bin (`Gate::admit` inside the scatter wave).
 pub fn sanitize_records(
     records: &[TracerouteRecord],
     cfg: &DetectorConfig,

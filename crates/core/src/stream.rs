@@ -24,8 +24,9 @@
 //! the order they were added ([`StreamId`] order), never in completion
 //! order. Under both rules the thread count is purely a throughput knob —
 //! [`StreamRouter::process_bin`] output is byte-identical across thread
-//! counts and to [`StreamRouter::process_bin_sequential`], which
-//! `tests/stream_parity.rs` proves.
+//! counts and to the paper-literal oracle fleet
+//! (`pinpoint_bench::oracle::FleetOracle`), which `tests/stream_parity.rs`
+//! proves.
 //!
 //! ## Merged reporting
 //!
@@ -166,31 +167,11 @@ impl StreamRouter {
         crate::session::Session::new(self).push(bin, &feeds)
     }
 
-    /// Single-threaded reference path: every stream runs
-    /// [`Analyzer::process_bin_sequential`] back to back, then the same
-    /// merge. Exists so the parity tests can prove the pooled fleet
-    /// produces identical [`FleetReport`]s.
-    pub fn process_bin_sequential(
-        &mut self,
-        bin: BinId,
-        feeds: &[Vec<TracerouteRecord>],
-    ) -> FleetReport {
-        let feeds = AnalyzerSet::feeds(self, feeds);
-        let reports: Vec<BinReport> = self
-            .streams
-            .iter_mut()
-            .zip(feeds)
-            .map(|(stream, records)| stream.analyzer.process_bin_sequential(bin, records))
-            .collect();
-        self.merge(bin, reports)
-    }
-
     /// Fleet-level aggregation: sum per-AS severities across the streams'
     /// reports, score them against the fleet magnitude baseline, and run
-    /// the merged view through the fleet event channel — this is the
-    /// single funnel every fleet execution path (the session and the
-    /// sequential reference) flows through, so the event
-    /// deltas are deterministic by construction.
+    /// the merged view through the fleet event channel, once per bin, in
+    /// stream order — so the event deltas are deterministic by
+    /// construction.
     fn merge(&mut self, bin: BinId, reports: Vec<BinReport>) -> FleetReport {
         let (dsev, fsev) = merge_severities(reports.iter().map(|r| &r.magnitudes));
         let magnitudes = self.fleet_magnitudes.score_bin(&dsev, &fsev);
