@@ -27,12 +27,13 @@
 //! in a bin, non-finite samples dropped before the median, how the §4.3
 //! draw names a probe, the 0.1 ms floor on a reference arm,
 //! `warmup_bins.max(1)`, the clamp of the smoothed reference CI around
-//! its median, the 0.05 prune floor of a forwarding reference, "a
-//! repeated address is not a next hop", the total order of the alarms,
-//! and eviction after `reference_expiry_bins` unseen bins.
+//! its median, the first pattern taken whole as a forwarding reference,
+//! the 0.05 prune floor of a forwarding reference, "a repeated address
+//! is not a next hop", the total order of the alarms, and eviction after
+//! `reference_expiry_bins` unseen bins.
 
 use pinpoint_core::aggregate::{
-    delay_severity, forwarding_severity, merge_severities, AsMapper, EmpathyExtractor, FleetEvent,
+    delay_severity, forwarding_severity, merge_severities, AsMapper, EmpathyExtractor,
     MagnitudeTracker, StreamEvidence,
 };
 use pinpoint_core::diffrtt::{DelayAlarm, Direction, LinkStat};
@@ -276,8 +277,7 @@ pub fn patterns(records: &[TracerouteRecord]) -> BTreeMap<PatternKey, Pattern> {
 const PRUNE_BELOW: f64 = 0.05;
 
 /// Eq. 8: a pattern's reference, `F̄ ← α F + (1 − α) F̄` over the union
-/// of next hops, an unseen hop counting 0; the first pattern is the
-/// first reference.
+/// of next hops, an unseen hop counting 0.
 #[derive(Debug, Clone, Default)]
 pub struct PatternReference {
     smoothed: Pattern,
@@ -292,6 +292,8 @@ impl PatternReference {
 
     /// Fold one bin's pattern into the reference.
     pub fn update(&mut self, observed: &Pattern, cfg: &DetectorConfig) {
+        // Rule: an empty reference — new, or pruned to nothing — takes the
+        // bin's pattern whole; there is no warm-up.
         if self.smoothed.is_empty() {
             self.smoothed = observed.clone();
             return;
@@ -506,11 +508,6 @@ impl Oracle {
         alarms
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
-    }
-
     /// Links with a delay reference.
     pub fn tracked_links(&self) -> usize {
         self.links.len()
@@ -524,11 +521,6 @@ impl Oracle {
     /// The sanitizer's counters, as the engine keeps them.
     pub fn sanitize_stats(&self) -> SanitizeStats {
         self.sanitize
-    }
-
-    /// Every event extracted so far, ranked.
-    pub fn events(&self) -> Vec<FleetEvent> {
-        self.events.events()
     }
 }
 

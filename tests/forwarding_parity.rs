@@ -162,10 +162,14 @@ fn record_from_spec(dst: u32, hops: &[Vec<u32>]) -> TracerouteRecord {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The engine and the oracle must agree bin over bin on arbitrary
-    /// record sets — including degenerate ones (all-timeout hops, empty
-    /// reply lists, repeated addresses, next hop == router): same alarms
-    /// and the same number of tracked patterns.
+    /// The engine and the oracle must build the same patterns from
+    /// arbitrary record sets — including degenerate ones (all-timeout
+    /// hops, empty reply lists, repeated addresses, next hop == router) —
+    /// and agree bin over bin on the alarms and the tracked patterns. The
+    /// second config puts τ above 1 and drops the packet floor, so every
+    /// pattern with a defined ρ alarms and its per-hop counts surface in
+    /// the responsibilities; the middle bin replays half the records, so
+    /// the counts move against the reference.
     #[test]
     fn prop_sharded_patterns_match_nested_maps(
         dsts in prop::collection::vec(0u32..4, 1..8),
@@ -179,14 +183,21 @@ proptest! {
             .zip(hop_specs.iter())
             .map(|(&dst, hops)| record_from_spec(dst, hops))
             .collect();
-        let cfg = DetectorConfig::fast_test();
-        let mut engine = ForwardingDetector::new(&cfg);
-        let mut oracle = Oracle::new(cfg, AsMapper::new());
-        for b in 0..2u64 {
-            let a = engine.process_bin(BinId(b), &records);
-            let s = oracle.forwarding_bin(BinId(b), &records);
-            prop_assert_eq!(a, s);
-            prop_assert_eq!(engine.tracked_patterns(), oracle.tracked_patterns());
+        let half = &records[..records.len().div_ceil(2)];
+        let every_pattern_alarms = DetectorConfig {
+            forwarding_tau: 2.0,
+            min_pattern_packets: 0.0,
+            ..DetectorConfig::fast_test()
+        };
+        for cfg in [DetectorConfig::fast_test(), every_pattern_alarms] {
+            let mut engine = ForwardingDetector::new(&cfg);
+            let mut oracle = Oracle::new(cfg, AsMapper::new());
+            for (b, bin) in [&records[..], half, &records[..]].into_iter().enumerate() {
+                let a = engine.process_bin(BinId(b as u64), bin);
+                let s = oracle.forwarding_bin(BinId(b as u64), bin);
+                prop_assert_eq!(a, s);
+                prop_assert_eq!(engine.tracked_patterns(), oracle.tracked_patterns());
+            }
         }
     }
 }
