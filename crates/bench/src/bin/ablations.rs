@@ -224,3 +224,57 @@ fn main() {
     }
     verdict(ok, "ablation directions match the paper's design rationale");
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pinpoint_stats::distributions::{Normal, Pareto};
+    use pinpoint_stats::rng::SplitMix64;
+
+    fn link() -> IpLink {
+        IpLink::new("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap())
+    }
+
+    #[test]
+    fn mean_detector_catches_clean_shift() {
+        let mut d = MeanDetector::new(&DetectorConfig::fast_test());
+        let mut rng = SplitMix64::new(1);
+        let quiet = Normal::new(5.0, 0.5);
+        for _ in 0..20 {
+            let samples: Vec<f64> = (0..100).map(|_| quiet.sample(&mut rng)).collect();
+            assert!(!d.alarms(link(), &samples));
+        }
+        let shifted = Normal::new(25.0, 0.5);
+        let samples: Vec<f64> = (0..100).map(|_| shifted.sample(&mut rng)).collect();
+        assert!(d.alarms(link(), &samples));
+    }
+
+    #[test]
+    fn mean_detector_false_alarms_on_outliers_where_median_holds() {
+        // The ablation claim: Pareto outliers in a stable series make the
+        // mean detector fire where the paper's median detector does not.
+        let mut d = MeanDetector::new(&DetectorConfig::fast_test());
+        let mut rng = SplitMix64::new(7);
+        let body = Normal::new(5.0, 0.3);
+        let tail = Pareto::new(200.0, 1.1);
+        let mut false_alarms = 0;
+        for _ in 0..200 {
+            let samples: Vec<f64> = (0..60)
+                .map(|_| {
+                    let mut v = body.sample(&mut rng);
+                    if rng.next_bool(0.03) {
+                        v += tail.sample(&mut rng);
+                    }
+                    v
+                })
+                .collect();
+            if d.alarms(link(), &samples) {
+                false_alarms += 1;
+            }
+        }
+        assert!(
+            false_alarms > 5,
+            "expected the mean detector to misfire, got {false_alarms}"
+        );
+    }
+}

@@ -285,11 +285,6 @@ pub struct PatternReference {
 }
 
 impl PatternReference {
-    /// The smoothed packets per next hop.
-    pub fn smoothed(&self) -> &Pattern {
-        &self.smoothed
-    }
-
     /// Fold one bin's pattern into the reference.
     pub fn update(&mut self, observed: &Pattern, cfg: &DetectorConfig) {
         // Rule: an empty reference — new, or pruned to nothing — takes the
@@ -551,15 +546,7 @@ impl FleetOracle {
         for _ in &case.streams {
             fleet.add_stream(Oracle::new(case.cfg.clone(), case.mapper.clone()));
         }
-        let l = &case.landmarks;
-        fleet.register_ases([
-            l.kroot_asn,
-            l.amsix_asn,
-            l.level3_asn,
-            l.gc_asn,
-            l.tm_asn,
-            l.cogent_asn,
-        ]);
+        fleet.register_ases(case.landmarks.named_asns());
         fleet
     }
 
@@ -797,12 +784,12 @@ mod tests {
         let mut r = PatternReference::default();
         // The first pattern is the first reference.
         r.update(&pattern(&[(Some("10.0.0.1"), 100.0)]), &cfg);
-        assert_eq!(r.smoothed(), &pattern(&[(Some("10.0.0.1"), 100.0)]));
+        assert_eq!(r.smoothed, pattern(&[(Some("10.0.0.1"), 100.0)]));
         // An unseen hop decays from its count, a new one enters from 0.
         r.update(&pattern(&[(Some("10.0.0.2"), 40.0)]), &cfg);
         assert_eq!(
-            r.smoothed(),
-            &pattern(&[(Some("10.0.0.1"), 50.0), (Some("10.0.0.2"), 20.0)])
+            r.smoothed,
+            pattern(&[(Some("10.0.0.1"), 50.0), (Some("10.0.0.2"), 20.0)])
         );
         // A hop decayed below 0.05 packets is dropped.
         let mut r = PatternReference::default();
@@ -812,7 +799,7 @@ mod tests {
         );
         for n in 1..=5 {
             r.update(&pattern(&[(Some("10.0.0.2"), 50.0)]), &cfg);
-            let a = count(r.smoothed(), &NextHop::Ip(ip("10.0.0.1")));
+            let a = count(&r.smoothed, &NextHop::Ip(ip("10.0.0.1")));
             assert_eq!(a, if n < 5 { 0.5f64.powi(n) } else { 0.0 }, "after {n}");
         }
     }

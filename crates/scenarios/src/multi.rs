@@ -70,14 +70,7 @@ impl MultiStreamCase {
             );
         }
         router.set_threads(self.cfg.threads);
-        router.register_ases([
-            self.landmarks.kroot_asn,
-            self.landmarks.amsix_asn,
-            self.landmarks.level3_asn,
-            self.landmarks.gc_asn,
-            self.landmarks.tm_asn,
-            self.landmarks.cogent_asn,
-        ]);
+        router.register_ases(self.landmarks.named_asns());
         router
     }
 

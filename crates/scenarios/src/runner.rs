@@ -71,14 +71,7 @@ impl CaseStudy {
     /// pre-registered for magnitude tracking.
     pub fn analyzer(&self) -> Analyzer {
         let mut a = Analyzer::new(self.cfg.clone(), self.mapper.clone());
-        a.register_ases([
-            self.landmarks.kroot_asn,
-            self.landmarks.amsix_asn,
-            self.landmarks.level3_asn,
-            self.landmarks.gc_asn,
-            self.landmarks.tm_asn,
-            self.landmarks.cogent_asn,
-        ]);
+        a.register_ases(self.landmarks.named_asns());
         a
     }
 }

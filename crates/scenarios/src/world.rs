@@ -87,6 +87,21 @@ pub struct Landmarks {
     pub kroot_entries: Vec<(&'static str, Ipv4Addr)>,
 }
 
+impl Landmarks {
+    /// The world's named ASes, the ones every case study pre-registers
+    /// for magnitude tracking.
+    pub fn named_asns(&self) -> [Asn; 6] {
+        [
+            self.kroot_asn,
+            self.amsix_asn,
+            self.level3_asn,
+            self.gc_asn,
+            self.tm_asn,
+            self.cogent_asn,
+        ]
+    }
+}
+
 /// The built world.
 #[derive(Debug)]
 pub struct World {
