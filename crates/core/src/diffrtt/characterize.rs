@@ -57,8 +57,9 @@ impl RankCache {
 }
 
 /// Shared tail of the three characterizers: filter already done, `buf`
-/// holds the finite samples. Order-statistic selection — expected O(n),
-/// no full sort. Bit-identical to `median_ci_select(buf, cfg.wilson_z)`.
+/// holds the finite samples. Order-statistic selection — O(n), no full
+/// sort. Bit-identical to `median_ci_sorted` of a `f64::total_cmp`-sorted
+/// copy, the oracle's path.
 fn finish_cached(buf: &mut [f64], cfg: &DetectorConfig, cache: &mut RankCache) -> Option<LinkStat> {
     if buf.is_empty() {
         return None;

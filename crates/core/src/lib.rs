@@ -139,9 +139,10 @@
 //!   shards below `pinpoint_stats::RADIX_MIN_KEYS` keep the comparison
 //!   sort.
 //! * **Selection, not sorting** — per-link characterization fetches
-//!   the median and both Wilson-rank CI bounds with ONE partition-based
-//!   multiselect (`median_ci_select_ranks`) instead of a full sort or
-//!   three independent quickselects; the Wilson rank bounds (a pure
+//!   the median and both Wilson-rank CI bounds with one range selection
+//!   (`median_ci_select_ranks`: two `select_nth_unstable_by` calls under
+//!   `f64::total_cmp`, then a sort of the small window between the
+//!   Wilson ranks) instead of a full sort; the Wilson rank bounds (a pure
 //!   function of pool size) are memoized per shard, and balanced links
 //!   (the overwhelming majority) are characterized **zero-copy**: their
 //!   samples sit contiguously in the shard pool after grouping, so

@@ -138,8 +138,10 @@ impl Analyzer {
     /// per chunk) and return its scatter jobs: one per *raw* record chunk,
     /// each taking every record of its chunk through the gate and — when
     /// it survives — through the delay and then the forwarding scatter
-    /// body while it is hot, so no record is read twice and none is
-    /// copied unless it is repaired. The executor runs the jobs on the
+    /// body while it is hot, so none is copied unless it is repaired.
+    /// Each job first runs [`first_touch`] over its chunk, so the chunk's
+    /// cold hop vectors load together rather than one record at a time.
+    /// The executor runs the jobs on the
     /// shared pool — a fleet's scatter chunks all in one wave — then
     /// calls [`Analyzer::merge_scatter`]. No compaction happens here: the
     /// executor sweeps ([`Analyzer::compact_epochs`]) first.
@@ -166,6 +168,7 @@ impl Analyzer {
         (records.chunks(chunk).zip(gates).zip(writers))
             .map(|((records, gate), (mut delay, mut forwarding))| {
                 Box::new(move || {
+                    first_touch(records);
                     delay.begin();
                     forwarding.begin();
                     for rec in records {
@@ -436,6 +439,28 @@ impl Analyzer {
     pub fn open_events(&self) -> usize {
         self.events.open_count()
     }
+}
+
+/// Read the first reply of every hop of `records` and discard it. Each
+/// record reaches its replies through two dependent heap loads (record →
+/// hop vector → reply vector), and the gate that reads them first would
+/// otherwise wait on each record's misses in turn. This loop writes
+/// nothing and never branches on what a reply holds (only on whether a
+/// hop has one), so the core keeps the misses of many records in flight
+/// together, and the per-record loop that follows finds its records
+/// cached. It is the safe stand-in for a prefetch intrinsic, which this
+/// crate cannot call: it forbids `unsafe`.
+fn first_touch(records: &[TracerouteRecord]) {
+    let mut seen = 0u64;
+    for rec in records {
+        for hop in &rec.hops {
+            seen += hop
+                .replies
+                .first()
+                .map_or(0, |r| u64::from(r.rtt_ms.is_some()));
+        }
+    }
+    std::hint::black_box(seen);
 }
 
 /// A solo analyzer is a set of one: its input is the one member's feed

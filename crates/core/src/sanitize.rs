@@ -468,7 +468,7 @@ mod tests {
             f64::INFINITY,
             -3.0,
             1e300,
-            cfg.sanitize_max_rtt_ms * 2.0,
+            cfg.sanitize_max_rtt_ms.next_up(),
         ] {
             let mut rec = clean_record();
             rec.hops[1].replies[2] = Reply::new(ip("10.0.0.2"), bad);
@@ -478,6 +478,10 @@ mod tests {
                 "rtt {bad} must quarantine"
             );
         }
+        // The limit itself is possible (on the last hop, so no inversion).
+        let mut rec = clean_record();
+        rec.hops[2].replies[2] = Reply::new(ip("10.0.0.3"), cfg.sanitize_max_rtt_ms);
+        assert_eq!(verdict(&rec, &cfg), Verdict::Clean);
     }
 
     #[test]
@@ -489,6 +493,18 @@ mod tests {
         // Gross inversion: quarantined.
         let rec = record(vec![
             hop(1, "10.0.0.1", 40.0 + cfg.sanitize_max_inversion_ms * 2.0),
+            hop(2, "10.0.0.2", 10.0),
+        ]);
+        assert_eq!(
+            verdict(&rec, &cfg),
+            Verdict::Quarantined(Quarantine::RttInversion)
+        );
+        // Exactly at the threshold passes; just past it quarantines.
+        let at = 10.0 + cfg.sanitize_max_inversion_ms;
+        let rec = record(vec![hop(1, "10.0.0.1", at), hop(2, "10.0.0.2", 10.0)]);
+        assert_eq!(verdict(&rec, &cfg), Verdict::Clean);
+        let rec = record(vec![
+            hop(1, "10.0.0.1", at.next_up()),
             hop(2, "10.0.0.2", 10.0),
         ]);
         assert_eq!(
@@ -540,20 +556,25 @@ mod tests {
     #[test]
     fn hop_count_overflow_is_quarantined() {
         let cfg = DetectorConfig::default();
-        let hops: Vec<Hop> = (0..=cfg.sanitize_max_hops as u32)
-            .map(|i| {
-                Hop::new(
-                    (i % 250) as u8,
-                    vec![Reply::new(
-                        Ipv4Addr::new(10, 1, (i / 250) as u8, (i % 250) as u8),
-                        1.0 + i as f64 * 0.01,
-                    )],
-                )
-            })
-            .collect();
-        let rec = record(hops);
+        let path = |len: usize| {
+            record(
+                (0..len as u32)
+                    .map(|i| {
+                        Hop::new(
+                            (i % 250) as u8,
+                            vec![Reply::new(
+                                Ipv4Addr::new(10, 1, (i / 250) as u8, (i % 250) as u8),
+                                1.0 + i as f64 * 0.01,
+                            )],
+                        )
+                    })
+                    .collect(),
+            )
+        };
+        // Exactly at the limit passes; one hop more quarantines.
+        assert_eq!(verdict(&path(cfg.sanitize_max_hops), &cfg), Verdict::Clean);
         assert_eq!(
-            verdict(&rec, &cfg),
+            verdict(&path(cfg.sanitize_max_hops + 1), &cfg),
             Verdict::Quarantined(Quarantine::TooManyHops)
         );
     }

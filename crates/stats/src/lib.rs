@@ -9,7 +9,8 @@
 //! statistical primitive the paper uses, from scratch:
 //!
 //! * [`mod@quantile`] — medians, arbitrary quantiles, order statistics
-//!   (quickselect), used for the median differential RTT;
+//!   (selection under `f64::total_cmp`), used for the median differential
+//!   RTT;
 //! * [`wilson`] — the Wilson score interval (Eq. 5) yielding distribution-free
 //!   confidence intervals on the median;
 //! * [`entropy`] — normalized Shannon entropy of probe-per-AS counts (§4.3);
@@ -57,11 +58,9 @@ pub use descriptive::Summary;
 pub use ecdf::Ecdf;
 pub use entropy::normalized_entropy;
 pub use mad::{mad, magnitude};
-pub use quantile::{median, quantile, select_multi};
+pub use quantile::{median, quantile};
 pub use radix::{sort_by_u64_key, RADIX_MIN_KEYS};
 pub use rng::SplitMix64;
 pub use sliding::SlidingRobust;
 pub use smoothing::Ewma;
-pub use wilson::{
-    median_ci, median_ci_select, wilson_bounds, wilson_rank_bounds, ConfidenceInterval,
-};
+pub use wilson::{wilson_bounds, wilson_rank_bounds, ConfidenceInterval};

@@ -7,151 +7,51 @@
 //!
 //! Two access patterns are provided:
 //! * sorting-based [`quantile_sorted`]/[`median_sorted`] when the caller
-//!   already needs the full order (Wilson CIs index into the sorted array);
-//! * an in-place quickselect [`select_kth`] for one-off order statistics in
-//!   O(n) expected time.
+//!   already needs the full order;
+//! * in-place selection for the median ([`median`]) and the Wilson CI
+//!   ([`crate::wilson::median_ci_select_ranks`]): one kernel pins a contiguous
+//!   range of ranks with the standard library's `select_nth_unstable_by`
+//!   under [`f64::total_cmp`], in O(n) worst case. Under that total order
+//!   each rank holds exactly one value — `-0.0` ranks below `+0.0` — so
+//!   selection and a `total_cmp` sort agree bit for bit.
 
-/// Select (in place) the `k`-th smallest element (0-based) of `data`.
-///
-/// Expected O(n) quickselect with median-of-three pivoting. After the call,
-/// `data[k]` holds the k-th order statistic and the slice is partitioned
-/// around it.
+/// Pin the order statistics `lo..=hi` of `data` in place under
+/// [`f64::total_cmp`]: afterwards `data[k]` holds the value a full
+/// `total_cmp` sort would put at `k`, for every `k` in `lo..=hi`. Two
+/// selections fix both ends (the second inside the tail the first
+/// leaves), and the window between them, which holds exactly the ranks
+/// `lo + 1..hi`, is sorted.
 ///
 /// # Panics
-/// Panics if `data` is empty or `k >= data.len()`.
-pub fn select_kth(data: &mut [f64], k: usize) -> f64 {
-    assert!(!data.is_empty(), "select_kth on empty slice");
-    assert!(k < data.len(), "k {k} out of bounds {}", data.len());
-    let (mut lo, mut hi) = (0usize, data.len() - 1);
-    // Classic Hoare quickselect: narrow [lo, hi] around k until it pins a
-    // single element. The Hoare partition only guarantees a split point —
-    // not that data[p] is final — so there is no early-exit on k == p.
-    while lo < hi {
-        let pivot = median_of_three(data, lo, hi);
-        let p = partition(data, lo, hi, pivot);
-        if k <= p {
-            hi = p;
-        } else {
-            lo = p + 1;
-        }
-    }
-    data[k]
-}
-
-/// Select (in place) **several** order statistics in one pass.
-///
-/// `ks` must be sorted ascending, deduplicated, and in bounds. After the
-/// call `data[k]` holds the `k`-th order statistic for every `k` in
-/// `ks`. Each Hoare partition serves every rank at once: the sorted rank
-/// list splits at the partition point and each side is resolved inside
-/// the sub-range that partition already produced — the partition work a
-/// rank-by-rank [`select_kth`] sequence would redo is shared instead.
-/// With the same pivot rule (`median_of_three`) and partition scheme
-/// as [`select_kth`], every pinned value is the exact order statistic a
-/// full sort would place there.
-///
-/// # Panics
-/// Panics if `ks` is non-empty and `data` is empty, or any rank is out
-/// of bounds.
-pub fn select_multi(data: &mut [f64], ks: &[usize]) {
-    if ks.is_empty() {
-        return;
-    }
-    assert!(!data.is_empty(), "select_multi on empty slice");
-    debug_assert!(ks.windows(2).all(|w| w[0] < w[1]), "ranks must ascend");
+/// Panics unless `lo <= hi < data.len()`.
+pub(crate) fn select_range(data: &mut [f64], lo: usize, hi: usize) {
     assert!(
-        *ks.last().expect("non-empty") < data.len(),
-        "rank {} out of bounds {}",
-        ks.last().expect("non-empty"),
+        lo <= hi && hi < data.len(),
+        "ranks {lo}..={hi} out of bounds {}",
         data.len()
     );
-    select_multi_in(data, 0, data.len() - 1, ks);
-}
-
-/// The recursive core of [`select_multi`]: resolve `ks` within
-/// `data[lo..=hi]`. Iterates while the ranks stay on one side of the
-/// partition (exactly [`select_kth`]'s narrowing loop); recurses only
-/// when they straddle it, so the depth is bounded by `ks.len()`.
-fn select_multi_in(data: &mut [f64], mut lo: usize, mut hi: usize, mut ks: &[usize]) {
-    while !ks.is_empty() && lo < hi {
-        let pivot = median_of_three(data, lo, hi);
-        let p = partition(data, lo, hi, pivot);
-        let split = ks.partition_point(|&k| k <= p);
-        let (left, right) = ks.split_at(split);
-        if left.is_empty() {
-            lo = p + 1;
-            ks = right;
-        } else if right.is_empty() {
-            hi = p;
-            ks = left;
-        } else {
-            select_multi_in(data, lo, p, left);
-            lo = p + 1;
-            ks = right;
-        }
-    }
-}
-
-fn median_of_three(data: &mut [f64], lo: usize, hi: usize) -> f64 {
-    let mid = lo + (hi - lo) / 2;
-    // Order data[lo] <= data[mid] <= data[hi].
-    if data[mid] < data[lo] {
-        data.swap(mid, lo);
-    }
-    if data[hi] < data[lo] {
-        data.swap(hi, lo);
-    }
-    if data[hi] < data[mid] {
-        data.swap(hi, mid);
-    }
-    data[mid]
-}
-
-fn partition(data: &mut [f64], lo: usize, hi: usize, pivot: f64) -> usize {
-    let mut i = lo;
-    let mut j = hi;
-    loop {
-        while data[i] < pivot {
-            i += 1;
-        }
-        while data[j] > pivot {
-            j -= 1;
-        }
-        if i >= j {
-            return j;
-        }
-        data.swap(i, j);
-        i += 1;
-        if j == 0 {
-            return 0;
-        }
-        j -= 1;
+    let (_, _, tail) = data.select_nth_unstable_by(lo, f64::total_cmp);
+    if hi > lo {
+        let (window, _, _) = tail.select_nth_unstable_by(hi - lo - 1, f64::total_cmp);
+        window.sort_unstable_by(f64::total_cmp);
     }
 }
 
 /// Median of a slice (copies and selects; input order preserved).
 ///
 /// Even-length inputs return the mean of the two central order statistics.
-/// Returns `None` on an empty slice. Non-finite values must be filtered by
-/// the caller; they would poison comparisons.
+/// Returns `None` on an empty slice. The result is bit-identical to the
+/// [`median_sorted`] of a [`f64::total_cmp`]-sorted copy; filter
+/// non-finite values first where they must not count.
 pub fn median(data: &[f64]) -> Option<f64> {
-    if data.is_empty() {
+    let n = data.len();
+    if n == 0 {
         return None;
     }
     let mut buf = data.to_vec();
-    let n = buf.len();
-    if n % 2 == 1 {
-        Some(select_kth(&mut buf, n / 2))
-    } else {
-        let hi = select_kth(&mut buf, n / 2);
-        // After selecting n/2, the max of the lower partition is the other
-        // central element.
-        let lo = buf[..n / 2]
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        Some((lo + hi) / 2.0)
-    }
+    let central = (n - 1) / 2..=n / 2;
+    select_range(&mut buf, *central.start(), *central.end());
+    median_sorted(&buf[central])
 }
 
 /// Median of an already-sorted slice.
@@ -194,14 +94,6 @@ pub fn quantile(data: &[f64], q: f64) -> Option<f64> {
     quantile_sorted(&buf, q)
 }
 
-/// Sort a copy of the data (ascending), for callers that need repeated
-/// order-statistic access.
-pub fn sorted_copy(data: &[f64]) -> Vec<f64> {
-    let mut buf = data.to_vec();
-    buf.sort_by(|a, b| a.partial_cmp(b).expect("non-finite value in sorted_copy"));
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,51 +125,54 @@ mod tests {
     }
 
     #[test]
-    fn select_kth_matches_sort() {
+    fn select_range_pins_each_single_rank() {
         let data = [9.0, -3.0, 7.0, 0.5, 7.0, 2.0, 11.0, -8.0];
         let mut sorted = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted.sort_by(f64::total_cmp);
         for (k, &want) in sorted.iter().enumerate() {
             let mut buf = data.to_vec();
-            assert_eq!(select_kth(&mut buf, k), want, "k={k}");
+            select_range(&mut buf, k, k);
+            assert_eq!(buf[k], want, "k={k}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn select_on_empty_panics() {
-        select_kth(&mut [], 0);
-    }
-
-    #[test]
-    fn select_multi_pins_every_rank() {
-        let data = [9.0, -3.0, 7.0, 0.5, 7.0, 2.0, 11.0, -8.0, 4.0];
-        let mut sorted = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut buf = data.to_vec();
-        let ks = [0usize, 2, 4, 8];
-        select_multi(&mut buf, &ks);
-        for &k in &ks {
-            assert_eq!(buf[k], sorted[k], "k={k}");
-        }
-        // And the buffer is still a permutation of the input.
-        let mut perm = buf;
-        perm.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(perm, sorted);
-    }
-
-    #[test]
-    fn select_multi_empty_ranks_is_noop() {
-        let mut buf = vec![3.0, 1.0, 2.0];
-        select_multi(&mut buf, &[]);
-        assert_eq!(buf, vec![3.0, 1.0, 2.0]);
-        select_multi(&mut [], &[]);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn select_multi_rank_out_of_bounds_panics() {
-        select_multi(&mut [1.0, 2.0], &[2]);
+    fn select_on_empty_panics() {
+        select_range(&mut [], 0, 0);
+    }
+
+    #[test]
+    fn select_range_pins_every_rank() {
+        let data = [9.0, -3.0, 7.0, 0.5, 7.0, 2.0, 11.0, -8.0, 4.0];
+        let mut sorted = data.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mut buf = data.to_vec();
+        select_range(&mut buf, 2, 6);
+        assert_eq!(buf[2..=6], sorted[2..=6]);
+        // And the buffer is still a permutation of the input.
+        let mut perm = buf;
+        perm.sort_by(f64::total_cmp);
+        assert_eq!(perm, sorted);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn select_range_rank_out_of_bounds_panics() {
+        select_range(&mut [1.0, 2.0], 0, 2);
+    }
+
+    #[test]
+    fn median_orders_signed_zeros() {
+        // -0.0 ranks below +0.0, as in a `total_cmp` sort.
+        assert_eq!(
+            median(&[0.0, 0.0, -0.0]).unwrap().to_bits(),
+            0.0f64.to_bits()
+        );
+        assert_eq!(
+            median(&[-0.0, 0.0, -0.0]).unwrap().to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     #[test]
@@ -320,32 +215,18 @@ mod tests {
         }
 
         #[test]
-        fn prop_select_kth_matches_sort(data in prop::collection::vec(-1e3f64..1e3, 1..80), k_frac in 0.0f64..1.0) {
-            let k = ((data.len() - 1) as f64 * k_frac) as usize;
-            let mut sorted = data.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let mut buf = data.clone();
-            prop_assert_eq!(select_kth(&mut buf, k), sorted[k]);
-        }
-
-        #[test]
-        fn prop_select_multi_matches_sort(
+        fn prop_select_range_matches_sort(
             data in prop::collection::vec(-1e3f64..1e3, 1..80),
-            fracs in prop::collection::vec(0.0f64..1.0, 1..5),
+            a in 0.0f64..1.0,
+            b in 0.0f64..1.0,
         ) {
-            let mut ks: Vec<usize> = fracs
-                .iter()
-                .map(|f| ((data.len() - 1) as f64 * f) as usize)
-                .collect();
-            ks.sort_unstable();
-            ks.dedup();
+            let rank = |f: f64| ((data.len() - 1) as f64 * f) as usize;
+            let (lo, hi) = (rank(a.min(b)), rank(a.max(b)));
             let mut sorted = data.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            sorted.sort_by(f64::total_cmp);
             let mut buf = data.clone();
-            select_multi(&mut buf, &ks);
-            for &k in &ks {
-                prop_assert_eq!(buf[k], sorted[k]);
-            }
+            select_range(&mut buf, lo, hi);
+            prop_assert_eq!(&buf[lo..=hi], &sorted[lo..=hi]);
         }
 
         #[test]

@@ -16,7 +16,7 @@
 //! asymmetry falls out naturally because the bounding order statistics of a
 //! skewed sample are asymmetric around the median.
 
-use crate::quantile::{median_sorted, select_kth, select_multi};
+use crate::quantile::{median_sorted, select_range};
 
 /// The z value for a 95 % confidence level, used throughout the paper.
 pub const Z_95: f64 = 1.96;
@@ -45,8 +45,8 @@ pub fn wilson_bounds(n: usize, p: f64, z: f64) -> (f64, f64) {
 /// The 0-based order-statistic indices `(li, ui)` bounding the Wilson
 /// median CI for `n` samples at critical value `z`.
 ///
-/// This is the canonical rank mapping shared by every CI path (sorted,
-/// three-select, and single-partition): `l = n·w_l` floored, `u = n·w_u`
+/// This is the canonical rank mapping shared by both CI paths (sorted and
+/// selecting): `l = n·w_l` floored, `u = n·w_u`
 /// ceiled, both clamped into `[1, n]` and converted to 0-based indices so
 /// small samples yield conservative (wide) intervals. The result depends
 /// only on `(n, z)` — callers characterizing many same-sized sample sets
@@ -126,129 +126,39 @@ pub fn median_ci_sorted(sorted: &[f64], z: f64) -> Option<ConfidenceInterval> {
     })
 }
 
-/// Median and Wilson-score CI of unsorted samples (sorts a copy).
-pub fn median_ci(samples: &[f64], z: f64) -> Option<ConfidenceInterval> {
-    let sorted = crate::quantile::sorted_copy(samples);
-    median_ci_sorted(&sorted, z)
-}
-
-/// Order statistic `k` of `data` when `data[m_idx]` is already the selected
-/// median pivot: everything left of `m_idx` is ≤ it, everything right is ≥
-/// it, so the remaining selection can be confined to one partition.
-fn order_stat_around_pivot(data: &mut [f64], m_idx: usize, k: usize) -> f64 {
-    match k.cmp(&m_idx) {
-        std::cmp::Ordering::Equal => data[m_idx],
-        std::cmp::Ordering::Less => select_kth(&mut data[..m_idx], k),
-        std::cmp::Ordering::Greater => select_kth(&mut data[m_idx + 1..], k - m_idx - 1),
-    }
-}
-
-/// Median and Wilson-score CI via a **single-partition multiselect** — no
-/// full sort, no repeated partitioning.
+/// Median and Wilson-score CI of unsorted samples by **selection** — no
+/// full sort — with the Wilson ranks `(li, ui)` precomputed by
+/// [`wilson_rank_bounds`]`(data.len(), z)`: the engine's per-shard
+/// characterization pass caches them per distinct sample count.
 ///
-/// Produces results bit-identical to [`median_ci`] in expected O(n): the
-/// median rank(s) and both Wilson ranks are pinned by one
-/// [`select_multi`] pass, whose every Hoare partition serves all of them
-/// at once (the top-level partition in particular is shared, where the
-/// three-quickselect formulation re-partitions the region per rank — see
-/// [`median_ci_select3`]). The buffer is permuted in place, which is
-/// exactly what the bin engine wants — it hands in a scratch buffer it
-/// reuses across links.
+/// One range selection pins every rank from the lowest needed (`li`, or
+/// the lower central rank) to the highest (`ui`, or the upper central
+/// one), under [`f64::total_cmp`]. The result is bit-identical to
+/// [`median_ci_sorted`] of a `total_cmp`-sorted copy, signed zeros
+/// included. The buffer is permuted in place, which is exactly what the
+/// bin engine wants — it hands in a scratch buffer or a shard-pool region.
 ///
-/// Non-finite values must be filtered by the caller (as with
-/// [`median_ci`], they would poison comparisons). Returns `None` on an
+/// Non-finite values must be filtered by the caller. Returns `None` on an
 /// empty slice.
-pub fn median_ci_select(data: &mut [f64], z: f64) -> Option<ConfidenceInterval> {
-    if data.is_empty() {
-        return None;
-    }
-    let (li, ui) = wilson_rank_bounds(data.len(), z);
-    median_ci_select_ranks(data, li, ui)
-}
-
-/// [`median_ci_select`] with the Wilson ranks precomputed — the engine's
-/// per-shard characterization pass caches [`wilson_rank_bounds`] per
-/// distinct sample count and calls this directly.
 ///
-/// `(li, ui)` must come from `wilson_rank_bounds(data.len(), z)`; results
-/// are then bit-identical to [`median_ci_select`].
+/// # Panics
+/// Panics if `ui >= data.len()` on a non-empty slice.
 pub fn median_ci_select_ranks(
     data: &mut [f64],
     li: usize,
     ui: usize,
 ) -> Option<ConfidenceInterval> {
-    if data.is_empty() {
+    let n = data.len();
+    if n == 0 {
         return None;
     }
-    let n = data.len();
-    let m_idx = n / 2;
-    // The full rank set, sorted and deduplicated: both Wilson bounds,
-    // the upper central element, and for even n the lower central one
-    // (li ≤ m_idx always; ui may sit at m_idx − 1, e.g. z = 0 on even n).
-    let mut ks = [0usize; 4];
-    let mut len = 0;
-    for k in [
-        li,
-        m_idx.wrapping_sub(usize::from(n.is_multiple_of(2))),
-        m_idx,
-        ui,
-    ] {
-        if len == 0 || ks[len - 1] < k {
-            ks[len] = k;
-            len += 1;
-        }
-    }
-    // `ui < m_idx - 1` cannot happen (wu ≥ 0.5 pins ui ≥ m_idx − 1), and
-    // li ≤ ui, so the insertion order above is already ascending.
-    debug_assert!(ks[..len].windows(2).all(|w| w[0] < w[1]));
-    select_multi(data, &ks[..len]);
-    let med = if n % 2 == 1 {
-        data[m_idx]
-    } else {
-        // Both central order statistics are pinned; the mean matches the
-        // fold-max recipe of `quantile::median` bit for bit (same two
-        // order-statistic values, same operation order).
-        (data[m_idx - 1] + data[m_idx]) / 2.0
-    };
+    let central = (n - 1) / 2..=n / 2;
+    select_range(data, li.min(*central.start()), ui.max(*central.end()));
+    let med = median_sorted(&data[central])?;
     Some(ConfidenceInterval {
         lower: data[li].min(med),
         median: med,
         upper: data[ui].max(med),
-        n,
-    })
-}
-
-/// The retained three-quickselect CI formulation: one select pins the
-/// median, then each Wilson bound is selected inside the partition the
-/// first select left behind. Kept as the proof bridge between the
-/// full-sort path and the single-partition [`median_ci_select`] — the
-/// property tests demand all three agree bit-for-bit.
-pub fn median_ci_select3(data: &mut [f64], z: f64) -> Option<ConfidenceInterval> {
-    if data.is_empty() {
-        return None;
-    }
-    let n = data.len();
-    let m_idx = n / 2;
-    let hi = select_kth(data, m_idx);
-    let med = if n % 2 == 1 {
-        hi
-    } else {
-        // After selecting n/2, the other central element is the max of the
-        // lower partition — same recipe as `quantile::median`.
-        let lo = data[..m_idx]
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        (lo + hi) / 2.0
-    };
-    // Identical rank mapping to `median_ci_sorted`.
-    let (li, ui) = wilson_rank_bounds(n, z);
-    let lower = order_stat_around_pivot(data, m_idx, li);
-    let upper = order_stat_around_pivot(data, m_idx, ui);
-    Some(ConfidenceInterval {
-        lower: lower.min(med),
-        median: med,
-        upper: upper.max(med),
         n,
     })
 }
@@ -258,6 +168,33 @@ mod tests {
     use super::*;
     use crate::rng::SplitMix64;
     use proptest::prelude::*;
+
+    /// The reference: [`median_ci_sorted`] of a `total_cmp`-sorted copy.
+    fn sorted_ci(data: &[f64], z: f64) -> Option<ConfidenceInterval> {
+        let mut sorted = data.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        median_ci_sorted(&sorted, z)
+    }
+
+    /// The engine's path: [`median_ci_select_ranks`] on a copy.
+    fn select_ci(data: &[f64], z: f64) -> Option<ConfidenceInterval> {
+        let mut buf = data.to_vec();
+        let (li, ui) = wilson_rank_bounds(buf.len(), z);
+        median_ci_select_ranks(&mut buf, li, ui)
+    }
+
+    /// Every field by bit pattern: `==` on `f64` cannot tell `-0.0`
+    /// from `+0.0`.
+    fn bits(ci: Option<ConfidenceInterval>) -> Option<[u64; 4]> {
+        ci.map(|c| {
+            [
+                c.lower.to_bits(),
+                c.median.to_bits(),
+                c.upper.to_bits(),
+                c.n as u64,
+            ]
+        })
+    }
 
     #[test]
     fn bounds_bracket_p() {
@@ -295,14 +232,14 @@ mod tests {
     #[test]
     fn ci_orders_bounds() {
         let data = [5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0];
-        let ci = median_ci(&data, Z_95).unwrap();
+        let ci = select_ci(&data, Z_95).unwrap();
         assert!(ci.lower <= ci.median && ci.median <= ci.upper);
         assert_eq!(ci.n, 7);
     }
 
     #[test]
     fn ci_single_sample_degenerates() {
-        let ci = median_ci(&[4.2], Z_95).unwrap();
+        let ci = select_ci(&[4.2], Z_95).unwrap();
         assert_eq!((ci.lower, ci.median, ci.upper), (4.2, 4.2, 4.2));
     }
 
@@ -326,7 +263,7 @@ mod tests {
         let data: Vec<f64> = (0..500)
             .map(|_| (-2.0 * rng.next_f64().max(1e-12).ln()).exp())
             .collect();
-        let ci = median_ci(&data, Z_95).unwrap();
+        let ci = select_ci(&data, Z_95).unwrap();
         let lower_arm = ci.median - ci.lower;
         let upper_arm = ci.upper - ci.median;
         assert!(
@@ -345,7 +282,7 @@ mod tests {
         let mut hits = 0;
         for _ in 0..trials {
             let data: Vec<f64> = (0..61).map(|_| rng.next_f64()).collect();
-            let ci = median_ci(&data, Z_95).unwrap();
+            let ci = select_ci(&data, Z_95).unwrap();
             if ci.lower <= 0.5 && 0.5 <= ci.upper {
                 hits += 1;
             }
@@ -368,14 +305,14 @@ mod tests {
 
         #[test]
         fn prop_ci_contains_median(data in prop::collection::vec(-1e5f64..1e5, 1..300)) {
-            let ci = median_ci(&data, Z_95).unwrap();
+            let ci = select_ci(&data, Z_95).unwrap();
             prop_assert!(ci.lower <= ci.median);
             prop_assert!(ci.median <= ci.upper);
         }
 
         #[test]
         fn prop_ci_bounds_are_sample_values(data in prop::collection::vec(-1e3f64..1e3, 3..100)) {
-            let ci = median_ci(&data, Z_95).unwrap();
+            let ci = select_ci(&data, Z_95).unwrap();
             let close = |target: f64| data.iter().any(|x| (x - target).abs() < 1e-9);
             // Bounds are order statistics of the sample (or the median for
             // even n, which may interpolate).
@@ -388,69 +325,58 @@ mod tests {
             data in prop::collection::vec(-1e5f64..1e5, 1..300),
             z in 0.0f64..4.0,
         ) {
-            // The three CI formulations — single-partition multiselect,
-            // three confined quickselects, full sort — must be
-            // bit-identical; the engine-parity guarantee rests on it.
+            // The engine-parity guarantee rests on selection and the
+            // sorted reference agreeing bit for bit.
             let mut buf = data.clone();
-            let fast = median_ci_select(&mut buf, z).unwrap();
-            let mut buf3 = data.clone();
-            let three = median_ci_select3(&mut buf3, z).unwrap();
-            let slow = median_ci(&data, z).unwrap();
-            prop_assert_eq!(fast, slow);
-            prop_assert_eq!(three, slow);
-            // And both buffers are permutations of the input.
+            let (li, ui) = wilson_rank_bounds(buf.len(), z);
+            let fast = median_ci_select_ranks(&mut buf, li, ui);
+            prop_assert_eq!(bits(fast), bits(sorted_ci(&data, z)));
+            // And the buffer is a permutation of the input.
             let mut b = data;
-            b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            for mut a in [buf, buf3] {
-                a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                prop_assert_eq!(&a, &b);
-            }
-        }
-
-        #[test]
-        fn prop_cached_ranks_match_direct_select(
-            data in prop::collection::vec(-1e4f64..1e4, 1..200),
-            z in 0.0f64..4.0,
-        ) {
-            // The engine's rank-cache path: precomputed ranks must give
-            // the identical interval.
-            let (li, ui) = wilson_rank_bounds(data.len(), z);
-            let mut a = data.clone();
-            let mut b = data;
-            prop_assert_eq!(
-                median_ci_select_ranks(&mut a, li, ui),
-                median_ci_select(&mut b, z)
-            );
+            b.sort_by(f64::total_cmp);
+            buf.sort_by(f64::total_cmp);
+            prop_assert_eq!(&buf, &b);
         }
     }
 
-    #[test]
-    fn select_ci_small_inputs_match() {
-        for n in 1..24usize {
-            let data: Vec<f64> = (0..n).map(|i| ((i * 7919) % 23) as f64 * 0.5).collect();
-            let mut buf = data.clone();
-            assert_eq!(
-                median_ci_select(&mut buf, Z_95),
-                median_ci(&data, Z_95),
-                "n={n}"
-            );
-            let mut buf3 = data.clone();
-            assert_eq!(
-                median_ci_select3(&mut buf3, Z_95),
-                median_ci(&data, Z_95),
-                "select3 n={n}"
-            );
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        #[test]
+        fn prop_select_ranks_match_total_order_sort_by_bits(seed in 0u64..u64::MAX) {
+            // Every n up to a deep link's pool, drawn from a few values
+            // (heavy ties) that include both signed zeros; z from the
+            // collapsed interval to one so wide that li = 0, ui = n − 1.
+            const VALUES: [f64; 8] = [-0.0, 0.0, 0.0, -0.0, 1.5, -2.0, 3.25, 1.5];
+            let mut rng = SplitMix64::new(seed);
+            for n in 1..=1100usize {
+                let data: Vec<f64> = (0..n)
+                    .map(|_| VALUES[rng.next_below(VALUES.len() as u64) as usize])
+                    .collect();
+                for z in [0.0, Z_95, 1e9] {
+                    let (li, ui) = wilson_rank_bounds(n, z);
+                    if z == 1e9 {
+                        prop_assert_eq!((li, ui), (0, n - 1));
+                    }
+                    prop_assert_eq!(
+                        bits(select_ci(&data, z)),
+                        bits(sorted_ci(&data, z)),
+                        "n={} z={}",
+                        n,
+                        z
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn z_zero_even_n_pins_both_central_ranks() {
         // z = 0 on even n drives the Wilson upper rank *below* the median
-        // index (ui = m_idx − 1) — the corner the rank-set construction
-        // must survive.
+        // index (ui = m_idx − 1) — the corner the selected rank range
+        // must still cover.
         for data in [vec![4.0, 1.0], vec![7.0, 3.0, 9.0, 1.0, 5.0, 2.0]] {
-            let mut buf = data.clone();
-            assert_eq!(median_ci_select(&mut buf, 0.0), median_ci(&data, 0.0));
+            assert_eq!(bits(select_ci(&data, 0.0)), bits(sorted_ci(&data, 0.0)));
         }
     }
 
@@ -464,8 +390,7 @@ mod tests {
 
     #[test]
     fn select_ci_empty_is_none() {
-        assert_eq!(median_ci_select(&mut [], Z_95), None);
-        assert_eq!(median_ci_select3(&mut [], Z_95), None);
         assert_eq!(median_ci_select_ranks(&mut [], 0, 0), None);
+        assert_eq!(median_ci_sorted(&[], Z_95), None);
     }
 }
