@@ -34,8 +34,8 @@ fn main() {
     let mut root_alarms = 0usize;
     run(&case, &mut analyzer, |report| {
         if attack_bins.contains(&report.bin.0) {
-            graph.add_delay_alarms(&report.delay_alarms);
-            graph.add_forwarding_alarms(&report.forwarding_alarms);
+            graph.add_stream_delay_alarms(0, &report.delay_alarms);
+            graph.add_stream_forwarding_alarms(0, &report.forwarding_alarms);
             root_alarms += report
                 .delay_alarms
                 .iter()

@@ -19,6 +19,21 @@
 //! * [`Oracle`] — a solo analyzer's bin report, [`FleetOracle`] — a
 //!   fleet's: N solo oracles plus the fleet merge.
 //!
+//! ## What the oracle does not rewrite
+//!
+//! The events each report carries come from the engine's own
+//! [`EmpathyExtractor`], called here on the oracle's alarms and
+//! magnitudes. The paper stops at "identifying peaks in either of the
+//! two time series" (§6); clustering alarms into incidents is this
+//! repo's extension (traceroute empathy, Di Bartolomeo et al.,
+//! PAPERS.md), so there is no formula to write a second copy from.
+//! Hand-computed unit tests pin it instead: the magnitude-only tests in
+//! `pinpoint-core`'s `aggregate/empathy.rs` (one event per maximal
+//! over-threshold run of an AS, gaps bridged, kind and rank by the
+//! peaks), its alarm-clustering tests beside them, and
+//! `pinpoint-stats`'s `mad::tests::magnitude_matches_eq10_by_hand` for
+//! the Eq. 10 scores that feed it.
+//!
 //! ## Rules the paper does not fix
 //!
 //! The engine makes a few choices the paper leaves open. The oracle

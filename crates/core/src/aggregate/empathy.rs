@@ -1,29 +1,34 @@
-//! Fleet-wide event extraction via traceroute empathy.
+//! Event extraction: from per-bin alarms and magnitudes to incidents.
 //!
-//! Per-AS magnitude runs ([`super::events`]) answer "which AS peaked";
-//! operators need "what broke, where, affecting whom". Following the
-//! traceroute-empathy idea (alarms sharing path segments and time
-//! windows are *empathic* and belong to one incident), this module
+//! §6 closes with "Finding major network disruptions in an AS is done by
+//! identifying peaks in either of the two time series". The paper stops
+//! at that criterion; how peaks and alarms become consolidated incidents
+//! is this repo's extension, after traceroute empathy (Di Bartolomeo et
+//! al., PAPERS.md): alarms sharing path segments and time windows are
+//! *empathic* and belong to one incident. Operators need "what broke,
+//! where, affecting whom", not only "which AS peaked", so this module
 //! clusters each bin's simultaneous alarms via connected components
 //! over the shared-element relation — two pieces of evidence are
 //! empathic when they share at least
 //! [`empathy_min_shared`](crate::DetectorConfig::empathy_min_shared)
 //! elements (an interface or an AS of the path segment) — blames the
 //! most-shared element, and tracks event lifecycle Open→Updated→Closed
-//! across bins with the same gap bridge as the post-hoc extractor.
+//! across bins, bridging up to
+//! [`event_gap_bins`](crate::DetectorConfig::event_gap_bins) quiet bins.
 //!
 //! Three evidence sources feed a cluster:
 //!
 //! 1. delay-alarm edges (both endpoints + their ASes),
 //! 2. forwarding alarms (router + responsive next hops + their ASes),
 //! 3. magnitude runs — ASes whose merged magnitude crosses
-//!    [`event_threshold`](crate::DetectorConfig::event_threshold), the
-//!    [`EventExtractor`](super::EventExtractor) criterion acting as one
-//!    evidence source beside the graph components.
+//!    [`event_threshold`](crate::DetectorConfig::event_threshold), §6's
+//!    peak criterion acting as one evidence source beside the alarms.
 //!
 //! A cluster becomes (or extends) an event only when at least one of
 //! its ASes crosses the threshold, and events are ranked by merged
-//! cross-stream severity.
+//! cross-stream severity. Fed magnitudes alone, the extractor reduces
+//! to §6's per-AS peak runs: one event per maximal over-threshold run
+//! of each AS, gaps bridged.
 //!
 //! **Determinism rule for component ordering:** evidence items are
 //! numbered in stream order then alarm order (both deterministic);
@@ -35,7 +40,6 @@
 //! reports, which the executor contract makes byte-identical.
 
 use super::asmap::AsMapper;
-use super::events::{bridges_gap, classify, over_threshold, EventKind};
 use super::magnitude::AsMagnitude;
 use crate::config::DetectorConfig;
 use crate::diffrtt::DelayAlarm;
@@ -45,6 +49,44 @@ use pinpoint_model::{Asn, BinId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::Ipv4Addr;
+
+/// The reporting criterion: either magnitude series peaking past the
+/// configured threshold (§6: "identifying peaks in either of the two
+/// time series").
+pub(crate) fn over_threshold(m: &AsMagnitude, threshold: f64) -> bool {
+    m.delay_magnitude.abs() > threshold || m.forwarding_magnitude.abs() > threshold
+}
+
+/// The gap bridge: evidence at `bin` extends an event whose last
+/// evidence was at `prev_end`, bridging up to `gap_bins` quiet bins in
+/// between.
+pub(crate) fn bridges_gap(prev_end: BinId, bin: BinId, gap_bins: u64) -> bool {
+    bin.0 <= prev_end.0 + gap_bins + 1
+}
+
+/// Classify an event by its signed peaks: delay dominates when its
+/// absolute peak is at least the forwarding one, otherwise the
+/// forwarding sign decides loss vs attraction.
+pub(crate) fn classify(peak_delay: f64, peak_forwarding: f64) -> EventKind {
+    if peak_delay.abs() >= peak_forwarding.abs() {
+        EventKind::DelayChange
+    } else if peak_forwarding < 0.0 {
+        EventKind::ForwardingLoss
+    } else {
+        EventKind::ForwardingGain
+    }
+}
+
+/// Which detector dominated an event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// Delay-change magnitude peaked (congestion-style incidents).
+    DelayChange,
+    /// Forwarding magnitude peaked negative (loss/reroute-style incidents).
+    ForwardingLoss,
+    /// Forwarding magnitude peaked positive (traffic attraction).
+    ForwardingGain,
+}
 
 /// A blameable element of the empathy relation: a shared AS or a shared
 /// interface of the alarmed path segments.
@@ -733,9 +775,9 @@ fn collect_items(
             });
         }
     }
-    // Magnitude-run seeds: the EventExtractor criterion as an evidence
-    // source — an AS over threshold anchors a cluster even with no
-    // surviving alarm this bin (e.g. a pure severity echo).
+    // Magnitude-run seeds: §6's peak criterion as an evidence source —
+    // an AS over threshold anchors a cluster even with no surviving
+    // alarm this bin (e.g. a pure severity echo).
     for (asn, m) in magnitudes {
         if over_threshold(m, threshold) {
             items.push(Item {
@@ -1163,8 +1205,8 @@ mod tests {
 
     #[test]
     fn magnitude_run_alone_seeds_an_event() {
-        // The refactored EventExtractor criterion as an evidence source:
-        // an AS over threshold with no alarm still opens an event.
+        // §6's peak criterion as an evidence source: an AS over
+        // threshold with no alarm still opens an event.
         let mut ex = EmpathyExtractor::new(&cfg());
         let mags = BTreeMap::from([(Asn(100), mag(0.0, -11.0))]);
         let deltas = ex.observe(BinId(0), &[], &mags);
@@ -1196,5 +1238,114 @@ mod tests {
         }
         assert_eq!(table.ranked(), ex.events());
         assert_eq!(table.open_count(), ex.open_count());
+    }
+
+    // §6's per-AS peak runs, fed magnitudes alone: every bin is observed,
+    // quiet bins included, with no alarm evidence.
+
+    fn threshold(t: f64) -> DetectorConfig {
+        DetectorConfig {
+            event_threshold: t,
+            ..Default::default()
+        }
+    }
+
+    /// Observe one AS's `(bin, delay magnitude, forwarding magnitude)`
+    /// series and return the ranked events.
+    fn magnitudes_only(
+        cfg: &DetectorConfig,
+        asn: Asn,
+        series: &[(u64, f64, f64)],
+    ) -> Vec<FleetEvent> {
+        let mut ex = EmpathyExtractor::new(cfg);
+        for &(bin, d, f) in series {
+            ex.observe(BinId(bin), &[], &BTreeMap::from([(asn, mag(d, f))]));
+        }
+        ex.events()
+    }
+
+    #[test]
+    fn quiet_magnitudes_open_no_events() {
+        let series: Vec<(u64, f64, f64)> = (0..48).map(|b| (b, 0.3, -0.2)).collect();
+        assert!(magnitudes_only(&threshold(3.0), Asn(1), &series).is_empty());
+    }
+
+    #[test]
+    fn contiguous_magnitude_peak_becomes_one_event() {
+        let mut series: Vec<(u64, f64, f64)> = (0..10).map(|b| (b, 0.0, 0.0)).collect();
+        series.extend([(10, 40.0, -0.5), (11, 90.0, -1.0), (12, 25.0, -0.2)]);
+        series.extend((13..20).map(|b| (b, 0.0, 0.0)));
+        let events = magnitudes_only(&threshold(3.0), Asn(25152), &series);
+        assert_eq!(events.len(), 1);
+        let e = &events[0];
+        assert_eq!((e.start, e.end), (BinId(10), BinId(12)));
+        assert_eq!(e.duration(), 3);
+        assert_eq!(e.peak_delay, 90.0);
+        assert_eq!(e.kind, EventKind::DelayChange);
+        assert_eq!(e.asns, BTreeSet::from([Asn(25152)]));
+        assert_eq!(e.status, EventStatus::Closed);
+    }
+
+    #[test]
+    fn separate_magnitude_peaks_become_separate_events() {
+        // Fig. 6 structure: two peaks separated by ~20 quiet hours.
+        let series: Vec<(u64, f64, f64)> = (0..50)
+            .map(|b| {
+                let d = if (10..=12).contains(&b) {
+                    100.0
+                } else if b == 34 {
+                    80.0
+                } else {
+                    0.1
+                };
+                (b, d, 0.0)
+            })
+            .collect();
+        let events = magnitudes_only(&threshold(5.0), Asn(25152), &series);
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].peak_delay, 100.0); // ranked by severity
+        assert_eq!(events[1].peak_delay, 80.0);
+    }
+
+    #[test]
+    fn forwarding_loss_kind_detected_from_magnitudes() {
+        let series = [(0, 0.0, 0.0), (1, 0.2, -11.0), (2, 0.1, -0.4)];
+        let events = magnitudes_only(&threshold(3.0), Asn(1200), &series);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, EventKind::ForwardingLoss);
+        let rendered = crate::render::event(&events[0]).to_string();
+        assert!(rendered.contains("\"forwarding_loss\""), "{rendered}");
+    }
+
+    #[test]
+    fn one_quiet_magnitude_bin_is_bridged() {
+        let series = [(0, 10.0, 0.0), (1, 0.1, 0.0), (2, 12.0, 0.0)];
+        let events = magnitudes_only(&threshold(3.0), Asn(7), &series);
+        assert_eq!(events.len(), 1, "gap not bridged: {events:?}");
+        assert_eq!(events[0].end, BinId(2));
+    }
+
+    #[test]
+    fn event_gap_bins_controls_magnitude_bridging() {
+        // Two quiet bins split the run under the default gap of 1 but
+        // merge under a gap of 2.
+        let series = [(0, 10.0, 0.0), (1, 0.1, 0.0), (2, 0.1, 0.0), (3, 12.0, 0.0)];
+        let gap = |bins: u64| DetectorConfig {
+            event_gap_bins: bins,
+            ..threshold(3.0)
+        };
+        assert_eq!(magnitudes_only(&gap(1), Asn(7), &series).len(), 2);
+        assert_eq!(magnitudes_only(&gap(2), Asn(7), &series).len(), 1);
+    }
+
+    #[test]
+    fn magnitude_peaks_of_several_ases_rank_together() {
+        let mut ex = EmpathyExtractor::new(&threshold(3.0));
+        let mags = BTreeMap::from([(Asn(1), mag(5.0, 0.0)), (Asn(2), mag(0.0, -50.0))]);
+        ex.observe(BinId(0), &[], &mags);
+        let events = ex.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].asns, BTreeSet::from([Asn(2)]));
+        assert!(events[0].severity > events[1].severity);
     }
 }

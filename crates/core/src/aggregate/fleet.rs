@@ -14,24 +14,6 @@ use super::magnitude::AsMagnitude;
 use pinpoint_model::Asn;
 use std::collections::BTreeMap;
 
-use std::collections::BTreeSet;
-
-/// The result of a provenance-keeping severity merge: summed per-AS
-/// severities plus, for every AS, *which* streams contributed nonzero
-/// signal — the honest "affecting whom" membership that a plain sum
-/// silently collapses.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MergedSeverities {
-    /// Σ delay severity per AS across streams.
-    pub delay: BTreeMap<Asn, f64>,
-    /// Σ forwarding severity per AS across streams.
-    pub forwarding: BTreeMap<Asn, f64>,
-    /// Streams (by index in merge order) whose delay or forwarding
-    /// severity for the AS was nonzero. An AS every stream tracks but
-    /// none excites has an empty set.
-    pub sources: BTreeMap<Asn, BTreeSet<usize>>,
-}
-
 /// Sum per-AS raw severities across the streams' per-bin magnitude maps.
 ///
 /// Returns `(delay, forwarding)` severity maps ready for a fleet-level
@@ -43,31 +25,15 @@ pub fn merge_severities<'a, I>(streams: I) -> (BTreeMap<Asn, f64>, BTreeMap<Asn,
 where
     I: IntoIterator<Item = &'a BTreeMap<Asn, AsMagnitude>>,
 {
-    let merged = merge_severities_tagged(streams);
-    (merged.delay, merged.forwarding)
-}
-
-/// [`merge_severities`] with per-stream provenance: the same summed
-/// maps, plus which streams actually excited each AS this bin. Duplicate
-/// cross-stream contributions to one AS no longer collapse into an
-/// anonymous sum — the event layer reads `sources` to report affected
-/// streams.
-pub fn merge_severities_tagged<'a, I>(streams: I) -> MergedSeverities
-where
-    I: IntoIterator<Item = &'a BTreeMap<Asn, AsMagnitude>>,
-{
-    let mut out = MergedSeverities::default();
-    for (idx, magnitudes) in streams.into_iter().enumerate() {
+    let mut delay = BTreeMap::new();
+    let mut forwarding = BTreeMap::new();
+    for magnitudes in streams {
         for (&asn, m) in magnitudes {
-            *out.delay.entry(asn).or_insert(0.0) += m.delay_severity;
-            *out.forwarding.entry(asn).or_insert(0.0) += m.forwarding_severity;
-            let sources = out.sources.entry(asn).or_default();
-            if m.delay_severity != 0.0 || m.forwarding_severity != 0.0 {
-                sources.insert(idx);
-            }
+            *delay.entry(asn).or_insert(0.0) += m.delay_severity;
+            *forwarding.entry(asn).or_insert(0.0) += m.forwarding_severity;
         }
     }
-    out
+    (delay, forwarding)
 }
 
 #[cfg(test)]
@@ -118,26 +84,16 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_cross_stream_severities_keep_per_stream_provenance() {
-        // Regression: two streams exciting the same AS used to merge
-        // into one anonymous sum; the event layer could not say which
-        // streams an incident affected.
+    fn duplicate_cross_stream_severities_sum_per_as() {
+        // Two streams exciting the same AS add up; a stream that tracks
+        // the AS quietly adds nothing.
         let a = mags(&[(100, 2.0, 0.0), (200, 0.0, 0.0)]);
         let b = mags(&[(100, 3.0, -0.5), (200, 0.0, -1.0)]);
         let c = mags(&[(100, 0.0, 0.0)]);
-        let merged = merge_severities_tagged([&a, &b, &c]);
-        assert_eq!(merged.delay[&Asn(100)], 5.0);
-        assert_eq!(merged.sources[&Asn(100)], BTreeSet::from([0, 1]));
-        assert_eq!(merged.sources[&Asn(200)], BTreeSet::from([1]));
-        // The wrapper stays byte-compatible with the tagged merge.
         let (d, f) = merge_severities([&a, &b, &c]);
-        assert_eq!((d, f), (merged.delay, merged.forwarding));
-    }
-
-    #[test]
-    fn quiet_streams_leave_empty_source_sets() {
-        let a = mags(&[(100, 0.0, 0.0)]);
-        let merged = merge_severities_tagged([&a]);
-        assert!(merged.sources[&Asn(100)].is_empty());
+        assert_eq!(d[&Asn(100)], 5.0);
+        assert_eq!(f[&Asn(100)], -0.5);
+        assert_eq!(d[&Asn(200)], 0.0);
+        assert_eq!(f[&Asn(200)], -1.0);
     }
 }

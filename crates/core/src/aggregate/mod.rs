@@ -8,14 +8,14 @@
 
 pub mod asmap;
 pub mod empathy;
-pub mod events;
 pub mod fleet;
 pub mod magnitude;
 pub mod severity;
 
 pub use asmap::AsMapper;
-pub use empathy::{Element, EmpathyExtractor, EventStatus, EventTable, FleetEvent, StreamEvidence};
-pub use events::{Event, EventExtractor, EventKind};
-pub use fleet::{merge_severities, merge_severities_tagged, MergedSeverities};
+pub use empathy::{
+    Element, EmpathyExtractor, EventKind, EventStatus, EventTable, FleetEvent, StreamEvidence,
+};
+pub use fleet::merge_severities;
 pub use magnitude::{AsMagnitude, MagnitudeTracker};
 pub use severity::{delay_severity, forwarding_severity};

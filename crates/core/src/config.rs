@@ -72,10 +72,10 @@ pub struct DetectorConfig {
     pub sanitize_max_hops: usize,
     /// Magnitude threshold for event extraction: an AS enters an event
     /// when |delay magnitude| or |forwarding magnitude| crosses this
-    /// value. Shared by the post-hoc `EventExtractor` and the
-    /// incremental empathy extractor; 4.0 keeps the historical reporting
-    /// default (well past the ±3σ-equivalent band of the magnitude
-    /// deviation score).
+    /// value (§6's "peaks in either of the two time series"), read by
+    /// the empathy extractor (`aggregate::EmpathyExtractor`); 4.0 keeps
+    /// the historical reporting default (well past the ±3σ-equivalent
+    /// band of the magnitude deviation score).
     pub event_threshold: f64,
     /// Most consecutive quiet bins an open event bridges before it is
     /// closed. `1` (the default) keeps the extractor's historical

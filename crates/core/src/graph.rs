@@ -90,9 +90,8 @@ impl UnionFind {
 #[derive(Debug, Default)]
 pub struct AlarmGraph {
     edges: Vec<AlarmEdge>,
-    forwarding_flagged: BTreeSet<Ipv4Addr>,
-    /// Per-address stream provenance of forwarding flags (edge
-    /// provenance lives on the edges themselves).
+    /// Every forwarding-flagged address with the streams that flagged
+    /// it (edge provenance lives on the edges themselves).
     flag_streams: BTreeMap<Ipv4Addr, BTreeSet<usize>>,
 }
 
@@ -102,16 +101,10 @@ impl AlarmGraph {
         Self::default()
     }
 
-    /// Add delay alarms as edges with stream provenance `0` — the solo
-    /// (single-stream) graph.
-    pub fn add_delay_alarms(&mut self, alarms: &[DelayAlarm]) {
-        self.add_stream_delay_alarms(0, alarms);
-    }
-
-    /// Add one stream's delay alarms as edges. Duplicate pairs keep the
-    /// strongest alarm's deviation but accumulate every contributing
-    /// stream, so a union graph never silently collapses cross-stream
-    /// evidence.
+    /// Add one stream's delay alarms as edges (a solo analyzer is
+    /// stream `0`). Duplicate pairs keep the strongest alarm's deviation
+    /// but accumulate every contributing stream, so a union graph never
+    /// silently collapses cross-stream evidence.
     pub fn add_stream_delay_alarms(&mut self, stream: usize, alarms: &[DelayAlarm]) {
         for alarm in alarms {
             let canon = alarm.link.canonical();
@@ -139,18 +132,11 @@ impl AlarmGraph {
         }
     }
 
-    /// Flag addresses implicated in forwarding anomalies with stream
-    /// provenance `0` — the solo (single-stream) graph.
-    pub fn add_forwarding_alarms(&mut self, alarms: &[ForwardingAlarm]) {
-        self.add_stream_forwarding_alarms(0, alarms);
-    }
-
     /// Flag one stream's forwarding anomalies: the modeled router and
     /// every reported (responsive) next hop, each tagged with the
     /// contributing stream.
     pub fn add_stream_forwarding_alarms(&mut self, stream: usize, alarms: &[ForwardingAlarm]) {
         let mut flag = |addr: Ipv4Addr| {
-            self.forwarding_flagged.insert(addr);
             self.flag_streams.entry(addr).or_default().insert(stream);
         };
         for alarm in alarms {
@@ -180,11 +166,11 @@ impl AlarmGraph {
         &self.edges
     }
 
-    /// Every forwarding-flagged router — including ones that touch no
-    /// delay edge and therefore appear in no [`AlarmGraph::components`]
-    /// entry.
-    pub fn forwarding_flagged(&self) -> &BTreeSet<Ipv4Addr> {
-        &self.forwarding_flagged
+    /// Every forwarding-flagged router, ascending — including ones that
+    /// touch no delay edge and therefore appear in no
+    /// [`AlarmGraph::components`] entry.
+    pub fn forwarding_flagged(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
+        self.flag_streams.keys().copied()
     }
 
     /// All connected components, largest first.
@@ -204,13 +190,9 @@ impl AlarmGraph {
         }
         let mut comps: Vec<Component> = by_root.into_values().collect();
         for c in &mut comps {
-            c.forwarding_flagged = c
-                .nodes
-                .intersection(&self.forwarding_flagged)
-                .copied()
-                .collect();
-            for addr in &c.forwarding_flagged {
+            for addr in &c.nodes {
                 if let Some(streams) = self.flag_streams.get(addr) {
+                    c.forwarding_flagged.insert(*addr);
                     c.streams.extend(streams.iter().copied());
                 }
             }
@@ -251,11 +233,14 @@ mod tests {
     #[test]
     fn components_partition_alarms() {
         let mut g = AlarmGraph::new();
-        g.add_delay_alarms(&[
-            alarm("10.0.0.1", "10.0.0.2", 5.0, 10.0),
-            alarm("10.0.0.2", "10.0.0.3", 3.0, 8.0),
-            alarm("10.9.0.1", "10.9.0.2", 2.0, 4.0),
-        ]);
+        g.add_stream_delay_alarms(
+            0,
+            &[
+                alarm("10.0.0.1", "10.0.0.2", 5.0, 10.0),
+                alarm("10.0.0.2", "10.0.0.3", 3.0, 8.0),
+                alarm("10.9.0.1", "10.9.0.2", 2.0, 4.0),
+            ],
+        );
         let comps = g.components();
         assert_eq!(comps.len(), 2);
         assert_eq!(comps[0].nodes.len(), 3);
@@ -268,11 +253,14 @@ mod tests {
     fn component_of_follows_kroot_style_query() {
         let mut g = AlarmGraph::new();
         let kroot = "193.0.14.129";
-        g.add_delay_alarms(&[
-            alarm(kroot, "80.81.192.154", 9.0, 15.0),
-            alarm("80.81.192.154", "72.52.92.14", 4.0, 12.0),
-            alarm("1.2.3.4", "5.6.7.8", 1.5, 3.0),
-        ]);
+        g.add_stream_delay_alarms(
+            0,
+            &[
+                alarm(kroot, "80.81.192.154", 9.0, 15.0),
+                alarm("80.81.192.154", "72.52.92.14", 4.0, 12.0),
+                alarm("1.2.3.4", "5.6.7.8", 1.5, 3.0),
+            ],
+        );
         let comp = g.component_of(ip(kroot)).unwrap();
         assert_eq!(comp.nodes.len(), 3);
         assert_eq!(comp.degree(ip("80.81.192.154")), 2);
@@ -282,13 +270,16 @@ mod tests {
     #[test]
     fn duplicate_edges_keep_strongest() {
         let mut g = AlarmGraph::new();
-        g.add_delay_alarms(&[
-            alarm("10.0.0.1", "10.0.0.2", 2.0, 5.0),
-            // Same pair, reversed direction, stronger.
-            alarm("10.0.0.2", "10.0.0.1", 7.0, 20.0),
-            // Same pair, weaker — ignored.
-            alarm("10.0.0.1", "10.0.0.2", 1.0, 2.0),
-        ]);
+        g.add_stream_delay_alarms(
+            0,
+            &[
+                alarm("10.0.0.1", "10.0.0.2", 2.0, 5.0),
+                // Same pair, reversed direction, stronger.
+                alarm("10.0.0.2", "10.0.0.1", 7.0, 20.0),
+                // Same pair, weaker — ignored.
+                alarm("10.0.0.1", "10.0.0.2", 1.0, 2.0),
+            ],
+        );
         assert_eq!(g.edge_count(), 1);
         let comps = g.components();
         assert_eq!(comps[0].edges[0].deviation, 7.0);
@@ -298,17 +289,20 @@ mod tests {
     #[test]
     fn forwarding_flags_intersect_components() {
         let mut g = AlarmGraph::new();
-        g.add_delay_alarms(&[alarm("10.0.0.1", "10.0.0.2", 5.0, 10.0)]);
-        g.add_forwarding_alarms(&[ForwardingAlarm {
-            router: ip("10.0.0.2"),
-            dst: ip("198.51.100.1"),
-            bin: BinId(0),
-            rho: -0.5,
-            responsibilities: vec![
-                (crate::forwarding::NextHop::Ip(ip("10.0.0.3")), -0.4),
-                (crate::forwarding::NextHop::Unresponsive, 0.4),
-            ],
-        }]);
+        g.add_stream_delay_alarms(0, &[alarm("10.0.0.1", "10.0.0.2", 5.0, 10.0)]);
+        g.add_stream_forwarding_alarms(
+            0,
+            &[ForwardingAlarm {
+                router: ip("10.0.0.2"),
+                dst: ip("198.51.100.1"),
+                bin: BinId(0),
+                rho: -0.5,
+                responsibilities: vec![
+                    (crate::forwarding::NextHop::Ip(ip("10.0.0.3")), -0.4),
+                    (crate::forwarding::NextHop::Unresponsive, 0.4),
+                ],
+            }],
+        );
         let comp = g.component_of(ip("10.0.0.1")).unwrap();
         // 10.0.0.2 is in the component and flagged; 10.0.0.3 is flagged but
         // outside the delay component.

@@ -55,8 +55,8 @@ impl BinReport {
     /// The alarm graph of this bin (delay edges + forwarding flags).
     pub fn alarm_graph(&self) -> AlarmGraph {
         let mut g = AlarmGraph::new();
-        g.add_delay_alarms(&self.delay_alarms);
-        g.add_forwarding_alarms(&self.forwarding_alarms);
+        g.add_stream_delay_alarms(0, &self.delay_alarms);
+        g.add_stream_forwarding_alarms(0, &self.forwarding_alarms);
         g
     }
 
@@ -433,11 +433,6 @@ impl Analyzer {
     /// ride on [`BinReport::events`].
     pub fn events(&self) -> Vec<FleetEvent> {
         self.events.events()
-    }
-
-    /// Events currently open.
-    pub fn open_events(&self) -> usize {
-        self.events.open_count()
     }
 }
 

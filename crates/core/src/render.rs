@@ -161,7 +161,7 @@ pub fn alarm_graph(g: &AlarmGraph) -> Value {
         ),
         (
             "forwarding_flagged",
-            Value::Array(g.forwarding_flagged().iter().map(|a| ip(*a)).collect()),
+            Value::Array(g.forwarding_flagged().map(ip).collect()),
         ),
         (
             "components",

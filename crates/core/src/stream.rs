@@ -213,13 +213,6 @@ impl StreamRouter {
             .unwrap_or_default()
     }
 
-    /// Fleet events currently open.
-    pub fn open_events(&self) -> usize {
-        self.fleet_events
-            .as_ref()
-            .map_or(0, EmpathyExtractor::open_count)
-    }
-
     /// Links with a learned delay reference, summed over the fleet.
     pub fn tracked_links(&self) -> usize {
         self.streams

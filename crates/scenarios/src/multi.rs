@@ -276,7 +276,7 @@ mod tests {
             (outage_start..=outage_end).contains(&first),
             "first emission at bin {first}, outage is {outage_start}..={outage_end}"
         );
-        // The session's post-hoc view is the same ranked table.
+        // The session's cumulative `events()` is the same ranked table.
         assert_eq!(session.events(), events);
     }
 }

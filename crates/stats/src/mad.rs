@@ -85,6 +85,18 @@ mod tests {
     }
 
     #[test]
+    fn magnitude_matches_eq10_by_hand() {
+        // Window [1, 2, 3, 4, 100]: median 3, |x − 3| = [2, 1, 0, 1, 97]
+        // → MAD 1. At x = 10, Eq. 10 gives 7 / (1 + 1.4826 · 1), about
+        // 2.8196; an unscaled MAD would give 3.5.
+        let window = [1.0, 2.0, 3.0, 4.0, 100.0];
+        assert_eq!(median(&window), Some(3.0));
+        assert_eq!(mad(&window), Some(1.0));
+        let got = magnitude(&window, 10.0).unwrap();
+        assert!((got - 7.0 / 2.4826).abs() < 1e-12, "{got}");
+    }
+
+    #[test]
     fn magnitude_empty_window_is_none() {
         assert_eq!(magnitude(&[], 1.0), None);
     }

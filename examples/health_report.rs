@@ -4,12 +4,14 @@
 //! system consumes the RIPE Atlas streaming API, printing a compact status
 //! line per hour and full alarm details whenever an AS's magnitude crosses
 //! a reporting threshold — the operator-facing view the paper ships.
+//! It closes with the consolidated incident list and exits 1 when that
+//! list is empty.
 //!
 //! ```sh
 //! cargo run --release --example health_report
 //! ```
 
-use pinpoint::core::aggregate::EventExtractor;
+use pinpoint::core::EventTable;
 use pinpoint::scenarios::full;
 use pinpoint::scenarios::runner::figure_ases;
 use pinpoint::scenarios::Scale;
@@ -17,21 +19,19 @@ use pinpoint::scenarios::Scale;
 /// Report an AS when |magnitude| crosses this threshold.
 const REPORT_THRESHOLD: f64 = 3.0;
 
-/// Bridge up to this many quiet bins inside one incident.
-const GAP_BINS: u64 = 1;
-
 fn main() {
-    let case = full::case_study(2015, Scale::Small);
+    let mut case = full::case_study(2015, Scale::Small);
+    case.cfg.event_threshold = REPORT_THRESHOLD;
     let watched = figure_ases(&case.landmarks);
     println!("Internet Health Report — streaming mode");
     println!("epoch: {} | watching {:?}\n", case.epoch_label, watched);
 
     let mut analyzer = case.analyzer();
-    let mut extractor = EventExtractor::new();
+    let mut table = EventTable::new();
     let mut incidents = 0;
     for (bin, records) in case.platform.stream(case.start_bin, case.end_bin) {
         let report = analyzer.process_bin(bin, &records);
-        extractor.push(bin, &report.magnitudes);
+        table.absorb(&report.events);
 
         // One status line per "hour" of stream time.
         let total_mag: f64 = report
@@ -75,14 +75,17 @@ fn main() {
     }
     println!("\nstream complete: {incidents} AS-hours crossed the reporting threshold");
 
-    // Consolidated incident report: maximal over-threshold runs per AS,
-    // ranked by peak magnitude (the operator triage list).
+    // Consolidated incident report: the analyzer's own event channel,
+    // folded bin by bin and ranked by severity (the operator triage
+    // list, the same table `/events` serves). Co-incident ASes whose
+    // alarms share path elements are one incident.
     println!("\n=== consolidated incidents (threshold {REPORT_THRESHOLD}) ===");
-    for event in extractor
-        .events_with(REPORT_THRESHOLD, GAP_BINS)
-        .iter()
-        .take(10)
-    {
+    let ranked = table.ranked();
+    for event in ranked.iter().take(10) {
         println!("  {event}");
+    }
+    if ranked.is_empty() {
+        eprintln!("no consolidated incident: the scenario's events went unreported");
+        std::process::exit(1);
     }
 }

@@ -2,8 +2,9 @@
 //! bin by the empathy extractor — through `Analyzer::aggregate` and
 //! `StreamRouter::merge`, the two funnels every execution path shares —
 //! must be *byte-for-byte* identical for any thread count (and so for
-//! both auto chunk cuts); the fold of those deltas must equal the post-hoc
-//! extraction over the same evidence; and the channel must survive
+//! both auto chunk cuts); the fold of those deltas must equal the ranked
+//! table `events()` returns, and a fresh extractor's over the same
+//! evidence; and the channel must survive
 //! mid-stream intern compaction unchanged.
 //!
 //! Like the other parity suites, the CI matrix re-runs this file under
@@ -103,8 +104,8 @@ fn fleet_event_deltas_are_byte_identical_across_schedules() {
     }
 }
 
-/// The fold of the emitted deltas must equal the post-hoc view from the
-/// session AND a fresh extractor replaying the same evidence — the
+/// The fold of the emitted deltas must equal the session's cumulative
+/// `events()` table AND a fresh extractor replaying the same evidence — the
 /// incremental channel loses nothing and invents nothing.
 #[test]
 fn delta_fold_equals_post_hoc_extraction() {
