@@ -1123,7 +1123,7 @@ mod tests {
     }
 
     #[test]
-    fn bridged_clusters_merge_open_events() {
+    fn bridged_clusters_merge_into_the_older_event() {
         // Bin 0: two disjoint events. Bin 1: a forwarding alarm spans
         // both clusters' ASes — they are one incident; the younger event
         // closes into the older.
