@@ -1,5 +1,5 @@
-//! The engine's building blocks against the oracle's formulas: the three
-//! Wilson characterizers, the §4.3 rebalancing draw, and forwarding
+//! The engine's building blocks against the oracle's formulas: the Wilson
+//! characterizer, the §4.3 rebalancing draw, and forwarding
 //! reference eviction. The scenario-level parity suites compare whole
 //! reports; these pin each piece on inputs built to hit its corner cases
 //! (memoized ranks across sample counts and `z`, non-finite samples, an
@@ -7,9 +7,7 @@
 
 use pinpoint_bench::oracle::{self, Oracle};
 use pinpoint_core::aggregate::AsMapper;
-use pinpoint_core::diffrtt::characterize::{
-    characterize_in_place_cached, characterize_into_cached, characterize_region_cached, RankCache,
-};
+use pinpoint_core::diffrtt::characterize::{characterize_in_place_cached, RankCache};
 use pinpoint_core::{DelayDetector, DetectorConfig, ForwardingDetector};
 use pinpoint_model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint_model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
@@ -33,16 +31,14 @@ fn record(probe: u32, asn: u32, hops: Vec<Hop>) -> TracerouteRecord {
     }
 }
 
-/// All three characterizers — copy, in place, and the zero-copy pool
-/// region — sharing one rank memo across sample counts (repeats hit the
-/// memo), non-finite injections (the region falls back to copying) and a
-/// `z` sweep (the memo resets) must equal the oracle's sort-based median
-/// and Wilson CI.
+/// The engine's characterizer, sharing one rank memo across sample
+/// counts (repeats hit the memo), non-finite injections (dropped before
+/// selection) and a `z` sweep (the memo resets), must equal the oracle's
+/// sort-based median and Wilson CI.
 #[test]
 fn characterizers_match_the_oracle() {
     let mut rng = SplitMix64::new(4242);
     let mut cache = RankCache::default();
-    let mut scratch = Vec::new();
     for z in [1.96, 0.0, 3.0, 1.96] {
         let cfg = DetectorConfig {
             wilson_z: z,
@@ -57,22 +53,8 @@ fn characterizers_match_the_oracle() {
             }
             let ctx = format!("z={z} n={n}");
             let want = oracle::characterize(samples.clone(), &cfg);
-            let into = characterize_into_cached(&samples, &mut scratch, &cfg, &mut cache);
-            assert_eq!(into, want, "into {ctx}");
-            let mut buf = samples.clone();
-            let in_place = characterize_in_place_cached(&mut buf, &cfg, &mut cache);
+            let in_place = characterize_in_place_cached(&mut samples, &cfg, &mut cache);
             assert_eq!(in_place, want, "in place {ctx}");
-            let mut region = samples.clone();
-            let zero_copy = characterize_region_cached(&mut region, &mut scratch, &cfg, &mut cache);
-            assert_eq!(zero_copy, want, "region {ctx}");
-            // The region path only permutes: same multiset afterwards.
-            region.sort_by(f64::total_cmp);
-            samples.sort_by(f64::total_cmp);
-            assert_eq!(
-                region.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                samples.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "region multiset {ctx}"
-            );
         }
     }
 }

@@ -56,64 +56,25 @@ impl RankCache {
     }
 }
 
-/// Shared tail of the three characterizers: filter already done, `buf`
-/// holds the finite samples. Order-statistic selection — O(n), no full
-/// sort. Bit-identical to `median_ci_sorted` of a `f64::total_cmp`-sorted
-/// copy, the oracle's path.
-fn finish_cached(buf: &mut [f64], cfg: &DetectorConfig, cache: &mut RankCache) -> Option<LinkStat> {
-    if buf.is_empty() {
-        return None;
-    }
-    let (li, ui) = cache.ranks(buf.len(), cfg.wilson_z);
-    let ci = median_ci_select_ranks(buf, li, ui)?;
-    Some(LinkStat { ci })
-}
-
-/// Characterize a copy of `samples`: the finite ones are copied into
-/// `scratch` (cleared first) and selected there, so `samples` is left
-/// untouched and no allocation happens once `scratch` has grown to bin
-/// size. `None` when no sample is finite.
-pub fn characterize_into_cached(
-    samples: &[f64],
-    scratch: &mut Vec<f64>,
-    cfg: &DetectorConfig,
-    cache: &mut RankCache,
-) -> Option<LinkStat> {
-    scratch.clear();
-    scratch.extend(samples.iter().copied().filter(|x| x.is_finite()));
-    finish_cached(scratch, cfg, cache)
-}
-
 /// Characterize `buf` itself: non-finite values are dropped in place,
-/// then `buf` is permuted by the selection. The engine hands in a
-/// rebalanced link's surviving samples, so they are characterized with
-/// no further copy.
+/// then `buf` is permuted by order-statistic selection — O(n), no full
+/// sort. The engine hands in a kept link's samples, gathered once from
+/// the chunk pools into its shard's `surviving` buffer, so they are
+/// characterized with no further copy. Bit-identical to
+/// `median_ci_sorted` of a `f64::total_cmp`-sorted copy, the oracle's
+/// path. `None` when no sample is finite.
 pub fn characterize_in_place_cached(
     buf: &mut Vec<f64>,
     cfg: &DetectorConfig,
     cache: &mut RankCache,
 ) -> Option<LinkStat> {
     buf.retain(|x| x.is_finite());
-    finish_cached(buf, cfg, cache)
-}
-
-/// Characterize a link by permuting its *contiguous shard-pool region* in
-/// place — the engine's hot path for balanced links. After `finalize` a
-/// link's samples sit back to back in the shard pool, so a link the
-/// diversity filter keeps whole never has its samples copied. Non-finite
-/// samples are the rare exception (they must be dropped before selection,
-/// and dropping would disturb the pool layout), so that case falls back
-/// to the copying [`characterize_into_cached`] through `scratch`.
-pub fn characterize_region_cached(
-    region: &mut [f64],
-    scratch: &mut Vec<f64>,
-    cfg: &DetectorConfig,
-    cache: &mut RankCache,
-) -> Option<LinkStat> {
-    if region.iter().any(|x| !x.is_finite()) {
-        return characterize_into_cached(region, scratch, cfg, cache);
+    if buf.is_empty() {
+        return None;
     }
-    finish_cached(region, cfg, cache)
+    let (li, ui) = cache.ranks(buf.len(), cfg.wilson_z);
+    let ci = median_ci_select_ranks(buf, li, ui)?;
+    Some(LinkStat { ci })
 }
 
 #[cfg(test)]
@@ -123,7 +84,7 @@ mod tests {
     use pinpoint_stats::rng::SplitMix64;
 
     fn characterize(samples: &[f64], cfg: &DetectorConfig) -> Option<LinkStat> {
-        characterize_into_cached(samples, &mut Vec::new(), cfg, &mut RankCache::default())
+        characterize_in_place_cached(&mut samples.to_vec(), cfg, &mut RankCache::default())
     }
 
     #[test]
@@ -139,13 +100,9 @@ mod tests {
     #[test]
     fn empty_or_nan_yields_none() {
         let cfg = DetectorConfig::default();
-        let mut cache = RankCache::default();
-        let mut scratch = Vec::new();
         assert!(characterize(&[], &cfg).is_none());
         assert!(characterize(&[f64::NAN, f64::INFINITY], &cfg).is_none());
-        let mut nan = vec![f64::NAN; 4];
-        assert!(characterize_in_place_cached(&mut nan, &cfg, &mut cache).is_none());
-        assert!(characterize_region_cached(&mut [], &mut scratch, &cfg, &mut cache).is_none());
+        assert!(characterize(&[f64::NAN; 4], &cfg).is_none());
     }
 
     #[test]

@@ -9,16 +9,19 @@
 //! The engine's layout is `SampleArena`, the shared
 //! `crate::ingest::EpochArena` under `DelaySpec` (links × probes). The
 //! spec stages each (record, link) observation as ONE `(key, start,
-//! len)` run over a per-(chunk, shard) value pool — an observation's 1–9
+//! len)` run over its chunk's value pool — an observation's 1–9
 //! differential RTTs share one key — and groups a shard with one
-//! cache-friendly sort over that (small) run index into one contiguous
-//! sample pool plus per-link/per-probe index spans: no per-probe maps, an
-//! order of magnitude fewer sorted elements than row-by-row staging, and
-//! byte-identical output for any chunking. A probe's AS is the first one
-//! it reports in the bin.
+//! cache-friendly sort over that (small) run index, laying out
+//! per-link/per-probe spans as ranges of the sorted runs: no per-probe
+//! maps, no sample copied to group a shard, an order of magnitude fewer
+//! sorted elements than row-by-row staging, and byte-identical output
+//! for any chunking. Samples stay in the chunk pools until the shard
+//! job gathers a kept link's samples to characterize them (see
+//! `characterize_shard`). A probe's AS is the first one it reports in
+//! the bin.
 
 use crate::engine::{ShardKey, SnapshotKey};
-use crate::ingest::{pack, ArenaSpec, Chunk, EpochArena, Interner, SidePayload, Wave};
+use crate::ingest::{pack, ArenaSpec, Chunk, EpochArena, Interner, Lent, SidePayload, Wave};
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::{Asn, IpLink, ProbeId};
@@ -58,11 +61,12 @@ impl SnapshotKey for ProbeId {
     }
 }
 
-/// One probe's contiguous run of samples for one link.
+/// One probe's samples for one link: a range of the shard's sorted runs.
 #[derive(Debug, Clone, Copy)]
 struct ProbeSpan {
     /// Index into the arena's probe tables.
     slot: u32,
+    /// First run and run count in the sorted run index.
     start: u32,
     len: u32,
 }
@@ -78,7 +82,9 @@ struct LinkEntry {
     as_count: u32,
 }
 
-/// One link's view into the arena.
+/// One link's view into the arena: its probe spans over the shard's
+/// sorted runs, whose samples stay where the scatter put them — in the
+/// chunks' value pools.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSlice<'a> {
     /// The link (ordered IP pair).
@@ -86,9 +92,8 @@ pub struct LinkSlice<'a> {
     /// Distinct probe ASes contributing to this link.
     pub as_count: usize,
     spans: &'a [ProbeSpan],
-    pool: &'a [f64],
-    probe_ids: &'a [ProbeId],
-    probe_asns: &'a [Asn],
+    runs: &'a [SampleRun],
+    wave: Wave<'a, DelaySpec>,
 }
 
 impl<'a> LinkSlice<'a> {
@@ -97,35 +102,54 @@ impl<'a> LinkSlice<'a> {
         self.spans.len()
     }
 
-    /// Total samples for this link.
-    pub fn sample_count(&self) -> usize {
-        self.spans.iter().map(|s| s.len as usize).sum()
-    }
-
     /// Iterate `(probe, asn, samples)` — deterministic order (probes in
-    /// intern-epoch slot order).
-    pub fn probes(&self) -> impl Iterator<Item = (ProbeId, Asn, &'a [f64])> + '_ {
+    /// intern-epoch slot order); a probe's samples come as one slice per
+    /// run, in record order.
+    pub fn probes(
+        &self,
+    ) -> impl Iterator<Item = (ProbeId, Asn, impl Iterator<Item = &'a [f64]> + 'a)> + '_ {
+        let (runs, chunks) = (self.runs, self.wave.chunks);
+        let (probe_ids, probe_asns) = (self.wave.sides(), self.wave.payload.asns());
         self.spans.iter().map(move |s| {
+            let span = &runs[s.start as usize..(s.start + s.len) as usize];
             (
-                self.probe_ids[s.slot as usize],
-                self.probe_asns[s.slot as usize],
-                &self.pool[s.start as usize..(s.start + s.len) as usize],
+                probe_ids[s.slot as usize],
+                probe_asns[s.slot as usize],
+                span.iter().map(move |run| {
+                    &chunks[run.chunk as usize].staged.vals
+                        [run.start as usize..(run.start + run.len) as usize]
+                }),
             )
         })
+    }
+
+    /// Clear `out` and copy into it the samples of every probe not in
+    /// `removed`, straight from the chunk pools.
+    pub(crate) fn gather_into(&self, out: &mut Vec<f64>, removed: &[ProbeId]) {
+        out.clear();
+        for (probe, _, samples) in self.probes() {
+            if !removed.contains(&probe) {
+                for samples in samples {
+                    out.extend_from_slice(samples);
+                }
+            }
+        }
     }
 }
 
 /// The delay side's per-chunk staging beside the run index: a staged row
 /// is `(pack(link id, probe slot), (start, len))` with `start` addressing
-/// the chunk's per-shard `vals` pool, in record order within the chunk.
-/// One (record, link) observation is ONE run (its 1–9 differential RTTs
-/// are consecutive in `vals`), and adjacent same-key runs merge at push —
-/// so the sort that groups a shard handles ~an order of magnitude fewer
-/// elements than it would row-by-row.
+/// the chunk's `vals` pool, in record order within the chunk. One
+/// (record, link) observation is ONE run (its 1–9 differential RTTs are
+/// consecutive in `vals`), and a same-key run that ends exactly where the
+/// next one starts merges with it at push — so the sort that groups a
+/// shard handles ~an order of magnitude fewer elements than it would
+/// row-by-row.
 #[derive(Debug, Default)]
 pub(crate) struct DelayStaged {
-    /// Per-shard sample values, in record order (runs index into this).
-    vals: Vec<Vec<f64>>,
+    /// The chunk's sample values, every shard's interleaved in record
+    /// order (runs index into this).
+    vals: Vec<f64>,
     /// Scratch for near-side RTTs.
     near_rtts: Vec<f64>,
 }
@@ -213,10 +237,7 @@ impl ArenaSpec for DelaySpec {
     type Rows = ShardRows;
 
     fn reset(staged: &mut DelayStaged) {
-        staged.vals.resize_with(crate::engine::NUM_SHARDS, Vec::new);
-        for vals in &mut staged.vals {
-            vals.clear();
-        }
+        staged.vals.clear();
     }
 
     fn scatter(
@@ -236,29 +257,27 @@ impl ArenaSpec for DelaySpec {
             if near_rtts.is_empty() {
                 return;
             }
-            // (shard, row key, run start) — resolved once per
-            // (record, link), on the first responsive far reply.
-            let mut key: Option<(usize, u64, u32)> = None;
+            let start = vals.len() as u32;
             for fy in far_hop.rtts_from(link.far) {
-                let (s, _, _) = *key.get_or_insert_with(|| {
-                    let (s, local) = ids.resolve_key(links, link);
-                    (s, pack(local, probe), vals[s].len() as u32)
-                });
-                let vals = &mut vals[s];
                 for &fx in near_rtts.iter() {
                     vals.push(fy - fx);
                 }
             }
-            // One run per observation; a same-key run ending exactly
-            // where this one starts (same probe re-tracing the link)
-            // extends in place instead.
-            if let Some((s, row_key, start)) = key {
-                let len = vals[s].len() as u32 - start;
-                debug_assert!(len > 0, "a resolved key implies pushed samples");
-                match rows[s].last_mut() {
-                    Some((last, (_, run_len))) if *last == row_key => *run_len += len,
-                    _ => rows[s].push((row_key, (start, len))),
+            let len = vals.len() as u32 - start;
+            if len == 0 {
+                return;
+            }
+            // One run per observation, resolved once per (record, link).
+            // A same-key run ending exactly where this one starts (the
+            // same probe re-tracing the link, no other link's samples in
+            // between) extends in place instead.
+            let (s, local) = ids.resolve_key(links, link);
+            let row_key = pack(local, probe);
+            match rows[s].last_mut() {
+                Some((last, (prev, run_len))) if *last == row_key && *prev + *run_len == start => {
+                    *run_len += len
                 }
+                _ => rows[s].push((row_key, (start, len))),
             }
         });
     }
@@ -274,13 +293,13 @@ impl ArenaSpec for DelaySpec {
     }
 
     #[inline]
-    fn gathered(rows: &mut ShardRows) -> &mut Vec<SampleRun> {
-        &mut rows.runs
+    fn lent(rows: &mut ShardRows) -> &mut Lent<SampleRun> {
+        &mut rows.lent
     }
 
     #[inline]
-    fn finalize(rows: &mut ShardRows, shard: usize, wave: Wave<'_, Self>) {
-        rows.finalize(shard, wave.payload.asns(), wave.chunks);
+    fn finalize(rows: &mut ShardRows, wave: Wave<'_, Self>) {
+        rows.finalize(wave.payload.asns());
     }
 
     #[inline]
@@ -301,76 +320,68 @@ pub(crate) struct SampleRun {
     len: u32,
 }
 
-/// One shard's row workspace: the bin's rows and their grouped layout,
-/// plus the shard job's steps 2–5 buffers (`work`). The arena's gather
-/// concatenates the bin's chunk runs into `runs` in chunk order;
-/// `finalize` (run in the shard's job) sorts and groups into
-/// `pool`/`spans`/`entries`. Holds no epoch state — the shard's link
-/// intern table lives in the arena — and its content is dead once the
-/// wave's outputs are merged and the observed entries are stamped; only
-/// the capacity carries over to the next bin.
+/// One shard's row workspace: the grouped layout of its bin, the buffers
+/// lent to its job, and the job's steps 2–5 buffers (`work`). The
+/// arena's gather concatenates the bin's chunk runs into the lent `rows`
+/// in chunk order; `finalize` (run in the shard's job) sorts them and
+/// lays out `spans`/`entries` over the sorted runs, copying no sample:
+/// pass B reads each kept link's samples from the chunk pools. Holds no
+/// epoch state — the shard's link intern table lives in the arena — and
+/// its content is dead once the wave's outputs are merged and the
+/// observed entries are stamped; only `spans`, `entries` and `work` keep
+/// their capacity for the next bin.
 #[derive(Debug, Default)]
 pub(crate) struct ShardRows {
     /// The bin's gathered runs, sorted by `(key, chunk, start)` at
-    /// finalize — equal keys keep gather (= record) order, so the pool
-    /// layout is exactly what a row-by-row sort would produce while the
-    /// sort itself handles ~an order of magnitude fewer elements (one
-    /// run per (record, link), not one row per sample).
-    runs: Vec<SampleRun>,
-    pool: Vec<f64>,
+    /// finalize — equal keys keep gather (= record) order, so a probe's
+    /// samples read in record order — and the radix ping-pong scratch;
+    /// both lent from the arena for the job and empty outside it.
+    lent: Lent<SampleRun>,
     spans: Vec<ProbeSpan>,
     entries: Vec<LinkEntry>,
     as_scratch: Vec<Asn>,
-    /// Radix ping-pong buffer, recycled across bins so steady-state
-    /// finalize passes allocate nothing.
-    sort_scratch: Vec<SampleRun>,
     /// The shard job's scratch and output, reused bin after bin.
     pub(super) work: super::ShardWork,
 }
 
 impl ShardRows {
-    /// Sort this shard's runs and lay out the grouped pool/span/entry
-    /// indexes, copying each run's samples out of its chunk's value pool.
-    /// Safe to run concurrently across shards: it never touches the
-    /// epoch tables (observed links are stamped by the arena's serial
-    /// fence from the entry list this lays out).
-    fn finalize(&mut self, idx: usize, probe_asns: &[Asn], chunks: &[Chunk<DelaySpec>]) {
-        self.pool.clear();
+    /// Sort this shard's runs and lay out the grouped span/entry indexes
+    /// over them. Safe to run concurrently across shards: it never
+    /// touches the epoch tables (observed links are stamped by the
+    /// arena's serial fence from the entry list this lays out).
+    fn finalize(&mut self, probe_asns: &[Asn]) {
         self.spans.clear();
         self.entries.clear();
+        let Lent {
+            rows: runs,
+            scratch,
+        } = &mut self.lent;
         // One sort over a small, cache-resident run index. `gather`
         // appends runs in (chunk, start) order, so the stable radix sort
         // by key alone reproduces the comparison sort's explicit
-        // (chunk, start) tiebreak — same pool layout, O(n · live_digits)
-        // instead of O(n log n). Below `RADIX_MIN_KEYS` runs, the
-        // histogram pre-pass costs more than it saves.
-        if self.runs.len() >= pinpoint_stats::RADIX_MIN_KEYS {
-            pinpoint_stats::sort_by_u64_key(&mut self.runs, &mut self.sort_scratch, |r| r.key);
+        // (chunk, start) tiebreak — O(n · live_digits) instead of
+        // O(n log n). Below `RADIX_MIN_KEYS` runs, the histogram pre-pass
+        // costs more than it saves.
+        if runs.len() >= pinpoint_stats::RADIX_MIN_KEYS {
+            pinpoint_stats::sort_by_u64_key(runs, scratch, |r| r.key);
         } else {
-            self.runs
-                .sort_unstable_by_key(|r| (r.key, r.chunk, r.start));
+            runs.sort_unstable_by_key(|r| (r.key, r.chunk, r.start));
         }
         let mut i = 0;
-        while i < self.runs.len() {
-            let link_local = (self.runs[i].key >> 32) as u32;
+        while i < runs.len() {
+            let link_local = (runs[i].key >> 32) as u32;
             let spans_start = self.spans.len() as u32;
             self.as_scratch.clear();
-            while i < self.runs.len() && (self.runs[i].key >> 32) as u32 == link_local {
-                let key = self.runs[i].key;
-                let slot = key as u32;
-                let start = self.pool.len() as u32;
-                while i < self.runs.len() && self.runs[i].key == key {
-                    let run = self.runs[i];
-                    let vals = &chunks[run.chunk as usize].staged.vals[idx];
-                    self.pool.extend_from_slice(
-                        &vals[run.start as usize..(run.start + run.len) as usize],
-                    );
+            while i < runs.len() && (runs[i].key >> 32) as u32 == link_local {
+                let (key, start) = (runs[i].key, i);
+                while i < runs.len() && runs[i].key == key {
                     i += 1;
                 }
+                let slot = key as u32;
                 self.spans.push(ProbeSpan {
                     slot,
-                    start,
-                    len: self.pool.len() as u32 - start,
+                    start: start as u32,
+                    len: (i - start) as u32,
                 });
                 self.as_scratch.push(probe_asns[slot as usize]);
             }
@@ -390,41 +401,21 @@ impl ShardRows {
         self.entries.len()
     }
 
+    /// Link `j` of the bin, while the job still holds its lent runs.
     pub(crate) fn link_in<'a>(
         &'a self,
         j: usize,
         links: &'a [IpLink],
-        probe_ids: &'a [ProbeId],
-        probe_asns: &'a [Asn],
+        wave: Wave<'a, DelaySpec>,
     ) -> LinkSlice<'a> {
         let e = self.entries[j];
         LinkSlice {
             link: links[e.local as usize],
             as_count: e.as_count as usize,
             spans: &self.spans[e.spans_start as usize..(e.spans_start + e.spans_len) as usize],
-            pool: &self.pool,
-            probe_ids,
-            probe_asns,
+            runs: &self.lent.rows,
+            wave,
         }
-    }
-
-    /// The contiguous pool region holding link `j`'s samples, in the same
-    /// span order [`LinkSlice::probes`] iterates — `finalize` lays every
-    /// link's spans out back to back, which is what makes the zero-copy
-    /// characterization of balanced links possible: the caller may
-    /// permute `pool_mut()[entry_pool_range(j)]` in place instead of
-    /// copying the samples out.
-    pub(crate) fn entry_pool_range(&self, j: usize) -> std::ops::Range<usize> {
-        let e = self.entries[j];
-        debug_assert!(e.spans_len > 0, "a bin entry has at least one span");
-        let first = self.spans[e.spans_start as usize];
-        let last = self.spans[(e.spans_start + e.spans_len - 1) as usize];
-        first.start as usize..(last.start + last.len) as usize
-    }
-
-    /// The sample pool, mutably (quickselect permutation target).
-    pub(crate) fn pool_mut(&mut self) -> &mut [f64] {
-        &mut self.pool
     }
 }
 
@@ -436,14 +427,33 @@ mod tests {
     use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
 
+    impl LinkSlice<'_> {
+        /// Total samples for this link.
+        pub(crate) fn sample_count(&self) -> usize {
+            let span_runs =
+                |s: &ProbeSpan| &self.runs[s.start as usize..(s.start + s.len) as usize];
+            self.spans
+                .iter()
+                .flat_map(span_runs)
+                .map(|r| r.len as usize)
+                .sum()
+        }
+
+        /// Each probe's samples, concatenated in record order.
+        pub(crate) fn samples(&self) -> Vec<(ProbeId, Asn, Vec<f64>)> {
+            self.probes()
+                .map(|(probe, asn, runs)| (probe, asn, runs.flatten().copied().collect()))
+                .collect()
+        }
+    }
+
     impl SampleArena {
         /// Iterate every link of the current bin (after the shard wave;
         /// arbitrary but deterministic order).
         pub(crate) fn links(&self) -> impl Iterator<Item = LinkSlice<'_>> {
             let wave = self.wave();
             self.shards().flat_map(move |(shard, links)| {
-                (0..shard.link_count())
-                    .map(move |j| shard.link_in(j, links, wave.sides, wave.payload.asns()))
+                (0..shard.link_count()).map(move |j| shard.link_in(j, links, wave))
             })
         }
 
@@ -495,8 +505,7 @@ mod tests {
         let mut out = Grouped::new();
         for slice in arena.links() {
             let probes = out.entry(slice.link).or_default();
-            for (probe, asn, samples) in slice.probes() {
-                let mut samples = samples.to_vec();
+            for (probe, asn, mut samples) in slice.samples() {
                 samples.sort_by(f64::total_cmp);
                 probes.insert(probe, (asn, samples));
             }
@@ -628,9 +637,9 @@ mod tests {
         };
         let mut arena = SampleArena::default();
         arena.build(&[mk(100)]);
-        assert_eq!(arena.link(0).probes().next().unwrap().1, Asn(100));
+        assert_eq!(arena.link(0).samples()[0].1, Asn(100));
         arena.build(&[mk(900)]);
-        assert_eq!(arena.link(0).probes().next().unwrap().1, Asn(900));
+        assert_eq!(arena.link(0).samples()[0].1, Asn(900));
     }
 
     #[test]
@@ -742,7 +751,7 @@ mod tests {
         assert!(
             arena
                 .shards()
-                .any(|(shard, _)| shard.runs.len() >= busy as usize),
+                .any(|(shard, _)| shard.lent.rows.len() >= busy as usize),
             "no shard crossed the radix threshold"
         );
         // Each link's AS count is its distinct probe ASes.
@@ -750,6 +759,49 @@ mod tests {
             arena.links().map(|l| (l.link, l.as_count)).collect();
         assert_eq!(as_counts[&link("10.0.0.1", "10.0.1.1")], 2);
         assert_eq!(as_counts[&link("10.0.7.1", "10.0.7.2")], 5);
+    }
+
+    #[test]
+    fn a_run_never_takes_in_another_shards_samples() {
+        // Probe 1 traces link A, then link B of another shard, then A
+        // again, all in one chunk. The chunk's one value pool then holds
+        // A's samples, B's, then A's: A's two observations are adjacent in
+        // A's shard rows but not in the pool, so they must stay two runs.
+        let near = "10.0.0.1";
+        let a = link(near, "10.0.1.1");
+        let b_far = (2..=255)
+            .map(|d| format!("10.0.2.{d}"))
+            .find(|far| shard_of(&link(near, far)) != shard_of(&a))
+            .expect("some far address hashes to another shard");
+        let trace =
+            |far: &str, rtt: f64| record(1, 100, vec![hop(1, near, &[1.0]), hop(2, far, &[rtt])]);
+        let recs = [
+            trace("10.0.1.1", 3.0),
+            trace(&b_far, 10.0),
+            trace("10.0.1.1", 5.0),
+        ];
+
+        let links: Vec<Interner<IpLink>> = (0..crate::engine::NUM_SHARDS)
+            .map(|_| Interner::default())
+            .collect();
+        let mut chunk = Chunk::<DelaySpec> {
+            rows: vec![Vec::new(); crate::engine::NUM_SHARDS],
+            ..Chunk::default()
+        };
+        for rec in &recs {
+            DelaySpec::scatter(&mut chunk, rec, &links, &Interner::default());
+        }
+        let runs: Vec<&[f64]> = chunk.rows[shard_of(&a)]
+            .iter()
+            .map(|&(_, (start, len))| &chunk.staged.vals[start as usize..(start + len) as usize])
+            .collect();
+        assert_eq!(runs, [[2.0], [4.0]]);
+        assert_eq!(chunk.staged.vals, [2.0, 9.0, 4.0]);
+        // Grouped, the probe's samples are its own, in record order.
+        let mut arena = SampleArena::default();
+        arena.build(&recs);
+        let grouped = arena.links().find(|l| l.link == a).expect("link A grouped");
+        assert_eq!(grouped.samples(), [(ProbeId(1), Asn(100), vec![2.0, 4.0])]);
     }
 
     #[test]
@@ -769,8 +821,7 @@ mod tests {
         arena.build(&[mk(7.0)]);
         assert_eq!(arena.link_count(), 1);
         assert_eq!(arena.total_samples(), 1);
-        let slice = arena.link(0);
-        assert_eq!(slice.probes().next().unwrap().2, &[6.0]);
+        assert_eq!(arena.link(0).samples()[0].2, [6.0]);
         // And an empty bin empties the arena.
         arena.build(&[]);
         assert_eq!(arena.link_count(), 0);

@@ -11,9 +11,10 @@
 //!    Instead, a probe from the most represented AS is randomly selected
 //!    and discarded").
 //!
-//! [`decide`] returns the verdict without copying a sample: most links are
-//! balanced and are characterized in place; only a rebalanced link runs
-//! the rebalancing loop and draws from its per-link RNG.
+//! [`decide`] returns the verdict without copying a sample: the
+//! characterization pass then gathers only what survives, and only a
+//! rebalanced link runs the rebalancing loop and draws from its per-link
+//! RNG.
 
 use super::compute::LinkSlice;
 use crate::config::DetectorConfig;
@@ -82,10 +83,9 @@ pub struct Scratch {
 }
 
 /// The §4.3 verdict for one link, *without* materializing the surviving
-/// samples — so the balanced case (the overwhelming majority) can be
-/// characterized zero-copy, directly on the link's contiguous region of
-/// the shard pool, instead of copying every sample into a scratch buffer
-/// first.
+/// samples: they stay in the chunk pools until the characterization pass
+/// gathers them, so a discarded link is never copied and a rebalanced
+/// one is copied without its dropped probes.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Keep {
     /// Below the AS-diversity floor: discard the link.

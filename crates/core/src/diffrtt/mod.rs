@@ -55,7 +55,7 @@ use crate::ingest::{self, ShardTask, Wave};
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use compute::{shard_of, DelaySpec, SampleArena, ShardRows};
 use pinpoint_model::records::TracerouteRecord;
-use pinpoint_model::{Asn, BinId, IpLink, ProbeId};
+use pinpoint_model::{BinId, IpLink};
 use pinpoint_stats::rng::{derive_seed, SplitMix64};
 use std::collections::HashMap;
 
@@ -139,7 +139,7 @@ impl DelayDetector {
         engine::run_jobs(self.arena.scatter_jobs(records, chunk), threads);
         self.arena.merge(bin);
         let (alarms, stats, new_links) = {
-            let mut stage = self.stage(bin);
+            let mut stage = self.stage(bin, threads);
             engine::run_jobs(stage.jobs(), threads);
             stage.finish()
         };
@@ -157,11 +157,11 @@ impl DelayDetector {
     /// the scattered-and-merged bin. The returned [`DelayStage`] hands out
     /// one boxed job per shard via [`DelayStage::jobs`] so the caller
     /// ([`DelayDetector::process_bin`] standalone, or the session pooling
-    /// every member's detectors) decides which pool executes them.
-    /// Callers must have run the bin's scatter jobs and the arena's merge
-    /// first.
-    pub(crate) fn stage(&mut self, bin: BinId) -> DelayStage<'_> {
-        let (tasks, wave) = self.arena.tasks(&mut self.shards);
+    /// every member's detectors) decides which pool executes them, on
+    /// `workers` workers. Callers must have run the bin's scatter jobs and
+    /// the arena's merge first.
+    pub(crate) fn stage(&mut self, bin: BinId, workers: usize) -> DelayStage<'_> {
+        let (tasks, wave) = self.arena.tasks(&mut self.shards, workers);
         DelayStage {
             inner: engine::ShardStage::new(tasks),
             cfg: &self.cfg,
@@ -254,12 +254,13 @@ impl<'a> DelayStage<'a> {
 }
 
 /// One shard's job: group its chunk runs ([`Wave::group`]), run steps 2–5
-/// over its links as three batched passes ([`characterize_shard`]), then
-/// evict expired references. Shard state arrives by `&mut` — no locks —
-/// and every per-link decision depends only on `(cfg, link, bin)`, so the
-/// output left in the shard's workspace is the same whichever worker
-/// claimed the job. Nothing here writes the epoch tables (stamping is the
-/// caller's post-wave fence).
+/// over its links as three batched passes ([`characterize_shard`]), hand
+/// the lent run buffers back, then evict expired references. Shard state
+/// arrives by `&mut` — no locks but the free list's — and every per-link
+/// decision depends only on `(cfg, link, bin)`, so the output left in the
+/// shard's workspace is the same whichever worker claimed the job.
+/// Nothing here writes the epoch tables (stamping is the caller's
+/// post-wave fence).
 fn run_delay_shard<'a>(
     task: DelayTask<'a>,
     cfg: &DetectorConfig,
@@ -275,16 +276,8 @@ fn run_delay_shard<'a>(
     wave.group(idx, rows);
     // Lent out for the passes, which also borrow the grouped layout.
     let mut work = std::mem::take(&mut rows.work);
-    characterize_shard(
-        rows,
-        links,
-        shard,
-        cfg,
-        bin,
-        wave.sides,
-        wave.payload.asns(),
-        &mut work,
-    );
+    characterize_shard(rows, links, shard, cfg, bin, wave, &mut work);
+    wave.give_back(rows);
     shard.evict(bin, cfg);
     rows.work = work;
     &mut rows.work.out
@@ -294,11 +287,13 @@ fn run_delay_shard<'a>(
 /// passes instead of one interleaved per-link loop:
 ///
 /// * **pass A** draws every link's §4.3 diversity verdict;
-/// * **pass B** characterizes the survivors, walking the contiguous
-///   entry pool in layout order with the Wilson rank bounds memoized per
-///   distinct sample count ([`characterize::RankCache`]) — the
-///   selection-heavy inner loop runs back to back, with no reference
-///   hash-map traffic between links;
+/// * **pass B** characterizes the survivors in entry order: it gathers a
+///   kept link's samples — every probe's, or only the rebalanced
+///   survivors' — from the chunk pools into the shard's one `surviving`
+///   buffer and selects there, with the Wilson rank bounds memoized per
+///   distinct sample count ([`characterize::RankCache`]). A discarded
+///   link's samples are never copied, and the selection-heavy inner loop
+///   runs back to back, with no reference hash-map traffic between links;
 /// * **pass C** runs detection and the reference update.
 ///
 /// Bit-identical to the interleaved loop: each link's RNG is derived
@@ -306,15 +301,13 @@ fn run_delay_shard<'a>(
 /// stream), characterization depends only on the link's samples and
 /// `cfg`, and pass C touches the references in the same entry order the
 /// single loop did.
-#[allow(clippy::too_many_arguments)]
 fn characterize_shard(
-    rows: &mut ShardRows,
+    rows: &ShardRows,
     links: &[IpLink],
     shard: &mut Shard,
     cfg: &DetectorConfig,
     bin: BinId,
-    probe_ids: &[ProbeId],
-    probe_asns: &[Asn],
+    wave: Wave<'_, DelaySpec>,
     scratch: &mut ShardWork,
 ) {
     let out = &mut scratch.out;
@@ -325,45 +318,29 @@ fn characterize_shard(
     // Pass A: probe-diversity verdicts (step 2).
     scratch.decisions.clear();
     for j in 0..n {
-        let slice = rows.link_in(j, links, probe_ids, probe_asns);
+        let slice = rows.link_in(j, links, wave);
         let mut rng = link_rng(cfg.seed, &slice.link, bin);
         let decision = diversity::decide(&slice, cfg, &mut rng, &mut scratch.diversity);
         scratch.decisions.push(decision);
     }
-    // Pass B: robust characterization (step 3) — zero-copy for balanced
-    // links (permuting the link's contiguous pool region in place),
-    // copying only the survivors of a rebalanced link. Characterized
-    // links land straight in the output rows, in entry order.
+    // Pass B: robust characterization (step 3) of the kept links, each
+    // gathered once into `surviving`. Characterized links land straight
+    // in the output rows, in entry order.
     for j in 0..n {
-        let link = rows.link_in(j, links, probe_ids, probe_asns).link;
-        let stat = match &scratch.decisions[j] {
-            diversity::Keep::Discard => None,
-            diversity::Keep::All => {
-                let region = rows.entry_pool_range(j);
-                characterize::characterize_region_cached(
-                    &mut rows.pool_mut()[region],
-                    &mut scratch.surviving,
-                    cfg,
-                    &mut scratch.ranks,
-                )
-            }
-            diversity::Keep::Without(removed) => {
-                scratch.surviving.clear();
-                let slice = rows.link_in(j, links, probe_ids, probe_asns);
-                for (probe, _, samples) in slice.probes() {
-                    if !removed.contains(&probe) {
-                        scratch.surviving.extend_from_slice(samples);
-                    }
-                }
-                characterize::characterize_in_place_cached(
-                    &mut scratch.surviving,
-                    cfg,
-                    &mut scratch.ranks,
-                )
-            }
+        let removed = match &scratch.decisions[j] {
+            diversity::Keep::Discard => continue,
+            diversity::Keep::All => &[][..],
+            diversity::Keep::Without(removed) => removed,
         };
+        let slice = rows.link_in(j, links, wave);
+        slice.gather_into(&mut scratch.surviving, removed);
+        let stat = characterize::characterize_in_place_cached(
+            &mut scratch.surviving,
+            cfg,
+            &mut scratch.ranks,
+        );
         if let Some(stat) = stat {
-            out.stats.push((link, stat));
+            out.stats.push((slice.link, stat));
         }
     }
     // Pass C: detection + reference update (steps 4 + 5), in entry order.
@@ -393,4 +370,109 @@ fn sort_alarms(alarms: &mut [DelayAlarm]) {
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.link.cmp(&b.link))
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pinpoint_model::records::{Hop, Reply};
+    use pinpoint_model::{Asn, MeasurementId, ProbeId, SimTime};
+    use pinpoint_stats::wilson::median_ci_sorted;
+    use std::net::Ipv4Addr;
+
+    /// `pinpoint_bench::oracle::characterize`, restated: drop non-finite
+    /// samples, sort, read the median and Wilson CI off the sorted copy.
+    fn oracle_characterize(mut samples: Vec<f64>, cfg: &DetectorConfig) -> Option<LinkStat> {
+        samples.retain(|x| x.is_finite());
+        samples.sort_by(f64::total_cmp);
+        median_ci_sorted(&samples, cfg.wilson_z).map(|ci| LinkStat { ci })
+    }
+
+    const ROUNDS: u32 = 150;
+
+    /// Probes 1 and 2 (AS 100), 3 (AS 200) and 4 (AS 300) trace one link
+    /// in turn for `ROUNDS` rounds, three replies a hop, so each probe's
+    /// records fall in every scatter chunk. Probes 1 and 2 send identical
+    /// RTTs, so dropping either leaves the same samples.
+    fn round_robin() -> Vec<TracerouteRecord> {
+        let ip = |s: &str| s.parse::<Ipv4Addr>().unwrap();
+        let mut records = Vec::new();
+        for round in 0..ROUNDS {
+            for (probe, asn) in [(1, 100), (2, 100), (3, 200), (4, 300)] {
+                let own = if probe <= 2 { 0.0 } else { f64::from(probe) };
+                let rtts = |base: f64| -> Vec<f64> {
+                    (0..3)
+                        .map(|k| base + own + 0.01 * f64::from(round % 17) + 0.1 * f64::from(k))
+                        .collect()
+                };
+                let hop = |ttl: u8, addr: &str, rtts: Vec<f64>| {
+                    Hop::new(
+                        ttl,
+                        rtts.into_iter().map(|r| Reply::new(ip(addr), r)).collect(),
+                    )
+                };
+                records.push(TracerouteRecord {
+                    msm_id: MeasurementId(1),
+                    probe_id: ProbeId(probe),
+                    probe_asn: Asn(asn),
+                    dst: ip("198.51.100.1"),
+                    timestamp: SimTime(0),
+                    paris_id: 0,
+                    hops: vec![
+                        hop(1, "10.0.0.1", rtts(1.0)),
+                        hop(2, "10.0.1.1", rtts(4.0 + own)),
+                    ],
+                    destination_reached: true,
+                });
+            }
+        }
+        records
+    }
+
+    /// A probe's span covers runs from several chunks, and the shard job
+    /// gathers them from the chunk pools: the link's statistic equals the
+    /// oracle's on the same samples, whether the link is kept whole
+    /// (`Keep::All`) or rebalanced (`Keep::Without`, one of AS 100's two
+    /// probes dropped), at one and at two workers.
+    #[test]
+    fn spans_across_chunks_characterize_like_the_oracle() {
+        let records = round_robin();
+        let link = records[0].links()[0].0;
+        let samples = |probes: &[u32]| -> Vec<f64> {
+            let mut out = Vec::new();
+            for rec in records.iter().filter(|r| probes.contains(&r.probe_id.0)) {
+                rec.for_each_link(|_, near, far| {
+                    for y in rec.hops[far].replies.iter().filter_map(|r| r.rtt_ms) {
+                        for x in rec.hops[near].replies.iter().filter_map(|r| r.rtt_ms) {
+                            out.push(y - x);
+                        }
+                    }
+                });
+            }
+            out
+        };
+        // AS counts 2 : 1 : 1 — normalized entropy ≈ 0.946.
+        for (entropy_threshold, kept) in [(0.5, &[1, 2, 3, 4][..]), (0.95, &[1, 3, 4][..])] {
+            for threads in [1, 2] {
+                let cfg = DetectorConfig {
+                    entropy_threshold,
+                    threads,
+                    ..DetectorConfig::default()
+                };
+                let chunk = ingest::resolve_chunk_for(threads);
+                assert!(
+                    records.len() > chunk,
+                    "one chunk holds the bin at {threads} threads"
+                );
+                let (_, stats) = DelayDetector::new(&cfg).process_bin(BinId(0), &records);
+                let want = oracle_characterize(samples(kept), &cfg);
+                assert_eq!(want.map(|s| s.ci.n), Some(kept.len() * ROUNDS as usize * 9));
+                assert_eq!(
+                    stats.get(&link),
+                    want.as_ref(),
+                    "entropy threshold {entropy_threshold}, {threads} threads"
+                );
+            }
+        }
+    }
 }

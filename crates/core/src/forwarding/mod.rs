@@ -127,7 +127,7 @@ impl ForwardingDetector {
         engine::run_jobs(self.arena.scatter_jobs(records, chunk), threads);
         self.arena.merge(bin);
         let alarms = {
-            let mut stage = self.stage(bin);
+            let mut stage = self.stage(bin, threads);
             engine::run_jobs(stage.jobs(), threads);
             stage.finish()
         };
@@ -142,10 +142,10 @@ impl ForwardingDetector {
 
     /// Stage one bin for the shared engine: one task per arena shard of
     /// the scattered-and-merged bin (the session pools both detectors'
-    /// jobs on one set of workers). Callers must have run the bin's
+    /// jobs on one set of `workers`). Callers must have run the bin's
     /// scatter jobs and the arena's merge first.
-    pub(crate) fn stage(&mut self, bin: BinId) -> ForwardingStage<'_> {
-        let (tasks, wave) = self.arena.tasks(&mut self.shards);
+    pub(crate) fn stage(&mut self, bin: BinId, workers: usize) -> ForwardingStage<'_> {
+        let (tasks, wave) = self.arena.tasks(&mut self.shards, workers);
         ForwardingStage {
             inner: engine::ShardStage::new(tasks),
             cfg: &self.cfg,
@@ -209,9 +209,10 @@ impl<'a> ForwardingStage<'a> {
     }
 }
 
-/// One shard's job: group its chunk rows ([`Wave::group`]), then check →
-/// alarm → reference-update every pattern, then evict expired references.
-/// Shard state arrives by `&mut` — no locks — and every per-pattern
+/// One shard's job: group its chunk rows ([`Wave::group`]) and hand the
+/// lent row buffers straight back, then check → alarm → reference-update
+/// every pattern, then evict expired references. Shard state arrives by
+/// `&mut` — no locks but the free list's — and every per-pattern
 /// decision depends only on `(cfg, key, bin)`, so the alarms left in the
 /// shard's workspace are the same whichever worker claimed the job.
 fn run_forwarding_shard<'a>(
@@ -227,11 +228,12 @@ fn run_forwarding_shard<'a>(
         state: shard,
     } = task;
     wave.group(idx, rows);
+    wave.give_back(rows);
     // Lent out for the loop, which also borrows the grouped layout.
     let mut work = std::mem::take(&mut rows.work);
     work.alarms.clear();
     for j in 0..rows.pattern_count() {
-        let slice = rows.pattern_in(j, keys, wave.sides);
+        let slice = rows.pattern_in(j, keys, wave.sides());
         let entry = shard
             .references
             .entry(slice.key)

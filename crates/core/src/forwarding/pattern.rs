@@ -9,7 +9,7 @@
 //! traceroute destination) because forwarding is destination-dependent.
 
 use crate::engine::{self, ShardKey, SnapshotKey};
-use crate::ingest::{pack, ArenaSpec, Chunk, EpochArena, Interner, Wave, SENTINEL};
+use crate::ingest::{pack, ArenaSpec, Chunk, EpochArena, Interner, Lent, Wave, SENTINEL};
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
 use std::net::Ipv4Addr;
@@ -210,12 +210,12 @@ impl ArenaSpec for PatternSpec {
     }
 
     #[inline]
-    fn gathered(rows: &mut PatternShardRows) -> &mut Vec<(u64, f64)> {
-        &mut rows.rows
+    fn lent(rows: &mut PatternShardRows) -> &mut Lent<(u64, f64)> {
+        &mut rows.lent
     }
 
     #[inline]
-    fn finalize(rows: &mut PatternShardRows, _shard: usize, _wave: Wave<'_, Self>) {
+    fn finalize(rows: &mut PatternShardRows, _wave: Wave<'_, Self>) {
         rows.finalize();
     }
 
@@ -225,26 +225,25 @@ impl ArenaSpec for PatternSpec {
     }
 }
 
-/// One shard's row workspace: the bin's pattern rows and their grouped
-/// layout, plus the shard job's check buffers (`work`). The arena's
-/// gather concatenates the bin's chunk rows into `rows` in chunk order;
-/// `finalize` (run in the shard's job) sorts and groups into
-/// `pool`/`entries`. Holds no epoch state — the shard's pattern intern
-/// table lives in the arena.
+/// One shard's row workspace: the grouped layout of its bin's pattern
+/// rows, the buffers lent to its job, and the job's check buffers
+/// (`work`). The arena's gather concatenates the bin's chunk rows into
+/// the lent `rows` in chunk order; `finalize` (run in the shard's job)
+/// sorts and groups them into `pool`/`entries`, after which the job hands
+/// the lent buffers back. Holds no epoch state — the shard's pattern
+/// intern table lives in the arena.
 #[derive(Debug, Default)]
 pub(crate) struct PatternShardRows {
     /// `(pattern_local << 32 | hop_slot, packets)` — 16 bytes, sorted by
-    /// key at finalize.
-    rows: Vec<(u64, f64)>,
+    /// key at finalize — and the radix ping-pong scratch; both lent from
+    /// the arena for the job and empty outside it.
+    lent: Lent<(u64, f64)>,
     /// Grouped `(hop_slot, packets)` per observed pattern.
     pool: Vec<(u32, f64)>,
     /// `(pattern_local, pool start, pool len)` per observed pattern, in
     /// local-id order. Presence-only patterns have `len == 0`. Doubles as
     /// the observed-pattern list the arena's post-wave stamp fence walks.
     entries: Vec<(u32, u32, u32)>,
-    /// Radix ping-pong buffer, recycled across bins so steady-state
-    /// finalize passes allocate nothing.
-    sort_scratch: Vec<(u64, f64)>,
     /// The shard job's scratch and output, reused bin after bin.
     pub(super) work: super::FwdShardWork,
 }
@@ -260,27 +259,28 @@ impl PatternShardRows {
     fn finalize(&mut self) {
         self.pool.clear();
         self.entries.clear();
+        let Lent { rows, scratch } = &mut self.lent;
         // One u64-keyed sort over a small, cache-resident shard. Equal keys
         // are summed; the addends are whole packets, so the sum is exact
         // and independent of row order — which is also why the stable
         // radix path and the unstable comparison path yield identical
         // pools. SENTINEL sorts after every real hop slot, so presence
         // rows are consumed at the end of a group.
-        if self.rows.len() >= pinpoint_stats::RADIX_MIN_KEYS {
-            pinpoint_stats::sort_by_u64_key(&mut self.rows, &mut self.sort_scratch, |r| r.0);
+        if rows.len() >= pinpoint_stats::RADIX_MIN_KEYS {
+            pinpoint_stats::sort_by_u64_key(rows, scratch, |r| r.0);
         } else {
-            self.rows.sort_unstable_by_key(|r| r.0);
+            rows.sort_unstable_by_key(|r| r.0);
         }
         let mut i = 0;
-        while i < self.rows.len() {
-            let local = (self.rows[i].0 >> 32) as u32;
+        while i < rows.len() {
+            let local = (rows[i].0 >> 32) as u32;
             let start = self.pool.len() as u32;
-            while i < self.rows.len() && (self.rows[i].0 >> 32) as u32 == local {
-                let key = self.rows[i].0;
+            while i < rows.len() && (rows[i].0 >> 32) as u32 == local {
+                let key = rows[i].0;
                 let slot = key as u32;
                 let mut packets = 0.0;
-                while i < self.rows.len() && self.rows[i].0 == key {
-                    packets += self.rows[i].1;
+                while i < rows.len() && rows[i].0 == key {
+                    packets += rows[i].1;
                     i += 1;
                 }
                 if slot != SENTINEL {
@@ -334,7 +334,7 @@ mod tests {
         /// Iterate every pattern of the current bin (after the shard wave;
         /// arbitrary but deterministic order).
         pub(crate) fn patterns(&self) -> impl Iterator<Item = PatternSlice<'_>> {
-            let hops = self.wave().sides;
+            let hops = self.wave().sides();
             self.shards().flat_map(move |(shard, keys)| {
                 (0..shard.pattern_count()).map(move |j| shard.pattern_in(j, keys, hops))
             })
@@ -566,7 +566,7 @@ mod tests {
         assert!(
             arena
                 .shards()
-                .any(|(shard, _)| shard.rows.len() >= pinpoint_stats::RADIX_MIN_KEYS),
+                .any(|(shard, _)| shard.lent.rows.len() >= pinpoint_stats::RADIX_MIN_KEYS),
             "no shard crossed the radix threshold"
         );
     }
@@ -705,11 +705,11 @@ mod tests {
             PatternSpec::row(key, chunk, packets)
         }
 
-        fn gathered(rows: &mut PatternShardRows) -> &mut Vec<(u64, f64)> {
-            &mut rows.rows
+        fn lent(rows: &mut PatternShardRows) -> &mut Lent<(u64, f64)> {
+            &mut rows.lent
         }
 
-        fn finalize(rows: &mut PatternShardRows, _shard: usize, _wave: Wave<'_, Self>) {
+        fn finalize(rows: &mut PatternShardRows, _wave: Wave<'_, Self>) {
             rows.finalize();
         }
 

@@ -42,7 +42,7 @@
 //! |---|---|
 //! | per-shard primary tables + the one side table, their epoch counters | key and side types with their shard hash and byte codec |
 //! | chunk buffers, chunk-local pending-id queues, the `PENDING` patch | the per-record scatter body and its staging scratch |
-//! | bin open, one writer per record chunk, chunk-ordered merge and gather | the gathered row type and the per-shard grouped layout (`finalize`) |
+//! | bin open, one writer per record chunk, chunk-ordered merge and gather, the free list lending shard jobs their row buffers | the gathered row type and the per-shard grouped layout (`finalize`) |
 //! | stamp fence, compaction, stats, the snapshot codec, inline `build` | the per-side payload hooks (`()` unless a side slot carries data) |
 
 use crate::engine::{self, ShardKey, SnapshotKey, NUM_SHARDS};
@@ -51,6 +51,7 @@ use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::{BinId, FxHashMap};
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::sync::Mutex;
 
 /// Records per scatter chunk on a multi-worker pool. Small enough that a
 /// realistic bin yields more chunks than workers, large enough that
@@ -334,10 +335,10 @@ pub(crate) trait ArenaSpec: Sized + Debug + Send + Sync + 'static {
     type Staged: Default + Debug + Send + Sync;
     /// A gathered row: key (patched), tail, and whatever of the chunk
     /// index the grouping needs.
-    type Row: Copy + Send;
-    /// One shard's workspace: gathered rows + grouped layout, plus the
-    /// scratch and output buffers the detector's shard job reuses bin
-    /// after bin.
+    type Row: Copy + Debug + Send;
+    /// One shard's workspace: the grouped layout and the buffers lent to
+    /// its job, plus the scratch and output buffers the detector's shard
+    /// job reuses bin after bin.
     type Rows: Default + Debug + Send;
 
     /// Empty `staged` for a new bin (buffers keep their capacity).
@@ -358,12 +359,12 @@ pub(crate) trait ArenaSpec: Sized + Debug + Send + Sync + 'static {
     /// The gathered form of a staged row of chunk number `chunk`.
     fn row(key: u64, chunk: u32, tail: Self::Tail) -> Self::Row;
 
-    /// The buffer a shard's rows gather into.
-    fn gathered(rows: &mut Self::Rows) -> &mut Vec<Self::Row>;
+    /// Where a shard's job holds the buffers [`Wave::group`] lends it.
+    fn lent(rows: &mut Self::Rows) -> &mut Lent<Self::Row>;
 
-    /// Sort shard `shard`'s gathered rows and lay out its groups. Runs in
-    /// the shard's job; must not touch the epoch tables.
-    fn finalize(rows: &mut Self::Rows, shard: usize, wave: Wave<'_, Self>);
+    /// Sort the shard's gathered rows and lay out its groups. Runs in the
+    /// shard's job; must not touch the epoch tables.
+    fn finalize(rows: &mut Self::Rows, wave: Wave<'_, Self>);
 
     /// Shard-local ids of the primary keys `finalize` found this bin.
     fn observed(rows: &Self::Rows) -> impl Iterator<Item = u32> + '_;
@@ -586,13 +587,39 @@ impl<S: ArenaSpec> ChunkWriter<'_, S> {
     }
 }
 
+/// The two buffers a shard job borrows from its arena's free list: the
+/// shard's gathered rows and the radix sort's ping-pong scratch. Outside
+/// a job both are empty — the arena, not the shard, keeps the capacity.
+#[derive(Debug)]
+pub(crate) struct Lent<T> {
+    pub(crate) rows: Vec<T>,
+    pub(crate) scratch: Vec<T>,
+}
+
+impl<T> Default for Lent<T> {
+    fn default() -> Self {
+        Lent {
+            rows: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+/// An arena's free list of row buffers. A shard job holds two of them
+/// between [`Wave::group`] and [`Wave::give_back`], so an arena needs two
+/// per worker, not two per shard. The lock is held only to pop or push a
+/// buffer, which cannot panic, so it is never poisoned.
+type FreeList<T> = Mutex<Vec<Vec<T>>>;
+
 /// What every shard job of a wave reads: the bin's chunk outputs and the
-/// side table's keys and payload, all frozen since the merge.
+/// side table's keys and payload, all frozen since the merge, and the
+/// arena's free list its row buffers come from.
 #[derive(Debug)]
 pub(crate) struct Wave<'a, S: ArenaSpec> {
     pub(crate) chunks: &'a [Chunk<S>],
-    pub(crate) sides: &'a [S::Side],
+    sides: &'a Interner<S::Side>,
     pub(crate) payload: &'a S::Payload,
+    free: &'a FreeList<S::Row>,
 }
 
 impl<S: ArenaSpec> Clone for Wave<'_, S> {
@@ -607,7 +634,7 @@ impl<S: ArenaSpec> Copy for Wave<'_, S> {}
 /// holds the shard's scratch and output buffers, so they live as long as
 /// the shard), its epoch keys (read-only, dense-id order), and the
 /// detector's state for the shard — handed to exactly one job by `&mut`,
-/// so no locks.
+/// so no locks beyond the free list's.
 pub(crate) struct ShardTask<'a, S: ArenaSpec, D> {
     pub(crate) idx: usize,
     pub(crate) rows: &'a mut S::Rows,
@@ -615,14 +642,31 @@ pub(crate) struct ShardTask<'a, S: ArenaSpec, D> {
     pub(crate) state: &'a mut D,
 }
 
-impl<S: ArenaSpec> Wave<'_, S> {
-    /// Group shard `shard`: concatenate its rows from every chunk **in
-    /// chunk order** (= record order, whatever the chunk size), patching
-    /// pending ids to their merged table slots, then `finalize`. Safe to
-    /// run concurrently across shards: each reads only its own
-    /// `chunk.rows[shard]` buffers.
+impl<'a, S: ArenaSpec> Wave<'a, S> {
+    /// The side keys, dense-id order (slot `i` is `sides()[i]`).
+    pub(crate) fn sides(self) -> &'a [S::Side] {
+        self.sides.keys()
+    }
+
+    /// Group shard `shard`: borrow two buffers from the free list,
+    /// concatenate the shard's rows from every chunk into one **in chunk
+    /// order** (= record order, whatever the chunk size), patching pending
+    /// ids to their merged table slots, then `finalize`. Safe to run
+    /// concurrently across shards: each reads only its own
+    /// `chunk.rows[shard]` buffers. The job hands the buffers back with
+    /// [`Wave::give_back`] once nothing reads the gathered rows.
     pub(crate) fn group(self, shard: usize, rows: &mut S::Rows) {
-        let out = S::gathered(rows);
+        let lent = S::lent(rows);
+        {
+            let mut free = self
+                .free
+                .lock()
+                .expect("free list poisoned: a thread panicked while popping or pushing a buffer");
+            for buf in [&mut lent.rows, &mut lent.scratch] {
+                *buf = free.pop().unwrap_or_default();
+            }
+        }
+        let out = &mut lent.rows;
         out.clear();
         for (c, chunk) in self.chunks.iter().enumerate() {
             let (c, source) = (c as u32, &chunk.rows[shard]);
@@ -640,7 +684,19 @@ impl<S: ArenaSpec> Wave<'_, S> {
                 );
             }
         }
-        S::finalize(rows, shard, self);
+        S::finalize(rows, self);
+    }
+
+    /// Return the buffers [`Wave::group`] lent to `rows`' job.
+    pub(crate) fn give_back(self, rows: &mut S::Rows) {
+        let lent = S::lent(rows);
+        let mut free = self
+            .free
+            .lock()
+            .expect("free list poisoned: a thread panicked while popping or pushing a buffer");
+        for buf in [&mut lent.rows, &mut lent.scratch] {
+            free.push(std::mem::take(buf));
+        }
     }
 }
 
@@ -666,6 +722,9 @@ pub(crate) struct EpochArena<S: ArenaSpec> {
     keys: Vec<Interner<S::Key>>,
     /// Per-shard per-wave workspace (consumed within one shard wave).
     rows: Vec<S::Rows>,
+    /// Row buffers lent to the running shard jobs, sized by
+    /// [`EpochArena::tasks`] for the wave's workers.
+    free: FreeList<S::Row>,
     /// Epoch-persistent side → slot table.
     sides: Interner<S::Side>,
     /// Side slot → the spec's per-slot data.
@@ -683,6 +742,7 @@ impl<S: ArenaSpec> Default for EpochArena<S> {
         EpochArena {
             keys: (0..NUM_SHARDS).map(|_| Interner::default()).collect(),
             rows: (0..NUM_SHARDS).map(|_| S::Rows::default()).collect(),
+            free: Mutex::default(),
             sides: Interner::default(),
             payload: S::Payload::default(),
             chunks: Vec::new(),
@@ -836,14 +896,36 @@ impl<S: ArenaSpec> EpochArena<S> {
     /// shard — its row workspace and key table paired with its slice
     /// `state[shard]` of the detector's own state — in shard order, each
     /// to become one engine job, alongside the [`Wave`] every job reads.
+    ///
+    /// The free list is sized here for a wave on `workers` workers: a
+    /// worker runs one job at a time, so two buffers per worker (capped at
+    /// two per shard) are all the jobs can hold at once, and each gets
+    /// room for the bin's largest shard. No job then grows a buffer, and
+    /// what the arena retains depends on the bin and the worker count,
+    /// never on which worker claimed which shard.
     pub(crate) fn tasks<'a, D>(
         &'a mut self,
         state: &'a mut [D],
+        workers: usize,
     ) -> (Vec<ShardTask<'a, S, D>>, Wave<'a, S>) {
+        let chunks = &self.chunks[..self.active];
+        let largest = (0..NUM_SHARDS)
+            .map(|s| chunks.iter().map(|c| c.rows[s].len()).sum::<usize>())
+            .max()
+            .unwrap_or(0);
+        let free = self
+            .free
+            .get_mut()
+            .expect("free list poisoned: a thread panicked while popping or pushing a buffer");
+        free.resize_with(2 * workers.clamp(1, NUM_SHARDS), Vec::new);
+        for buf in free.iter_mut().filter(|buf| buf.capacity() < largest) {
+            *buf = Vec::with_capacity(largest);
+        }
         let wave = Wave {
-            chunks: &self.chunks[..self.active],
-            sides: self.sides.keys(),
+            chunks,
+            sides: &self.sides,
             payload: &self.payload,
+            free: &self.free,
         };
         let tasks = (self.rows.iter_mut().zip(&self.keys).zip(state).enumerate())
             .map(|(idx, ((rows, keys), state))| ShardTask {
@@ -894,8 +976,9 @@ mod tests {
         pub(crate) fn wave(&self) -> Wave<'_, S> {
             Wave {
                 chunks: &self.chunks[..self.active],
-                sides: self.sides.keys(),
+                sides: &self.sides,
                 payload: &self.payload,
+                free: &self.free,
             }
         }
 
@@ -917,11 +1000,22 @@ mod tests {
         }
 
         /// Everything after the scatter wave, on the calling thread: merge,
-        /// group every shard, stamp.
+        /// group every shard, stamp. Each shard keeps its lent buffers
+        /// until the next bin, so the finished bin stays readable.
         fn finish_inline(&mut self, bin: BinId) {
+            let free = self
+                .free
+                .get_mut()
+                .expect("free list poisoned: a thread panicked while popping or pushing a buffer");
+            for lent in self.rows.iter_mut().map(S::lent) {
+                free.extend([
+                    std::mem::take(&mut lent.rows),
+                    std::mem::take(&mut lent.scratch),
+                ]);
+            }
             self.merge(bin);
             let mut stateless = [(); NUM_SHARDS];
-            let (tasks, wave) = self.tasks(&mut stateless);
+            let (tasks, wave) = self.tasks(&mut stateless, 1);
             for task in tasks {
                 wave.group(task.idx, task.rows);
             }
@@ -1276,14 +1370,7 @@ mod tests {
     fn dump_links(arena: &SampleArena) -> Vec<String> {
         arena
             .links()
-            .map(|l| {
-                format!(
-                    "{} {} {:?}",
-                    l.link,
-                    l.as_count,
-                    l.probes().collect::<Vec<_>>()
-                )
-            })
+            .map(|l| format!("{} {} {:?}", l.link, l.as_count, l.samples()))
             .collect()
     }
 

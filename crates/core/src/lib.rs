@@ -143,11 +143,10 @@
 //!   (`median_ci_select_ranks`: two `select_nth_unstable_by` calls under
 //!   `f64::total_cmp`, then a sort of the small window between the
 //!   Wilson ranks) instead of a full sort; the Wilson rank bounds (a pure
-//!   function of pool size) are memoized per shard, and balanced links
-//!   (the overwhelming majority) are characterized **zero-copy**: their
-//!   samples sit contiguously in the shard pool after grouping, so
-//!   selection permutes that region in place instead of copying into a
-//!   scratch buffer.
+//!   function of the sample count) are memoized per shard, and each
+//!   kept link's samples are copied **once**, from the chunk pools the
+//!   scatter wrote them to into the shard's selection buffer; a link the
+//!   §4.3 diversity floor discards is never copied.
 //! * **Determinism** — per-link randomness is derived from
 //!   `(seed, link, bin)`, job outputs merge in job order (never
 //!   completion order), alarms get a final total-order sort, ingestion

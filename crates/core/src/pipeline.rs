@@ -217,16 +217,17 @@ impl Analyzer {
 
     /// Stage one bin's shard work for the shared engine without running
     /// it (after the scatter wave and [`Analyzer::merge_scatter`]). The
-    /// executor pools the jobs of every member into one wave, then
+    /// executor pools the jobs of every member into one wave on `workers`
+    /// workers, then
     /// collects with [`AnalyzerStage::finish`] and hands the result back
     /// through [`Analyzer::absorb`].
-    pub(crate) fn stage(&mut self, bin: BinId) -> AnalyzerStage<'_> {
+    pub(crate) fn stage(&mut self, bin: BinId, workers: usize) -> AnalyzerStage<'_> {
         let Analyzer {
             delay, forwarding, ..
         } = self;
         AnalyzerStage {
-            delay: delay.stage(bin),
-            forwarding: forwarding.stage(bin),
+            delay: delay.stage(bin, workers),
+            forwarding: forwarding.stage(bin, workers),
         }
     }
 

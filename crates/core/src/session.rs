@@ -259,7 +259,7 @@ impl<'a, S: AnalyzerSet> Session<'a, S> {
             let staged: Vec<_> = {
                 let mut stages: Vec<_> = members
                     .iter_mut()
-                    .map(|analyzer| analyzer.stage(bin))
+                    .map(|analyzer| analyzer.stage(bin, threads))
                     .collect();
                 let shards = stages.iter_mut().flat_map(AnalyzerStage::jobs).collect();
                 engine::run_jobs(shards, threads);

@@ -136,7 +136,7 @@ pub fn median_ci_sorted(sorted: &[f64], z: f64) -> Option<ConfidenceInterval> {
 /// one), under [`f64::total_cmp`]. The result is bit-identical to
 /// [`median_ci_sorted`] of a `total_cmp`-sorted copy, signed zeros
 /// included. The buffer is permuted in place, which is exactly what the
-/// bin engine wants — it hands in a scratch buffer or a shard-pool region.
+/// bin engine wants — it hands in the buffer it gathered the link into.
 ///
 /// Non-finite values must be filtered by the caller. Returns `None` on an
 /// empty slice.

@@ -7,28 +7,60 @@
 //!
 //! The CI thread matrix re-runs this file with `PINPOINT_THREADS` ∈
 //! {1, 2, 4, 8} on a multi-core runner — the only place real interleavings
-//! exist — via [`common::parity_config`].
+//! exist — via [`common::parity_config`]. The scenario comparisons also
+//! run under [`all_extreme_config`], every analytic knob pushed out at once.
 
 #[allow(dead_code)]
 mod common;
 
-use common::{assert_reports_identical, parity_config};
+use common::{assert_reports_identical, parity_config, threads_from_env};
 use pinpoint::core::{Analyzer, DetectorConfig};
 use pinpoint::model::BinId;
 use pinpoint::scenarios::{steady, Scale};
 use pinpoint_bench::oracle::Oracle;
 
+/// Every analytic knob pushed out at once: a narrow Wilson interval, no
+/// AS-diversity floor (every link is characterized), an entropy bar that
+/// rebalances most links, no median gap, no smoothing memory, one warm-up
+/// bin, a lax τ, a one-packet floor, fast expiry, a short magnitude
+/// window, a low event threshold and a strict empathy overlap.
+fn all_extreme_config() -> DetectorConfig {
+    DetectorConfig {
+        wilson_z: 0.6,
+        min_as_diversity: 1,
+        entropy_threshold: 0.95,
+        min_median_gap_ms: 0.0,
+        alpha: 1.0,
+        warmup_bins: 1,
+        forwarding_tau: 0.6,
+        min_pattern_packets: 1.0,
+        reference_expiry_bins: 2,
+        magnitude_window_bins: 3,
+        event_threshold: 0.5,
+        empathy_min_shared: 3,
+        ..DetectorConfig::fast_test()
+    }
+}
+
 /// Drive the parallel engine and the oracle over the same scenario stream
-/// and demand identical reports every bin.
-fn parity_over_scenario(seed: u64, bins: u64) {
+/// and demand identical reports every bin, both under `cfg`'s analytic
+/// knobs (the engine at the matrix thread count). Returns how many link
+/// statistics the run reported.
+fn parity_over_scenario_with(cfg: DetectorConfig, seed: u64, bins: u64) -> usize {
     let case = steady::case_study(seed, Scale::Small);
-    let mut parallel = Analyzer::new(parity_config(), case.mapper.clone());
-    let mut oracle = Oracle::new(DetectorConfig::fast_test(), case.mapper.clone());
+    let engine_cfg = DetectorConfig {
+        threads: threads_from_env(),
+        ..cfg.clone()
+    };
+    let mut parallel = Analyzer::new(engine_cfg, case.mapper.clone());
+    let mut oracle = Oracle::new(cfg, case.mapper.clone());
+    let mut link_stats = 0;
     for bin in 0..bins {
         let records = case.platform.collect_bin(BinId(bin));
         let a = parallel.process_bin(BinId(bin), &records);
         let b = oracle.process_bin(BinId(bin), &records);
         assert_reports_identical(&a, &b, &format!("seed {seed} bin {bin}"));
+        link_stats += a.link_stats.len();
     }
     assert_eq!(
         parallel.tracked_links(),
@@ -40,6 +72,11 @@ fn parity_over_scenario(seed: u64, bins: u64) {
         oracle.tracked_patterns(),
         "seed {seed}: tracked patterns diverged"
     );
+    link_stats
+}
+
+fn parity_over_scenario(seed: u64, bins: u64) {
+    parity_over_scenario_with(DetectorConfig::fast_test(), seed, bins);
 }
 
 #[test]
@@ -55,6 +92,17 @@ fn parallel_engine_matches_sequential_seed_7() {
 #[test]
 fn parallel_engine_matches_sequential_seed_2015() {
     parity_over_scenario(2015, 5);
+}
+
+#[test]
+fn parity_holds_under_the_all_extreme_config() {
+    for seed in [1, 7, 2015] {
+        let extreme = parity_over_scenario_with(all_extreme_config(), seed, 5);
+        // No diversity floor: links the default discards are characterized.
+        let floored = parity_over_scenario_with(DetectorConfig::fast_test(), seed, 5);
+        println!("seed {seed}: {extreme} link statistics, {floored} under fast_test");
+        assert!(extreme > floored, "seed {seed}: {extreme} ≤ {floored}");
+    }
 }
 
 #[test]
