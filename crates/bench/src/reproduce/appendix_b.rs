@@ -14,8 +14,8 @@
 //! exactly three probes from three ASes, and reports the detection
 //! transition against the theory.
 
+use super::{Claim, Cx};
 use pinpoint_atlas::{deploy_probes, Measurement, MeasurementKind, Platform};
-use pinpoint_bench::{header, opts_from_args, verdict};
 use pinpoint_core::pipeline::Analyzer;
 use pinpoint_core::DetectorConfig;
 use pinpoint_model::{BinId, MeasurementId, SimTime};
@@ -131,14 +131,11 @@ fn sweep(
     (theory_min, outcomes)
 }
 
-fn main() {
-    let opts = opts_from_args();
-    header(
+pub(super) fn appendix_b(cx: &mut Cx) -> Claim {
+    cx.header(
         "Appendix B — shortest detectable event",
         "builtin (r=2, n=3, T=1 h) → 33 min; anchoring (r=4, n=3, T=15 min) → 9.2 min",
-        &opts,
     );
-
     let mut all_consistent = true;
     for (label, kind, bin_secs, durations) in [
         (
@@ -154,8 +151,8 @@ fn main() {
             vec![3, 6, 9, 12, 15],
         ),
     ] {
-        let (theory, outcomes) = sweep(opts.seed, kind, bin_secs, &durations);
-        println!("{label}: theoretical threshold ≈ {theory:.1} min");
+        let (theory, outcomes) = sweep(cx.seed, kind, bin_secs, &durations);
+        say!(cx, "{label}: theoretical threshold ≈ {theory:.1} min");
         for o in &outcomes {
             let expect = o.duration_min as f64 >= theory;
             let consistent = o.detected == expect
@@ -164,7 +161,8 @@ fn main() {
             if !consistent {
                 all_consistent = false;
             }
-            println!(
+            say!(
+                cx,
                 "    {:>3} min burst: detected={} (theory says {}) {}",
                 o.duration_min,
                 o.detected,
@@ -172,10 +170,10 @@ fn main() {
                 if consistent { "✓" } else { "✗" }
             );
         }
-        println!();
+        say!(cx);
     }
-    verdict(
+    cx.verdict(
         all_consistent,
         "detection transitions bracket the Appendix-B thresholds (±35 % phase fuzz)",
-    );
+    )
 }

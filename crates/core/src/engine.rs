@@ -31,7 +31,7 @@ use crate::snapshot::{Reader, SnapshotError, Writer};
 use pinpoint_model::{BinId, FxHashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Number of state shards per detector. Fixed (not tied to the thread
 /// count) so a key lives in the same shard no matter how many workers run,
@@ -45,8 +45,12 @@ pub(crate) const NUM_SHARDS: usize = 32;
 /// silently run a different worker count than a solo analyzer configured
 /// the same way.
 pub(crate) fn resolve_threads(threads: usize) -> usize {
+    // `available_parallelism` re-reads the cgroup limits and allocates on
+    // every call, and a session opens per `process_bin`: ask once per
+    // process.
+    static ALL_CORES: OnceLock<usize> = OnceLock::new();
     let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        *ALL_CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     } else {
         threads
     };

@@ -529,6 +529,20 @@ impl<'a> AnalyzerStage<'a> {
     }
 }
 
+// `Session::push` turns its `Vec<AnalyzerStage>` into a `Vec<StagedBin>`
+// with `into_iter().map(..).collect()`, which std does in place (no
+// allocation) only while both types share an alignment and the stage's
+// size is a whole multiple of the staged bin's. Break that and every push
+// allocates once more, so fail the build instead.
+const _: () = assert!(
+    std::mem::align_of::<AnalyzerStage<'static>>() == std::mem::align_of::<StagedBin>()
+        && std::mem::size_of::<AnalyzerStage<'static>>()
+            .is_multiple_of(std::mem::size_of::<StagedBin>()),
+    "AnalyzerStage no longer collects into StagedBin in place: every push would allocate once \
+     more than the CLEAN_PUSH_ALLOCATIONS budget in tests/sanitize_alloc.rs; pad the two types \
+     back to a whole size multiple or move the collect"
+);
+
 /// What one analyzer's staged bin produced, before aggregation.
 pub(crate) struct StagedBin {
     delay_alarms: Vec<DelayAlarm>,

@@ -21,9 +21,9 @@
 //!   unchanged.
 //!
 //! [`drive`] connects the two: it exhausts a source through a session
-//! and hands every report to an observer, which is the whole run loop of
-//! `scenarios::run`; the live service's executor thread is the same loop
-//! over its collect queue.
+//! and hands every report to an observer. `scenarios::run` is the same
+//! loop with the records beside each report, and the live service's
+//! executor thread is the same loop over its collect queue.
 //!
 //! [`AnalyzerSession`] (from [`Analyzer::session`]) and [`FleetSession`]
 //! (from [`StreamRouter::session`]) are aliases of [`Session`]. For a

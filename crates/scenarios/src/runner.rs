@@ -9,8 +9,9 @@ use crate::world::{Landmarks, Scale, World};
 use pinpoint_atlas::{deploy_probes, Platform};
 use pinpoint_core::aggregate::AsMapper;
 use pinpoint_core::pipeline::{Analyzer, BinReport};
-use pinpoint_core::session::drive;
+use pinpoint_core::session::AnalysisSession;
 use pinpoint_core::DetectorConfig;
+use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::{Asn, BinId};
 use pinpoint_netsim::{EventSchedule, Network};
 
@@ -95,8 +96,8 @@ pub struct RunSummary {
     pub mean_next_hops: f64,
 }
 
-/// Run the full pipeline over the case study's window: one
-/// [`drive`] of the platform's bin stream through the analyzer's session.
+/// Run the full pipeline over the case study's window: one session of
+/// the analyzer over the platform's bin stream.
 ///
 /// `observer` is called with each bin's report, strictly in bin order
 /// (figure harnesses extract series there); pass `|_|{}` when only the
@@ -106,20 +107,30 @@ pub fn run(
     analyzer: &mut Analyzer,
     mut observer: impl FnMut(&BinReport),
 ) -> RunSummary {
+    run_with_records(case, analyzer, |_, report| observer(&report))
+}
+
+/// [`run`], handing the observer each bin's records beside its report,
+/// both by value: what a harness needs to share one simulation among
+/// further analyzers.
+pub fn run_with_records(
+    case: &CaseStudy,
+    analyzer: &mut Analyzer,
+    mut observer: impl FnMut(Vec<TracerouteRecord>, BinReport),
+) -> RunSummary {
     let mut summary = RunSummary::default();
     {
         let mut session = analyzer.session(0);
-        drive(
-            &mut session,
-            case.platform.stream(case.start_bin, case.end_bin),
-            |report| {
-                summary.bins += 1;
-                summary.records += report.records;
-                summary.delay_alarms += report.delay_alarms.len();
-                summary.forwarding_alarms += report.forwarding_alarms.len();
-                observer(&report);
-            },
-        );
+        for (bin, records) in case.platform.stream(case.start_bin, case.end_bin) {
+            let report = session
+                .push_bin(bin, &records)
+                .expect("a push reports its own bin");
+            summary.bins += 1;
+            summary.records += report.records;
+            summary.delay_alarms += report.delay_alarms.len();
+            summary.forwarding_alarms += report.forwarding_alarms.len();
+            observer(records, report);
+        }
     }
     summary.tracked_links = analyzer.tracked_links();
     summary.tracked_patterns = analyzer.tracked_patterns();

@@ -155,6 +155,30 @@ fn one_dirty_record_costs_a_constant_and_a_verdict_costs_nothing() {
     }
 }
 
+#[test]
+fn all_cores_is_resolved_once_per_process() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // `threads = 0` means every core. `process_bin` opens a session per
+    // bin, so asking the OS for the core count on each open would cost
+    // every push its allocations; resolved once, a push at `threads = 0`
+    // allocates what the same push at the resolved count does.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let clean = clean_bin();
+    let push_at = |threads| {
+        let cfg = DetectorConfig {
+            threads,
+            ..DetectorConfig::fast_test()
+        };
+        third_push(&cfg, &clean, &clean)
+    };
+    let (all_cores, resolved) = (push_at(0), push_at(cores.min(32)));
+    println!("allocations per warm push: threads 0 {all_cores}, threads {cores} {resolved}");
+    assert!(
+        all_cores <= resolved,
+        "a warm push at threads = 0 allocated {all_cores} times, at the {cores} it resolves to {resolved}"
+    );
+}
+
 /// Threads of this process, where the OS lists them.
 fn live_threads() -> Option<usize> {
     std::fs::read_dir("/proc/self/task")
